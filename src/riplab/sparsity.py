@@ -173,7 +173,9 @@ def sample_sparse(model: SparsityModel, ambient: int, rng: SeededRng) -> np.ndar
 
 
 def _top_support(z: np.ndarray, k: int) -> np.ndarray:
-    return np.argpartition(np.abs(z), len(z) - k)[len(z) - k:]
+    """Column indices of the k largest moduli in each row of z."""
+    n = z.shape[1]
+    return np.argpartition(np.abs(z), n - k, axis=1)[:, n - k:]
 
 
 def _rank1_tensor_fit(resid: np.ndarray, n: int, d: int, iters: int = 12):
@@ -205,28 +207,48 @@ def _rank1_tensor_fit(resid: np.ndarray, n: int, d: int, iters: int = 12):
 
 
 def project_witness(model: SparsityModel, z, ambient: int) -> np.ndarray:
-    """Map an arbitrary vector to a nearby unit member of the witness family."""
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size != ambient:
+    """Map an arbitrary vector to a nearby unit member of the witness family.
+
+    ``z`` is one vector or a ``(B, ambient)`` block of rows.  A block returns a
+    ``(B, ambient)`` block whose row i is bit-identical to the projection of
+    ``z[i]`` on its own.
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 2:
+        return _project_rows(model, z, ambient)
+    return _project_rows(model, z.ravel()[None, :], ambient)[0]
+
+
+def _project_rows(model: SparsityModel, z: np.ndarray, ambient: int) -> np.ndarray:
+    if z.shape[1] != ambient:
         raise ValueError("dimension mismatch")
-    if not np.any(z):
+    if not np.all(np.any(z, axis=1)):
         raise ValueError("cannot project the zero vector")
 
     if isinstance(model, Canonical):
         keep = _top_support(z, min(model.k, ambient))
-        x = np.zeros(ambient, dtype=complex)
-        x[keep] = z[keep]
-        return _unit(x)
+        x = np.zeros_like(z)
+        np.put_along_axis(x, keep, np.take_along_axis(z, keep, axis=1), axis=1)
+        # Row by row: a norm along axis 1 sums in another order than the 1-D norm.
+        return np.array([_unit(row) for row in x]).reshape(z.shape)
 
     if isinstance(model, LqCap):
         j = witness_support_size(model.q, model.s, ambient)
         keep = _top_support(z, j)
-        x = np.zeros(ambient, dtype=complex)
-        mags = np.abs(z[keep])
-        phases = np.where(mags > 0, z[keep] / np.where(mags > 0, mags, 1.0), 1.0)
-        x[keep] = phases / math.sqrt(j)
+        kept = np.take_along_axis(z, keep, axis=1)
+        mags = np.abs(kept)
+        phases = np.where(mags > 0, kept / np.where(mags > 0, mags, 1.0), 1.0)
+        x = np.zeros_like(z)
+        np.put_along_axis(x, keep, phases / math.sqrt(j), axis=1)
         return x
 
+    if isinstance(model, (LowRank, TensorRank)):
+        return np.array([_project_one(model, row, ambient) for row in z]).reshape(z.shape)
+
+    raise TypeError(f"unknown sparsity model {type(model).__name__}")
+
+
+def _project_one(model: LowRank | TensorRank, z: np.ndarray, ambient: int) -> np.ndarray:
     if isinstance(model, LowRank):
         n = math.isqrt(ambient)
         a = z.reshape(n, n)
@@ -235,23 +257,20 @@ def project_witness(model: SparsityModel, z, ambient: int) -> np.ndarray:
         a = (u[:, :r] * sv[:r]) @ vh[:r]
         return _unit(a.ravel())
 
-    if isinstance(model, TensorRank):
-        resid = z.copy()
-        acc = np.zeros(ambient, dtype=complex)
-        for _ in range(model.s):
-            factors, weight = _rank1_tensor_fit(resid, model.n, model.d)
-            if weight == 0:
-                break
-            term = np.ones(1, dtype=complex)
-            for f in factors:
-                term = np.multiply.outer(term, f).ravel()
-            acc += weight * term
-            resid = resid - weight * term
-        if not np.any(acc):
-            return _unit(z)  # degenerate fit; fall back to the raw direction
-        return _unit(acc)
-
-    raise TypeError(f"unknown sparsity model {type(model).__name__}")
+    resid = z.copy()
+    acc = np.zeros(ambient, dtype=complex)
+    for _ in range(model.s):
+        factors, weight = _rank1_tensor_fit(resid, model.n, model.d)
+        if weight == 0:
+            break
+        term = np.ones(1, dtype=complex)
+        for f in factors:
+            term = np.multiply.outer(term, f).ravel()
+        acc += weight * term
+        resid = resid - weight * term
+    if not np.any(acc):
+        return _unit(z)  # degenerate fit; fall back to the raw direction
+    return _unit(acc)
 
 
 # -- the instrument-dependent sparsity parameter -----------------------------

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riplab.group_ops import gaussian_ensemble, sample_ensemble
 from riplab.instruments import make_flat
@@ -22,7 +24,14 @@ from riplab.rip import (
     mrip_check,
     predict_m,
 )
-from riplab.sparsity import Canonical, LowRank, LqCap, TensorRank
+from riplab.sparsity import (
+    Canonical,
+    LowRank,
+    LqCap,
+    TensorRank,
+    project_witness,
+    sample_sparse,
+)
 
 SEED = 31137
 
@@ -110,6 +119,80 @@ class TestEmpiricalRip:
         d_raw = empirical_rip(ens, model, 20, 0, SeededRng(SEED + 9)).delta_hat
         d_ref = empirical_rip(ens, model, 20, 40, SeededRng(SEED + 9)).delta_hat
         assert d_ref >= d_raw - 1e-12
+
+
+def reference_ascent(a, model, trials, ascent_steps, rng):
+    """Per-trial, per-sign, per-vector projected power ascent.
+
+    Returns the estimate, the row-steps up to each ascent's first exact fixed
+    point, and how many ascents stopped on a vanishing step.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[1]
+    defect = a.conj().T @ a - np.eye(n)
+    shift = operator_norm(defect)
+
+    def form(x):
+        return abs(float(np.real(np.vdot(x, defect @ x))))
+
+    delta, steps, vanished = 0.0, 0, 0
+    for trial in range(trials):
+        x0 = sample_sparse(model, n, rng.stream(trial))
+        best = form(x0)
+        for sign in (+1.0, -1.0):
+            x, fixed = x0, False
+            for _ in range(ascent_steps):
+                y = sign * (defect @ x) + shift * x
+                if not np.any(y):
+                    vanished += 1
+                    break
+                nxt = project_witness(model, y, n)
+                steps += 0 if fixed else 1
+                fixed = fixed or np.array_equal(nxt.view(np.uint64), x.view(np.uint64))
+                x = nxt
+            best = max(best, form(x))
+        delta = max(delta, best)
+    return delta, steps, vanished
+
+
+class TestBlockAscent:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([LqCap(1.0, 1.0), LqCap(1.0, 3.0), LqCap(1.5, 2.0), LowRank(1),
+                         LowRank(2)]),
+        st.integers(1, 12),
+        st.integers(0, 8),
+        st.integers(0, 2**16),
+    )
+    def test_matches_per_trial_reference(self, model, trials, steps, seed):
+        a = gaussian_ensemble(16, 12, SeededRng(seed)).effective_operator()
+        report = empirical_rip(a, model, trials, steps, SeededRng(seed, 1))
+        delta, iterations, _ = reference_ascent(a, model, trials, steps, SeededRng(seed, 1))
+        assert report.delta_hat.hex() == delta.hex()
+        assert report.details["ascent_iterations"] == iterations
+
+    def test_vanishing_steps_stop_their_rows_only(self):
+        # Columns 8..15 are annihilated, so defect = diag(0, ..., -1, ...) and
+        # shift = 1: an upward step from a witness on those columns vanishes.
+        a = np.diag(np.r_[np.ones(8), np.zeros(8)])
+        model = LqCap(1.0, 1.0)
+        report = empirical_rip(a, model, 16, 5, SeededRng(SEED + 20))
+        delta, iterations, vanished = reference_ascent(a, model, 16, 5, SeededRng(SEED + 20))
+        assert 0 < vanished < 16
+        assert report.delta_hat.hex() == delta.hex()
+        assert report.details["ascent_iterations"] == iterations
+
+    def test_canonical_reports_no_ascent(self):
+        ens = gaussian_ensemble(10, 6, SeededRng(SEED + 21))
+        for trials in (5, 45):
+            report = empirical_rip(ens, Canonical(2), trials, 30, SeededRng(SEED + 22))
+            assert report.details["ascent_iterations"] == 0
+
+    def test_fixed_points_stop_early(self):
+        ens = gaussian_ensemble(64, 256, SeededRng(SEED + 23))
+        report = empirical_rip(ens, LqCap(1.0, 1.0), 20, 50, SeededRng(SEED + 24))
+        assert 0 < report.details["ascent_iterations"] < 2 * 20 * 50
+        assert report.details["trials"] == 20
 
 
 class TestMripCheck:

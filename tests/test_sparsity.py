@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from riplab.instruments import make_decaying_window, make_flat
 from riplab.numerics import SeededRng, lq_norm
@@ -163,6 +166,82 @@ class TestProjectWitness:
         top = top.ravel() / np.linalg.norm(top)
         overlap = abs(np.vdot(w, top))
         assert overlap >= 0.999
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _reference_flat_projection(model, z: np.ndarray) -> np.ndarray:
+    """The single-vector top-support projection, written out for Canonical and LqCap."""
+    n = z.size
+    j = min(model.k, n) if isinstance(model, Canonical) else witness_support_size(model.q, model.s, n)
+    keep = np.argpartition(np.abs(z), n - j)[n - j:]
+    x = np.zeros(n, dtype=complex)
+    if isinstance(model, Canonical):
+        x[keep] = z[keep]
+        return x / np.linalg.norm(x)
+    mags = np.abs(z[keep])
+    x[keep] = np.where(mags > 0, z[keep] / np.where(mags > 0, mags, 1.0), 1.0) / math.sqrt(j)
+    return x
+
+
+# Small integers give zero moduli and ties (1, -1, 1j, -1j share a modulus).
+_ENTRIES = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, -1 - 1j, 2 + 0j]),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
+                       allow_infinity=False),
+)
+
+
+@st.composite
+def _model_and_block(draw):
+    kind = draw(st.sampled_from(["canonical", "lqcap", "lowrank", "tensor"]))
+    if kind == "canonical":
+        ambient = draw(st.integers(1, 12))
+        model = Canonical(draw(st.integers(1, ambient + 2)))
+    elif kind == "lqcap":
+        ambient = draw(st.integers(1, 12))
+        model = LqCap(draw(st.sampled_from([1.0, 1.25, 4.0 / 3.0, 1.7, 2.0])),
+                      draw(st.floats(1.0, 12.0)))
+    elif kind == "lowrank":
+        side = draw(st.integers(1, 4))
+        ambient = side * side
+        model = LowRank(draw(st.integers(1, 3)))
+    else:
+        n, d = draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+        ambient = n**d
+        model = TensorRank(draw(st.integers(1, 2)), n, d)
+    rows = draw(st.integers(1, 5))
+    z = draw(hnp.arrays(complex, (rows, ambient), elements=_ENTRIES))
+    assume(np.all(np.any(z, axis=1)))
+    return model, z
+
+
+class TestProjectWitnessBlocks:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(_model_and_block())
+    def test_block_rows_equal_single_vector_calls(self, case):
+        model, z = case
+        block = project_witness(model, z, z.shape[1])
+        assert block.shape == z.shape
+        for row, expected_input in zip(block, z):
+            single = project_witness(model, expected_input, z.shape[1])
+            np.testing.assert_array_equal(_bits(row), _bits(single))
+            if isinstance(model, (Canonical, LqCap)):
+                reference = _reference_flat_projection(model, expected_input)
+                np.testing.assert_array_equal(_bits(row), _bits(reference))
+
+    def test_block_with_a_zero_row_rejected(self):
+        z = np.ones((3, 4), dtype=complex)
+        z[1] = 0
+        with pytest.raises(ValueError, match="zero vector"):
+            project_witness(LqCap(1.0, 2.0), z, 4)
+
+    def test_block_width_must_match_ambient(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            project_witness(LqCap(1.0, 2.0), np.ones((2, 5)), 4)
 
 
 class TestSparsityParameter:
