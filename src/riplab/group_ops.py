@@ -277,6 +277,7 @@ def sample_ensemble(
         "instrument_params": dict(inst.params),
         "seed": rng.seed,
         "stream": rng.stream_index,
+        "spawn_key": list(rng.spawn_key),
     }
 
     shared_sign = None
@@ -312,7 +313,7 @@ def gaussian_ensemble(dim: int, m: int, rng: SeededRng) -> MeasurementEnsemble:
         raise ValueError("m and dim must be >= 1")
     rows = rng.standard_normal((m, dim)) / math.sqrt(m)
     prov = {"variant": "gaussian", "m": int(m), "dim": int(dim),
-            "seed": rng.seed, "stream": rng.stream_index}
+            "seed": rng.seed, "stream": rng.stream_index, "spawn_key": list(rng.spawn_key)}
     return MeasurementEnsemble(rows=rows.astype(complex), provenance=prov)
 
 
@@ -341,7 +342,8 @@ def compose_gaussian(
         stage = rng.standard_normal((m_out, m_in)) / math.sqrt(m_out)
     prov = dict(ens.provenance)
     prov["gaussian_stage"] = {"m_out": int(m_out), "identity": bool(identity_stage),
-                              "seed": rng.seed, "stream": rng.stream_index}
+                              "seed": rng.seed, "stream": rng.stream_index,
+                              "spawn_key": list(rng.spawn_key)}
     return MeasurementEnsemble(rows=ens.rows, provenance=prov, gaussian_stage=stage)
 
 

@@ -69,23 +69,30 @@ def operator_norm(a) -> float:
 
 
 class SeededRng:
-    """Reproducible random source addressed by (seed, stream).
+    """Reproducible random source addressed by (seed, spawn key).
 
-    Two instances built with the same (seed, stream) yield bit-identical draw
-    sequences.  Independent streams for parallelizable trials are derived with
-    ``stream(i)``, conventionally i = trial index, so that serial and parallel
-    execution orders agree.
+    ``SeededRng(seed, stream)`` is a root on the spawn key ``(stream,)``, and
+    ``stream(i)`` derives a child on the parent's key followed by ``i``.  Two
+    instances with the same seed and key yield bit-identical draw sequences;
+    distinct keys give independent sequences, so a child replays neither its
+    parent, nor a sibling, nor a root.  Per-trial children are conventionally
+    indexed by trial, so that serial and parallel execution orders agree.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int, stream: int = 0, parent_key: tuple = ()):
         self.seed = int(seed)
         self.stream_index = int(stream)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
+        # One 32-bit word per index keeps distinct keys distinct once
+        # SeedSequence flattens them into words.
+        if not 0 <= self.stream_index < 2**32:
+            raise ValueError(f"stream index must lie in [0, 2^32); got {stream}")
+        self.spawn_key = (*parent_key, self.stream_index)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def stream(self, index: int) -> "SeededRng":
-        """Fresh source with the same seed on a different stream."""
-        return SeededRng(self.seed, index)
+        """Child source on the spawn key ``self.spawn_key + (index,)``."""
+        return SeededRng(self.seed, index, self.spawn_key)
 
     @property
     def generator(self) -> np.random.Generator:

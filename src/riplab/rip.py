@@ -264,7 +264,8 @@ def mrip_check(
     Level l carries the q-cap model at sparsity 2^l s and must stay below
     max(2^(l/2) delta, 2^l delta^2); ``extra_level_factor`` multiplies the
     threshold by another 2^(l/2) for the looser definitional variant.
-    Per-level estimates are empirical lower bounds of the true suprema.
+    Per-level estimates are empirical lower bounds of the true suprema; the
+    i-th level of the range draws its trials from ``rng.stream(i)``.
     """
     if rng is None:
         raise ValueError("an explicit SeededRng is required")
@@ -275,9 +276,10 @@ def mrip_check(
     levels = []
     all_pass = True
     worst = 0.0
-    for level in _level_range(q, s, n):
+    # Indexed by position, not by level: levels can be negative.
+    for pos, level in enumerate(_level_range(q, s, n)):
         sigma = 2.0**level * s
-        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, rng)
+        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, rng.stream(pos))
         threshold = _level_threshold(level, delta, extra_level_factor)
         passed = report.delta_hat <= threshold
         all_pass &= passed
@@ -319,6 +321,8 @@ def calibrate_mrip_distortion(
     given the empirical per-level suprema.  Returns (delta, level records).
 
     Level l passes iff delta >= 2^(-l/2) min(o_l, sqrt(o_l)) for observed o_l.
+    Levels draw from the same child streams as mrip_check, so both see the
+    same per-level estimates for the same ``rng``.
     """
     if rng is None:
         raise ValueError("an explicit SeededRng is required")
@@ -326,9 +330,9 @@ def calibrate_mrip_distortion(
     n = eff.shape[1]
     records = []
     delta = 0.0
-    for level in _level_range(q, s, n):
+    for pos, level in enumerate(_level_range(q, s, n)):
         sigma = 2.0**level * s
-        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, rng)
+        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, rng.stream(pos))
         o = report.delta_hat
         need = 2.0 ** (-level / 2.0) * min(o, math.sqrt(o)) if o > 0 else 0.0
         delta = max(delta, need)

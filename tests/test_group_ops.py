@@ -233,6 +233,17 @@ class TestGaussianStage:
         sigma = vals.std(ddof=1) / math.sqrt(draws)
         assert abs(vals.mean() - y_sq) <= 3.0 * sigma
 
+    def test_provenance_records_spawn_path(self):
+        rng = SeededRng(SEED + 20, 3).stream(5)
+        ens = sample_ensemble(make_flat(6), "shiftmod", 4, "none", SeededRng(SEED + 20))
+        composed = compose_gaussian(ens, 2, rng)
+        gauss = gaussian_ensemble(5, 3, rng.stream(1))
+        assert ens.provenance["spawn_key"] == [0]
+        assert composed.provenance["gaussian_stage"]["spawn_key"] == [3, 5]
+        assert gauss.provenance["spawn_key"] == [3, 5, 1]
+        replay = SeededRng(gauss.provenance["seed"], 1, parent_key=(3, 5))
+        np.testing.assert_array_equal(gauss.rows, gaussian_ensemble(5, 3, replay).rows)
+
     def test_double_stage_rejected(self):
         ens = gaussian_ensemble(4, 4, SeededRng(SEED + 17))
         once = compose_gaussian(ens, 2, SeededRng(SEED + 18))

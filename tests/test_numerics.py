@@ -1,5 +1,6 @@
 """Tests for the shared numeric primitives."""
 
+import itertools
 import math
 
 import numpy as np
@@ -132,6 +133,35 @@ class TestSeededRng:
         a = root.stream(0).standard_normal(16)
         b = root.stream(1).standard_normal(16)
         assert np.abs(a - b).max() > 1e-6
+
+    def test_child_differs_from_root_and_siblings(self):
+        # Before hierarchical keys SeededRng(s, 1).stream(0) replayed SeededRng(s, 0).
+        draws = {
+            "root0": SeededRng(SEED, 0),
+            "root1": SeededRng(SEED, 1),
+            "root1.child0": SeededRng(SEED, 1).stream(0),
+            "root1.child1": SeededRng(SEED, 1).stream(1),
+            "root0.child1": SeededRng(SEED).stream(1),
+            "root1.child0.child0": SeededRng(SEED, 1).stream(0).stream(0),
+        }
+        samples = {name: rng.standard_normal(16) for name, rng in draws.items()}
+        for (a, x), (b, y) in itertools.combinations(samples.items(), 2):
+            assert np.abs(x - y).max() > 1e-6, (a, b)
+
+    def test_spawn_key_extends_parent_key(self):
+        root = SeededRng(SEED, 4)
+        assert root.spawn_key == (4,)
+        assert root.stream(2).spawn_key == (4, 2)
+        assert root.stream(2).stream(7).spawn_key == (4, 2, 7)
+        np.testing.assert_array_equal(
+            root.stream(2).standard_normal(8),
+            SeededRng(SEED, 2, parent_key=(4,)).standard_normal(8),
+        )
+
+    def test_stream_index_must_fit_one_word(self):
+        for bad in (-1, 2**32):
+            with pytest.raises(ValueError, match="stream index"):
+                SeededRng(SEED).stream(bad)
 
     def test_complex_normal_is_unit_variance(self):
         z = SeededRng(SEED).complex_normal(200000)
