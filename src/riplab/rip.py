@@ -225,8 +225,6 @@ def _ascend(model: SparsityModel, defect: np.ndarray, shift: float, sign: float,
         # A row that repeats bit for bit is at a fixed point: every later step
         # would reproduce it.
         live = live[np.any(nxt.view(np.uint64) != cur.view(np.uint64), axis=1)]
-        if live.size == 0:
-            break
     return x, run
 
 
