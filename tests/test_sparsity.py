@@ -175,7 +175,10 @@ def _bits(x: np.ndarray) -> np.ndarray:
 def _reference_flat_projection(model, z: np.ndarray) -> np.ndarray:
     """The single-vector top-support projection, written out for Canonical and LqCap."""
     n = z.size
-    j = min(model.k, n) if isinstance(model, Canonical) else witness_support_size(model.q, model.s, n)
+    if isinstance(model, Canonical):
+        j = min(model.k, n)
+    else:
+        j = witness_support_size(model.q, model.s, n)
     keep = np.argpartition(np.abs(z), n - j)[n - j:]
     x = np.zeros(n, dtype=complex)
     if isinstance(model, Canonical):
