@@ -377,6 +377,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         need_positive("N", "d", "trials")
         if p.get("d") and p.get("N") and p["d"] > p["N"]:
             diags.append("d cannot exceed N")
+        n = p.get("N")
+        if p.get("variant") == "doubleqft" and n and n > 0 and math.isqrt(n) ** 2 != n:
+            diags.append("doubleqft requires N to be a perfect square (matrix side^2)")
         for mv in p.get("M") or []:
             if mv <= 0:
                 diags.append(f"M values must be positive; got {mv}")
@@ -620,12 +623,19 @@ def _run_rosenthal(p: dict) -> RunResult:
                                   SeededRng(p["seed"]))
     rows = [{"M": r["M"], "median": _fmt(r["median"]), "mean": _fmt(r["mean"])}
             for r in records]
-    logm = np.log([r["M"] for r in records])
-    logdev = np.log([r["median"] for r in records])
-    slope = float(np.polyfit(logm, logdev, 1)[0]) if len(records) > 1 else float("nan")
+    medians = [r["median"] for r in records]
+    # The log-log slope needs two M values and positive medians; otherwise
+    # it is written as null (JSON has no NaN) and the summary says why.
+    slope, summary = None, "slope=null (one M value, no log-log fit)"
+    if min(medians) <= 0.0:
+        summary = "slope=null (a median deviation is 0, no log-log fit)"
+    elif len(records) > 1:
+        logm = np.log([r["M"] for r in records])
+        slope = float(np.polyfit(logm, np.log(medians), 1)[0])
+        summary = f"slope={_fmt(slope)}"
     doc = {"slope": slope,
            "records": [{k: r[k] for k in ("M", "median", "mean")} for r in records]}
-    return RunResult(rows, ["M", "median", "mean"], doc, f"slope={_fmt(slope)}")
+    return RunResult(rows, ["M", "median", "mean"], doc, summary)
 
 
 def _run_table1(p: dict) -> RunResult:

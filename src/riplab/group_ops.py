@@ -13,6 +13,13 @@ multiplication by exp(2 pi i l / N); a cyclic shift sends e_l to e_{l+1}.
 Only global phases depend on this choice and every reported statistic is
 phase-invariant.
 
+All three are monomial unitaries: a coordinate permutation times
+unit-modulus phases (doubleqft on the row-major flattening of its n x n
+matrices).  ``monomial`` turns a batch of B elements into one ``Monomial``
+of (B, dim) index and phase arrays, so sigma(g) x is ``x[perm] * phase``,
+and every group action here (``apply_group``, ensemble rows, isotropy
+orbits, the moment-deviation scan) is a gather through that one form.
+
 A measurement row for instrument eta and group element g is the functional
 x |-> <sigma(g) eta, x>, scaled by 1/sqrt(m).
 """
@@ -34,6 +41,8 @@ __all__ = [
     "DoubleQft",
     "SignShift",
     "GroupElement",
+    "Monomial",
+    "monomial",
     "apply_group",
     "apply_group_adjoint",
     "enumerate_group",
@@ -102,55 +111,110 @@ class SignShift:
 
 
 GroupElement = Union[ShiftMod, DoubleQft, SignShift]
+_VARIANTS = ("shiftmod", "doubleqft", "signshift")
 
 
-def _mod_phases(n: int, t: int) -> np.ndarray:
-    # exp(2 pi i t l / n) at 1-based index l.
-    return np.exp(2j * np.pi * t * np.arange(1, n + 1) / n)
+# -- monomial form ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """A batch of B monomial unitaries on C^dim.
+
+    Element b maps x to ``x[perm[b]] * phase[b]``: a coordinate gather
+    followed by unit-modulus phases.  Its adjoint, which is also its
+    inverse, gathers by the inverse permutation and multiplies by the
+    conjugate phases taken at that inverse.
+    """
+
+    perm: np.ndarray  # (B, dim) gather indices
+    phase: np.ndarray  # (B, dim) unit-modulus complex
+
+    @property
+    def dim(self) -> int:
+        return int(self.perm.shape[1])
+
+    def apply(self, x) -> np.ndarray:
+        """A (dim,) vector gives its (B, dim) orbit; a (B, dim) block is
+        mapped row by row, row b by element b."""
+        x = np.asarray(x, dtype=complex)
+        if x.shape == (self.dim,):
+            return x[self.perm] * self.phase
+        if x.shape == self.perm.shape:
+            return np.take_along_axis(x, self.perm, axis=1) * self.phase
+        raise ValueError(f"expected shape ({self.dim},) or {self.perm.shape}; got {x.shape}")
+
+    def adjoint(self) -> Monomial:
+        inv = np.empty_like(self.perm)
+        np.put_along_axis(inv, self.perm, np.broadcast_to(np.arange(self.dim), inv.shape), axis=1)
+        return Monomial(inv, np.conj(np.take_along_axis(self.phase, inv, axis=1)))
+
+
+def _mod_phases(n: int, t) -> np.ndarray:
+    # exp(2 pi i t l / n) at 1-based index l, one row per entry of t; each
+    # distinct t is evaluated once.
+    values, rows = np.unique(np.asarray(t), return_inverse=True)
+    return np.exp(2j * np.pi * values[:, None] * np.arange(1, n + 1) / n)[rows]
+
+
+def _cyclic(n: int, shift) -> np.ndarray:
+    # Gather indices of cyclic shifts: row b moves entry l to l + shift[b].
+    return (np.arange(n) - np.asarray(shift)[:, None]) % n
+
+
+def _shiftmod_batch(t, k, n: int) -> Monomial:
+    return Monomial(_cyclic(n, k), _mod_phases(n, t))
+
+
+def _signshift_batch(signs, shift) -> Monomial:
+    signs = np.asarray(signs)
+    perm = _cyclic(signs.shape[1], shift)
+    return Monomial(perm, np.take_along_axis(signs, perm, axis=1).astype(complex))
+
+
+def _doubleqft_batch(k, j, kp, jp, n: int) -> Monomial:
+    # Row-major flattening: entry (r, c) of the image of a is
+    # a[r - j, c - jp] * mod^k[r] * conj(mod^kp[c]).
+    perm = _cyclic(n, j)[:, :, None] * n + _cyclic(n, jp)[:, None, :]
+    phase = _mod_phases(n, k)[:, :, None] * np.conj(_mod_phases(n, kp))[:, None, :]
+    return Monomial(perm.reshape(-1, n * n), phase.reshape(-1, n * n))
+
+
+def monomial(elements) -> Monomial:
+    """The (perm, phase) batch of a non-empty sequence of elements of one
+    group over one dimension.  DoubleQft acts on row-major flattenings."""
+    elements = list(elements)
+    if not elements:
+        raise ValueError("need at least one group element")
+    kind, n = type(elements[0]), getattr(elements[0], "n", None)
+    if kind not in (ShiftMod, DoubleQft, SignShift):
+        raise TypeError(f"unknown group element {kind.__name__}")
+    if any(type(g) is not kind or g.n != n for g in elements):
+        raise ValueError("elements must come from one group over one dimension")
+    if kind is ShiftMod:
+        return _shiftmod_batch([g.t for g in elements], [g.k for g in elements], n)
+    if kind is DoubleQft:
+        return _doubleqft_batch(*np.array([(g.k, g.j, g.kp, g.jp) for g in elements]).T, n)
+    return _signshift_batch([g.signs for g in elements], [g.shift for g in elements])
+
+
+def _apply_one(op: Monomial, g: GroupElement, x) -> np.ndarray:
+    x = np.asarray(x, dtype=complex)
+    shapes = ((g.n * g.n,), (g.n, g.n)) if isinstance(g, DoubleQft) else ((g.n,),)
+    if x.shape not in shapes:
+        raise ValueError(f"expected input of shape {' or '.join(map(str, shapes))}; got {x.shape}")
+    return op.apply(x.ravel())[0].reshape(x.shape)
 
 
 def apply_group(g: GroupElement, x) -> np.ndarray:
     """Apply sigma(g) to x.  DoubleQft accepts an n x n matrix or its
     row-major flattening and returns the same shape it was given."""
-    x = np.asarray(x, dtype=complex)
-    if isinstance(g, ShiftMod):
-        if x.shape != (g.n,):
-            raise ValueError(f"expected vector of length {g.n}")
-        return np.roll(x, g.k) * _mod_phases(g.n, g.t)
-    if isinstance(g, SignShift):
-        if x.shape != (g.n,):
-            raise ValueError(f"expected vector of length {g.n}")
-        return np.roll(np.asarray(g.signs) * x, g.shift)
-    if isinstance(g, DoubleQft):
-        n = g.n
-        flat = x.ndim == 1
-        a = x.reshape(n, n) if flat else x
-        if a.shape != (n, n):
-            raise ValueError(f"expected {n} x {n} matrix (or its flattening)")
-        out = np.roll(a, (g.j, g.jp), axis=(0, 1))
-        out = out * _mod_phases(n, g.k)[:, None]
-        out = out * np.conj(_mod_phases(n, g.kp))[None, :]
-        return out.ravel() if flat else out
-    raise TypeError(f"unknown group element {type(g).__name__}")
+    return _apply_one(monomial([g]), g, x)
 
 
 def apply_group_adjoint(g: GroupElement, x) -> np.ndarray:
-    """Apply sigma(g)^* (the inverse, up to a global phase)."""
-    x = np.asarray(x, dtype=complex)
-    if isinstance(g, ShiftMod):
-        return np.roll(x * np.conj(_mod_phases(g.n, g.t)), -g.k)
-    if isinstance(g, SignShift):
-        return np.asarray(g.signs) * np.roll(x, -g.shift)
-    if isinstance(g, DoubleQft):
-        n = g.n
-        flat = x.ndim == 1
-        a = x.reshape(n, n) if flat else x
-        out = a * np.conj(_mod_phases(n, g.k))[:, None]
-        out = np.roll(out, -g.j, axis=0)
-        out = out * _mod_phases(n, g.kp)[None, :]
-        out = np.roll(out, -g.jp, axis=1)
-        return out.ravel() if flat else out
-    raise TypeError(f"unknown group element {type(g).__name__}")
+    """Apply sigma(g)^*, the inverse of sigma(g)."""
+    return _apply_one(monomial([g]).adjoint(), g, x)
 
 
 def enumerate_group(variant: str, n: int) -> Iterator[GroupElement]:
@@ -255,20 +319,11 @@ def sample_ensemble(
     if mode not in _SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {_SIGN_MODES}; got {sign_mode!r}")
 
-    if variant == "doubleqft":
-        if not inst.is_matrix:
-            raise ValueError("doubleqft requires a matrix instrument")
-        n = inst.payload.shape[0]
-        if mode == "absorbed":
-            raise ValueError("absorbed signs are defined for vector instruments only")
-    else:
-        if inst.is_matrix:
-            raise ValueError(f"variant {variant!r} requires a vector instrument")
-        n = inst.payload.shape[0]
+    n = _group_side(inst, variant)
+    if mode == "absorbed" and inst.is_matrix:
+        raise ValueError("absorbed signs are defined for vector instruments only")
 
     dim = inst.ambient_dim
-    rows = np.empty((m, dim), dtype=complex)
-    elements = []
     prov: dict = {
         "variant": variant,
         "sign_mode": mode,
@@ -285,25 +340,24 @@ def sample_ensemble(
         shared_sign = rng.rademacher(dim)
         prov["shared_sign"] = [int(s) for s in shared_sign]
 
-    absorbed = []
-    for j in range(m):
-        g = sample_group_element(variant, n, rng)
-        elements.append(_element_record(g))
-        v = apply_group(g, inst.payload)
-        v = np.asarray(v).ravel()
-        if mode == "random_sign":
-            v = shared_sign * v
-        elif mode == "absorbed":
-            eps = rng.rademacher(dim)
-            shift = int(rng.integers(0, dim))
-            v = np.roll(eps * v, shift)
-            absorbed.append([[int(s) for s in eps], shift])
-        rows[j] = np.conj(v)
+    # Draws stay per row, in row order; the rows themselves are one gather.
+    group, signs, shifts = [], [], []
+    for _ in range(m):
+        group.append(sample_group_element(variant, n, rng))
+        if mode == "absorbed":
+            signs.append(rng.rademacher(dim))
+            shifts.append(int(rng.integers(0, dim)))
+    rows = monomial(group).apply(inst.payload.ravel())
+    if mode == "random_sign":
+        rows = shared_sign * rows
+    elif mode == "absorbed":
+        rows = _signshift_batch(signs, shifts).apply(rows)
+        prov["absorbed_signs"] = [[[int(s) for s in eps], shift]
+                                  for eps, shift in zip(signs, shifts)]
+    rows = np.conj(rows)
     rows /= math.sqrt(m)
 
-    prov["elements"] = elements
-    if absorbed:
-        prov["absorbed_signs"] = absorbed
+    prov["elements"] = [_element_record(g) for g in group]
     return MeasurementEnsemble(rows=rows, provenance=prov)
 
 
@@ -351,6 +405,9 @@ def compose_gaussian(
 
 _ISOTROPY_CAPS = {"shiftmod": 16, "doubleqft": 4, "signshift": 8}
 
+# Complex entries of one gathered block of the moment-deviation scan (1 MB).
+_GRAM_CHUNK_ENTRIES = 1 << 16
+
 
 def isotropy_defect(inst: Instrument, variant: str) -> float:
     """Operator-norm distance between the exact group average
@@ -359,37 +416,30 @@ def isotropy_defect(inst: Instrument, variant: str) -> float:
     The group is enumerated exhaustively, so the dimension caps are hard:
     N <= 16 for shiftmod, n <= 4 for doubleqft, N <= 8 for signshift.
     """
-    if variant not in _ISOTROPY_CAPS:
-        raise ValueError(f"unknown group variant {variant!r}")
-    if variant == "doubleqft":
-        if not inst.is_matrix:
-            raise ValueError("doubleqft requires a matrix instrument")
-        n = inst.payload.shape[0]
-        order = n**4
-    else:
-        if inst.is_matrix:
-            raise ValueError(f"variant {variant!r} requires a vector instrument")
-        n = inst.payload.shape[0]
-        order = n * n if variant == "shiftmod" else (2**n) * n
+    n = _group_side(inst, variant)
     cap = _ISOTROPY_CAPS[variant]
     if n > cap:
         raise CapacityError(
             f"isotropy_defect enumerates the full group; {variant} is capped at {cap} (got {n})"
         )
 
-    dim = inst.ambient_dim
-    orbit = np.empty((order, dim), dtype=complex)
-    for i, g in enumerate(enumerate_group(variant, n)):
-        orbit[i] = np.asarray(apply_group(g, inst.payload)).ravel()
+    orbit = monomial(enumerate_group(variant, n)).apply(inst.payload.ravel())
     # (1/|G|) sum_g v_g v_g^*; closure under inverses makes the adjoint
     # orientation of the definition give the same sum.
-    avg = orbit.T @ np.conj(orbit) / order
-    return operator_norm(avg - np.eye(dim))
+    avg = orbit.T @ np.conj(orbit) / len(orbit)
+    return operator_norm(avg - np.eye(inst.ambient_dim))
 
 
-def _conjugated_gram_shiftmod(w: np.ndarray, t: int, k: int, phase_table: np.ndarray) -> np.ndarray:
-    rolled = np.roll(w, (-k, -k), axis=(0, 1))
-    return rolled * phase_table[t]
+def _scan_draws(variant: str, n: int, m: int, rng: SeededRng) -> Monomial:
+    # The draw order of sample_group_element, except that shiftmod draws
+    # all m modulations, then all m shifts.
+    if variant == "shiftmod":
+        t = rng.integers(0, n, m)
+        return _shiftmod_batch(t, rng.integers(0, n, m), n)
+    if variant == "signshift":
+        draws = [(rng.rademacher(n), rng.integers(0, n)) for _ in range(m)]
+        return _signshift_batch([eps for eps, _ in draws], [k for _, k in draws])
+    return monomial(sample_group_element(variant, n, rng) for _ in range(m))
 
 
 def rosenthal_deviation(
@@ -406,6 +456,12 @@ def rosenthal_deviation(
     u is d x N with tr(u^* u) = N (the isotropic scaling).  Returns one record
     per M with the raw deviations plus their median and mean.  Trials use
     per-trial RNG streams, so results do not depend on execution order.
+
+    The sum is the Gram matrix V^* V of the stacked d x N blocks
+    V_j = u sigma(g_j).  Each block is a gather of u's columns times phases,
+    so a trial costs one gather and one matrix product per chunk of
+    elements, with chunks of at most 2^16 complex entries (one element per
+    chunk when d N exceeds that).
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
@@ -417,62 +473,27 @@ def rosenthal_deviation(
     m_list = [int(m) for m in m_list]
     if any(m < 1 for m in m_list) or trials < 1:
         raise ValueError("all M and trials must be >= 1")
-
-    w = u.conj().T @ u
-    eye = np.eye(n)
-
-    if variant == "shiftmod":
-        diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
-        phase_table = roots[(np.arange(n)[:, None, None] * diff[None, :, :]) % n]
-
-        def accumulate(stream: SeededRng, m: int) -> np.ndarray:
-            ts = stream.integers(0, n, m)
-            ks = stream.integers(0, n, m)
-            acc = np.zeros((n, n), dtype=complex)
-            for t, k in zip(ts, ks):
-                acc += _conjugated_gram_shiftmod(w, int(t), int(k), phase_table)
-            return acc
-
-    elif variant == "signshift":
-
-        def accumulate(stream: SeededRng, m: int) -> np.ndarray:
-            acc = np.zeros((n, n), dtype=complex)
-            for _ in range(m):
-                eps = stream.rademacher(n).astype(float)
-                shift = int(stream.integers(0, n))
-                rolled = np.roll(w, (-shift, -shift), axis=(0, 1))
-                acc += rolled * np.outer(eps, eps)
-            return acc
-
-    elif variant == "doubleqft":
+    side = n
+    if variant == "doubleqft":
         side = math.isqrt(n)
         if side * side != n:
             raise ValueError("doubleqft requires N to be a perfect square (matrix side^2)")
 
-        def accumulate(stream: SeededRng, m: int) -> np.ndarray:
-            # S^H W S computed column-by-column: first W S (rows hit from the
-            # right), then S^H applied to each column.
-            acc = np.zeros((n, n), dtype=complex)
-            for _ in range(m):
-                g = sample_group_element("doubleqft", side, stream)
-                tmp = np.empty((n, n), dtype=complex)
-                for r in range(n):
-                    tmp[r, :] = np.conj(apply_group_adjoint(g, np.conj(w[r, :])))
-                for c in range(n):
-                    tmp[:, c] = apply_group_adjoint(g, np.ascontiguousarray(tmp[:, c]))
-                acc += tmp
-            return acc
-
-    else:
-        raise ValueError(f"unknown group variant {variant!r}")
-
+    eye = np.eye(n)
+    chunk = max(1, _GRAM_CHUNK_ENTRIES // (d * n))
     results = []
     for mi, m in enumerate(m_list):
         devs = np.empty(trials)
         for trial in range(trials):
             stream = rng.stream(trial * len(m_list) + mi)
-            acc = accumulate(stream, m)
+            # Column c of u sigma(g) is u[:, inv[c]] * conj of the adjoint's
+            # phase at c, where inv is the adjoint's gather.
+            adj = _scan_draws(variant, side, m, stream).adjoint()
+            acc = np.zeros((n, n), dtype=complex)
+            for lo in range(0, m, chunk):
+                v = u[:, adj.perm[lo:lo + chunk]] * np.conj(adj.phase[lo:lo + chunk])
+                v = v.reshape(-1, n)
+                acc += v.conj().T @ v
             devs[trial] = operator_norm(acc / m - eye)
         results.append(
             {
@@ -483,3 +504,15 @@ def rosenthal_deviation(
             }
         )
     return results
+
+
+def _group_side(inst: Instrument, variant: str) -> int:
+    # The group's dimension parameter for an instrument: the vector length,
+    # or the matrix side for doubleqft.
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown group variant {variant!r}")
+    if variant == "doubleqft" and not inst.is_matrix:
+        raise ValueError("doubleqft requires a matrix instrument")
+    if variant != "doubleqft" and inst.is_matrix:
+        raise ValueError(f"variant {variant!r} requires a vector instrument")
+    return int(inst.payload.shape[0])

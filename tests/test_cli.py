@@ -8,6 +8,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,32 @@ class TestReports:
         assert doc["result"]["group_sign"] == 384
         assert doc["result"]["ratio_group_over_gauss"] == 12.0
         assert doc["result"]["ratio_sign_over_gauss"] == 16.0
+
+
+    def test_rosenthal_slope_fits_the_medians(self, tmp_path):
+        code = run_cli("rosenthal", "--N", "8", "--d", "2", "--M", "4,16,64", "--trials", "5",
+                       "--out", str(tmp_path / "r"))
+        assert code == 0
+        result = json.loads((tmp_path / "r.json").read_text())["result"]
+        medians = [rec["median"] for rec in result["records"]]
+        expected = np.polyfit(np.log([4, 16, 64]), np.log(medians), 1)[0]
+        assert result["slope"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("argv,reason", [
+        (("--N", "8", "--d", "8", "--M", "4,16"), "a median deviation is 0"),
+        (("--N", "8", "--d", "2", "--M", "4"), "one M value"),
+    ])
+    def test_rosenthal_undefined_slope_is_null(self, tmp_path, capsys, argv, reason):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("rosenthal", *argv, "--trials", "3", "--out", str(tmp_path / "r"))
+        assert code == 0
+        doc = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
+        assert doc["result"]["slope"] is None
+        assert f"slope=null ({reason}" in capsys.readouterr().out
 
 
 class TestDeterminism:
@@ -239,6 +266,23 @@ class TestValidation:
     def test_matrix_group_needs_matrix_instrument(self):
         assert run_cli("rip-exact", "--eta", "flat", "--N", "8", "--k", "1",
                        "--m", "2", "--ensemble", "doubleqft") == 2
+
+    @pytest.mark.parametrize("validate_only", [True, False])
+    def test_doubleqft_rosenthal_needs_square_n(self, tmp_path, capsys, validate_only):
+        flag = ("--validate-only",) if validate_only else ()
+        code = run_cli("rosenthal", "--variant", "doubleqft", "--N", "15", "--d", "2",
+                       "--M", "4", "--out", str(tmp_path / "r"), *flag)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "N to be a perfect square" in captured.err
+        assert "configuration ok" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_doubleqft_rosenthal_square_n_validates(self, capsys):
+        code = run_cli("rosenthal", "--variant", "doubleqft", "--N", "16", "--d", "2",
+                       "--M", "4", "--validate-only")
+        assert code == 0
+        assert "configuration ok" in capsys.readouterr().out
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

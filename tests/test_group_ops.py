@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import riplab.group_ops as go
 from riplab.group_ops import (
     DoubleQft,
     ShiftMod,
@@ -16,11 +19,13 @@ from riplab.group_ops import (
     enumerate_group,
     gaussian_ensemble,
     isotropy_defect,
+    monomial,
     rosenthal_deviation,
     sample_ensemble,
     sample_group_element,
 )
 from riplab.instruments import (
+    Instrument,
     make_decaying_window,
     make_flat,
     make_scaled_identity,
@@ -315,3 +320,219 @@ class TestRosenthalDeviation:
         u = np.eye(n * n, dtype=complex) * 1.0  # tr = 4 = N
         records = rosenthal_deviation(u, "doubleqft", [4, 32], 6, SeededRng(SEED + 25))
         assert records[0]["median"] >= records[1]["median"] - 1e-9
+
+
+# -- monomial form against dense references ----------------------------------
+
+
+def _shift_matrix(n):
+    # Cyclic shift built from basis vectors: e_l -> e_{l+1}.
+    s = np.zeros((n, n))
+    for l in range(n):
+        s[(l + 1) % n, l] = 1.0
+    return s
+
+
+def _mod_matrix(n):
+    # Modulation: e_l -> exp(2 pi i l / n) e_l for l = 1..n.
+    return np.diag(np.exp(2j * np.pi * np.arange(1, n + 1) / n))
+
+
+def _dense(g):
+    """The unitary of one group element, from the definitions alone."""
+    power = np.linalg.matrix_power
+    n = g.n
+    if isinstance(g, ShiftMod):
+        return power(_mod_matrix(n), g.t) @ power(_shift_matrix(n), g.k)
+    if isinstance(g, SignShift):
+        return power(_shift_matrix(n), g.shift) @ np.diag(g.signs)
+    left = power(_mod_matrix(n), g.k) @ power(_shift_matrix(n), g.j)
+    right = power(_shift_matrix(n), g.jp).T @ power(_mod_matrix(n).conj(), g.kp)
+    # Row-major vec(L a R) = (L kron R^T) vec(a).
+    return np.kron(left, right.T)
+
+
+def _product(g1, g2):
+    """An element whose action equals sigma(g1) sigma(g2) up to a phase."""
+    if isinstance(g1, ShiftMod):
+        return ShiftMod(g1.t + g2.t, g1.k + g2.k, g1.n)
+    if isinstance(g1, SignShift):
+        # diag(eps1) Shift^s2 = Shift^s2 diag(eps1 read s2 places ahead).
+        return SignShift(np.roll(g1.signs, -g2.shift) * np.asarray(g2.signs),
+                         g1.shift + g2.shift)
+    return DoubleQft(g1.k + g2.k, g1.j + g2.j, g1.kp + g2.kp, g1.jp + g2.jp, g1.n)
+
+
+_PARAM = st.integers(-20, 20)
+
+
+@st.composite
+def _group_batch(draw, min_size=1, max_size=5):
+    """A variant, a list of its elements over one dimension, and an input."""
+    variant = draw(st.sampled_from(("shiftmod", "signshift", "doubleqft")))
+    n = draw(st.integers(1, 4 if variant == "doubleqft" else 9))
+    size = draw(st.integers(min_size, max_size))
+    elements = []
+    for _ in range(size):
+        if variant == "shiftmod":
+            elements.append(ShiftMod(draw(_PARAM), draw(_PARAM), n))
+        elif variant == "signshift":
+            signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+            elements.append(SignShift(signs, draw(_PARAM)))
+        else:
+            elements.append(DoubleQft(*(draw(_PARAM) for _ in range(4)), n))
+    dim = n * n if variant == "doubleqft" else n
+    x = SeededRng(draw(st.integers(0, 2**16))).complex_normal(dim)
+    return elements, x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestMonomialForm:
+    @settings(max_examples=150)
+    @given(_group_batch(max_size=1))
+    def test_apply_and_adjoint_match_dense(self, case):
+        (g,), x = case
+        dense = _dense(g)
+        op = monomial([g])
+        np.testing.assert_allclose(op.apply(x)[0], dense @ x, atol=1e-12)
+        np.testing.assert_allclose(op.adjoint().apply(x)[0], dense.conj().T @ x, atol=1e-12)
+        # The same matrix, read off basis vectors through the monomial form.
+        basis = np.eye(op.dim, dtype=complex)
+        from_basis = np.stack([op.apply(e)[0] for e in basis], axis=1)
+        np.testing.assert_allclose(from_basis, dense, atol=1e-12)
+
+    @settings(max_examples=150)
+    @given(_group_batch(max_size=1))
+    def test_adjoint_inverts_and_isometry(self, case):
+        (g,), x = case
+        op = monomial([g])
+        assert sorted(op.perm[0]) == list(range(op.dim))
+        np.testing.assert_allclose(np.abs(op.phase), 1.0, rtol=1e-14)
+        y = op.apply(x)[0]
+        np.testing.assert_allclose(np.linalg.norm(y), np.linalg.norm(x), rtol=1e-12)
+        np.testing.assert_allclose(op.adjoint().apply(y)[0], x, atol=1e-12)
+        np.testing.assert_allclose(op.apply(op.adjoint().apply(x)[0])[0], x, atol=1e-12)
+        np.testing.assert_allclose(apply_group_adjoint(g, apply_group(g, x)), x, atol=1e-12)
+
+    @settings(max_examples=150)
+    @given(_group_batch(min_size=2, max_size=2))
+    def test_composition_up_to_phase(self, case):
+        (g1, g2), x = case
+        composed = monomial([g1]).apply(monomial([g2]).apply(x)[0])[0]
+        direct = monomial([_product(g1, g2)]).apply(x)[0]
+        dense_ratio = (_dense(g1) @ _dense(g2)) @ np.linalg.inv(_dense(_product(g1, g2)))
+        phase = dense_ratio[0, 0]
+        np.testing.assert_allclose(dense_ratio, phase * np.eye(len(x)), atol=1e-12)
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        np.testing.assert_allclose(composed, phase * direct, atol=1e-12)
+
+    @settings(max_examples=150)
+    @given(_group_batch(max_size=6))
+    def test_batch_rows_equal_single_element_calls(self, case):
+        elements, x = case
+        batch = monomial(elements)
+        block = SeededRng(len(elements)).complex_normal((len(elements), batch.dim))
+        orbit, mapped = batch.apply(x), batch.apply(block)
+        back = batch.adjoint().apply(block)
+        for b, g in enumerate(elements):
+            single = monomial([g])
+            np.testing.assert_array_equal(_bits(orbit[b]), _bits(single.apply(x)[0]))
+            np.testing.assert_array_equal(_bits(orbit[b]), _bits(apply_group(g, x)))
+            np.testing.assert_array_equal(_bits(mapped[b]), _bits(single.apply(block[b])[0]))
+            np.testing.assert_array_equal(_bits(back[b]),
+                                          _bits(single.adjoint().apply(block[b])[0]))
+            np.testing.assert_array_equal(_bits(back[b]), _bits(apply_group_adjoint(g, block[b])))
+
+    def test_mixed_or_empty_batches_rejected(self):
+        with pytest.raises(ValueError):
+            monomial([])
+        with pytest.raises(ValueError):
+            monomial([ShiftMod(1, 1, 4), SignShift((1, 1, 1, 1), 0)])
+        with pytest.raises(ValueError):
+            monomial([ShiftMod(1, 1, 4), ShiftMod(1, 1, 5)])
+        with pytest.raises(TypeError):
+            monomial([object()])
+        with pytest.raises(ValueError):
+            monomial([ShiftMod(1, 1, 4)]).apply(np.ones(5))
+
+
+def _old_rows(inst, variant, m, mode, rng):
+    """Vector-instrument ensemble rows as the per-row np.roll formula built them."""
+    eta = inst.payload
+    n = dim = eta.size
+    shared = rng.rademacher(dim) if mode == "random_sign" else None
+    rows = np.empty((m, dim), dtype=complex)
+    for j in range(m):
+        if variant == "shiftmod":
+            t, k = rng.integers(0, n, 2)
+            v = np.roll(eta, int(k)) * np.exp(2j * np.pi * int(t) * np.arange(1, n + 1) / n)
+        else:
+            signs = rng.rademacher(n)
+            v = np.roll(signs * eta, int(rng.integers(0, n)))
+        if mode == "random_sign":
+            v = shared * v
+        elif mode == "absorbed":
+            eps = rng.rademacher(dim)
+            v = np.roll(eps * v, int(rng.integers(0, dim)))
+        rows[j] = np.conj(v)
+    rows /= math.sqrt(m)
+    return rows
+
+
+class TestEnsembleRowsBitIdentical:
+    @settings(max_examples=120)
+    @given(
+        st.sampled_from(("shiftmod", "signshift")),
+        st.sampled_from(("none", "random_sign", "absorbed")),
+        st.integers(1, 300),
+        st.integers(1, 24),
+        st.integers(0, 2**16),
+    )
+    def test_rows_equal_the_roll_formula(self, variant, mode, n, m, seed):
+        z = SeededRng(seed, 1).complex_normal(n)
+        inst = Instrument("random", z * math.sqrt(n) / np.linalg.norm(z))
+        ens = sample_ensemble(inst, variant, m, mode, SeededRng(seed))
+        expected = _old_rows(inst, variant, m, mode, SeededRng(seed))
+        np.testing.assert_array_equal(ens.rows, expected)
+        np.testing.assert_array_equal(_bits(ens.rows), _bits(expected))
+
+
+def _reference_deviations(u, variant, m_list, trials, rng):
+    """Moment deviations from an explicit sum of S^* W S over dense unitaries,
+    with the scan's draws replayed stream by stream."""
+    n = u.shape[1]
+    side = math.isqrt(n) if variant == "doubleqft" else n
+    w = u.conj().T @ u
+    out = []
+    for mi, m in enumerate(m_list):
+        devs = []
+        for trial in range(trials):
+            stream = rng.stream(trial * len(m_list) + mi)
+            if variant == "shiftmod":
+                ts, ks = stream.integers(0, side, m), stream.integers(0, side, m)
+                elements = [ShiftMod(int(t), int(k), side) for t, k in zip(ts, ks)]
+            else:
+                elements = [sample_group_element(variant, side, stream) for _ in range(m)]
+            total = sum(_dense(g).conj().T @ w @ _dense(g) for g in elements)
+            devs.append(np.linalg.norm(total / m - np.eye(n), 2))
+        out.append(devs)
+    return out
+
+
+class TestRosenthalDenseReference:
+    @pytest.mark.parametrize("chunk_entries", [None, 1, 40])
+    @pytest.mark.parametrize("variant,n", [("shiftmod", 6), ("signshift", 5), ("doubleqft", 9)])
+    def test_matches_explicit_conjugation_sum(self, variant, n, chunk_entries, monkeypatch):
+        if chunk_entries is not None:
+            monkeypatch.setattr(go, "_GRAM_CHUNK_ENTRIES", chunk_entries)
+        m_list = [1, 3, 17]
+        for d in range(1, n + 1):
+            u = SeededRng(SEED + 30, d).complex_normal((d, n))
+            u *= math.sqrt(n) / np.linalg.norm(u)
+            records = rosenthal_deviation(u, variant, m_list, 2, SeededRng(SEED + 31, d))
+            expected = _reference_deviations(u, variant, m_list, 2, SeededRng(SEED + 31, d))
+            for rec, devs in zip(records, expected):
+                np.testing.assert_allclose(rec["deviations"], devs, rtol=0, atol=1e-12)

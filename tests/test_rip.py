@@ -156,7 +156,7 @@ def reference_ascent(a, model, trials, ascent_steps, rng):
 
 
 class TestBlockAscent:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(
         st.sampled_from([LqCap(1.0, 1.0), LqCap(1.0, 3.0), LqCap(1.5, 2.0), LowRank(1),
                          LowRank(2)]),

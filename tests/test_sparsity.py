@@ -222,8 +222,7 @@ def _model_and_block(draw):
 
 
 class TestProjectWitnessBlocks:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.filter_too_much])
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.filter_too_much])
     @given(_model_and_block())
     def test_block_rows_equal_single_vector_calls(self, case):
         model, z = case
