@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Iterator, Optional, Union
 
@@ -405,8 +406,9 @@ def compose_gaussian(
 
 _ISOTROPY_CAPS = {"shiftmod": 16, "doubleqft": 4, "signshift": 8}
 
-# Complex entries of one gathered block of the moment-deviation scan (1 MB).
-_GRAM_CHUNK_ENTRIES = 1 << 16
+# Complex entries of one gathered block of the moment-deviation scan
+# (256 KB); larger blocks only add their temporaries to the peak memory.
+_GRAM_CHUNK_ENTRIES = 1 << 14
 
 
 def isotropy_defect(inst: Instrument, variant: str) -> float:
@@ -430,16 +432,21 @@ def isotropy_defect(inst: Instrument, variant: str) -> float:
     return operator_norm(avg - np.eye(inst.ambient_dim))
 
 
-def _scan_draws(variant: str, n: int, m: int, rng: SeededRng) -> Monomial:
-    # The draw order of sample_group_element, except that shiftmod draws
-    # all m modulations, then all m shifts.
+def _scan_draws(variant: str, n: int, m: int, rng: SeededRng):
+    # The parameters of m elements, and the builder of the monomial of any
+    # slice of them.  The draw order is sample_group_element's, except that
+    # shiftmod draws all m modulations, then all m shifts.
     if variant == "shiftmod":
         t = rng.integers(0, n, m)
-        return _shiftmod_batch(t, rng.integers(0, n, m), n)
+        return partial(_shiftmod_batch, n=n), (t, rng.integers(0, n, m))
     if variant == "signshift":
         draws = [(rng.rademacher(n), rng.integers(0, n)) for _ in range(m)]
-        return _signshift_batch([eps for eps, _ in draws], [k for _, k in draws])
-    return monomial(sample_group_element(variant, n, rng) for _ in range(m))
+        return _signshift_batch, (np.array([eps for eps, _ in draws]),
+                                  np.array([k for _, k in draws]))
+    if variant == "doubleqft":
+        params = np.array([rng.integers(0, n, 4) for _ in range(m)])
+        return partial(_doubleqft_batch, n=n), tuple(params.T)
+    raise ValueError(f"unknown group variant {variant!r}")
 
 
 def rosenthal_deviation(
@@ -460,8 +467,9 @@ def rosenthal_deviation(
     The sum is the Gram matrix V^* V of the stacked d x N blocks
     V_j = u sigma(g_j).  Each block is a gather of u's columns times phases,
     so a trial costs one gather and one matrix product per chunk of
-    elements, with chunks of at most 2^16 complex entries (one element per
-    chunk when d N exceeds that).
+    elements.  A chunk holds at most 2^14 complex entries of V (one element
+    per chunk when d N exceeds that), and its monomials are built from the
+    trial's drawn parameters chunk by chunk, so memory stays bounded in M.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
@@ -486,12 +494,14 @@ def rosenthal_deviation(
         devs = np.empty(trials)
         for trial in range(trials):
             stream = rng.stream(trial * len(m_list) + mi)
-            # Column c of u sigma(g) is u[:, inv[c]] * conj of the adjoint's
-            # phase at c, where inv is the adjoint's gather.
-            adj = _scan_draws(variant, side, m, stream).adjoint()
+            build, params = _scan_draws(variant, side, m, stream)
             acc = np.zeros((n, n), dtype=complex)
             for lo in range(0, m, chunk):
-                v = u[:, adj.perm[lo:lo + chunk]] * np.conj(adj.phase[lo:lo + chunk])
+                # Column c of u sigma(g) is u[:, inv[c]] times the conjugate
+                # adjoint phase at c, where inv is the adjoint's gather.
+                adj = build(*(p[lo:lo + chunk] for p in params)).adjoint()
+                v = u[:, adj.perm]
+                v *= np.conj(adj.phase)
                 v = v.reshape(-1, n)
                 acc += v.conj().T @ v
             devs[trial] = operator_norm(acc / m - eye)
