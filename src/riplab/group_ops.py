@@ -187,9 +187,10 @@ def monomial(elements) -> Monomial:
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one group element")
-    kind, n = type(elements[0]), getattr(elements[0], "n", None)
+    kind = type(elements[0])
     if kind not in (ShiftMod, DoubleQft, SignShift):
         raise TypeError(f"unknown group element {kind.__name__}")
+    n = elements[0].n
     if any(type(g) is not kind or g.n != n for g in elements):
         raise ValueError("elements must come from one group over one dimension")
     if kind is ShiftMod:
