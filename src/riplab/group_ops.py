@@ -434,9 +434,9 @@ def isotropy_defect(inst: Instrument, variant: str) -> float:
 
 
 def _scan_draws(variant: str, n: int, m: int, rng: SeededRng):
-    # The parameters of m elements, and the builder of the monomial of any
-    # slice of them.  The draw order is sample_group_element's, except that
-    # shiftmod draws all m modulations, then all m shifts.
+    # The parameters of m elements, and a function that builds the monomial
+    # of any slice of them.  The draw order is sample_group_element's, except
+    # that shiftmod draws all m modulations, then all m shifts.
     if variant == "shiftmod":
         t = rng.integers(0, n, m)
         return partial(_shiftmod_batch, n=n), (t, rng.integers(0, n, m))
