@@ -367,6 +367,14 @@ def block_measure(f: FourierFunction, inst: BlockInstrument, t):
 
     Component l is sum_j s_j exp(-2 pi i k_{l,j} t) fhat(k_{l,j}).
     Scalar t gives shape (d,); an array of m translates gives (m, d).
+
+    Block l holds the frequencies k_{l,j} = k_{l,0} + j, so component l
+    factors as exp(-2 pi i k_{l,0} t) sum_j s_j fhat(k_{l,j}) exp(-2 pi i j t):
+    an (m, d) exponential of the block starts times the (m, L) @ (L, d)
+    product of the in-block offsets with the signed coefficients.  Integer
+    frequencies make every phase 1-periodic in t, so t is reduced mod 1
+    first; this keeps the phase arguments, and their rounding, small for t
+    far outside [0, 1) and changes nothing for t inside it.
     """
     if inst.n_cut > f.n_big:
         raise ValueError("function band does not cover the instrument window")
@@ -375,8 +383,8 @@ def block_measure(f: FourierFunction, inst: BlockInstrument, t):
     if inst.mode == "rademacher":
         c = c * inst.signs[None, :]
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    phases = np.exp(-2j * np.pi * t_arr[:, None, None] * ks[None, :, :])
-    out = (phases * c[None, :, :]).sum(axis=2)
+    turns = -2j * np.pi * (t_arr[:, None] % 1.0)
+    out = np.exp(turns * ks[:, 0]) * (np.exp(turns * np.arange(inst.block_len)) @ c.T)
     return out[0] if np.asarray(t).ndim == 0 else out
 
 

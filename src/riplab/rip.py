@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -48,6 +48,10 @@ __all__ = [
 
 _ENUM_CAP = 10**6
 _SEARCH_CAP = 2**30
+# Supports per batched eigvalsh call.  Supports larger than k = 4 shrink the
+# chunk so a (B, k, k) sub-Gram stack never holds more entries than 8192
+# 4 x 4 blocks (2 MB complex).
+_SUPPORT_CHUNK = 8192
 
 
 @dataclass
@@ -85,16 +89,40 @@ def _model_name(model: SparsityModel) -> str:
     return repr(model)
 
 
-def _support_extreme(gram: np.ndarray, support) -> float:
-    sub = gram[np.ix_(support, support)] - np.eye(len(support))
-    w = np.linalg.eigvalsh(sub)
-    return max(abs(float(w[0])), abs(float(w[-1])))
+def _support_defects(gram: np.ndarray, supports) -> float:
+    """Largest |eigenvalue| of gram[S, S] - I over an iterable of supports S.
+
+    Supports are index tuples (or arrays) of one common size k, consumed in
+    chunks so that at most one chunk is held at a time.  Each chunk gathers
+    its (B, k, k) sub-Gram stack and makes one eigvalsh call; the batched
+    call runs the same LAPACK routine on each matrix as a call on that matrix
+    alone, so the result is bit-identical to a per-support loop.  No supports
+    give 0.
+    """
+    it = iter(supports)
+    first = next(it, None)
+    if first is None:
+        return 0.0
+    k = len(first)
+    size = max(1, min(_SUPPORT_CHUNK, _SUPPORT_CHUNK * 16 // (k * k)))
+    eye = np.eye(k)
+    it = chain([first], it)
+    delta = 0.0
+    while chunk := list(islice(it, size)):
+        idx = np.array(chunk, dtype=np.intp)
+        sub = gram[idx[:, :, None], idx[:, None, :]]
+        sub -= eye
+        w = np.linalg.eigvalsh(sub)
+        delta = max(delta, float(np.maximum(-w[:, 0], w[:, -1]).max()))
+    return delta
 
 
 def exact_rip_canonical(a, k: int) -> RipReport:
     """Exact isometry defect over all k-element supports.
 
-    Enumerates every support, so C(N, k) must not exceed 10^6.
+    Enumerates every support, so C(N, k) must not exceed 10^6.  The supports
+    stream through one chunked batched-eigvalsh kernel, so memory stays at one
+    chunk of at most 8192 sub-Gram blocks whatever C(N, k) is.
     """
     eff = _effective(a)
     m, n = eff.shape
@@ -106,11 +134,8 @@ def exact_rip_canonical(a, k: int) -> RipReport:
             f"C({n}, {k}) = {n_supports} supports exceed the enumeration cap {_ENUM_CAP}"
         )
     gram = eff.conj().T @ eff
-    delta = 0.0
-    for support in combinations(range(n), k):
-        delta = max(delta, _support_extreme(gram, support))
     return RipReport(
-        delta_hat=delta,
+        delta_hat=_support_defects(gram, combinations(range(n), k)),
         method="exact_enumeration",
         model=_model_name(Canonical(k)),
         m=m,
@@ -129,8 +154,11 @@ def empirical_rip(
 
     Canonical models get the exact per-support extreme eigenvalue; if the
     trial budget covers every support the supports are enumerated outright
-    and the estimate coincides with exact_rip_canonical.  ``ascent_steps`` is
-    unused for canonical models.  Other models refine sampled witnesses by
+    and the estimate coincides with exact_rip_canonical.  Enumerated and
+    sampled supports (in trial order) go through the same chunked
+    batched-eigvalsh kernel as exact_rip_canonical, which holds at most one
+    chunk of 8192 sub-Gram blocks at a time.  ``ascent_steps`` is unused for
+    canonical models.  Other models refine sampled witnesses by
     projected power ascent on the defect quadratic form, run on all trials as
     one block; a row stops early when its iterate vanishes under the step or
     repeats bit for bit, which changes no result.
@@ -147,7 +175,6 @@ def empirical_rip(
     eff = _effective(a)
     m, n = eff.shape
     gram = eff.conj().T @ eff
-    delta = 0.0
 
     if isinstance(model, Canonical):
         k = model.k
@@ -156,17 +183,12 @@ def empirical_rip(
         n_supports = math.comb(n, k)
         exhaustive = n_supports <= trials and n_supports <= _ENUM_CAP
         if exhaustive:
-            for support in combinations(range(n), k):
-                delta = max(delta, _support_extreme(gram, support))
-            remaining = range(n_supports, trials)
+            listed, remaining = combinations(range(n), k), range(n_supports, trials)
         else:
-            remaining = range(trials)
-        for trial in remaining:
-            stream = rng.stream(trial)
-            support = np.sort(stream.choice_no_replace(n, k))
-            delta = max(delta, _support_extreme(gram, support))
+            listed, remaining = (), range(trials)
+        sampled = (np.sort(rng.stream(trial).choice_no_replace(n, k)) for trial in remaining)
         return RipReport(
-            delta_hat=delta,
+            delta_hat=_support_defects(gram, chain(listed, sampled)),
             method="exact_enumeration" if exhaustive else "monte_carlo",
             model=_model_name(model),
             m=m,
@@ -187,6 +209,7 @@ def empirical_rip(
     # Projected power ascent toward each signed extreme of the form.
     up, up_steps = _ascend(model, defect, shift, +1.0, x0, ascent_steps)
     down, down_steps = _ascend(model, defect, shift, -1.0, x0, ascent_steps)
+    delta = 0.0
     for trial in range(trials):
         best = max(form(x0[trial]), form(up[trial]), form(down[trial]))
         delta = max(delta, best)

@@ -4,10 +4,14 @@ Reference values for the bump profile come from scipy.integrate.quad, which
 is independent of the FFT-based quadrature used by the library.
 """
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from riplab.infdim import (
@@ -41,6 +45,7 @@ from riplab.infdim import (
 from riplab.numerics import SeededRng
 
 SEED = 47203
+_T_VALUE = st.floats(-10.0, 10.0, allow_nan=False)
 
 
 def _profile(x: float) -> float:
@@ -502,6 +507,47 @@ class TestBlockMeasurements:
         single = block_measure(f, inst, 0.25)
         assert np.allclose(out[1], single, rtol=0, atol=1e-14)
 
+    @settings(max_examples=60)
+    @given(n_cut=st.integers(1, 256), divisor=st.integers(0, 63),
+           mode=st.sampled_from(["deterministic", "rademacher"]), extra_band=st.integers(0, 8),
+           top_block=st.booleans(), seed=st.integers(0, 2**16),
+           ts=st.one_of(_T_VALUE, st.lists(_T_VALUE, min_size=1, max_size=4)))
+    # At t = 9.699248 the unreduced phase of k = 255 is 2.4e-12 off.
+    @example(n_cut=256, divisor=0, mode="deterministic", extra_band=0, top_block=True, seed=0,
+             ts=9.699248)
+    def test_matches_written_out_sum(self, n_cut, divisor, mode, extra_band, top_block,
+                                     seed, ts):
+        divisors = [b for b in range(1, 2 * n_cut + 1) if (2 * n_cut) % b == 0]
+        block_len = divisors[divisor % len(divisors)]
+        n_big = n_cut + extra_band
+        stream = SeededRng(seed)
+        if top_block:
+            # Unit coefficients on the highest block: every phase error of
+            # that block adds up in one component.
+            coeffs = np.zeros(2 * n_big, dtype=complex)
+            coeffs[n_big + n_cut - block_len:n_big + n_cut] = 1.0
+            f = FourierFunction(coeffs, n_big)
+        else:
+            f = random_poly(stream, n_big)
+        signs = stream.rademacher(block_len) if mode == "rademacher" else None
+        inst = BlockInstrument(n_cut, block_len, 2 * n_cut // block_len, mode, signs)
+
+        def phase(k, t):
+            # exp(-2 pi i k t) with k t reduced mod 1 exactly, so the
+            # reference keeps full accuracy for t far outside [0, 1).
+            return cmath.exp(-2j * math.pi * float(Fraction(t) * k % 1))
+
+        # Block l holds k = -n_cut + l L + j, j < L, each with its sign s_j.
+        s = signs if mode == "rademacher" else np.ones(block_len)
+        expected = np.array([[
+            sum(s[j] * phase(k, t) * f.coeff(k)
+                for j, k in enumerate(range(-n_cut + l * block_len, -n_cut + (l + 1) * block_len)))
+            for l in range(inst.n_blocks)] for t in np.atleast_1d(ts)])
+        if np.ndim(ts) == 0:
+            expected = expected[0]
+        out = block_measure(f, inst, ts)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-12 * float(np.abs(f.coeffs).sum())
 
 class TestTimeSampling:
     def test_first_mode_quarter_turn(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from riplab.group_ops import gaussian_ensemble, sample_ensemble
 from riplab.instruments import make_flat
+from riplab import rip
 from riplab.numerics import CapacityError, SeededRng, operator_norm
 from riplab.rip import (
     Close,
@@ -81,6 +82,98 @@ class TestExactRip:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             exact_rip_canonical(np.eye(64), 8)
+
+
+def reference_support_defect(gram, supports):
+    """Per-support loop: the largest |eigenvalue| of gram[S, S] - I."""
+    delta = 0.0
+    for support in supports:
+        w = np.linalg.eigvalsh(gram[np.ix_(support, support)] - np.eye(len(support)))
+        delta = max(delta, abs(float(w[0])), abs(float(w[-1])))
+    return delta
+
+
+def sampled_supports(n, k, trials, rng):
+    return [np.sort(rng.stream(trial).choice_no_replace(n, k)) for trial in trials]
+
+
+class TestSupportDefects:
+    """The chunked kernel against a per-support loop, bit for bit.
+
+    The chunk is shrunk to 7 supports so every run spans several chunks and
+    most end on a partial one.
+    """
+
+    @staticmethod
+    def operator(seed, m, n, complex_entries):
+        g = np.random.default_rng(seed)
+        a = g.standard_normal((m, n))
+        if complex_entries:
+            a = a + 1j * g.standard_normal((m, n))
+        return a / math.sqrt(m)
+
+    @staticmethod
+    def library_gram(a):
+        # The estimators take every operator as complex, real ones included.
+        a = a.astype(complex)
+        return a.conj().T @ a
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 9), st.integers(1, 5), st.integers(1, 12), st.booleans(),
+           st.integers(0, 2**16))
+    def test_direct_real_and_complex_grams(self, n, k, m, complex_entries, seed):
+        k = min(k, n)
+        a = self.operator(seed, m, n, complex_entries)
+        gram = a.conj().T @ a
+        supports = list(itertools.combinations(range(n), k))
+        calls = []
+
+        def counting_eigvalsh(x):
+            calls.append(x.shape[0])
+            return eigvalsh(x)
+
+        eigvalsh = np.linalg.eigvalsh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rip, "_SUPPORT_CHUNK", 7)
+            mp.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+            got = rip._support_defects(gram, iter(supports))
+        assert got == reference_support_defect(gram, supports)
+        assert sum(calls) == len(supports) and max(calls) <= 7
+        assert rip._support_defects(gram, []) == 0.0
+
+    @settings(max_examples=30)
+    @given(st.integers(3, 9), st.integers(1, 4), st.integers(1, 12), st.booleans(),
+           st.integers(0, 2**16))
+    def test_exact_rip_canonical(self, n, k, m, complex_entries, seed):
+        k = min(k, n)
+        a = self.operator(seed, m, n, complex_entries)
+        expected = reference_support_defect(self.library_gram(a),
+                                            itertools.combinations(range(n), k))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rip, "_SUPPORT_CHUNK", 7)
+            assert exact_rip_canonical(a, k).delta_hat == expected
+
+    @settings(max_examples=30)
+    @given(st.integers(3, 9), st.integers(1, 4), st.integers(1, 12), st.booleans(),
+           st.integers(0, 60), st.integers(0, 2**16))
+    def test_empirical_rip_exhaustive_and_sampled(self, n, k, m, complex_entries, extra,
+                                                  seed):
+        # trials = C(n, k) + extra enumerates and then draws the remaining
+        # trials; trials < C(n, k) samples every support.
+        k = min(k, n)
+        a = self.operator(seed, m, n, complex_entries)
+        gram = self.library_gram(a)
+        n_supports = math.comb(n, k)
+        for trials in (n_supports + extra, max(1, n_supports - 1 - extra)):
+            exhaustive = trials >= n_supports
+            listed = list(itertools.combinations(range(n), k)) if exhaustive else []
+            drawn = range(n_supports, trials) if exhaustive else range(trials)
+            listed += sampled_supports(n, k, drawn, SeededRng(seed, 1))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rip, "_SUPPORT_CHUNK", 7)
+                report = empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed, 1))
+            assert report.delta_hat == reference_support_defect(gram, listed)
+            assert report.details["exhaustive"] is exhaustive
 
 
 class TestEmpiricalRip:
