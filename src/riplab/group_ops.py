@@ -100,10 +100,11 @@ class SignShift:
     shift: int
 
     def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
-        if not signs or any(s not in (-1, 1) for s in signs):
+        signs = tuple(self.signs)
+        # Check the values before converting them, so 1.5 is not truncated to 1.
+        if not signs or not set(signs) <= {1, -1}:
             raise ValueError("signs must be a non-empty +/-1 tuple")
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", tuple(map(int, signs)))
         object.__setattr__(self, "shift", self.shift % len(signs))
 
     @property
@@ -244,7 +245,7 @@ def sample_group_element(variant: str, n: int, rng: SeededRng) -> GroupElement:
         k, j, kp, jp = rng.integers(0, n, 4)
         return DoubleQft(int(k), int(j), int(kp), int(jp), n)
     if variant == "signshift":
-        signs = tuple(int(s) for s in rng.rademacher(n))
+        signs = tuple(rng.rademacher(n).tolist())
         return SignShift(signs, int(rng.integers(0, n)))
     raise ValueError(f"unknown group variant {variant!r}")
 
@@ -354,7 +355,7 @@ def sample_ensemble(
         rows = shared_sign * rows
     elif mode == "absorbed":
         rows = _signshift_batch(signs, shifts).apply(rows)
-        prov["absorbed_signs"] = [[[int(s) for s in eps], shift]
+        prov["absorbed_signs"] = [[eps.tolist(), shift]
                                   for eps, shift in zip(signs, shifts)]
     rows = np.conj(rows)
     rows /= math.sqrt(m)

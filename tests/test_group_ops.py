@@ -92,6 +92,14 @@ class TestOtherActions:
         out = apply_group(g, np.array([1.0, 2.0, 3.0, 4.0]))
         np.testing.assert_allclose(out, [-4.0, 1.0, -2.0, 3.0], atol=1e-15)
 
+    def test_signshift_signs_must_be_exactly_unit(self):
+        g = SignShift(np.array([1.0, -1.0]), 3)
+        assert g.signs == (1, -1) and all(type(s) is int for s in g.signs)
+        assert g.shift == 1
+        for bad in ((1.5, -1.0), (1, 0), (), (1, -2)):
+            with pytest.raises(ValueError):
+                SignShift(bad, 0)
+
     def test_doubleqft_isometry_and_adjoint(self):
         rng = SeededRng(SEED + 3)
         a = rng.complex_normal((3, 3))
