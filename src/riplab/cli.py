@@ -653,7 +653,8 @@ def _run_infdim_scan(p: dict) -> RunResult:
     nbig = p["nbig"] if p["nbig"] else 4 * n_cut
     t_scale = 1.0 / p["gamma"]
     modes = ("deterministic", "rademacher") if p["mode"] == "both" else (p["mode"],)
-    rho_label = p["rho"] if p["rho"] is not None else float("nan")
+    # Without --rho the label cell stays empty, like weakdiff's lower bound.
+    rho_label = _fmt(p["rho"]) if p["rho"] is not None else ""
     rows = []
     for mode in modes:
         inst = make_block_instrument(n_cut, block_len, mode, SeededRng(p["seed"], 9999))
@@ -673,7 +674,7 @@ def _run_infdim_scan(p: dict) -> RunResult:
                     "L": block_len,
                     "d": inst.n_blocks,
                     "gamma": _fmt(p["gamma"]),
-                    "rho": _fmt(rho_label),
+                    "rho": rho_label,
                     "m": m,
                     "trial": trial,
                     "deviation": _fmt(dev),

@@ -130,6 +130,18 @@ class TestReports:
         assert doc["result"]["slope"] is None
         assert f"slope=null ({reason}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rho_argv,cell", [((), ""), (("--rho", "2"), "2")])
+    def test_infdim_scan_rho_cell(self, tmp_path, rho_argv, cell):
+        code = run_cli("infdim-scan", "--N", "16", "--L", "4", "--m", "16", "--trials", "2",
+                       "--gamma", "0.0625", *rho_argv, "--out", str(tmp_path / "s"))
+        assert code == 0
+        _, fields, rows = read_csv(tmp_path / "s.csv")
+        assert "rho" in fields and len(rows) == 4
+        assert all(row["rho"] == cell for row in rows)
+        cells = [value.lower() for row in rows for value in row.values()]
+        assert not {"nan", "inf", "-inf"} & set(cells)
+
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
