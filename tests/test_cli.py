@@ -6,13 +6,16 @@ test covers the installed entry point wiring.
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riplab
 from riplab import cli
 from riplab.numerics import NumericalError
 
@@ -91,10 +94,15 @@ class TestReports:
         assert (tmp_path / "riplab_truncation.json").exists()
 
     def test_entry_module_smoke(self, tmp_path):
+        # The child imports the same riplab as these tests, installed or not.
+        package_root = str(Path(riplab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                          env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "riplab.cli", "table1", "--s", "2", "--n", "3",
              "--d", "4", "--out", str(tmp_path / "t1")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads((tmp_path / "t1.json").read_text())
@@ -140,7 +148,6 @@ class TestReports:
         assert all(row["rho"] == cell for row in rows)
         cells = [value.lower() for row in rows for value in row.values()]
         assert not {"nan", "inf", "-inf"} & set(cells)
-
 
 
 class TestDeterminism:
