@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riplab import rip
 from riplab.group_ops import gaussian_ensemble, sample_ensemble
 from riplab.instruments import make_flat
-from riplab import rip
 from riplab.numerics import CapacityError, SeededRng, operator_norm
 from riplab.rip import (
     Close,
@@ -93,10 +93,6 @@ def reference_support_defect(gram, supports):
     return delta
 
 
-def sampled_supports(n, k, trials, rng):
-    return [np.sort(rng.stream(trial).choice_no_replace(n, k)) for trial in trials]
-
-
 class TestSupportDefects:
     """The chunked kernel against a per-support loop, bit for bit.
 
@@ -168,7 +164,8 @@ class TestSupportDefects:
             exhaustive = trials >= n_supports
             listed = list(itertools.combinations(range(n), k)) if exhaustive else []
             drawn = range(n_supports, trials) if exhaustive else range(trials)
-            listed += sampled_supports(n, k, drawn, SeededRng(seed, 1))
+            listed += [np.sort(SeededRng(seed, 1).stream(trial).choice_no_replace(n, k))
+                       for trial in drawn]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(rip, "_SUPPORT_CHUNK", 7)
                 report = empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed, 1))
