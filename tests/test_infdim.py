@@ -549,6 +549,7 @@ class TestBlockMeasurements:
         assert out.shape == expected.shape
         assert np.max(np.abs(out - expected)) <= 1e-12 * float(np.abs(f.coeffs).sum())
 
+
 class TestTimeSampling:
     def test_first_mode_quarter_turn(self):
         assert abs(time_sample_measure(psi(1, 8), 0.25) - 1j) <= 1e-12
