@@ -7,6 +7,13 @@ is added to the header only when --stamp is passed.  Results are written
 atomically (temp file + rename) as CSV curves and/or JSON summaries, with
 the fully resolved configuration echoed into every output.
 
+--validate-only runs the checks a run starts with and nothing else: option
+types, choices and lower bounds, then the library objects the run builds
+first (instrument, a one-row ensemble, the q-cap model, the block
+instrument, the truncation level, the weakdiff separation constants) and the
+few cross-field rules no library object sees.  Checks made inside an
+experiment (the sp-opt grid, k > N, s > s_max, capacity) fail only when it runs.
+
 Exit codes: 0 success, 2 invalid configuration, 3 capacity exceeded,
 4 numerical failure.
 """
@@ -45,7 +52,6 @@ from .numerics import CapacityError, NumericalError, SeededRng
 from .rip import (
     calibrate_mrip_distortion,
     classify_separation,
-    Close,
     distance_bound_check,
     empirical_rip,
     exact_rip_canonical,
@@ -53,6 +59,7 @@ from .rip import (
     mrip_check,
     predict_m,
     Separated,
+    separation_constants,
 )
 from .sparsity import Canonical, LqCap, optimize_sparsity_parameter, sample_sparse
 
@@ -72,6 +79,7 @@ class Opt:
     default: object = None
     required: bool = False
     choices: tuple = ()
+    above: float | None = None  # the value, or every int_list entry, must exceed it
     help: str = ""
 
 
@@ -93,6 +101,23 @@ _ETA_OPTS = (
     Opt("alpha", "float", default=None, help="decay exponent in (0, 1/2)"),
 )
 
+_ENSEMBLE_OPTS = _ETA_OPTS + (
+    Opt("ensemble", "str", default="shiftmod",
+        choices=("shiftmod", "signshift", "doubleqft", "gaussian")),
+    Opt("sign", "str", default="none", choices=("none", "random", "absorbed")),
+    Opt("k", "int", required=True, above=0),
+)
+
+# The Gaussian sketch and q-cap model of mrip, distance and weakdiff.
+_SKETCH_OPTS = (
+    Opt("N", "int", required=True, above=0),
+    Opt("m", "int", required=True, above=0),
+    Opt("q", "float", default=1.0),
+    Opt("s", "float", required=True),
+    Opt("trials", "int", default=50, above=0, help="trials per dyadic level"),
+    Opt("ascent", "int", default=50),
+)
+
 SCHEMAS: dict[str, tuple] = {
     "sp-opt": _ETA_OPTS + (
         Opt("r", "float", required=True, help="model cardinality parameter"),
@@ -105,90 +130,64 @@ SCHEMAS: dict[str, tuple] = {
             choices=("shiftmod", "doubleqft", "signshift"),
             help="group (defaults to shiftmod for vectors, doubleqft for matrices)"),
     ),
-    "rip-exact": _ETA_OPTS + (
-        Opt("ensemble", "str", default="shiftmod",
-            choices=("shiftmod", "signshift", "doubleqft", "gaussian")),
-        Opt("sign", "str", default="none", choices=("none", "random", "absorbed")),
-        Opt("k", "int", required=True),
-        Opt("m", "int", required=True),
+    "rip-exact": _ENSEMBLE_OPTS + (
+        Opt("m", "int", required=True, above=0),
     ),
-    "rip-scan": _ETA_OPTS + (
-        Opt("ensemble", "str", default="shiftmod",
-            choices=("shiftmod", "signshift", "doubleqft", "gaussian")),
-        Opt("sign", "str", default="none", choices=("none", "random", "absorbed")),
-        Opt("k", "int", required=True),
-        Opt("m", "int_list", required=True, help="comma-separated row counts"),
-        Opt("trials", "int", default=200),
+    "rip-scan": _ENSEMBLE_OPTS + (
+        Opt("m", "int_list", required=True, above=0, help="comma-separated row counts"),
+        Opt("trials", "int", default=200, above=0),
         Opt("ascent", "int", default=50),
-        Opt("seeds", "int", default=1, help="number of consecutive seeds"),
+        Opt("seeds", "int", default=1, above=0, help="number of consecutive seeds"),
     ),
-    "mrip": (
-        Opt("N", "int", required=True),
-        Opt("m", "int", required=True),
-        Opt("q", "float", default=1.0),
-        Opt("s", "float", required=True),
-        Opt("delta", "float", required=True),
-        Opt("trials", "int", default=50),
-        Opt("ascent", "int", default=50),
+    "mrip": _SKETCH_OPTS + (
+        Opt("delta", "float", required=True, above=0),
         Opt("extra-factor", "bool", default=False,
             help="use the looser definitional threshold"),
     ),
-    "distance": (
-        Opt("N", "int", required=True),
-        Opt("m", "int", required=True),
-        Opt("q", "float", default=1.0),
-        Opt("s", "float", required=True),
-        Opt("pairs", "int", default=100),
-        Opt("trials", "int", default=50, help="per-level calibration trials"),
-        Opt("ascent", "int", default=50),
-        Opt("eps", "float", default=1.0),
+    "distance": _SKETCH_OPTS + (
+        Opt("pairs", "int", default=100, above=0),
+        Opt("eps", "float", default=1.0, above=0),
     ),
-    "weakdiff": (
-        Opt("N", "int", required=True),
-        Opt("m", "int", required=True),
-        Opt("q", "float", default=1.0),
-        Opt("s", "float", required=True),
-        Opt("pairs", "int", default=100),
-        Opt("trials", "int", default=50),
-        Opt("ascent", "int", default=50),
+    "weakdiff": _SKETCH_OPTS + (
+        Opt("pairs", "int", default=100, above=0),
         Opt("alpha", "float", default=None, help="custom separation threshold factor"),
     ),
     "gordon": (
-        Opt("N", "int", required=True),
-        Opt("k", "int", required=True),
-        Opt("delta", "float", default=0.5),
+        Opt("N", "int", required=True, above=0),
+        Opt("k", "int", required=True, above=0),
+        Opt("delta", "float", default=0.5, above=0),
         Opt("zeta", "float", default=0.1),
-        Opt("width-trials", "int", default=10000),
-        Opt("draws", "int", default=100),
-        Opt("trials", "int", default=200, help="defect trials per draw"),
+        Opt("width-trials", "int", default=10000, above=1),
+        Opt("draws", "int", default=100, above=0),
+        Opt("trials", "int", default=200, above=0, help="defect trials per draw"),
     ),
     "rosenthal": (
-        Opt("N", "int", required=True),
-        Opt("d", "int", required=True),
-        Opt("M", "int_list", required=True),
-        Opt("trials", "int", default=50),
+        Opt("N", "int", required=True, above=0),
+        Opt("d", "int", required=True, above=0),
+        Opt("M", "int_list", required=True, above=0),
+        Opt("trials", "int", default=50, above=0),
         Opt("variant", "str", default="shiftmod",
             choices=("shiftmod", "signshift", "doubleqft")),
     ),
     "table1": (
-        Opt("s", "int", required=True),
-        Opt("n", "int", required=True),
-        Opt("d", "int", required=True),
+        Opt("s", "int", required=True, above=0),
+        Opt("n", "int", required=True, above=0),
+        Opt("d", "int", required=True, above=0),
     ),
     "infdim-scan": (
-        Opt("N", "int", required=True),
-        Opt("L", "int", required=True),
+        Opt("N", "int", required=True, above=0),
+        Opt("L", "int", required=True, above=0),
         Opt("mode", "str", default="both",
             choices=("deterministic", "rademacher", "both")),
         Opt("gamma", "float", required=True, help="bump support measure (1/T)"),
         Opt("rho", "float", default=None, help="nominal smoothness label for the report"),
-        Opt("m", "int_list", required=True),
-        Opt("trials", "int", default=20),
+        Opt("m", "int_list", required=True, above=0),
+        Opt("trials", "int", default=20, above=0),
         Opt("nbig", "int", default=None, help="carrier band (default 4N)"),
     ),
     "bump-check": (
-        Opt("configs", "int", default=20),
-        Opt("tol", "float", default=1e-6),
+        Opt("configs", "int", default=20, above=0),
+        Opt("tol", "float", default=1e-6, above=0),
     ),
     "truncation": (
         Opt("q", "float", required=True),
@@ -293,131 +292,69 @@ def resolve_config(command: str, cli_values: dict) -> tuple:
                 f"{opt.name}: must be one of {', '.join(map(str, opt.choices))}; got {value}"
             )
             continue
+        if opt.above is not None and value is not None:
+            low = [v for v in (value if isinstance(value, list) else [value]) if v <= opt.above]
+            if low:
+                diagnostics.append(f"{opt.name}: must exceed {opt.above}; got {low[0]}")
+                continue
         params[key] = value
     return ExperimentConfig(command, params), diagnostics
 
 
 def validate(config: ExperimentConfig) -> list[str]:
-    """Cross-field checks beyond per-option coercion."""
-    p = config.params
+    """Build and discard the cheap library objects a run builds, so their own
+    range checks judge ``config``, then check the cross-field rules no library
+    object reaches before the run.  ``config`` must have passed resolve_config.
+    """
+    p, cmd = config.params, config.command
+    try:
+        if cmd in ("rip-exact", "rip-scan"):
+            _build_ensemble(p, 1, SeededRng(p["seed"]))
+        elif cmd in ("sp-opt", "isotropy"):
+            _build_instrument(p, SeededRng(p["seed"]))
+        elif cmd in ("mrip", "distance", "weakdiff"):
+            LqCap(p["q"], p["s"])
+            if cmd == "weakdiff" and p["alpha"] is not None:
+                separation_constants(p["alpha"])
+        elif cmd == "infdim-scan":
+            make_block_instrument(p["N"], p["L"])
+        elif cmd == "truncation":
+            truncation_level(p["q"], p["s"], p["delta"], p["C2"])
+    except ValueError as exc:
+        return [str(exc)]
+
     diags: list[str] = []
-    cmd = config.command
-
-    def need_positive(*names):
-        for name in names:
-            v = p.get(name)
-            if v is not None and v <= 0:
-                diags.append(f"{name} must be positive; got {v}")
-
-    if cmd in ("sp-opt", "isotropy", "rip-exact", "rip-scan"):
-        eta = p.get("eta")
-        if eta in ("flat", "decaying") and not p.get("N"):
-            diags.append(f"--N is required for the {eta} instrument")
-        if eta in ("scaled-identity", "schatten-decay") and not p.get("n"):
-            diags.append(f"--n is required for the {eta} instrument")
-        if eta == "decaying":
-            if not p.get("Neta"):
-                diags.append("--Neta is required for the decaying instrument")
-            if p.get("alpha") is None:
-                diags.append("--alpha is required for the decaying instrument")
-            elif not (0 < p["alpha"] < 0.5):
-                diags.append("alpha must be in (0, 0.5)")
-            if p.get("N") and p.get("Neta") and p["Neta"] > p["N"]:
-                diags.append("Neta cannot exceed N")
-
-    if cmd in ("rip-exact", "rip-scan"):
-        ens = p.get("ensemble")
-        eta = p.get("eta")
-        matrix_eta = eta in ("scaled-identity", "schatten-decay")
-        if ens == "doubleqft" and not matrix_eta:
-            diags.append("doubleqft requires a matrix instrument (--eta scaled-identity or schatten-decay)")
-        if ens in ("shiftmod", "signshift") and matrix_eta:
-            diags.append(f"{ens} requires a vector instrument")
-        need_positive("k")
-
-    if cmd == "rip-scan":
-        need_positive("trials", "seeds")
-        for mv in p.get("m") or []:
-            if mv <= 0:
-                diags.append(f"m values must be positive; got {mv}")
-
-    if cmd == "rip-exact":
-        need_positive("m")
-
-    if cmd in ("mrip", "distance", "weakdiff"):
-        need_positive("N", "m", "s", "trials")
-        q = p.get("q")
-        if q is not None and not (1.0 <= q <= 2.0):
-            diags.append(f"q must lie in [1, 2]; got {q}")
-        if p.get("s") is not None and p["s"] < 1:
-            diags.append(f"s must be >= 1; got {p['s']}")
-    if cmd == "mrip":
-        need_positive("delta")
-    if cmd == "distance":
-        need_positive("pairs", "eps")
-    if cmd == "weakdiff":
-        need_positive("pairs")
-        alpha = p.get("alpha")
-        if alpha is not None and alpha * (alpha - 2 * math.sqrt(2)) <= 8:
-            diags.append(
-                f"alpha={alpha} is rejected: need alpha (alpha - 2 sqrt(2)) > 8"
-            )
-
     if cmd == "gordon":
-        need_positive("N", "k", "delta", "draws", "trials")
-        if p.get("width_trials") is not None and p["width_trials"] < 2:
-            diags.append("width-trials must be >= 2")
-        zeta = p.get("zeta")
-        if zeta is not None and not (0 < zeta <= 2):
-            diags.append(f"zeta must lie in (0, 2]; got {zeta}")
-        if p.get("k") and p.get("N") and p["k"] > p["N"]:
+        if not 0 < p["zeta"] <= 2:
+            diags.append(f"zeta must lie in (0, 2]; got {p['zeta']}")
+        if p["k"] > p["N"]:
             diags.append("k cannot exceed N")
-
     if cmd == "rosenthal":
-        need_positive("N", "d", "trials")
-        if p.get("d") and p.get("N") and p["d"] > p["N"]:
+        # The compression u is built by index, d rows of N columns.
+        if p["d"] > p["N"]:
             diags.append("d cannot exceed N")
-        n = p.get("N")
-        if p.get("variant") == "doubleqft" and n and n > 0 and math.isqrt(n) ** 2 != n:
+        if p["variant"] == "doubleqft" and math.isqrt(p["N"]) ** 2 != p["N"]:
             diags.append("doubleqft requires N to be a perfect square (matrix side^2)")
-        for mv in p.get("M") or []:
-            if mv <= 0:
-                diags.append(f"M values must be positive; got {mv}")
-
-    if cmd == "table1":
-        need_positive("s", "n", "d")
-
     if cmd == "infdim-scan":
-        need_positive("N", "L", "trials")
-        gamma = p.get("gamma")
-        if gamma is not None and not (0 < gamma < 0.5):
-            diags.append(f"gamma must lie in (0, 1/2); got {gamma}")
-        if p.get("N") and p.get("L") and (2 * p["N"]) % p["L"] != 0:
-            diags.append("L must divide 2N")
-        for mv in p.get("m") or []:
-            if mv <= 0:
-                diags.append(f"m values must be positive; got {mv}")
-        nbig = p.get("nbig")
-        if nbig is not None and p.get("N") and nbig < 4 * p["N"]:
+        if not 0 < p["gamma"] < 0.5:
+            diags.append(f"gamma must lie in (0, 1/2); got {p['gamma']}")
+        if p["nbig"] is not None and p["nbig"] < 4 * p["N"]:
             diags.append("nbig must be at least 4N")
-
-    if cmd == "bump-check":
-        need_positive("configs", "tol")
-
-    if cmd == "truncation":
-        q = p.get("q")
-        if q is not None and not (1.0 < q <= 2.0):
-            diags.append(f"q must lie in (1, 2]; got {q}")
-        need_positive("s", "delta", "C2")
-
     return diags
 
 
 # -- execution helpers --------------------------------------------------------
 
 
+_ETA_NEEDS = {"flat": ("N",), "decaying": ("N", "Neta", "alpha"),
+              "scaled-identity": ("n",), "schatten-decay": ("n",)}
+
+
 def _build_instrument(p: dict, rng: SeededRng) -> Instrument:
     eta = p["eta"]
+    for name in _ETA_NEEDS[eta]:
+        if p[name] is None:
+            raise ValueError(f"--{name} is required for the {eta} instrument")
     if eta == "flat":
         return make_flat(p["N"])
     if eta == "decaying":
@@ -432,8 +369,10 @@ _SIGN_MAP = {"none": "none", "random": "random_sign", "absorbed": "absorbed"}
 
 def _build_ensemble(p: dict, m: int, rng: SeededRng):
     if p["ensemble"] == "gaussian":
-        dim = p["N"] if p.get("N") else p["n"] ** 2
-        return gaussian_ensemble(dim, m, rng)
+        # Gaussian rows never read --eta: the dimension is N, else n^2.
+        if not (p["N"] or p["n"]):
+            raise ValueError("--N or --n is required for the gaussian ensemble")
+        return gaussian_ensemble(p["N"] or p["n"] ** 2, m, rng)
     inst = _build_instrument(p, rng)
     return sample_ensemble(inst, p["ensemble"], m, _SIGN_MAP[p["sign"]], rng)
 
@@ -534,19 +473,29 @@ def _run_mrip(p: dict) -> RunResult:
                      doc, f"all_pass={report.details['all_pass']}")
 
 
-def _run_distance(p: dict) -> RunResult:
+def _calibrated_pairs(p: dict):
+    """The Gaussian sketch of distance and weakdiff, its calibrated distortion,
+    and a lazy sequence of the ``pairs`` random q-cap pairs (x, y); pair i is
+    drawn from stream i of the pair RNG."""
     ens = gaussian_ensemble(p["N"], p["m"], SeededRng(p["seed"]))
     delta, _ = calibrate_mrip_distortion(
         ens, p["q"], p["s"], p["trials"], p["ascent"], SeededRng(p["seed"], 1)
     )
     model = LqCap(p["q"], p["s"])
+    pair_rng = SeededRng(p["seed"], 2)
+
+    def pair(i: int) -> tuple:
+        stream = pair_rng.stream(i)
+        return sample_sparse(model, p["N"], stream), sample_sparse(model, p["N"], stream)
+
+    return ens, delta, map(pair, range(p["pairs"]))
+
+
+def _run_distance(p: dict) -> RunResult:
+    ens, delta, pairs = _calibrated_pairs(p)
     rows = []
     violations = 0
-    pair_rng = SeededRng(p["seed"], 2)
-    for i in range(p["pairs"]):
-        stream = pair_rng.stream(i)
-        x = sample_sparse(model, p["N"], stream)
-        y = sample_sparse(model, p["N"], stream)
+    for i, (x, y) in enumerate(pairs):
         res = distance_bound_check(ens, x, y, p["s"], delta, p["q"], p["eps"])
         violations += 0 if res["passed"] else 1
         rows.append({
@@ -562,19 +511,11 @@ def _run_distance(p: dict) -> RunResult:
 
 
 def _run_weakdiff(p: dict) -> RunResult:
-    ens = gaussian_ensemble(p["N"], p["m"], SeededRng(p["seed"]))
-    delta, _ = calibrate_mrip_distortion(
-        ens, p["q"], p["s"], p["trials"], p["ascent"], SeededRng(p["seed"], 1)
-    )
-    model = LqCap(p["q"], p["s"])
+    ens, delta, pairs = _calibrated_pairs(p)
     rows = []
     counts = {"separated": 0, "close": 0}
     violations = 0
-    pair_rng = SeededRng(p["seed"], 2)
-    for i in range(p["pairs"]):
-        stream = pair_rng.stream(i)
-        x = sample_sparse(model, p["N"], stream)
-        y = sample_sparse(model, p["N"], stream)
+    for i, (x, y) in enumerate(pairs):
         verdict = classify_separation(ens, x, y, delta, alpha=p["alpha"])
         true_sq = float(np.linalg.norm(x - y) ** 2)
         if isinstance(verdict, Separated):
@@ -870,8 +811,8 @@ def main(argv=None) -> int:
     cli_values = {k.replace("-", "_"): v for k, v in vars(args).items()
                   if k != "command"}
     config, diagnostics = resolve_config(args.command, cli_values)
-    if config is not None:
-        diagnostics = diagnostics + validate(config)
+    if not diagnostics:
+        diagnostics = validate(config)
     if diagnostics:
         for diag in diagnostics:
             print(f"config error: {diag}", file=sys.stderr)

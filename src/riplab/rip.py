@@ -12,7 +12,6 @@ Gaussian mean width, and closed-form measurement-count predictions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
@@ -42,6 +41,7 @@ __all__ = [
     "calibrate_mrip_distortion",
     "distance_bound_check",
     "classify_separation",
+    "separation_constants",
     "gaussian_width",
     "predict_m",
 ]
@@ -64,17 +64,6 @@ class RipReport:
     m: int
     levels: list | None = None
     details: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        doc = {
-            "delta_hat": self.delta_hat,
-            "method": self.method,
-            "model": self.model,
-            "m": self.m,
-            "levels": self.levels,
-            "details": self.details,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def _effective(a) -> np.ndarray:
@@ -153,8 +142,9 @@ def empirical_rip(
     """Lower-bound estimate of the isometry defect over a signal model.
 
     Canonical models get the exact per-support extreme eigenvalue; if the
-    trial budget covers every support the supports are enumerated outright
-    and the estimate coincides with exact_rip_canonical.  Enumerated and
+    trial budget covers every support the supports are enumerated outright,
+    nothing is drawn (a drawn support would repeat an enumerated one), and the
+    estimate coincides with exact_rip_canonical.  Enumerated or
     sampled supports (in trial order) go through the same chunked
     batched-eigvalsh kernel as exact_rip_canonical, which holds at most one
     chunk of 8192 sub-Gram blocks at a time.  ``ascent_steps`` is unused for
@@ -183,12 +173,12 @@ def empirical_rip(
         n_supports = math.comb(n, k)
         exhaustive = n_supports <= trials and n_supports <= _ENUM_CAP
         if exhaustive:
-            listed, remaining = combinations(range(n), k), range(n_supports, trials)
+            supports = combinations(range(n), k)
         else:
-            listed, remaining = (), range(trials)
-        sampled = (np.sort(rng.stream(trial).choice_no_replace(n, k)) for trial in remaining)
+            supports = (np.sort(rng.stream(trial).choice_no_replace(n, k))
+                        for trial in range(trials))
         return RipReport(
-            delta_hat=_support_defects(gram, chain(listed, sampled)),
+            delta_hat=_support_defects(gram, supports),
             method="exact_enumeration" if exhaustive else "monte_carlo",
             model=_model_name(model),
             m=m,
@@ -435,14 +425,35 @@ class Close:
     measured_sq: float
 
 
+def separation_constants(alpha: float | None = None) -> tuple:
+    """Factors (c, spread, r) of classify_separation for threshold factor alpha.
+
+    Default: c = 4 sqrt(2), spread = 1/sqrt(2), r = 8.  A custom
+    alpha > 2 sqrt(2) gives c = alpha and spread
+    2 sqrt(2)/sqrt(alpha (alpha - 2 sqrt(2))); alpha values for which the
+    lower sandwich factor 1 - spread is not positive are rejected.
+    """
+    if alpha is None:
+        return 4.0 * math.sqrt(2.0), 1.0 / math.sqrt(2.0), 8.0
+    root8 = 2.0 * math.sqrt(2.0)
+    if alpha <= root8:
+        raise ValueError(f"alpha must exceed 2 sqrt(2); got {alpha}")
+    gap_product = alpha * (alpha - root8)
+    if gap_product <= 8.0:
+        raise ValueError(
+            f"alpha={alpha} makes the lower sandwich factor non-positive "
+            f"(need alpha (alpha - 2 sqrt(2)) > 8, got {gap_product:.6g})"
+        )
+    # r is the smallest beta with alpha^2 <= beta (beta - 2 sqrt(2)).
+    return alpha, root8 / math.sqrt(gap_product), math.sqrt(2.0) + math.sqrt(2.0 + alpha**2)
+
+
 def classify_separation(a, x, y, delta: float, alpha: float | None = None):
     """Classify a unit-norm pair from its measured gap ||Ax - Ay||_2.
 
-    Default thresholds: gap >= 4 sqrt(2) delta yields Separated with sandwich
-    factors 1 -+ 1/sqrt(2); otherwise Close with radius 8 delta.  A custom
-    alpha > 2 sqrt(2) switches to threshold alpha delta with factors
-    1 -+ 2 sqrt(2)/sqrt(alpha (alpha - 2 sqrt(2))); alpha values for which the
-    lower factor is not positive are rejected.
+    With (c, spread, r) = separation_constants(alpha), gap >= c delta yields
+    Separated with sandwich factors 1 -+ spread; otherwise Close with radius
+    r delta.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -452,24 +463,9 @@ def classify_separation(a, x, y, delta: float, alpha: float | None = None):
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > 1e-8:
             raise ValueError(f"{name} must be unit-norm to 1e-8; got {nrm:.12g}")
-    root8 = 2.0 * math.sqrt(2.0)
-    if alpha is None:
-        threshold = 4.0 * math.sqrt(2.0) * delta
-        spread = 1.0 / math.sqrt(2.0)
-        radius = 8.0 * delta
-    else:
-        if alpha <= root8:
-            raise ValueError(f"alpha must exceed 2 sqrt(2); got {alpha}")
-        gap_product = alpha * (alpha - root8)
-        if gap_product <= 8.0:
-            raise ValueError(
-                f"alpha={alpha} makes the lower sandwich factor non-positive "
-                f"(need alpha (alpha - 2 sqrt(2)) > 8, got {gap_product:.6g})"
-            )
-        threshold = alpha * delta
-        spread = root8 / math.sqrt(gap_product)
-        # Smallest beta with alpha^2 <= beta (beta - 2 sqrt(2)).
-        radius = (math.sqrt(2.0) + math.sqrt(2.0 + alpha**2)) * delta
+    c, spread, r = separation_constants(alpha)
+    threshold = c * delta
+    radius = r * delta
 
     eff = _effective(a)
     gap_sq = float(np.linalg.norm(eff @ (x - y)) ** 2)

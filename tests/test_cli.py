@@ -237,6 +237,107 @@ class TestConfigFile:
         assert run_cli("rip-scan", "--config", str(cfg)) == 2
 
 
+# One small valid config per command (the gaussian one has no --N: its rows
+# never read --eta, so the dimension is n^2).  A later flag overrides an
+# earlier one, so each invalid config below is a valid one plus one change.
+_VALID = {
+    "sp-opt": ("sp-opt", "--eta", "decaying", "--N", "16", "--Neta", "4", "--alpha", "0.25",
+               "--r", "2", "--points", "5"),
+    "isotropy": ("isotropy", "--eta", "schatten-decay", "--n", "2"),
+    "rip-exact": ("rip-exact", "--eta", "flat", "--N", "8", "--k", "1", "--m", "2"),
+    "rip-exact-gaussian-n": ("rip-exact", "--ensemble", "gaussian", "--n", "3", "--k", "1",
+                             "--m", "2"),
+    "rip-scan": ("rip-scan", "--eta", "flat", "--N", "8", "--k", "1", "--m", "2",
+                 "--trials", "2"),
+    "mrip": ("mrip", "--N", "8", "--m", "4", "--s", "2", "--delta", "0.3", "--trials", "2",
+             "--ascent", "2"),
+    "distance": ("distance", "--N", "8", "--m", "4", "--s", "2", "--pairs", "2",
+                 "--trials", "2", "--ascent", "2"),
+    "weakdiff": ("weakdiff", "--N", "8", "--m", "4", "--s", "2", "--pairs", "2",
+                 "--trials", "2", "--ascent", "2", "--alpha", "6"),
+    "gordon": ("gordon", "--N", "8", "--k", "1", "--width-trials", "4", "--draws", "1",
+               "--trials", "2"),
+    "rosenthal": ("rosenthal", "--N", "8", "--d", "2", "--M", "4", "--trials", "2"),
+    "table1": ("table1", "--s", "1", "--n", "2", "--d", "2"),
+    "infdim-scan": ("infdim-scan", "--N", "16", "--L", "4", "--gamma", "0.0625", "--m", "16",
+                    "--trials", "2", "--mode", "deterministic"),
+    "bump-check": ("bump-check", "--configs", "1"),
+    "truncation": ("truncation", "--q", "2", "--s", "4", "--delta", "0.25", "--C2", "1"),
+}
+
+# (argv, part of the diagnostic): one config per rule that --validate-only
+# checks, each of which the run must reject as well.
+_INVALID = [
+    (("sp-opt", "--eta", "flat", "--r", "2"), "--N is required for the flat instrument"),
+    (("sp-opt", "--eta", "decaying", "--Neta", "4", "--alpha", "0.25", "--r", "2"),
+     "--N is required for the decaying instrument"),
+    (("sp-opt", "--eta", "decaying", "--N", "16", "--alpha", "0.25", "--r", "2"),
+     "--Neta is required"),
+    (("sp-opt", "--eta", "decaying", "--N", "16", "--Neta", "4", "--r", "2"),
+     "--alpha is required"),
+    ((*_VALID["sp-opt"], "--alpha", "0.7"), "decay exponent must lie in (0, 1/2)"),
+    ((*_VALID["sp-opt"], "--Neta", "32"), "window length must lie in [1, N]"),
+    (("isotropy", "--eta", "scaled-identity"), "--n is required for the scaled-identity"),
+    (("isotropy", "--eta", "schatten-decay"), "--n is required for the schatten-decay"),
+    ((*_VALID["isotropy"], "--n", "3", "--alpha", "0.7"), "decay exponent must lie in"),
+    ((*_VALID["rip-exact"], "--ensemble", "doubleqft"), "doubleqft requires a matrix"),
+    ((*_VALID["rip-scan"], "--eta", "scaled-identity", "--n", "3", "--ensemble", "signshift"),
+     "requires a vector instrument"),
+    (("rip-exact", "--eta", "scaled-identity", "--n", "3", "--ensemble", "doubleqft",
+      "--sign", "absorbed", "--k", "1", "--m", "2"), "absorbed signs are defined for vector"),
+    (("rip-exact", "--ensemble", "gaussian", "--k", "1", "--m", "2"),
+     "--N or --n is required for the gaussian ensemble"),
+    ((*_VALID["rip-exact"], "--k", "0"), "k: must exceed 0; got 0"),
+    ((*_VALID["rip-exact"], "--m", "0"), "m: must exceed 0; got 0"),
+    ((*_VALID["rip-scan"], "--trials", "0"), "trials: must exceed 0"),
+    ((*_VALID["rip-scan"], "--seeds", "0"), "seeds: must exceed 0"),
+    ((*_VALID["rip-scan"], "--m", "2,0"), "m: must exceed 0; got 0"),
+    ((*_VALID["mrip"], "--N", "0"), "N: must exceed 0"),
+    ((*_VALID["mrip"], "--trials", "0"), "trials: must exceed 0"),
+    ((*_VALID["mrip"], "--delta", "0"), "delta: must exceed 0"),
+    ((*_VALID["mrip"], "--s", "0"), "the l_q cap is empty for s < 1"),
+    ((*_VALID["distance"], "--m", "0"), "m: must exceed 0"),
+    ((*_VALID["distance"], "--q", "2.5"), "q must lie in [1, 2]"),
+    ((*_VALID["distance"], "--pairs", "0"), "pairs: must exceed 0"),
+    ((*_VALID["distance"], "--eps", "0"), "eps: must exceed 0"),
+    ((*_VALID["weakdiff"], "--s", "0.5"), "the l_q cap is empty for s < 1"),
+    ((*_VALID["weakdiff"], "--pairs", "0"), "pairs: must exceed 0"),
+    ((*_VALID["weakdiff"], "--alpha", "3"), "lower sandwich factor non-positive"),
+    ((*_VALID["weakdiff"], "--alpha", "-5"), "alpha must exceed 2 sqrt(2)"),
+    ((*_VALID["gordon"], "--N", "0"), "N: must exceed 0"),
+    ((*_VALID["gordon"], "--k", "0"), "k: must exceed 0"),
+    ((*_VALID["gordon"], "--delta", "0"), "delta: must exceed 0"),
+    ((*_VALID["gordon"], "--draws", "0"), "draws: must exceed 0"),
+    ((*_VALID["gordon"], "--trials", "0"), "trials: must exceed 0"),
+    ((*_VALID["gordon"], "--width-trials", "1"), "width-trials: must exceed 1"),
+    ((*_VALID["gordon"], "--zeta", "3"), "zeta must lie in (0, 2]"),
+    ((*_VALID["gordon"], "--k", "9"), "k cannot exceed N"),
+    ((*_VALID["rosenthal"], "--N", "0"), "N: must exceed 0"),
+    ((*_VALID["rosenthal"], "--d", "0"), "d: must exceed 0"),
+    ((*_VALID["rosenthal"], "--trials", "0"), "trials: must exceed 0"),
+    ((*_VALID["rosenthal"], "--M", "4,0"), "M: must exceed 0"),
+    ((*_VALID["rosenthal"], "--d", "9"), "d cannot exceed N"),
+    ((*_VALID["rosenthal"], "--variant", "doubleqft", "--N", "15"), "perfect square"),
+    ((*_VALID["table1"], "--s", "0"), "s: must exceed 0"),
+    ((*_VALID["table1"], "--n", "0"), "n: must exceed 0"),
+    ((*_VALID["table1"], "--d", "0"), "d: must exceed 0"),
+    ((*_VALID["infdim-scan"], "--N", "0"), "N: must exceed 0"),
+    # make_block_instrument divides by L, so the schema bound must fire first.
+    ((*_VALID["infdim-scan"], "--L", "0"), "L: must exceed 0"),
+    ((*_VALID["infdim-scan"], "--L", "3"), "must divide 2 N"),
+    ((*_VALID["infdim-scan"], "--trials", "0"), "trials: must exceed 0"),
+    ((*_VALID["infdim-scan"], "--m", "16,0"), "m: must exceed 0"),
+    ((*_VALID["infdim-scan"], "--gamma", "0.5"), "gamma must lie in (0, 1/2)"),
+    ((*_VALID["infdim-scan"], "--nbig", "32"), "nbig must be at least 4N"),
+    ((*_VALID["bump-check"], "--configs", "0"), "configs: must exceed 0"),
+    ((*_VALID["bump-check"], "--tol", "0"), "tol: must exceed 0"),
+    ((*_VALID["truncation"], "--q", "1"), "q must lie in (1, 2]"),
+    ((*_VALID["truncation"], "--s", "0"), "s, delta, c2 must be positive"),
+    ((*_VALID["truncation"], "--delta", "0"), "s, delta, c2 must be positive"),
+    ((*_VALID["truncation"], "--C2", "0"), "s, delta, c2 must be positive"),
+]
+
+
 class TestValidation:
     def test_validate_only_runs_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -257,7 +358,7 @@ class TestValidation:
             {"eta": "decaying", "N": "256", "Neta": "64", "alpha": "0.7", "r": "8"},
         )
         assert diags == []
-        assert cli.validate(config) == ["alpha must be in (0, 0.5)"]
+        assert cli.validate(config) == ["decay exponent must lie in (0, 1/2); got 0.7"]
 
     def test_valid_config_has_no_diagnostics(self):
         config, diags = cli.resolve_config(
@@ -302,6 +403,21 @@ class TestValidation:
                        "--M", "4", "--validate-only")
         assert code == 0
         assert "configuration ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", _VALID.values(), ids=list(_VALID))
+    def test_valid_config_validates_and_runs(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--validate-only") == 0
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
+
+    @pytest.mark.parametrize("argv,message", _INVALID)
+    def test_validate_only_agrees_with_the_run(self, tmp_path, monkeypatch, capsys,
+                                               argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--validate-only", "--out", str(tmp_path / "x")) == 2
+        assert message in capsys.readouterr().err
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -154,8 +154,9 @@ class TestSupportDefects:
            st.integers(0, 60), st.integers(0, 2**16))
     def test_empirical_rip_exhaustive_and_sampled(self, n, k, m, complex_entries, extra,
                                                   seed):
-        # trials = C(n, k) + extra enumerates and then draws the remaining
-        # trials; trials < C(n, k) samples every support.
+        # trials = C(n, k) + extra enumerates; the reference also takes the
+        # remaining trials' draws, which repeat enumerated supports and so
+        # cannot move the maximum.  trials < C(n, k) samples every support.
         k = min(k, n)
         a = self.operator(seed, m, n, complex_entries)
         gram = self.library_gram(a)
@@ -180,6 +181,16 @@ class TestEmpiricalRip:
         for model in (Canonical(3), LqCap(1.0, 4.0), LowRank(2), TensorRank(2, 4, 2)):
             report = empirical_rip(a, model, 10, 20, rng)
             assert report.delta_hat <= 1e-10
+
+    def test_exhaustive_branch_draws_nothing(self, monkeypatch):
+        calls = []
+        stream = SeededRng.stream
+        monkeypatch.setattr(SeededRng, "stream",
+                            lambda self, index: calls.append(index) or stream(self, index))
+        ens = gaussian_ensemble(6, 4, SeededRng(SEED))
+        # C(6, 2) = 15 supports, 40 trials: 25 trials are left after enumeration.
+        report = empirical_rip(ens, Canonical(2), 40, rng=SeededRng(SEED, 1))
+        assert report.details["exhaustive"] and calls == []
 
     def test_exhaustive_trials_match_exact(self):
         for seed in range(4):
