@@ -482,13 +482,9 @@ def _calibrated_pairs(p: dict):
         ens, p["q"], p["s"], p["trials"], p["ascent"], SeededRng(p["seed"], 1)
     )
     model = LqCap(p["q"], p["s"])
-    pair_rng = SeededRng(p["seed"], 2)
-
-    def pair(i: int) -> tuple:
-        stream = pair_rng.stream(i)
-        return sample_sparse(model, p["N"], stream), sample_sparse(model, p["N"], stream)
-
-    return ens, delta, map(pair, range(p["pairs"]))
+    pairs = ((sample_sparse(model, p["N"], stream), sample_sparse(model, p["N"], stream))
+             for stream in SeededRng(p["seed"], 2).streams(range(p["pairs"])))
+    return ens, delta, pairs
 
 
 def _run_distance(p: dict) -> RunResult:
@@ -654,8 +650,7 @@ def _run_bump_check(p: dict) -> RunResult:
     rows = []
     worst = 0.0
     all_ok = True
-    for cfg in range(p["configs"]):
-        stream = rng.stream(cfg)
+    for cfg, stream in enumerate(rng.streams(range(p["configs"]))):
         t_scale = float(stream.generator.choice([8.0, 16.0, 32.0]))
         count = int(stream.generator.choice([1, 2, 4]))
         centers = []

@@ -494,8 +494,8 @@ def rosenthal_deviation(
     results = []
     for mi, m in enumerate(m_list):
         devs = np.empty(trials)
-        for trial in range(trials):
-            stream = rng.stream(trial * len(m_list) + mi)
+        streams = rng.streams(trial * len(m_list) + mi for trial in range(trials))
+        for trial, stream in enumerate(streams):
             build, params = _scan_draws(variant, side, m, stream)
             acc = np.zeros((n, n), dtype=complex)
             for lo in range(0, m, chunk):

@@ -518,8 +518,7 @@ def rip_experiment(
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be >= 1")
     devs = np.empty(trials)
-    for trial in range(trials):
-        stream = rng.stream(trial)
+    for trial, stream in enumerate(rng.streams(range(trials))):
         f = sampler(stream)
         norm = _scheme_norm(f, scheme)
         attempts = 0

@@ -7,8 +7,11 @@ convention is <u, v> = sum_j conj(u_j) v_j (np.vdot order).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "CapacityError",
@@ -68,6 +71,140 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+# Child streams are derived this many indices at a time, so a derivation holds
+# a bounded number of state words however many children are drawn from it.
+_CHUNK = 4096
+
+# numpy's SeedSequence (NEP 19, after O'Neill's seed_seq_fe): a 4-word uint32
+# pool that absorbs entropy words through a hash whose multiplier advances on
+# every use, and an output hash over the pool for generate_state.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL = 4
+
+
+def _powers(h: int, mult: int, count: int) -> np.ndarray:
+    """h, h*mult, ..., h*mult^count modulo 2^32, as uint32."""
+    out = [h]
+    for _ in range(count):
+        out.append(out[-1] * mult % 2**32)
+    return np.array(out, dtype=np.uint32)
+
+
+# The hash constants of the first absorption phase (pool fill, then every
+# pool word into every other) and of generate_state(4, np.uint64), which
+# reads the pool twice round as 8 uint32 words.
+_FILL_HASH = _powers(_INIT_A, _MULT_A, _POOL * _POOL)
+_STATE_HASH = _powers(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+# uint32 arithmetic, on arrays or (under errstate over="ignore") on scalars,
+# wraps modulo 2^32 exactly as SeedSequence's C code does.
+def _hashmix(value, h, h_next):
+    value = (value ^ h) * h_next
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> _XSHIFT)
+
+
+def _index_words(indices) -> np.ndarray:
+    """Spawn-key indices as uint32 words; each must fit one word, so that
+    distinct keys stay distinct once flattened into words."""
+    idx = [int(i) for i in indices]
+    bad = [i for i in idx if not 0 <= i < 2**32]
+    if bad:
+        raise ValueError(f"stream index must lie in [0, 2^32); got {bad[0]}")
+    return np.array(idx, dtype=np.uint32)
+
+
+@lru_cache(maxsize=None)
+def _absorb_hash(h: int):
+    # The four hash constants an entropy word past the pool size is mixed
+    # with, their successors, and the constant that follows.  Few distinct h
+    # occur: one per key depth and seed length.
+    hs = _powers(h, _MULT_A, _POOL)
+    return hs[:-1], hs[1:], int(hs[-1])
+
+
+def _absorb(pool: np.ndarray, h: int, words: np.ndarray):
+    """Mix each of ``words`` into its own copy of ``pool``: SeedSequence's step
+    for an entropy word past the pool size.  Returns one pool per word as the
+    rows of an (n, 4) array, and the hash constant that follows."""
+    h_now, h_next, h_after = _absorb_hash(h)
+    return _mix(pool, _hashmix(words[:, None], h_now, h_next)), h_after
+
+
+@lru_cache(maxsize=64)
+def _prefix_pool(seed: int, key: tuple):
+    """Pool and hash constant after SeedSequence absorbs the run entropy of
+    ``seed`` and then ``key``: every entropy word of a stream on ``key + (i,)``
+    but the last.  A spawn key always follows, so the run entropy is
+    zero-padded to the pool size and the last word is always absorbed by
+    ``_absorb``."""
+    words = []
+    while True:
+        words.append(seed % 2**32)
+        seed >>= 32
+        if not seed:
+            break
+    words = np.array(words + [0] * (_POOL - len(words)), dtype=np.uint32)
+    pool = list(_hashmix(words[:_POOL], _FILL_HASH[:_POOL], _FILL_HASH[1:_POOL + 1]))
+    j = _POOL
+    with np.errstate(over="ignore"):
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst],
+                                     _hashmix(pool[src], _FILL_HASH[j], _FILL_HASH[j + 1]))
+                    j += 1
+    pool, h = np.array(pool, dtype=np.uint32), int(_FILL_HASH[j])
+    for word in (*words[_POOL:], *_index_words(key)):
+        pools, h = _absorb(pool, h, np.array([word], dtype=np.uint32))
+        pool = pools[0]
+    pool.flags.writeable = False  # shared by every cache hit
+    return pool, h
+
+
+def _state_words(pools: np.ndarray) -> np.ndarray:
+    """generate_state(4, np.uint64) of each row of the (n, 4) ``pools``: 8
+    uint32 words per row, paired little-endian into 4 uint64 words."""
+    half = _hashmix(np.concatenate([pools, pools], axis=1), _STATE_HASH[:-1], _STATE_HASH[1:])
+    return half.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _StateWords(ISeedSequence):
+    # Hands PCG64 its four precomputed seeding words, the only state it asks for.
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _derive(seed: int, key: tuple, pool: np.ndarray, h: int, indices):
+    """The one stream derivation: lazily yield the SeededRng on ``key + (i,)``
+    for each i of ``indices``, in order, from the parent's ``pool`` and hash
+    constant ``h``, one vectorised pass per chunk of _CHUNK indices."""
+    it = iter(indices)
+    while chunk := list(islice(it, _CHUNK)):
+        idx = _index_words(chunk)
+        pools, child_h = _absorb(pool, h, idx)
+        words = _state_words(pools)
+        for j, index in enumerate(idx.tolist()):
+            rng = SeededRng.__new__(SeededRng)
+            rng.seed, rng.spawn_key = seed, (*key, index)
+            rng._pool, rng._hash = pools[j], child_h
+            rng._gen = np.random.Generator(np.random.PCG64(_StateWords(words[j])))
+            yield rng
+
+
 class SeededRng:
     """Reproducible random source addressed by (seed, spawn key).
 
@@ -77,22 +214,40 @@ class SeededRng:
     distinct keys give independent sequences, so a child replays neither its
     parent, nor a sibling, nor a root.  Per-trial children are conventionally
     indexed by trial, so that serial and parallel execution orders agree.
+
+    ``streams(indices)`` yields the children of many indices at once: their
+    seeding words come from one vectorised pass per chunk of indices, and
+    each child owns its own PCG64, so drawing from one advances no other.
+    Every source, root or child, is seeded with exactly the words of
+    ``np.random.SeedSequence(seed, spawn_key=key).generate_state(4,
+    np.uint64)``, which the tests use as the oracle, so its draws equal those
+    of ``np.random.Generator(np.random.PCG64(SeedSequence(...)))`` bit for bit.
     """
 
     def __init__(self, seed: int, stream: int = 0, parent_key: tuple = ()):
-        self.seed = int(seed)
-        self.stream_index = int(stream)
-        # One 32-bit word per index keeps distinct keys distinct once
-        # SeedSequence flattens them into words.
-        if not 0 <= self.stream_index < 2**32:
-            raise ValueError(f"stream index must lie in [0, 2^32); got {stream}")
-        self.spawn_key = (*parent_key, self.stream_index)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer; got {seed}")
+        key = tuple(parent_key)
+        root = next(_derive(seed, key, *_prefix_pool(seed, key), (stream,)))
+        vars(self).update(vars(root))
+
+    @property
+    def stream_index(self) -> int:
+        return self.spawn_key[-1]
 
     def stream(self, index: int) -> "SeededRng":
         """Child source on the spawn key ``self.spawn_key + (index,)``."""
-        return SeededRng(self.seed, index, self.spawn_key)
+        return next(self.streams((index,)))
+
+    def streams(self, indices):
+        """Lazily yield ``stream(i)`` for each i of ``indices``, in order.
+
+        Indices may be unsorted, strided or repeated; a repeated index yields
+        a fresh child that replays the same draws.  An index outside
+        [0, 2^32) raises ValueError when its chunk is derived.
+        """
+        return _derive(self.seed, self.spawn_key, self._pool, self._hash, indices)
 
     @property
     def generator(self) -> np.random.Generator:

@@ -175,8 +175,8 @@ def empirical_rip(
         if exhaustive:
             supports = combinations(range(n), k)
         else:
-            supports = (np.sort(rng.stream(trial).choice_no_replace(n, k))
-                        for trial in range(trials))
+            supports = (np.sort(stream.choice_no_replace(n, k))
+                        for stream in rng.streams(range(trials)))
         return RipReport(
             delta_hat=_support_defects(gram, supports),
             method="exact_enumeration" if exhaustive else "monte_carlo",
@@ -195,7 +195,7 @@ def empirical_rip(
     def form(x: np.ndarray) -> float:
         return abs(float(np.real(np.vdot(x, defect @ x))))
 
-    x0 = np.stack([sample_sparse(model, n, rng.stream(trial)) for trial in range(trials)])
+    x0 = np.stack([sample_sparse(model, n, stream) for stream in rng.streams(range(trials))])
     # Projected power ascent toward each signed extreme of the form.
     up, up_steps = _ascend(model, defect, shift, +1.0, x0, ascent_steps)
     down, down_steps = _ascend(model, defect, shift, -1.0, x0, ascent_steps)
@@ -288,9 +288,10 @@ def mrip_check(
     all_pass = True
     worst = 0.0
     # Indexed by position, not by level: levels can be negative.
-    for pos, level in enumerate(_level_range(q, s, n)):
+    levels_range = _level_range(q, s, n)
+    for level, stream in zip(levels_range, rng.streams(range(len(levels_range)))):
         sigma = 2.0**level * s
-        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, rng.stream(pos))
+        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, stream)
         threshold = _level_threshold(level, delta, extra_level_factor)
         passed = report.delta_hat <= threshold
         all_pass &= passed
@@ -341,9 +342,10 @@ def calibrate_mrip_distortion(
     n = eff.shape[1]
     records = []
     delta = 0.0
-    for pos, level in enumerate(_level_range(q, s, n)):
+    levels_range = _level_range(q, s, n)
+    for level, stream in zip(levels_range, rng.streams(range(len(levels_range)))):
         sigma = 2.0**level * s
-        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, rng.stream(pos))
+        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, stream)
         o = report.delta_hat
         need = 2.0 ** (-level / 2.0) * min(o, math.sqrt(o)) if o > 0 else 0.0
         delta = max(delta, need)
@@ -515,8 +517,8 @@ def gaussian_width(model: SparsityModel, ambient: int, trials: int, rng: SeededR
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")
     sups = np.empty(trials)
-    for trial in range(trials):
-        xi = rng.stream(trial).standard_normal(ambient)
+    for trial, stream in enumerate(rng.streams(range(trials))):
+        xi = stream.standard_normal(ambient)
         sups[trial] = _width_one_draw(model, xi)
     return {
         "mean": float(sups.mean()),

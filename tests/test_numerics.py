@@ -2,10 +2,14 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from riplab import numerics
 from riplab.numerics import (
     CapacityError,
     NumericalError,
@@ -179,6 +183,101 @@ class TestSeededRng:
         idx = SeededRng(SEED).choice_no_replace(20, 8)
         assert len(set(idx.tolist())) == 8
         assert idx.min() >= 0 and idx.max() < 20
+
+
+
+
+def _words(rng: SeededRng) -> np.ndarray:
+    """The four uint64 words the source's PCG64 was seeded with."""
+    return rng.generator.bit_generator.seed_seq.generate_state(4, np.uint64)
+
+
+def _oracle_words(seed: int, key: tuple) -> np.ndarray:
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+
+
+_WORD = st.integers(0, 2**32 - 1)
+# Small and large indices mixed, so that lists repeat entries as well as
+# spanning the whole word range.
+_INDEX = st.one_of(st.integers(0, 6), _WORD)
+
+
+class TestStreamDerivation:
+    """Every source is seeded with SeedSequence's words for its (seed, key)."""
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**160 - 1),
+           key=st.lists(_WORD, min_size=1, max_size=3).map(tuple),
+           indices=st.lists(_INDEX, min_size=1, max_size=11),
+           chunk=st.integers(1, 4))
+    @example(seed=2**140 + 2**64 + 3, key=(7, 0, 2**32 - 1),
+             indices=list(range(5, 40, 7)), chunk=2)
+    @example(seed=0, key=(0,), indices=[4, 4, 1, 4, 2**32 - 1, 0], chunk=4)
+    @example(seed=2**32, key=(9500,), indices=[9, 3, 1, 0, 2], chunk=1)
+    def test_words_equal_seed_sequence(self, seed, key, indices, chunk):
+        parent = SeededRng(seed, key[-1], key[:-1])
+        np.testing.assert_array_equal(_words(parent), _oracle_words(seed, key))
+        with mock.patch.object(numerics, "_CHUNK", chunk):
+            children = list(parent.streams(indices))
+        assert [c.spawn_key for c in children] == [(*key, i) for i in indices]
+        for child, i in zip(children, indices):
+            np.testing.assert_array_equal(_words(child), _oracle_words(seed, (*key, i)))
+        # A batched child derives its own children from its own pool.
+        np.testing.assert_array_equal(_words(children[-1].stream(3)),
+                                      _oracle_words(seed, (*key, indices[-1], 3)))
+
+    def test_draws_equal_seed_sequence_generator(self):
+        for seed, key in ((SEED, (0,)), (2**70 + 1, (4, 2)), (5, (1, 2, 3))):
+            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+            got = SeededRng(seed, key[-1], key[:-1]).standard_normal(64)
+            np.testing.assert_array_equal(got, ref.standard_normal(64))
+
+    @pytest.mark.parametrize("draw", [
+        lambda r: r.standard_normal(7),
+        lambda r: r.complex_normal(5),
+        lambda r: r.uniform(-1.0, 2.0, 6),
+        lambda r: r.integers(0, 100, 9),
+        lambda r: r.rademacher(8),
+        lambda r: r.unit_phases(4),
+        lambda r: r.choice_no_replace(20, 5),
+        lambda r: r.generator.choice([8.0, 16.0, 32.0], 3),
+        lambda r: r.generator.permutation(12),
+    ])
+    def test_batched_children_draw_like_single_children(self, draw):
+        parent = SeededRng(SEED, 3).stream(1)
+        indices = [5, 0, 5, 2**31, 17]
+        with mock.patch.object(numerics, "_CHUNK", 2):
+            batched = [draw(child) for child in parent.streams(indices)]
+        for got, i in zip(batched, indices, strict=True):
+            np.testing.assert_array_equal(got, draw(parent.stream(i)))
+
+    def test_children_advance_independently(self):
+        parent = SeededRng(SEED, 2)
+        a, b, again = parent.streams([0, 1, 0])
+        a.standard_normal(1000)
+        np.testing.assert_array_equal(b.standard_normal(8), parent.stream(1).standard_normal(8))
+        np.testing.assert_array_equal(again.standard_normal(8),
+                                      parent.stream(0).standard_normal(8))
+        np.testing.assert_array_equal(parent.standard_normal(8),
+                                      SeededRng(SEED, 2).standard_normal(8))
+
+    def test_children_are_derived_lazily(self):
+        # Only the first chunk is derived before the first child is drawn, so
+        # an index past the word range only raises once its chunk is reached.
+        with mock.patch.object(numerics, "_CHUNK", 2):
+            children = SeededRng(SEED).streams(range(2**32 - 2, 2**32 + 1))
+            assert next(children).spawn_key == (0, 2**32 - 2)
+            next(children)
+            with pytest.raises(ValueError, match="stream index"):
+                next(children)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SeededRng(-1)
+
+    def test_parent_key_entries_must_fit_one_word(self):
+        with pytest.raises(ValueError, match="stream index"):
+            SeededRng(SEED, 0, parent_key=(2**32,))
 
 
 class TestErrors:
