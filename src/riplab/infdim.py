@@ -362,6 +362,19 @@ def make_block_instrument(
     return BlockInstrument(n_cut, block_len, n_blocks, mode, signs)
 
 
+def _block_factors(f: FourierFunction, inst: BlockInstrument, t_arr: np.ndarray):
+    # The factors of block_measure at the 1-D translates t_arr: the (m, 1)
+    # turns -2 pi i (t mod 1) and the (m, d) in-block product
+    # sum_j s_j fhat(k_{l,j}) exp(-2 pi i j t).
+    if inst.n_cut > f.n_big:
+        raise ValueError("function band does not cover the instrument window")
+    c = f.coeffs[inst.frequency_grid() + f.n_big]
+    if inst.mode == "rademacher":
+        c = c * inst.signs[None, :]
+    turns = -2j * np.pi * (t_arr[:, None] % 1.0)
+    return turns, np.exp(turns * np.arange(inst.block_len)) @ c.T
+
+
 def block_measure(f: FourierFunction, inst: BlockInstrument, t):
     """Measurement vector of the translate of f by t; one entry per block.
 
@@ -376,15 +389,8 @@ def block_measure(f: FourierFunction, inst: BlockInstrument, t):
     first; this keeps the phase arguments, and their rounding, small for t
     far outside [0, 1) and changes nothing for t inside it.
     """
-    if inst.n_cut > f.n_big:
-        raise ValueError("function band does not cover the instrument window")
-    ks = inst.frequency_grid()
-    c = f.coeffs[ks + f.n_big]
-    if inst.mode == "rademacher":
-        c = c * inst.signs[None, :]
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    turns = -2j * np.pi * (t_arr[:, None] % 1.0)
-    out = np.exp(turns * ks[:, 0]) * (np.exp(turns * np.arange(inst.block_len)) @ c.T)
+    turns, inner = _block_factors(f, inst, np.atleast_1d(np.asarray(t, dtype=float)))
+    out = np.exp(turns * inst.frequency_grid()[:, 0]) * inner
     return out[0] if np.asarray(t).ndim == 0 else out
 
 
@@ -489,8 +495,10 @@ def _scheme_norm(f: FourierFunction, scheme: Scheme) -> float:
 
 def _scheme_energy(f: FourierFunction, scheme: Scheme, ts: np.ndarray) -> np.ndarray:
     if isinstance(scheme, BlockScheme):
-        vals = block_measure(f, scheme.instrument, ts)
-        return np.sum(np.abs(vals) ** 2, axis=1)
+        # The block-start phase has modulus 1, so only the in-block product
+        # of block_measure carries energy.
+        _, inner = _block_factors(f, scheme.instrument, ts)
+        return np.sum(np.abs(inner) ** 2, axis=1)
     if isinstance(scheme, TimeSampling):
         return np.abs(time_sample_measure(f, ts)) ** 2
     if isinstance(scheme, DyadicScheme):

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from riplab import infdim
 from riplab.infdim import (
     BlockInstrument,
     BlockScheme,
@@ -506,6 +507,18 @@ class TestBlockMeasurements:
         assert out.shape == (3, 8)
         single = block_measure(f, inst, 0.25)
         assert np.allclose(out[1], single, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "rademacher"])
+    def test_scheme_energy_drops_only_the_unit_phase(self, mode):
+        # The scheme energy skips block_measure's unit-modulus block-start
+        # phase, so it equals the energy of block_measure up to rounding.
+        rng = SeededRng(SEED + 18)
+        f = random_poly(rng, 64)
+        inst = make_block_instrument(32, 4, mode, rng.stream(1))
+        ts = np.concatenate([rng.uniform(-3.0, 4.0, 200), [0.0, 0.5, 1.0]])
+        energy = infdim._scheme_energy(f, BlockScheme(inst), ts)
+        expected = np.sum(np.abs(block_measure(f, inst, ts)) ** 2, axis=1)
+        np.testing.assert_allclose(energy, expected, rtol=1e-13, atol=0)
 
     @settings(max_examples=60)
     @given(n_cut=st.integers(1, 256), divisor=st.integers(0, 63),
