@@ -33,7 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group_ops import gaussian_ensemble, isotropy_defect, rosenthal_deviation, sample_ensemble
+from .group_ops import (
+    gaussian_ensemble,
+    group_side,
+    isotropy_defect,
+    rosenthal_deviation,
+    sample_ensemble,
+)
 from .infdim import (
     BlockScheme,
     from_bumps,
@@ -84,7 +90,7 @@ class Opt:
 
 
 _COMMON = (
-    Opt("seed", "int", default=0, help="master RNG seed"),
+    Opt("seed", "int", default=0, above=-1, help="master RNG seed"),
     Opt("out", "str", default=None, help="output path prefix (default riplab_<command>)"),
     Opt("config", "str", default=None, help="INI-style key=value file; flags override"),
     Opt("stamp", "bool", default=False, help="add a timestamp header to outputs"),
@@ -310,8 +316,11 @@ def validate(config: ExperimentConfig) -> list[str]:
     try:
         if cmd in ("rip-exact", "rip-scan"):
             _build_ensemble(p, 1, SeededRng(p["seed"]))
-        elif cmd in ("sp-opt", "isotropy"):
+        elif cmd == "sp-opt":
             _build_instrument(p, SeededRng(p["seed"]))
+        elif cmd == "isotropy":
+            inst = _build_instrument(p, SeededRng(p["seed"]))
+            group_side(inst, _isotropy_variant(p, inst))
         elif cmd in ("mrip", "distance", "weakdiff"):
             LqCap(p["q"], p["s"])
             if cmd == "weakdiff" and p["alpha"] is not None:
@@ -414,10 +423,13 @@ def _run_sp_opt(p: dict) -> RunResult:
                      f"q_opt={_fmt(curve.q_opt)} value={_fmt(curve.value)}")
 
 
+def _isotropy_variant(p: dict, inst: Instrument) -> str:
+    return p["variant"] or ("doubleqft" if inst.is_matrix else "shiftmod")
+
+
 def _run_isotropy(p: dict) -> RunResult:
-    rng = SeededRng(p["seed"])
-    inst = _build_instrument(p, rng)
-    variant = p["variant"] or ("doubleqft" if inst.is_matrix else "shiftmod")
+    inst = _build_instrument(p, SeededRng(p["seed"]))
+    variant = _isotropy_variant(p, inst)
     defect = isotropy_defect(inst, variant)
     doc = {"defect": defect, "eta": inst.kind, "variant": variant}
     return RunResult(None, None, doc, f"defect={_fmt(defect)}")

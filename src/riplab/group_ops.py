@@ -54,6 +54,7 @@ __all__ = [
     "compose_gaussian",
     "isotropy_defect",
     "rosenthal_deviation",
+    "group_side",
 ]
 
 
@@ -322,7 +323,7 @@ def sample_ensemble(
     if mode not in _SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {_SIGN_MODES}; got {sign_mode!r}")
 
-    n = _group_side(inst, variant)
+    n = group_side(inst, variant)
     if mode == "absorbed" and inst.is_matrix:
         raise ValueError("absorbed signs are defined for vector instruments only")
 
@@ -420,7 +421,7 @@ def isotropy_defect(inst: Instrument, variant: str) -> float:
     The group is enumerated exhaustively, so the dimension caps are hard:
     N <= 16 for shiftmod, n <= 4 for doubleqft, N <= 8 for signshift.
     """
-    n = _group_side(inst, variant)
+    n = group_side(inst, variant)
     cap = _ISOTROPY_CAPS[variant]
     if n > cap:
         raise CapacityError(
@@ -518,9 +519,10 @@ def rosenthal_deviation(
     return results
 
 
-def _group_side(inst: Instrument, variant: str) -> int:
-    # The group's dimension parameter for an instrument: the vector length,
-    # or the matrix side for doubleqft.
+def group_side(inst: Instrument, variant: str) -> int:
+    """The group's dimension parameter for an instrument: the vector length,
+    or the matrix side for doubleqft.  Raises ValueError for an unknown
+    variant or one that does not fit the instrument."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown group variant {variant!r}")
     if variant == "doubleqft" and not inst.is_matrix:
