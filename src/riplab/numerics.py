@@ -122,12 +122,14 @@ def _index_words(indices) -> np.ndarray:
     return np.array(idx, dtype=np.uint32)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _absorb_hash(h: int):
     # The four hash constants an entropy word past the pool size is mixed
     # with, their successors, and the constant that follows.  Few distinct h
-    # occur: one per key depth and seed length.
+    # occur: one per count of words absorbed before (seed words plus key
+    # depth).
     hs = _powers(h, _MULT_A, _POOL)
+    hs.flags.writeable = False  # shared by every cache hit
     return hs[:-1], hs[1:], int(hs[-1])
 
 
