@@ -11,7 +11,6 @@ from functools import lru_cache
 from itertools import islice
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "CapacityError",
@@ -179,15 +178,24 @@ def _state_words(pools: np.ndarray) -> np.ndarray:
     return half.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-class _StateWords(ISeedSequence):
-    # Hands PCG64 its four precomputed seeding words, the only state it asks for.
-    __slots__ = ("words",)
+@lru_cache(maxsize=1)
+def _words_seed_sequence():
+    # Built on first use, because importing numpy.random costs about 15 ms
+    # that importing riplab should not pay.
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class WordsSeedSequence(ISeedSequence):
+        # Hands PCG64 its four precomputed seeding words, the only state it
+        # asks for.
+        __slots__ = ("words",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return WordsSeedSequence
 
 
 def _derive(seed: int, key: tuple, pool: np.ndarray, h: int, indices):
@@ -198,12 +206,12 @@ def _derive(seed: int, key: tuple, pool: np.ndarray, h: int, indices):
     while chunk := list(islice(it, _CHUNK)):
         idx = _index_words(chunk)
         pools, child_h = _absorb(pool, h, idx)
-        words = _state_words(pools)
+        words, seed_seq = _state_words(pools), _words_seed_sequence()
         for j, index in enumerate(idx.tolist()):
             rng = SeededRng.__new__(SeededRng)
             rng.seed, rng.spawn_key = seed, (*key, index)
             rng._pool, rng._hash = pools[j], child_h
-            rng._gen = np.random.Generator(np.random.PCG64(_StateWords(words[j])))
+            rng._gen = np.random.Generator(np.random.PCG64(seed_seq(words[j])))
             yield rng
 
 
