@@ -121,23 +121,13 @@ def _index_words(indices) -> np.ndarray:
     return np.array(idx, dtype=np.uint32)
 
 
-@lru_cache(maxsize=32)
-def _absorb_hash(h: int):
-    # The four hash constants an entropy word past the pool size is mixed
-    # with, their successors, and the constant that follows.  Few distinct h
-    # occur: one per count of words absorbed before (seed words plus key
-    # depth).
-    hs = _powers(h, _MULT_A, _POOL)
-    hs.flags.writeable = False  # shared by every cache hit
-    return hs[:-1], hs[1:], int(hs[-1])
-
-
 def _absorb(pool: np.ndarray, h: int, words: np.ndarray):
     """Mix each of ``words`` into its own copy of ``pool``: SeedSequence's step
-    for an entropy word past the pool size.  Returns one pool per word as the
+    for an entropy word past the pool size, which mixes the word into each
+    pool word with the next hash constant.  Returns one pool per word as the
     rows of an (n, 4) array, and the hash constant that follows."""
-    h_now, h_next, h_after = _absorb_hash(h)
-    return _mix(pool, _hashmix(words[:, None], h_now, h_next)), h_after
+    hs = _powers(h, _MULT_A, _POOL)
+    return _mix(pool, _hashmix(words[:, None], hs[:-1], hs[1:])), int(hs[-1])
 
 
 @lru_cache(maxsize=64)
@@ -146,7 +136,8 @@ def _prefix_pool(seed: int, key: tuple):
     ``seed`` and then ``key``: every entropy word of a stream on ``key + (i,)``
     but the last.  A spawn key always follows, so the run entropy is
     zero-padded to the pool size and the last word is always absorbed by
-    ``_absorb``."""
+    ``_absorb``.  Cached because the roots of a run share their prefix
+    ``(seed, ())``, which costs about as much as deriving the root itself."""
     words = []
     while True:
         words.append(seed % 2**32)
