@@ -328,11 +328,6 @@ _INVALID = [
     ((*_VALID["infdim-scan"], "--trials", "0"), "trials: must exceed 0"),
     ((*_VALID["infdim-scan"], "--m", "16,0"), "m: must exceed 0"),
     ((*_VALID["infdim-scan"], "--gamma", "0.5"), "gamma must lie in (0, 1/2)"),
-    (("mrip", "--N", "8", "--m", "4", "--s", "2", "--delta", "0.3", "--seed", "-1"),
-     "seed: must exceed -1; got -1"),
-    ((*_VALID["infdim-scan"], "--seed", "-3"), "seed: must exceed -1; got -3"),
-    (("isotropy", "--eta", "flat", "--N", "4", "--variant", "doubleqft"),
-     "doubleqft requires a matrix instrument"),
     ((*_VALID["infdim-scan"], "--nbig", "32"), "nbig must be at least 4N"),
     ((*_VALID["bump-check"], "--configs", "0"), "configs: must exceed 0"),
     ((*_VALID["bump-check"], "--tol", "0"), "tol: must exceed 0"),
@@ -340,6 +335,11 @@ _INVALID = [
     ((*_VALID["truncation"], "--s", "0"), "s, delta, c2 must be positive"),
     ((*_VALID["truncation"], "--delta", "0"), "s, delta, c2 must be positive"),
     ((*_VALID["truncation"], "--C2", "0"), "s, delta, c2 must be positive"),
+    (("mrip", "--N", "8", "--m", "4", "--s", "2", "--delta", "0.3", "--seed", "-1"),
+     "seed: must exceed -1; got -1"),
+    ((*_VALID["infdim-scan"], "--seed", "-3"), "seed: must exceed -1; got -3"),
+    (("isotropy", "--eta", "flat", "--N", "4", "--variant", "doubleqft"),
+     "doubleqft requires a matrix instrument"),
 ]
 
 
