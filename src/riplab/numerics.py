@@ -219,10 +219,10 @@ class SeededRng:
     ``streams(indices)`` yields the children of many indices at once: their
     seeding words come from one vectorised pass per chunk of indices, and
     each child owns its own PCG64, so drawing from one advances no other.
-    Every source, root or child, is seeded with exactly the words of
-    ``np.random.SeedSequence(seed, spawn_key=key).generate_state(4,
-    np.uint64)``, which the tests use as the oracle, so its draws equal those
-    of ``np.random.Generator(np.random.PCG64(SeedSequence(...)))`` bit for bit.
+    Every source, root or child, is seeded with exactly the words that
+    numpy's ``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)``
+    gives, which the tests use as the oracle, so its draws equal those of a
+    ``Generator(PCG64(SeedSequence(...)))`` bit for bit.
     """
 
     def __init__(self, seed: int, stream: int = 0, parent_key: tuple = ()):
