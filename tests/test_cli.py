@@ -7,6 +7,7 @@ test covers the installed entry point wiring.
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -423,6 +424,32 @@ class TestValidation:
         assert message in capsys.readouterr().err
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", _VALID.values(), ids=list(_VALID))
+    def test_report_cells_and_config_echo(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
+        labels = {c for opts in cli.SCHEMAS.values() for o in opts for c in o.choices}
+        labels |= {"separated", "close", f"canonical_k{dict(zip(argv, argv[1:])).get('--k')}"}
+
+        def rendered(cell):
+            if re.fullmatch(r"-?\d+", cell) or cell in {"true", "false", "", "inf"} | labels:
+                return True
+            try:
+                return format(float(cell), ".12g") == cell
+            except ValueError:
+                return False
+
+        echo = None
+        if (tmp_path / "x.csv").exists():
+            comments, fields, rows = read_csv(tmp_path / "x.csv")
+            assert rows and fields == list(rows[0])
+            assert [cell for row in rows for cell in row.values() if not rendered(cell)] == []
+            echo = dict(line[2:].rstrip("\n").split("=", 1) for line in comments)
+            assert list(echo)[0] == "command"
+        if (tmp_path / "x.json").exists():
+            config = json.loads((tmp_path / "x.json").read_text())["config"]
+            assert echo in (None, config)
+        assert echo is not None or (tmp_path / "x.json").exists()
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
