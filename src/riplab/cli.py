@@ -256,9 +256,6 @@ class ExperimentConfig:
     command: str
     params: dict = field(default_factory=dict)
 
-    def __getitem__(self, key):
-        return self.params[key]
-
 
 def resolve_config(command: str, cli_values: dict) -> tuple:
     """Merge defaults <- config file <- CLI flags.  Returns (config, diagnostics)."""
@@ -387,19 +384,21 @@ def _build_ensemble(p: dict, m: int, rng: SeededRng):
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return format(value, ".12g")
     return str(value)
 
 
 @dataclass
 class RunResult:
+    """Raw values only: write_outputs renders them.  Each CSV row is a dict
+    whose keys name the columns in order; ``None`` is an empty cell."""
+
     csv_rows: list | None = None
-    csv_fields: list | None = None
     json_doc: dict | None = None
     summary: str = ""
 
@@ -414,13 +413,12 @@ def _run_sp_opt(p: dict) -> RunResult:
         inst, p["r"], q_min=p["qmin"], q_max=p["qmax"], points=p["points"]
     )
     rows = [
-        {"q_prime": _fmt(q), "value": _fmt(v)}
+        {"q_prime": q, "value": v}
         for q, v in zip(curve.q_grid, curve.values)
     ]
     doc = {"q_opt": curve.q_opt if math.isfinite(curve.q_opt) else "inf",
            "value": curve.value, "eta": inst.kind, "r": p["r"]}
-    return RunResult(rows, ["q_prime", "value"], doc,
-                     f"q_opt={_fmt(curve.q_opt)} value={_fmt(curve.value)}")
+    return RunResult(rows, doc, f"q_opt={_fmt(curve.q_opt)} value={_fmt(curve.value)}")
 
 
 def _isotropy_variant(p: dict, inst: Instrument) -> str:
@@ -432,7 +430,7 @@ def _run_isotropy(p: dict) -> RunResult:
     variant = _isotropy_variant(p, inst)
     defect = isotropy_defect(inst, variant)
     doc = {"defect": defect, "eta": inst.kind, "variant": variant}
-    return RunResult(None, None, doc, f"defect={_fmt(defect)}")
+    return RunResult(None, doc, f"defect={_fmt(defect)}")
 
 
 def _run_rip_exact(p: dict) -> RunResult:
@@ -441,7 +439,7 @@ def _run_rip_exact(p: dict) -> RunResult:
     report = exact_rip_canonical(ens, p["k"])
     doc = {"delta_hat": report.delta_hat, "method": report.method,
            "model": report.model, "m": report.m}
-    return RunResult(None, None, doc, f"delta_hat={_fmt(report.delta_hat)}")
+    return RunResult(None, doc, f"delta_hat={_fmt(report.delta_hat)}")
 
 
 def _run_rip_scan(p: dict) -> RunResult:
@@ -455,12 +453,11 @@ def _run_rip_scan(p: dict) -> RunResult:
             )
             rows.append({
                 "m": m,
-                "delta_hat": _fmt(report.delta_hat),
+                "delta_hat": report.delta_hat,
                 "model": f"canonical_k{p['k']}",
                 "seed": seed,
             })
-    return RunResult(rows, ["m", "delta_hat", "model", "seed"], None,
-                     f"{len(rows)} rows")
+    return RunResult(rows, None, f"{len(rows)} rows")
 
 
 def _run_mrip(p: dict) -> RunResult:
@@ -469,20 +466,9 @@ def _run_mrip(p: dict) -> RunResult:
         ens, p["q"], p["s"], p["delta"], p["trials"], p["ascent"],
         SeededRng(p["seed"], 1), extra_level_factor=p["extra_factor"],
     )
-    rows = [
-        {
-            "level": lv["level"],
-            "sparsity": _fmt(lv["sparsity"]),
-            "observed": _fmt(lv["observed"]),
-            "threshold": _fmt(lv["threshold"]),
-            "passed": _fmt(lv["passed"]),
-        }
-        for lv in report.levels
-    ]
     doc = {"all_pass": report.details["all_pass"], "delta": p["delta"],
            "q": p["q"], "s": p["s"], "levels": report.levels}
-    return RunResult(rows, ["level", "sparsity", "observed", "threshold", "passed"],
-                     doc, f"all_pass={report.details['all_pass']}")
+    return RunResult(report.levels, doc, f"all_pass={report.details['all_pass']}")
 
 
 def _calibrated_pairs(p: dict):
@@ -502,47 +488,32 @@ def _calibrated_pairs(p: dict):
 def _run_distance(p: dict) -> RunResult:
     ens, delta, pairs = _calibrated_pairs(p)
     rows = []
-    violations = 0
     for i, (x, y) in enumerate(pairs):
         res = distance_bound_check(ens, x, y, p["s"], delta, p["q"], p["eps"])
-        violations += 0 if res["passed"] else 1
-        rows.append({
-            "pair": i,
-            "observed": _fmt(res["observed"]),
-            "bound": _fmt(res["bound"]),
-            "passed": _fmt(res["passed"]),
-        })
+        rows.append({"pair": i, **{k: res[k] for k in ("observed", "bound", "passed")}})
+    violations = sum(not row["passed"] for row in rows)
     doc = {"delta_calibrated": delta, "pairs": p["pairs"], "violations": violations,
            "pass_rate": 1.0 - violations / p["pairs"]}
-    return RunResult(rows, ["pair", "observed", "bound", "passed"], doc,
-                     f"violations={violations}/{p['pairs']} delta={_fmt(delta)}")
+    return RunResult(rows, doc, f"violations={violations}/{p['pairs']} delta={_fmt(delta)}")
 
 
 def _run_weakdiff(p: dict) -> RunResult:
     ens, delta, pairs = _calibrated_pairs(p)
     rows = []
-    counts = {"separated": 0, "close": 0}
-    violations = 0
     for i, (x, y) in enumerate(pairs):
         verdict = classify_separation(ens, x, y, delta, alpha=p["alpha"])
         true_sq = float(np.linalg.norm(x - y) ** 2)
-        if isinstance(verdict, Separated):
-            counts["separated"] += 1
-            ok = verdict.lower <= true_sq <= verdict.upper
-            row = {"pair": i, "verdict": "separated",
-                   "lower": _fmt(verdict.lower), "upper": _fmt(verdict.upper),
-                   "true_sq": _fmt(true_sq), "ok": _fmt(bool(ok))}
-        else:
-            counts["close"] += 1
-            ok = math.sqrt(true_sq) <= verdict.radius
-            row = {"pair": i, "verdict": "close",
-                   "lower": "", "upper": _fmt(verdict.radius),
-                   "true_sq": _fmt(true_sq), "ok": _fmt(bool(ok))}
-        violations += 0 if ok else 1
-        rows.append(row)
+        # A close verdict bounds only the distance, so its lower cell is empty.
+        sep = isinstance(verdict, Separated)
+        lower, upper = (verdict.lower, verdict.upper) if sep else (None, verdict.radius)
+        ok = lower <= true_sq <= upper if sep else math.sqrt(true_sq) <= upper
+        rows.append({"pair": i, "verdict": "separated" if sep else "close",
+                     "lower": lower, "upper": upper, "true_sq": true_sq, "ok": bool(ok)})
+    counts = {v: sum(row["verdict"] == v for row in rows) for v in ("separated", "close")}
+    violations = sum(not row["ok"] for row in rows)
     doc = {"delta_calibrated": delta, "pairs": p["pairs"], "violations": violations,
            **counts}
-    return RunResult(rows, ["pair", "verdict", "lower", "upper", "true_sq", "ok"], doc,
+    return RunResult(rows, doc,
                      f"separated={counts['separated']} close={counts['close']} "
                      f"violations={violations}")
 
@@ -560,7 +531,7 @@ def _run_gordon(p: dict) -> RunResult:
     doc = {"width_mean": width["mean"], "width_stderr": width["stderr"],
            "predicted_m": m, "draws": p["draws"], "achieving": hits,
            "fraction": hits / p["draws"]}
-    return RunResult(None, None, doc,
+    return RunResult(None, doc,
                      f"m={m} achieving={hits}/{p['draws']}")
 
 
@@ -570,8 +541,7 @@ def _run_rosenthal(p: dict) -> RunResult:
     u[np.arange(d), np.arange(d)] = math.sqrt(n / d)
     records = rosenthal_deviation(u, p["variant"], p["M"], p["trials"],
                                   SeededRng(p["seed"]))
-    rows = [{"M": r["M"], "median": _fmt(r["median"]), "mean": _fmt(r["mean"])}
-            for r in records]
+    rows = [{k: r[k] for k in ("M", "median", "mean")} for r in records]
     medians = [r["median"] for r in records]
     # The log-log slope needs two M values and positive medians; otherwise
     # it is written as null (JSON has no NaN) and the summary says why.
@@ -582,9 +552,7 @@ def _run_rosenthal(p: dict) -> RunResult:
         logm = np.log([r["M"] for r in records])
         slope = float(np.polyfit(logm, np.log(medians), 1)[0])
         summary = f"slope={_fmt(slope)}"
-    doc = {"slope": slope,
-           "records": [{k: r[k] for k in ("M", "median", "mean")} for r in records]}
-    return RunResult(rows, ["M", "median", "mean"], doc, summary)
+    return RunResult(rows, {"slope": slope, "records": rows}, summary)
 
 
 def _run_table1(p: dict) -> RunResult:
@@ -592,7 +560,7 @@ def _run_table1(p: dict) -> RunResult:
     doc = dict(counts)
     doc["ratio_group_over_gauss"] = counts["group"] / counts["gauss"]
     doc["ratio_sign_over_gauss"] = counts["group_sign"] / counts["gauss"]
-    return RunResult(None, None, doc,
+    return RunResult(None, doc,
                      f"gauss={counts['gauss']} group={counts['group']} "
                      f"group_sign={counts['group_sign']}")
 
@@ -602,8 +570,6 @@ def _run_infdim_scan(p: dict) -> RunResult:
     nbig = p["nbig"] if p["nbig"] else 4 * n_cut
     t_scale = 1.0 / p["gamma"]
     modes = ("deterministic", "rademacher") if p["mode"] == "both" else (p["mode"],)
-    # Without --rho the label cell stays empty, like weakdiff's lower bound.
-    rho_label = _fmt(p["rho"]) if p["rho"] is not None else ""
     rows = []
     for mode in modes:
         inst = make_block_instrument(n_cut, block_len, mode, SeededRng(p["seed"], 9999))
@@ -622,14 +588,14 @@ def _run_infdim_scan(p: dict) -> RunResult:
                     "N": n_cut,
                     "L": block_len,
                     "d": inst.n_blocks,
-                    "gamma": _fmt(p["gamma"]),
-                    "rho": rho_label,
+                    "gamma": p["gamma"],
+                    # Without --rho the label cell stays empty, like weakdiff's lower bound.
+                    "rho": p["rho"],
                     "m": m,
                     "trial": trial,
-                    "deviation": _fmt(dev),
+                    "deviation": dev,
                 })
-    fields = ["scheme", "N", "L", "d", "gamma", "rho", "m", "trial", "deviation"]
-    return RunResult(rows, fields, None, f"{len(rows)} rows")
+    return RunResult(rows, None, f"{len(rows)} rows")
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -660,8 +626,6 @@ def _run_bump_check(p: dict) -> RunResult:
 
     rng = SeededRng(p["seed"])
     rows = []
-    worst = 0.0
-    all_ok = True
     for cfg, stream in enumerate(rng.streams(range(p["configs"]))):
         t_scale = float(stream.generator.choice([8.0, 16.0, 32.0]))
         count = int(stream.generator.choice([1, 2, 4]))
@@ -695,16 +659,15 @@ def _run_bump_check(p: dict) -> RunResult:
         rel_d = abs(deriv - closed_d) / closed_d
 
         ok = support_ok and rel_lp <= p["tol"] and rel_d <= p["tol"]
-        all_ok &= ok
-        worst = max(worst, rel_lp, rel_d)
         rows.append({
-            "config": cfg, "T": _fmt(t_scale), "bumps": count,
-            "support": _fmt(support), "rel_lp": _fmt(rel_lp),
-            "rel_deriv": _fmt(rel_d), "ok": _fmt(bool(ok)),
+            "config": cfg, "T": t_scale, "bumps": count,
+            "support": support, "rel_lp": rel_lp,
+            "rel_deriv": rel_d, "ok": bool(ok),
         })
+    all_ok = all(row["ok"] for row in rows)
+    worst = max(max(row["rel_lp"], row["rel_deriv"]) for row in rows)
     doc = {"configs": p["configs"], "max_rel_error": worst, "all_pass": all_ok}
-    return RunResult(rows, ["config", "T", "bumps", "support", "rel_lp", "rel_deriv", "ok"],
-                     doc, f"all_pass={all_ok} max_rel={_fmt(worst)}")
+    return RunResult(rows, doc, f"all_pass={all_ok} max_rel={_fmt(worst)}")
 
 
 def _run_truncation(p: dict) -> RunResult:
@@ -713,7 +676,7 @@ def _run_truncation(p: dict) -> RunResult:
     guaranteed = 2.0 * p["C2"] * p["s"] * 2.0 ** (-2.0 * l0 / q_dual)
     doc = {"l0": l0, "guaranteed_tail": guaranteed, "delta": p["delta"],
            "meets_half_delta": guaranteed <= p["delta"]}
-    return RunResult(None, None, doc, f"l0={l0}")
+    return RunResult(None, doc, f"l0={l0}")
 
 
 _RUNNERS = {
@@ -750,47 +713,36 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _config_echo(config: ExperimentConfig) -> list[str]:
-    skip = {"out", "config", "stamp", "validate_only"}
-    lines = [f"command={config.command}"]
-    for key in sorted(config.params):
-        if key in skip:
-            continue
-        value = config.params[key]
-        if value is None:
-            continue
-        if isinstance(value, list):
-            value = ",".join(map(str, value))
-        lines.append(f"{key}={_fmt(value) if isinstance(value, (bool, float)) else value}")
-    return lines
-
-
 def write_outputs(config: ExperimentConfig, result: RunResult, out_prefix: str,
                   stamp: bool) -> list[str]:
-    written = []
-    echo = _config_echo(config)
+    """Write ``result`` as ``<out_prefix>.csv`` and/or ``.json``.  This is the
+    one place a report is rendered: every CSV cell goes through _fmt, the
+    columns are the first row's keys (a row with another key raises), and the
+    resolved configuration, ``command`` first, is echoed into both formats.
+    Both are rendered before either file is written."""
+    texts = {}
+    echo = {"command": config.command}
+    for key in sorted(config.params.keys() - {"out", "config", "stamp", "validate_only"}):
+        value = config.params[key]
+        if value is not None:
+            echo[key] = ",".join(map(str, value)) if isinstance(value, list) else _fmt(value)
     if result.csv_rows is not None:
         buf = io.StringIO()
-        for line in echo:
-            buf.write(f"# {line}\n")
+        buf.writelines(f"# {key}={value}\n" for key, value in echo.items())
         if stamp:
             buf.write(f"# timestamp={time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
-        writer = csv.DictWriter(buf, fieldnames=result.csv_fields, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(result.csv_rows[0]), lineterminator="\n")
         writer.writeheader()
-        writer.writerows(result.csv_rows)
-        path = f"{out_prefix}.csv"
-        _atomic_write(path, buf.getvalue())
-        written.append(path)
+        writer.writerows({k: _fmt(v) for k, v in row.items()} for row in result.csv_rows)
+        texts[".csv"] = buf.getvalue()
     if result.json_doc is not None:
-        doc = {"config": dict(zip([e.split("=", 1)[0] for e in echo],
-                                  [e.split("=", 1)[1] for e in echo])),
-               "result": result.json_doc}
+        doc = {"config": echo, "result": result.json_doc}
         if stamp:
             doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        path = f"{out_prefix}.json"
-        _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        written.append(path)
-    return written
+        texts[".json"] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for suffix, text in texts.items():
+        _atomic_write(f"{out_prefix}{suffix}", text)
+    return [f"{out_prefix}{suffix}" for suffix in texts]
 
 
 # -- entry point ----------------------------------------------------------------
