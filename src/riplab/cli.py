@@ -213,7 +213,10 @@ def _coerce(opt: Opt, raw):
         if opt.kind == "int":
             return int(raw)
         if opt.kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"must be a finite number; got {raw}")
+            return value
         if opt.kind == "bool":
             if isinstance(raw, bool):
                 return raw
@@ -224,9 +227,11 @@ def _coerce(opt: Opt, raw):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         if opt.kind == "int_list":
-            if isinstance(raw, list):
-                return [int(v) for v in raw]
-            return [int(part) for part in str(raw).split(",") if part.strip()]
+            parts = raw if isinstance(raw, list) else [
+                part for part in str(raw).split(",") if part.strip()]
+            if not parts:
+                raise ValueError("needs at least one value")
+            return [int(part) for part in parts]
         return str(raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{opt.name}: {exc}") from None
@@ -238,9 +243,7 @@ def parse_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
-            if line.startswith(";"):
-                continue
-            if not line:
+            if not line or line.startswith(";"):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 continue  # tolerate INI section headers
@@ -395,8 +398,7 @@ def _fmt(value) -> str:
 
 @dataclass
 class RunResult:
-    """Raw values only: write_outputs renders them.  Each CSV row is a dict
-    whose keys name the columns in order; ``None`` is an empty cell."""
+    """Raw report values; CSV rows are dicts whose keys name the columns."""
 
     csv_rows: list | None = None
     json_doc: dict | None = None
@@ -407,8 +409,7 @@ class RunResult:
 
 
 def _run_sp_opt(p: dict) -> RunResult:
-    rng = SeededRng(p["seed"])
-    inst = _build_instrument(p, rng)
+    inst = _build_instrument(p, SeededRng(p["seed"]))
     curve = optimize_sparsity_parameter(
         inst, p["r"], q_min=p["qmin"], q_max=p["qmax"], points=p["points"]
     )
@@ -434,8 +435,7 @@ def _run_isotropy(p: dict) -> RunResult:
 
 
 def _run_rip_exact(p: dict) -> RunResult:
-    rng = SeededRng(p["seed"])
-    ens = _build_ensemble(p, p["m"], rng)
+    ens = _build_ensemble(p, p["m"], SeededRng(p["seed"]))
     report = exact_rip_canonical(ens, p["k"])
     doc = {"delta_hat": report.delta_hat, "method": report.method,
            "model": report.model, "m": report.m}
@@ -624,9 +624,8 @@ def _run_bump_check(p: dict) -> RunResult:
     ref_lp = {pp: _bump_quad_norm(standard_bump, pp) for pp in (1.0, 2.0, 4.0)}
     ref_dl2 = _bump_quad_norm(lambda x: np.abs(dbump(x)), 2.0)
 
-    rng = SeededRng(p["seed"])
     rows = []
-    for cfg, stream in enumerate(rng.streams(range(p["configs"]))):
+    for cfg, stream in enumerate(SeededRng(p["seed"]).streams(range(p["configs"]))):
         t_scale = float(stream.generator.choice([8.0, 16.0, 32.0]))
         count = int(stream.generator.choice([1, 2, 4]))
         centers = []

@@ -482,6 +482,8 @@ def rosenthal_deviation(
     if abs(tr - n) > 1e-8 * n:
         raise ValueError(f"u must satisfy tr(u^* u) = N; got {tr:.12g} for N={n}")
     m_list = [int(m) for m in m_list]
+    if not m_list:
+        raise ValueError("m_list needs at least one M")
     if any(m < 1 for m in m_list) or trials < 1:
         raise ValueError("all M and trials must be >= 1")
     side = n

@@ -341,6 +341,13 @@ _INVALID = [
     ((*_VALID["infdim-scan"], "--seed", "-3"), "seed: must exceed -1; got -3"),
     (("isotropy", "--eta", "flat", "--N", "4", "--variant", "doubleqft"),
      "doubleqft requires a matrix instrument"),
+    ((*_VALID["rosenthal"], "--M", ","), "M: needs at least one value"),
+    ((*_VALID["rip-scan"], "--m", ","), "m: needs at least one value"),
+    ((*_VALID["infdim-scan"], "--m", ","), "m: needs at least one value"),
+    ((*_VALID["mrip"], "--delta", "nan"), "delta: must be a finite number; got nan"),
+    ((*_VALID["mrip"], "--s", "nan"), "s: must be a finite number; got nan"),
+    ((*_VALID["truncation"], "--delta", "inf"), "delta: must be a finite number; got inf"),
+    ((*_VALID["sp-opt"], "--r", "nan"), "r: must be a finite number; got nan"),
 ]
 
 

@@ -307,6 +307,10 @@ class TestRosenthalDeviation:
         with pytest.raises(ValueError):
             rosenthal_deviation(np.ones((2, 8)), "shiftmod", [4], 3, SeededRng(SEED))
 
+    def test_empty_m_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one M"):
+            rosenthal_deviation(np.eye(8, dtype=complex), "shiftmod", [], 3, SeededRng(SEED))
+
     def test_single_sample_deviation_is_conjugation_invariant(self):
         # sigma(g) is unitary, so || sigma(g)* u*u sigma(g) - I || equals
         # || u*u - I || for every g; at M=1 all trials must hit it exactly.
