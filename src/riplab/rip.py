@@ -260,6 +260,22 @@ def _level_threshold(level: int, delta: float, extra_level_factor: bool) -> floa
     return base
 
 
+def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng):
+    """Yield (level, sparsity, observed) for each dyadic level of the q-cap
+    model: sparsity is 2^l s and observed the empirical_rip lower bound of
+    level l.  The i-th level of the range draws its trials from
+    ``rng.stream(i)``, so every caller sees the same estimates for one ``rng``.
+    """
+    if rng is None:
+        raise ValueError("an explicit SeededRng is required")
+    levels = _level_range(q, s, _effective(a).shape[1])
+    # Indexed by position, not by level: levels can be negative.
+    for level, stream in zip(levels, rng.streams(range(len(levels)))):
+        sigma = 2.0**level * s
+        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, stream)
+        yield level, sigma, report.delta_hat
+
+
 def mrip_check(
     a,
     q: float,
@@ -278,29 +294,21 @@ def mrip_check(
     Per-level estimates are empirical lower bounds of the true suprema; the
     i-th level of the range draws its trials from ``rng.stream(i)``.
     """
-    if rng is None:
-        raise ValueError("an explicit SeededRng is required")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    eff = _effective(a)
-    m, n = eff.shape
     levels = []
     all_pass = True
     worst = 0.0
-    # Indexed by position, not by level: levels can be negative.
-    levels_range = _level_range(q, s, n)
-    for level, stream in zip(levels_range, rng.streams(range(len(levels_range)))):
-        sigma = 2.0**level * s
-        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, stream)
+    for level, sigma, observed in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
         threshold = _level_threshold(level, delta, extra_level_factor)
-        passed = report.delta_hat <= threshold
+        passed = observed <= threshold
         all_pass &= passed
-        worst = max(worst, report.delta_hat)
+        worst = max(worst, observed)
         levels.append(
             {
                 "level": level,
                 "sparsity": sigma,
-                "observed": report.delta_hat,
+                "observed": observed,
                 "threshold": threshold,
                 "passed": bool(passed),
             }
@@ -309,7 +317,7 @@ def mrip_check(
         delta_hat=worst,
         method="mrip_monte_carlo",
         model=f"LqCap(q={q}, s={s}) dyadic levels",
-        m=m,
+        m=_effective(a).shape[0],
         levels=levels,
         details={
             "q": q,
@@ -333,20 +341,12 @@ def calibrate_mrip_distortion(
     given the empirical per-level suprema.  Returns (delta, level records).
 
     Level l passes iff delta >= 2^(-l/2) min(o_l, sqrt(o_l)) for observed o_l.
-    Levels draw from the same child streams as mrip_check, so both see the
+    Levels come from the same _dyadic_levels as mrip_check, so both see the
     same per-level estimates for the same ``rng``.
     """
-    if rng is None:
-        raise ValueError("an explicit SeededRng is required")
-    eff = _effective(a)
-    n = eff.shape[1]
     records = []
     delta = 0.0
-    levels_range = _level_range(q, s, n)
-    for level, stream in zip(levels_range, rng.streams(range(len(levels_range)))):
-        sigma = 2.0**level * s
-        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, stream)
-        o = report.delta_hat
+    for level, sigma, o in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
         need = 2.0 ** (-level / 2.0) * min(o, math.sqrt(o)) if o > 0 else 0.0
         delta = max(delta, need)
         records.append({"level": level, "sparsity": sigma, "observed": o, "delta_needed": need})
