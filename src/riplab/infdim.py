@@ -164,10 +164,10 @@ def from_bumps(
     centers,
     amplitudes,
     n_big: int,
-    bump: Optional[Callable] = None,
     oversample: int = 8,
 ) -> FourierFunction:
-    """Superposition sum_j a_j T phi(T (t - c_j)) as a trigonometric polynomial.
+    """Superposition sum_j a_j T phi(T (t - c_j)) of the standard bump phi,
+    as a trigonometric polynomial.
 
     The dilated bumps have width 1/T, so centers must keep pairwise circular
     distance strictly above 1/T (this also rules out overlap across the wrap).
@@ -191,14 +191,13 @@ def from_bumps(
                 )
     if oversample < 8:
         raise ValueError("oversample must be >= 8")
-    profile = standard_bump if bump is None else bump
 
     m_quad = oversample * n_big
     t = np.arange(m_quad) / m_quad
     vals = np.zeros(m_quad, dtype=complex)
     for c, a in zip(centers, amplitudes):
         u = (t - c + 0.5) % 1.0 - 0.5
-        vals += a * t_scale * profile(t_scale * u)
+        vals += a * t_scale * standard_bump(t_scale * u)
     spectrum = np.fft.fft(vals) / m_quad
     k = np.arange(-n_big, n_big)
     return FourierFunction(spectrum[k % m_quad], n_big)
@@ -281,14 +280,13 @@ def smooth_sparse_membership(
     f: FourierFunction,
     rho_max: float,
     gamma_max: float,
-    support_tol: float = 1e-8,
 ) -> dict:
     """Check membership in the smoothness/support model
     { ||f'||_L2 <= rho ||f||_L2,  lambda(supp f) <= gamma }.
 
     measured_rho uses the physical derivative (2 pi times the normalized
     one); measured_gamma is the fraction of quadrature nodes where |f|
-    exceeds support_tol times its maximum.
+    exceeds 1e-8 times its maximum.
     """
     if rho_max <= 0 or not (0 < gamma_max <= 1):
         raise ValueError("need rho_max > 0 and gamma_max in (0, 1]")
@@ -298,7 +296,7 @@ def smooth_sparse_membership(
     deriv = differentiate(f, "derivative")
     measured_rho = 2.0 * math.pi * deriv.l2_norm() / l2
     vals = np.abs(values_on_grid(f, 8 * f.n_big))
-    measured_gamma = float(np.mean(vals > support_tol * vals.max()))
+    measured_gamma = float(np.mean(vals > 1e-8 * vals.max()))
     return {
         "member": bool(measured_rho <= rho_max and measured_gamma <= gamma_max),
         "measured_rho": measured_rho,

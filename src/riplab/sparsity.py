@@ -303,13 +303,12 @@ def optimize_sparsity_parameter(
     q_min: float = 2.001,
     q_max: float = 128.0,
     points: int = 200,
-    include_inf: bool = True,
 ) -> SparsityCurve:
     """Minimize the sparsity-parameter objective over a log-spaced grid.
 
-    The grid covers (2, q_max]; the optional infinity entry uses the limiting
-    norm ||eta||_inf with the cubic factor capped at q_max^3 (the literal
-    limit diverges, so the entry is reported as a capped candidate only).
+    The grid covers (2, q_max] and ends with an infinity entry, which uses the
+    limiting norm ||eta||_inf with the cubic factor capped at q_max^3 (the
+    literal limit diverges, so the entry is reported as a capped candidate only).
     Ties resolve to the smaller exponent.
     """
     if not (2.0 < q_min < q_max):
@@ -318,9 +317,8 @@ def optimize_sparsity_parameter(
         raise ValueError("grid needs at least 2 points")
     grid = list(np.geomspace(q_min, q_max, points))
     values = [sparsity_parameter_value(inst, r, q) for q in grid]
-    if include_inf:
-        grid.append(math.inf)
-        values.append(q_max**3 * float(r) * instrument_norm(inst, math.inf) ** 2)
+    grid.append(math.inf)
+    values.append(q_max**3 * float(r) * instrument_norm(inst, math.inf) ** 2)
     best = int(np.argmin(values))  # argmin takes the first hit: smaller q' wins ties
     return SparsityCurve(
         q_grid=tuple(float(q) for q in grid),
