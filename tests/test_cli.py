@@ -139,6 +139,16 @@ class TestReports:
         assert doc["result"]["slope"] is None
         assert f"slope=null ({reason}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rows,doc,error", [
+        ([{"a": 1.5}, {"a": None, "b": 2}], {"x": 1}, ValueError),  # a stray column
+        ([{"a": 1.5}], {"x": object()}, TypeError),  # a value JSON cannot hold
+    ])
+    def test_render_failure_writes_nothing(self, tmp_path, rows, doc, error):
+        config, _ = cli.resolve_config("table1", {"s": "1", "n": "2", "d": "2"})
+        with pytest.raises(error):
+            cli.write_outputs(config, cli.RunResult(rows, doc, ""), str(tmp_path / "x"), False)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("rho_argv,cell", [((), ""), (("--rho", "2"), "2")])
     def test_infdim_scan_rho_cell(self, tmp_path, rho_argv, cell):
         code = run_cli("infdim-scan", "--N", "16", "--L", "4", "--m", "16", "--trials", "2",
