@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 _DC_TOL = 1e-10
+# Quadrature grids take _OVERSAMPLE * n_big nodes, far beyond aliasing for
+# the smooth profiles here.
+_OVERSAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -164,15 +167,13 @@ def from_bumps(
     centers,
     amplitudes,
     n_big: int,
-    oversample: int = 8,
 ) -> FourierFunction:
     """Superposition sum_j a_j T phi(T (t - c_j)) of the standard bump phi,
     as a trigonometric polynomial.
 
     The dilated bumps have width 1/T, so centers must keep pairwise circular
     distance strictly above 1/T (this also rules out overlap across the wrap).
-    Coefficients come from an oversampled quadrature with at least 8 n_big
-    nodes, which is far beyond aliasing for these smooth profiles.
+    Coefficients come from a quadrature with 8 n_big nodes.
     """
     centers = np.atleast_1d(np.asarray(centers, dtype=float)) % 1.0
     amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
@@ -189,10 +190,8 @@ def from_bumps(
                     f"bump centers {centers[i]:.6g} and {centers[j]:.6g} are closer "
                     f"than the bump width 1/T = {1.0 / t_scale:.6g}"
                 )
-    if oversample < 8:
-        raise ValueError("oversample must be >= 8")
 
-    m_quad = oversample * n_big
+    m_quad = _OVERSAMPLE * n_big
     t = np.arange(m_quad) / m_quad
     vals = np.zeros(m_quad, dtype=complex)
     for c, a in zip(centers, amplitudes):
@@ -261,16 +260,14 @@ def weighted_seminorm(f: FourierFunction, weights) -> float:
     return float(math.sqrt(float(np.sum(w * np.abs(f.coeffs) ** 2))))
 
 
-def lq_norm_function(f: FourierFunction, q: float, oversample: int = 8) -> float:
-    """L_q(0, 1) norm by uniform-grid quadrature with >= 8 n_big nodes.
+def lq_norm_function(f: FourierFunction, q: float) -> float:
+    """L_q(0, 1) norm by uniform-grid quadrature with 8 n_big nodes.
 
     Documented relative accuracy 1e-6 for carriers up to n_big = 2048.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if oversample < 8:
-        raise ValueError("oversample must be >= 8")
-    vals = np.abs(values_on_grid(f, oversample * f.n_big))
+    vals = np.abs(values_on_grid(f, _OVERSAMPLE * f.n_big))
     if q == math.inf:
         return float(vals.max())
     return float(np.mean(vals**q) ** (1.0 / q))
@@ -295,7 +292,7 @@ def smooth_sparse_membership(
         raise ValueError("membership is undefined for the zero function")
     deriv = differentiate(f, "derivative")
     measured_rho = 2.0 * math.pi * deriv.l2_norm() / l2
-    vals = np.abs(values_on_grid(f, 8 * f.n_big))
+    vals = np.abs(values_on_grid(f, _OVERSAMPLE * f.n_big))
     measured_gamma = float(np.mean(vals > 1e-8 * vals.max()))
     return {
         "member": bool(measured_rho <= rho_max and measured_gamma <= gamma_max),
@@ -456,7 +453,10 @@ def truncation_level(q: float, s: float, delta: float, c2: float) -> int:
     ratio = delta / (2.0 * c2 * s)
     if ratio >= 1.0:
         return 1
-    return max(1, int(math.ceil(round(q_dual / 2.0 * math.log2(1.0 / ratio), 12))))
+    if ratio == 0.0:
+        raise ValueError(f"delta / (2 C2 s) = {delta:g} / (2 * {c2:g} * {s:g}) "
+                         "underflows to 0 in double precision")
+    return max(1, int(math.ceil(round(-q_dual / 2.0 * math.log2(ratio), 12))))
 
 
 # -- the sampling experiment -----------------------------------------------------

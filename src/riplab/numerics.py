@@ -92,15 +92,13 @@ def _powers(h: int, mult: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-# The hash constants of the first absorption phase (pool fill, then every
-# pool word into every other) and of generate_state(4, np.uint64), which
-# reads the pool twice round as 8 uint32 words.
-_FILL_HASH = _powers(_INIT_A, _MULT_A, _POOL * _POOL)
+# The hash constants of generate_state(4, np.uint64), which reads the pool
+# twice round as 8 uint32 words.
 _STATE_HASH = _powers(_INIT_B, _MULT_B, 2 * _POOL)
 
 
-# uint32 arithmetic, on arrays or (under errstate over="ignore") on scalars,
-# wraps modulo 2^32 exactly as SeedSequence's C code does.
+# uint32 arithmetic on arrays wraps modulo 2^32 exactly as SeedSequence's C
+# code does.
 def _hashmix(value, h, h_next):
     value = (value ^ h) * h_next
     return value ^ (value >> _XSHIFT)
@@ -128,38 +126,6 @@ def _absorb(pool: np.ndarray, h: int, words: np.ndarray):
     rows of an (n, 4) array, and the hash constant that follows."""
     hs = _powers(h, _MULT_A, _POOL)
     return _mix(pool, _hashmix(words[:, None], hs[:-1], hs[1:])), int(hs[-1])
-
-
-@lru_cache(maxsize=64)
-def _prefix_pool(seed: int, key: tuple):
-    """Pool and hash constant after SeedSequence absorbs the run entropy of
-    ``seed`` and then ``key``: every entropy word of a stream on ``key + (i,)``
-    but the last.  A spawn key always follows, so the run entropy is
-    zero-padded to the pool size and the last word is always absorbed by
-    ``_absorb``.  Cached because the roots of a run share their prefix
-    ``(seed, ())``, which costs about as much as deriving the root itself."""
-    words = []
-    while True:
-        words.append(seed % 2**32)
-        seed >>= 32
-        if not seed:
-            break
-    words = np.array(words + [0] * (_POOL - len(words)), dtype=np.uint32)
-    pool = list(_hashmix(words[:_POOL], _FILL_HASH[:_POOL], _FILL_HASH[1:_POOL + 1]))
-    j = _POOL
-    with np.errstate(over="ignore"):
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst],
-                                     _hashmix(pool[src], _FILL_HASH[j], _FILL_HASH[j + 1]))
-                    j += 1
-    pool, h = np.array(pool, dtype=np.uint32), int(_FILL_HASH[j])
-    for word in (*words[_POOL:], *_index_words(key)):
-        pools, h = _absorb(pool, h, np.array([word], dtype=np.uint32))
-        pool = pools[0]
-    pool.flags.writeable = False  # shared by every cache hit
-    return pool, h
 
 
 def _state_words(pools: np.ndarray) -> np.ndarray:
@@ -216,22 +182,29 @@ class SeededRng:
     parent, nor a sibling, nor a root.  Per-trial children are conventionally
     indexed by trial, so that serial and parallel execution orders agree.
 
+    A root is seeded by numpy's ``SeedSequence(seed, spawn_key=key)`` itself.
     ``streams(indices)`` yields the children of many indices at once: their
-    seeding words come from one vectorised pass per chunk of indices, and
-    each child owns its own PCG64, so drawing from one advances no other.
-    Every source, root or child, is seeded with exactly the words that
-    numpy's ``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)``
-    gives, which the tests use as the oracle, so its draws equal those of a
-    ``Generator(PCG64(SeedSequence(...)))`` bit for bit.
+    seeding words come from one vectorised pass per chunk of indices over
+    the parent's SeedSequence pool, and each child owns its own PCG64, so
+    drawing from one advances no other.  A child is seeded with exactly the
+    words that ``SeedSequence(seed, spawn_key=key).generate_state(4,
+    np.uint64)`` gives, which the tests use as the oracle, so its draws equal
+    those of a ``Generator(PCG64(SeedSequence(...)))`` bit for bit.
     """
 
     def __init__(self, seed: int, stream: int = 0, parent_key: tuple = ()):
         seed = int(seed)
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer; got {seed}")
-        key = tuple(parent_key)
-        root = next(_derive(seed, key, *_prefix_pool(seed, key), (stream,)))
-        vars(self).update(vars(root))
+        self.seed = seed
+        self.spawn_key = tuple(_index_words((*parent_key, stream)).tolist())
+        seq = np.random.SeedSequence(seed, spawn_key=self.spawn_key)
+        # Children continue SeedSequence's hash from where the root's entropy
+        # left it, 4 steps per entropy word: the seed's words zero-padded to
+        # the pool size, then the spawn key.
+        n_words = max(_POOL, (seed.bit_length() + 31) // 32) + len(self.spawn_key)
+        self._pool, self._hash = seq.pool, _INIT_A * pow(_MULT_A, 4 * n_words, 2**32) % 2**32
+        self._gen = np.random.Generator(np.random.PCG64(seq))
 
     @property
     def stream_index(self) -> int:

@@ -1,7 +1,7 @@
 """Tests for the batch experiment runner.
 
-All invocations go through cli.main(argv) in-process; one subprocess smoke
-test covers the installed entry point wiring.
+All invocations go through cli.main(argv) in-process; two subprocess tests
+cover the installed entry point wiring and what importing the CLI loads.
 """
 
 import csv
@@ -23,6 +23,16 @@ from riplab.numerics import NumericalError
 
 def run_cli(*argv) -> int:
     return cli.main(list(argv))
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the same riplab as these tests,
+    installed or not."""
+    package_root = str(Path(riplab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def read_csv(path):
@@ -95,16 +105,8 @@ class TestReports:
         assert (tmp_path / "riplab_truncation.json").exists()
 
     def test_entry_module_smoke(self, tmp_path):
-        # The child imports the same riplab as these tests, installed or not.
-        package_root = str(Path(riplab.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
-                                                          env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "riplab.cli", "table1", "--s", "2", "--n", "3",
-             "--d", "4", "--out", str(tmp_path / "t1")],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python("-m", "riplab.cli", "table1", "--s", "2", "--n", "3",
+                          "--d", "4", "--out", str(tmp_path / "t1"))
         assert proc.returncode == 0, proc.stderr
         doc = json.loads((tmp_path / "t1.json").read_text())
         assert doc["result"]["gauss"] == 24
@@ -112,6 +114,14 @@ class TestReports:
         assert doc["result"]["group_sign"] == 384
         assert doc["result"]["ratio_group_over_gauss"] == 12.0
         assert doc["result"]["ratio_sign_over_gauss"] == 16.0
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy.random costs about 15 ms to import; only a run that draws
+        # should pay it, not building the parser.
+        proc = run_python("-c", "import sys, riplab.cli; riplab.cli.build_parser(); "
+                                "print('numpy.random' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
     def test_rosenthal_slope_fits_the_medians(self, tmp_path):
@@ -358,6 +368,8 @@ _INVALID = [
     ((*_VALID["mrip"], "--s", "nan"), "s: must be a finite number; got nan"),
     ((*_VALID["truncation"], "--delta", "inf"), "delta: must be a finite number; got inf"),
     ((*_VALID["sp-opt"], "--r", "nan"), "r: must be a finite number; got nan"),
+    (("truncation", "--q", "2", "--s", "1e300", "--delta", "1e-300", "--C2", "1e300"),
+     "underflows to 0"),
 ]
 
 

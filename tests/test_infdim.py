@@ -234,10 +234,6 @@ class TestBumps:
         with pytest.raises(ValueError):
             from_bumps(8.0, [0.1, 0.5], [1.0], 64)
 
-    def test_oversample_floor(self):
-        with pytest.raises(ValueError):
-            from_bumps(8.0, [0.5], [1.0], 64, oversample=4)
-
 
 class TestShiftAndDerivative:
     def test_zero_shift_is_identity(self):
@@ -349,8 +345,6 @@ class TestWeightsAndNorms:
     def test_lq_domain(self):
         with pytest.raises(ValueError):
             lq_norm_function(psi(0, 4), 0.5)
-        with pytest.raises(ValueError):
-            lq_norm_function(psi(0, 4), 2.0, oversample=4)
 
 
 class TestMembership:
@@ -725,6 +719,15 @@ class TestTruncationBudget:
             truncation_level(2.0, 1.0, -0.1, 1.0)
         with pytest.raises(ValueError):
             truncation_level(2.0, 1.0, 0.5, 0.0)
+
+    def test_underflowing_budget_raises(self):
+        with pytest.raises(ValueError, match="underflows to 0"):
+            truncation_level(2.0, 1e300, 1e-300, 1e300)
+
+    def test_subnormal_budget_has_a_finite_level(self):
+        # delta / (2 c2 s) = 5e-311 is subnormal: its reciprocal overflows,
+        # its logarithm does not.
+        assert truncation_level(2.0, 1e10, 1e-300, 1.0) == 1031
 
     def test_calibrated_tail_meets_budget(self):
         """Calibrate the tail constant on one batch of smooth functions, then

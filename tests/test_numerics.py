@@ -214,6 +214,14 @@ class TestStreamDerivation:
              indices=list(range(5, 40, 7)), chunk=2)
     @example(seed=0, key=(0,), indices=[4, 4, 1, 4, 2**32 - 1, 0], chunk=4)
     @example(seed=2**32, key=(9500,), indices=[9, 3, 1, 0, 2], chunk=1)
+    # Seeds of 4, 5 and 1 words: where the root's entropy starts to outgrow
+    # the pool, and where it is zero-padded to fill it.
+    @example(seed=2**96, key=(3,), indices=[0, 2**32 - 1], chunk=1)
+    @example(seed=2**96, key=(1, 2**32 - 1, 0), indices=[6, 0], chunk=2)
+    @example(seed=2**128, key=(0,), indices=[1, 1, 5], chunk=2)
+    @example(seed=2**128, key=(5, 6, 7), indices=[2**31, 0], chunk=1)
+    @example(seed=2**32 - 1, key=(2,), indices=[0, 3], chunk=4)
+    @example(seed=2**32 - 1, key=(0, 0, 8), indices=[4, 2**32 - 1, 1], chunk=3)
     def test_words_equal_seed_sequence(self, seed, key, indices, chunk):
         parent = SeededRng(seed, key[-1], key[:-1])
         np.testing.assert_array_equal(_words(parent), _oracle_words(seed, key))
