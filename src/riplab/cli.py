@@ -320,7 +320,9 @@ def validate(config: ExperimentConfig) -> list[str]:
             _build_instrument(p, SeededRng(p["seed"]))
         elif cmd == "isotropy":
             inst = _build_instrument(p, SeededRng(p["seed"]))
-            group_side(inst, _isotropy_variant(p, inst))
+            group_side(_isotropy_variant(p, inst), inst.ambient_dim, inst.is_matrix)
+        elif cmd == "rosenthal":
+            group_side(p["variant"], p["N"])
         elif cmd in ("mrip", "distance", "weakdiff"):
             LqCap(p["q"], p["s"])
             if cmd == "weakdiff" and p["alpha"] is not None:
@@ -342,8 +344,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         # The compression u is built by index, d rows of N columns.
         if p["d"] > p["N"]:
             diags.append("d cannot exceed N")
-        if p["variant"] == "doubleqft" and math.isqrt(p["N"]) ** 2 != p["N"]:
-            diags.append("doubleqft requires N to be a perfect square (matrix side^2)")
     if cmd == "infdim-scan":
         if not 0 < p["gamma"] < 0.5:
             diags.append(f"gamma must lie in (0, 1/2); got {p['gamma']}")

@@ -8,6 +8,13 @@ Three unitary representations are supported:
 * ``signshift`` -- {-1,1}^N x| Z_N acting on C^N by entrywise signs
                    followed by a cyclic shift.
 
+A batch of B elements of one group over side n is a (B, p) integer array of
+their parameters, one row per element:
+
+* shiftmod:  ``(t, k)``;
+* doubleqft: ``(k, j, kp, jp)``;
+* signshift: ``(eps_1, ..., eps_n, shift)`` with each eps = +/-1.
+
 Index convention: the modulation acts on basis vector e_l (l = 1..N) as
 multiplication by exp(2 pi i l / N); a cyclic shift sends e_l to e_{l+1}.
 Only global phases depend on this choice and every reported statistic is
@@ -15,9 +22,9 @@ phase-invariant.
 
 All three are monomial unitaries: a coordinate permutation times
 unit-modulus phases (doubleqft on the row-major flattening of its n x n
-matrices).  ``monomial`` turns a batch of B elements into one ``Monomial``
-of (B, dim) index and phase arrays, so sigma(g) x is ``x[perm] * phase``,
-and every group action here (``apply_group``, ensemble rows, isotropy
+matrices).  ``monomial(variant, n, params)`` turns a parameter batch into
+one ``Monomial`` of (B, dim) index and phase arrays, so sigma(g) x is
+``x[perm] * phase``, and every group action here (ensemble rows, isotropy
 orbits, the moment-deviation scan) is a gather through that one form.
 
 A measurement row for instrument eta and group element g is the functional
@@ -28,9 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -38,16 +44,10 @@ from .instruments import Instrument
 from .numerics import CapacityError, SeededRng, operator_norm
 
 __all__ = [
-    "ShiftMod",
-    "DoubleQft",
-    "SignShift",
-    "GroupElement",
     "Monomial",
     "monomial",
-    "apply_group",
-    "apply_group_adjoint",
     "enumerate_group",
-    "sample_group_element",
+    "draw_elements",
     "MeasurementEnsemble",
     "sample_ensemble",
     "gaussian_ensemble",
@@ -57,63 +57,6 @@ __all__ = [
     "group_side",
 ]
 
-
-# -- group elements ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShiftMod:
-    """Modulation^t . Shift^k on C^N."""
-
-    t: int
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ambient dimension must be >= 1")
-        object.__setattr__(self, "t", self.t % self.n)
-        object.__setattr__(self, "k", self.k % self.n)
-
-
-@dataclass(frozen=True)
-class DoubleQft:
-    """Mod^k Shift^j . (Shift^j')^* Mod^(-k') acting on n x n matrices."""
-
-    k: int
-    j: int
-    kp: int
-    jp: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("matrix side must be >= 1")
-        for name in ("k", "j", "kp", "jp"):
-            object.__setattr__(self, name, getattr(self, name) % self.n)
-
-
-@dataclass(frozen=True)
-class SignShift:
-    """Entrywise signs followed by a cyclic shift on C^N."""
-
-    signs: tuple
-    shift: int
-
-    def __post_init__(self):
-        signs = tuple(self.signs)
-        # Check the values before converting them, so 1.5 is not truncated to 1.
-        if not signs or not set(signs) <= {1, -1}:
-            raise ValueError("signs must be a non-empty +/-1 tuple")
-        object.__setattr__(self, "signs", tuple(map(int, signs)))
-        object.__setattr__(self, "shift", self.shift % len(signs))
-
-    @property
-    def n(self) -> int:
-        return len(self.signs)
-
-
-GroupElement = Union[ShiftMod, DoubleQft, SignShift]
 _VARIANTS = ("shiftmod", "doubleqft", "signshift")
 
 
@@ -153,110 +96,85 @@ class Monomial:
         return Monomial(inv, np.conj(np.take_along_axis(self.phase, inv, axis=1)))
 
 
+def _width(variant: str, n: int) -> int:
+    # Parameters per element of the chosen group over side n.
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown group variant {variant!r}")
+    return {"shiftmod": 2, "doubleqft": 4, "signshift": n + 1}[variant]
+
+
 def _mod_phases(n: int, t) -> np.ndarray:
     # exp(2 pi i t l / n) at 1-based index l, one row per entry of t; each
-    # distinct t is evaluated once.
-    values, rows = np.unique(np.asarray(t), return_inverse=True)
+    # distinct t mod n is evaluated once.
+    values, rows = np.unique(t % n, return_inverse=True)
     return np.exp(2j * np.pi * values[:, None] * np.arange(1, n + 1) / n)[rows]
 
 
 def _cyclic(n: int, shift) -> np.ndarray:
     # Gather indices of cyclic shifts: row b moves entry l to l + shift[b].
-    return (np.arange(n) - np.asarray(shift)[:, None]) % n
+    return (np.arange(n) - shift[:, None]) % n
 
 
-def _shiftmod_batch(t, k, n: int) -> Monomial:
-    return Monomial(_cyclic(n, k), _mod_phases(n, t))
-
-
-def _signshift_batch(signs, shift) -> Monomial:
-    signs = np.asarray(signs)
-    perm = _cyclic(signs.shape[1], shift)
-    return Monomial(perm, np.take_along_axis(signs, perm, axis=1).astype(complex))
-
-
-def _doubleqft_batch(k, j, kp, jp, n: int) -> Monomial:
+def monomial(variant: str, n: int, params) -> Monomial:
+    """The (perm, phase) batch of the elements whose parameters are the rows
+    of ``params``, a non-empty (B, p) integer array, in the chosen group
+    over side n.  doubleqft acts on row-major flattenings of n x n matrices.
+    """
+    if n < 1:
+        raise ValueError("group side must be >= 1")
+    width = _width(variant, n)
+    params = np.asarray(params)
+    if params.ndim != 2 or params.shape[1] != width or not len(params):
+        raise ValueError(f"{variant} over side {n} needs a non-empty (B, {width}) "
+                         f"parameter array; got shape {params.shape}")
+    # Check the signs before converting, so 1.5 is not truncated to 1.
+    if variant == "signshift":
+        signs = params[:, :n]
+        if not ((signs == 1) | (signs == -1)).all():
+            raise ValueError("signs must be +/-1")
+    ints = params.astype(np.int64, copy=False)
+    if not np.array_equal(ints, params):
+        raise ValueError("group parameters must be integers")
+    if variant == "shiftmod":
+        return Monomial(_cyclic(n, ints[:, 1]), _mod_phases(n, ints[:, 0]))
+    if variant == "signshift":
+        perm = _cyclic(n, ints[:, n])
+        return Monomial(perm, np.take_along_axis(ints[:, :n], perm, axis=1).astype(complex))
     # Row-major flattening: entry (r, c) of the image of a is
     # a[r - j, c - jp] * mod^k[r] * conj(mod^kp[c]).
+    k, j, kp, jp = ints.T
     perm = _cyclic(n, j)[:, :, None] * n + _cyclic(n, jp)[:, None, :]
     phase = _mod_phases(n, k)[:, :, None] * np.conj(_mod_phases(n, kp))[:, None, :]
     return Monomial(perm.reshape(-1, n * n), phase.reshape(-1, n * n))
 
 
-def monomial(elements) -> Monomial:
-    """The (perm, phase) batch of a non-empty sequence of elements of one
-    group over one dimension.  DoubleQft acts on row-major flattenings."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("need at least one group element")
-    kind = type(elements[0])
-    if kind not in (ShiftMod, DoubleQft, SignShift):
-        raise TypeError(f"unknown group element {kind.__name__}")
-    n = elements[0].n
-    if any(type(g) is not kind or g.n != n for g in elements):
-        raise ValueError("elements must come from one group over one dimension")
-    if kind is ShiftMod:
-        return _shiftmod_batch([g.t for g in elements], [g.k for g in elements], n)
-    if kind is DoubleQft:
-        return _doubleqft_batch(*np.array([(g.k, g.j, g.kp, g.jp) for g in elements]).T, n)
-    return _signshift_batch([g.signs for g in elements], [g.shift for g in elements])
-
-
-def _apply_one(op: Monomial, g: GroupElement, x) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    shapes = ((g.n * g.n,), (g.n, g.n)) if isinstance(g, DoubleQft) else ((g.n,),)
-    if x.shape not in shapes:
-        raise ValueError(f"expected input of shape {' or '.join(map(str, shapes))}; got {x.shape}")
-    return op.apply(x.ravel())[0].reshape(x.shape)
-
-
-def apply_group(g: GroupElement, x) -> np.ndarray:
-    """Apply sigma(g) to x.  DoubleQft accepts an n x n matrix or its
-    row-major flattening and returns the same shape it was given."""
-    return _apply_one(monomial([g]), g, x)
-
-
-def apply_group_adjoint(g: GroupElement, x) -> np.ndarray:
-    """Apply sigma(g)^*, the inverse of sigma(g)."""
-    return _apply_one(monomial([g]).adjoint(), g, x)
-
-
-def enumerate_group(variant: str, n: int) -> Iterator[GroupElement]:
-    """Yield every element of the chosen group over dimension n."""
-    if variant == "shiftmod":
-        for t in range(n):
-            for k in range(n):
-                yield ShiftMod(t, k, n)
-    elif variant == "doubleqft":
-        for k, j, kp, jp in product(range(n), repeat=4):
-            yield DoubleQft(k, j, kp, jp, n)
-    elif variant == "signshift":
-        for signs in product((-1, 1), repeat=n):
-            for shift in range(n):
-                yield SignShift(signs, shift)
-    else:
-        raise ValueError(f"unknown group variant {variant!r}")
-
-
-def sample_group_element(variant: str, n: int, rng: SeededRng) -> GroupElement:
-    if variant == "shiftmod":
-        t, k = rng.integers(0, n, 2)
-        return ShiftMod(int(t), int(k), n)
-    if variant == "doubleqft":
-        k, j, kp, jp = rng.integers(0, n, 4)
-        return DoubleQft(int(k), int(j), int(kp), int(jp), n)
+def enumerate_group(variant: str, n: int) -> np.ndarray:
+    """The (|G|, p) parameter array of every element of the chosen group over
+    side n, rows in lexicographic order."""
     if variant == "signshift":
-        signs = tuple(rng.rademacher(n).tolist())
-        return SignShift(signs, int(rng.integers(0, n)))
+        return np.array(list(product(*[(-1, 1)] * n, range(n))))
+    return np.array(list(product(range(n), repeat=_width(variant, n))))
+
+
+def draw_elements(variant: str, n: int, m: int, rng: SeededRng) -> np.ndarray:
+    """The (m, p) parameter array of m independent uniform elements of the
+    chosen group over side n.
+
+    The draw order is part of every report: shiftmod draws all m
+    modulations, then all m shifts; doubleqft draws element by element;
+    signshift draws each element's signs, then its shift.
+    """
+    if variant == "shiftmod":
+        return rng.integers(0, n, (2, m)).T
+    if variant == "doubleqft":
+        return rng.integers(0, n, (m, 4))
+    if variant == "signshift":
+        params = np.empty((m, n + 1), dtype=np.int64)
+        for row in params:
+            row[:n] = rng.rademacher(n)
+            row[n] = rng.integers(0, n)
+        return params
     raise ValueError(f"unknown group variant {variant!r}")
-
-
-def _element_record(g: GroupElement):
-    if isinstance(g, ShiftMod):
-        return ["shiftmod", g.t, g.k]
-    if isinstance(g, DoubleQft):
-        return ["doubleqft", g.k, g.j, g.kp, g.jp]
-    return ["signshift", list(g.signs), g.shift]
 
 
 # -- ensembles --------------------------------------------------------------
@@ -281,8 +199,8 @@ class MeasurementEnsemble:
 
     @property
     def m(self) -> int:
-        op = self.effective_operator()
-        return int(op.shape[0])
+        stage = self.rows if self.gaussian_stage is None else self.gaussian_stage
+        return int(stage.shape[0])
 
     def effective_operator(self) -> np.ndarray:
         if self.gaussian_stage is None:
@@ -323,7 +241,7 @@ def sample_ensemble(
     if mode not in _SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {_SIGN_MODES}; got {sign_mode!r}")
 
-    n = group_side(inst, variant)
+    n = group_side(variant, inst.ambient_dim, inst.is_matrix)
     if mode == "absorbed" and inst.is_matrix:
         raise ValueError("absorbed signs are defined for vector instruments only")
 
@@ -344,24 +262,26 @@ def sample_ensemble(
         shared_sign = rng.rademacher(dim)
         prov["shared_sign"] = [int(s) for s in shared_sign]
 
-    # Draws stay per row, in row order; the rows themselves are one gather.
-    group, signs, shifts = [], [], []
+    # Draws go row by row: each row's element, then its absorbed
+    # (signs, shift) pair, a signshift element over dim.  The rows
+    # themselves are one gather.
+    elements, absorbed = [], []
     for _ in range(m):
-        group.append(sample_group_element(variant, n, rng))
+        elements.append(draw_elements(variant, n, 1, rng))
         if mode == "absorbed":
-            signs.append(rng.rademacher(dim))
-            shifts.append(int(rng.integers(0, dim)))
-    rows = monomial(group).apply(inst.payload.ravel())
+            absorbed.append(draw_elements("signshift", dim, 1, rng))
+    params = np.concatenate(elements)
+    rows = monomial(variant, n, params).apply(inst.payload.ravel())
     if mode == "random_sign":
         rows = shared_sign * rows
     elif mode == "absorbed":
-        rows = _signshift_batch(signs, shifts).apply(rows)
-        prov["absorbed_signs"] = [[eps.tolist(), shift]
-                                  for eps, shift in zip(signs, shifts)]
+        absorbed = np.concatenate(absorbed)
+        rows = monomial("signshift", dim, absorbed).apply(rows)
+        prov["absorbed_signs"] = absorbed.tolist()
     rows = np.conj(rows)
     rows /= math.sqrt(m)
 
-    prov["elements"] = [_element_record(g) for g in group]
+    prov["elements"] = params.tolist()
     return MeasurementEnsemble(rows=rows, provenance=prov)
 
 
@@ -375,31 +295,16 @@ def gaussian_ensemble(dim: int, m: int, rng: SeededRng) -> MeasurementEnsemble:
     return MeasurementEnsemble(rows=rows.astype(complex), provenance=prov)
 
 
-def compose_gaussian(
-    ens: MeasurementEnsemble,
-    m_out: int,
-    rng: SeededRng,
-    identity_stage: bool = False,
-) -> MeasurementEnsemble:
+def compose_gaussian(ens: MeasurementEnsemble, m_out: int, rng: SeededRng) -> MeasurementEnsemble:
     """Append a Gaussian reduction: effective operator becomes Xi . A with Xi
-    an m_out x m matrix of N(0, 1/m_out) entries.
-
-    identity_stage=True installs Xi = Id (requires m_out == m); this is a
-    test hook that keeps the measurement values unchanged.
-    """
-    m_in = ens.rows.shape[0]
+    an m_out x m matrix of N(0, 1/m_out) entries."""
     if ens.gaussian_stage is not None:
         raise ValueError("ensemble already carries a Gaussian stage")
     if m_out < 1:
         raise ValueError("m_out must be >= 1")
-    if identity_stage:
-        if m_out != m_in:
-            raise ValueError("identity stage requires m_out == m")
-        stage = np.eye(m_in)
-    else:
-        stage = rng.standard_normal((m_out, m_in)) / math.sqrt(m_out)
+    stage = rng.standard_normal((m_out, ens.rows.shape[0])) / math.sqrt(m_out)
     prov = dict(ens.provenance)
-    prov["gaussian_stage"] = {"m_out": int(m_out), "identity": bool(identity_stage),
+    prov["gaussian_stage"] = {"m_out": int(m_out),
                               "seed": rng.seed, "stream": rng.stream_index,
                               "spawn_key": list(rng.spawn_key)}
     return MeasurementEnsemble(rows=ens.rows, provenance=prov, gaussian_stage=stage)
@@ -421,35 +326,18 @@ def isotropy_defect(inst: Instrument, variant: str) -> float:
     The group is enumerated exhaustively, so the dimension caps are hard:
     N <= 16 for shiftmod, n <= 4 for doubleqft, N <= 8 for signshift.
     """
-    n = group_side(inst, variant)
+    n = group_side(variant, inst.ambient_dim, inst.is_matrix)
     cap = _ISOTROPY_CAPS[variant]
     if n > cap:
         raise CapacityError(
             f"isotropy_defect enumerates the full group; {variant} is capped at {cap} (got {n})"
         )
 
-    orbit = monomial(enumerate_group(variant, n)).apply(inst.payload.ravel())
+    orbit = monomial(variant, n, enumerate_group(variant, n)).apply(inst.payload.ravel())
     # (1/|G|) sum_g v_g v_g^*; closure under inverses makes the adjoint
     # orientation of the definition give the same sum.
     avg = orbit.T @ np.conj(orbit) / len(orbit)
     return operator_norm(avg - np.eye(inst.ambient_dim))
-
-
-def _scan_draws(variant: str, n: int, m: int, rng: SeededRng):
-    # The parameters of m elements, and a function that builds the monomial
-    # of any slice of them.  The draw order is sample_group_element's, except
-    # that shiftmod draws all m modulations, then all m shifts.
-    if variant == "shiftmod":
-        t = rng.integers(0, n, m)
-        return partial(_shiftmod_batch, n=n), (t, rng.integers(0, n, m))
-    if variant == "signshift":
-        draws = [(rng.rademacher(n), rng.integers(0, n)) for _ in range(m)]
-        return _signshift_batch, (np.array([eps for eps, _ in draws]),
-                                  np.array([k for _, k in draws]))
-    if variant == "doubleqft":
-        params = np.array([rng.integers(0, n, 4) for _ in range(m)])
-        return partial(_doubleqft_batch, n=n), tuple(params.T)
-    raise ValueError(f"unknown group variant {variant!r}")
 
 
 def rosenthal_deviation(
@@ -473,6 +361,7 @@ def rosenthal_deviation(
     elements.  A chunk holds at most 2^14 complex entries of V (one element
     per chunk when d N exceeds that), and its monomials are built from the
     trial's drawn parameters chunk by chunk, so memory stays bounded in M.
+    Each trial draws its elements with ``draw_elements``.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
@@ -486,11 +375,7 @@ def rosenthal_deviation(
         raise ValueError("m_list needs at least one M")
     if any(m < 1 for m in m_list) or trials < 1:
         raise ValueError("all M and trials must be >= 1")
-    side = n
-    if variant == "doubleqft":
-        side = math.isqrt(n)
-        if side * side != n:
-            raise ValueError("doubleqft requires N to be a perfect square (matrix side^2)")
+    side = group_side(variant, n)
 
     eye = np.eye(n)
     chunk = max(1, _GRAM_CHUNK_ENTRIES // (d * n))
@@ -499,12 +384,12 @@ def rosenthal_deviation(
         devs = np.empty(trials)
         streams = rng.streams(trial * len(m_list) + mi for trial in range(trials))
         for trial, stream in enumerate(streams):
-            build, params = _scan_draws(variant, side, m, stream)
+            params = draw_elements(variant, side, m, stream)
             acc = np.zeros((n, n), dtype=complex)
             for lo in range(0, m, chunk):
                 # Column c of u sigma(g) is u[:, inv[c]] times the conjugate
                 # adjoint phase at c, where inv is the adjoint's gather.
-                adj = build(*(p[lo:lo + chunk] for p in params)).adjoint()
+                adj = monomial(variant, side, params[lo:lo + chunk]).adjoint()
                 v = u[:, adj.perm]
                 v *= np.conj(adj.phase)
                 v = v.reshape(-1, n)
@@ -521,14 +406,21 @@ def rosenthal_deviation(
     return results
 
 
-def group_side(inst: Instrument, variant: str) -> int:
-    """The group's dimension parameter for an instrument: the vector length,
-    or the matrix side for doubleqft.  Raises ValueError for an unknown
-    variant or one that does not fit the instrument."""
+def group_side(variant: str, dim: int, matrix: bool | None = None) -> int:
+    """The side n of the chosen group acting on C^dim: dim itself, or the
+    matrix side sqrt(dim) for doubleqft, which acts on flattened n x n
+    matrices.  ``matrix`` says whether the inputs are matrices, where that
+    is known (an instrument's ``is_matrix``).  Raises ValueError for an
+    unknown variant, one that does not fit the inputs, or a doubleqft dim
+    that is not a perfect square."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown group variant {variant!r}")
-    if variant == "doubleqft" and not inst.is_matrix:
-        raise ValueError("doubleqft requires a matrix instrument")
-    if variant != "doubleqft" and inst.is_matrix:
-        raise ValueError(f"variant {variant!r} requires a vector instrument")
-    return int(inst.payload.shape[0])
+    if matrix is not None and matrix != (variant == "doubleqft"):
+        raise ValueError("doubleqft requires a matrix instrument" if variant == "doubleqft"
+                         else f"variant {variant!r} requires a vector instrument")
+    if variant != "doubleqft":
+        return dim
+    side = math.isqrt(dim)
+    if side * side != dim:
+        raise ValueError("doubleqft requires N to be a perfect square (matrix side^2)")
+    return side

@@ -74,10 +74,6 @@ def _effective(a) -> np.ndarray:
     return np.asarray(a.effective_operator(), dtype=complex)
 
 
-def _model_name(model: SparsityModel) -> str:
-    return repr(model)
-
-
 def _support_defects(gram: np.ndarray, supports) -> float:
     """Largest |eigenvalue| of gram[S, S] - I over an iterable of supports S.
 
@@ -126,7 +122,7 @@ def exact_rip_canonical(a, k: int) -> RipReport:
     return RipReport(
         delta_hat=_support_defects(gram, combinations(range(n), k)),
         method="exact_enumeration",
-        model=_model_name(Canonical(k)),
+        model=repr(Canonical(k)),
         m=m,
         details={"supports": n_supports},
     )
@@ -180,7 +176,7 @@ def empirical_rip(
         return RipReport(
             delta_hat=_support_defects(gram, supports),
             method="exact_enumeration" if exhaustive else "monte_carlo",
-            model=_model_name(model),
+            model=repr(model),
             m=m,
             details={"trials": trials, "exhaustive": exhaustive, "ascent_iterations": 0},
         )
@@ -188,7 +184,7 @@ def empirical_rip(
     defect = gram - np.eye(n)
     shift = operator_norm(defect)
     if shift == 0.0:
-        return RipReport(0.0, "monte_carlo", _model_name(model), m,
+        return RipReport(0.0, "monte_carlo", repr(model), m,
                          details={"trials": trials, "exhaustive": False,
                                   "ascent_iterations": 0})
 
@@ -207,7 +203,7 @@ def empirical_rip(
     return RipReport(
         delta_hat=delta,
         method="monte_carlo",
-        model=_model_name(model),
+        model=repr(model),
         m=m,
         details={"trials": trials, "exhaustive": False, "ascent_steps": ascent_steps,
                  "ascent_iterations": up_steps + down_steps},

@@ -10,19 +10,14 @@ from hypothesis import strategies as st
 
 import riplab.group_ops as go
 from riplab.group_ops import (
-    DoubleQft,
-    ShiftMod,
-    SignShift,
-    apply_group,
-    apply_group_adjoint,
     compose_gaussian,
+    draw_elements,
     enumerate_group,
     gaussian_ensemble,
     isotropy_defect,
     monomial,
     rosenthal_deviation,
     sample_ensemble,
-    sample_group_element,
 )
 from riplab.instruments import (
     Instrument,
@@ -36,37 +31,44 @@ from riplab.numerics import CapacityError, SeededRng
 SEED = 90210
 
 
+def _act(variant, n, row, x):
+    """sigma(g) x for the one element with parameters ``row``."""
+    return monomial(variant, n, [row]).apply(x)[0]
+
+
+def _act_adjoint(variant, n, row, x):
+    return monomial(variant, n, [row]).adjoint().apply(x)[0]
+
+
 class TestShiftModAction:
     def test_identity_element(self):
         x = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        np.testing.assert_array_equal(apply_group(ShiftMod(0, 0, 4), x), x)
+        np.testing.assert_array_equal(_act("shiftmod", 4, (0, 0), x), x)
 
     def test_two_point_shift(self):
         # cyclic shift moves entry l to entry l+1
-        out = apply_group(ShiftMod(0, 1, 2), np.array([1.0, 2.0]))
+        out = _act("shiftmod", 2, (0, 1), np.array([1.0, 2.0]))
         np.testing.assert_allclose(out, [2.0, 1.0], atol=1e-15)
 
     def test_two_point_modulation(self):
         # modulation phases are indexed l = 1..N, so entry 0 flips sign
-        out = apply_group(ShiftMod(1, 0, 2), np.array([1.0, 2.0]))
+        out = _act("shiftmod", 2, (1, 0), np.array([1.0, 2.0]))
         np.testing.assert_allclose(out, [-1.0, 2.0], atol=1e-14)
 
     def test_isometry(self):
         rng = SeededRng(SEED)
         x = rng.complex_normal(8)
-        for _ in range(20):
-            g = sample_group_element("shiftmod", 8, rng)
+        for row in draw_elements("shiftmod", 8, 20, rng):
             np.testing.assert_allclose(
-                np.linalg.norm(apply_group(g, x)), np.linalg.norm(x), rtol=1e-12
+                np.linalg.norm(_act("shiftmod", 8, row, x)), np.linalg.norm(x), rtol=1e-12
             )
 
     def test_adjoint_inverts(self):
         rng = SeededRng(SEED + 1)
         x = rng.complex_normal(6)
-        for _ in range(10):
-            g = sample_group_element("shiftmod", 6, rng)
+        for row in draw_elements("shiftmod", 6, 10, rng):
             np.testing.assert_allclose(
-                apply_group_adjoint(g, apply_group(g, x)), x, atol=1e-12
+                _act_adjoint("shiftmod", 6, row, _act("shiftmod", 6, row, x)), x, atol=1e-12
             )
 
     def test_composition_up_to_phase(self):
@@ -77,62 +79,77 @@ class TestShiftModAction:
         y = rng.complex_normal(8)
         for _ in range(25):
             t1, k1, t2, k2 = rng.integers(0, 8, size=4)
-            g1 = ShiftMod(int(t1), int(k1), 8)
-            g2 = ShiftMod(int(t2), int(k2), 8)
-            comp = ShiftMod(int(t1 + t2), int(k1 + k2), 8)
-            lhs = np.vdot(y, apply_group(g1, apply_group(g2, x)))
-            rhs = np.vdot(y, apply_group(comp, x))
+            lhs = np.vdot(y, _act("shiftmod", 8, (t1, k1), _act("shiftmod", 8, (t2, k2), x)))
+            rhs = np.vdot(y, _act("shiftmod", 8, (t1 + t2, k1 + k2), x))
             assert abs(abs(lhs) - abs(rhs)) <= 1e-10
 
 
 class TestOtherActions:
     def test_signshift_order_of_operations(self):
         # signs first, then cyclic shift
-        g = SignShift((1, -1, 1, -1), 1)
-        out = apply_group(g, np.array([1.0, 2.0, 3.0, 4.0]))
+        out = _act("signshift", 4, (1, -1, 1, -1, 1), np.array([1.0, 2.0, 3.0, 4.0]))
         np.testing.assert_allclose(out, [-4.0, 1.0, -2.0, 3.0], atol=1e-15)
 
     def test_signshift_signs_must_be_exactly_unit(self):
-        g = SignShift(np.array([1.0, -1.0]), 3)
-        assert g.signs == (1, -1) and all(type(s) is int for s in g.signs)
-        assert g.shift == 1
-        for bad in ((1.5, -1.0), (1, 0), (), (1, -2)):
+        # Float +/-1 signs are accepted and the shift is taken mod n.
+        exact = monomial("signshift", 2, [[1, -1, 1]])
+        loose = monomial("signshift", 2, np.array([[1.0, -1.0, 3.0]]))
+        np.testing.assert_array_equal(loose.perm, exact.perm)
+        np.testing.assert_array_equal(loose.phase, exact.phase)
+        for bad in ((1.5, -1.0), (1, 0), (1, -2)):
             with pytest.raises(ValueError):
-                SignShift(bad, 0)
+                monomial("signshift", 2, [[*bad, 0]])
+        with pytest.raises(ValueError):
+            monomial("signshift", 0, [[0]])
 
     def test_doubleqft_isometry_and_adjoint(self):
         rng = SeededRng(SEED + 3)
-        a = rng.complex_normal((3, 3))
-        for _ in range(20):
-            g = sample_group_element("doubleqft", 3, rng)
-            out = apply_group(g, a)
+        a = rng.complex_normal(9)
+        for row in draw_elements("doubleqft", 3, 20, rng):
+            out = _act("doubleqft", 3, row, a)
             np.testing.assert_allclose(
                 np.linalg.norm(out), np.linalg.norm(a), rtol=1e-12
             )
-            np.testing.assert_allclose(apply_group_adjoint(g, out), a, atol=1e-12)
+            np.testing.assert_allclose(_act_adjoint("doubleqft", 3, row, out), a, atol=1e-12)
 
     def test_doubleqft_accepts_flat_input(self):
-        rng = SeededRng(SEED + 4)
-        a = rng.complex_normal((3, 3))
-        g = DoubleQft(1, 2, 0, 1, 3)
-        np.testing.assert_allclose(
-            apply_group(g, a.ravel()), apply_group(g, a).ravel(), atol=1e-14
-        )
+        # The action on the row-major flattening is Mod^k Shift^j a
+        # (Shift^j')^* Mod^(-k') on the matrix, and a matrix is rejected.
+        a = SeededRng(SEED + 4).complex_normal((3, 3))
+        k, j, kp, jp = 1, 2, 0, 1
+        mod = np.exp(2j * np.pi * np.arange(1, 4) / 3)
+        expected = mod[:, None] ** k * np.roll(np.roll(a, j, 0), jp, 1) * np.conj(mod) ** kp
+        out = _act("doubleqft", 3, (k, j, kp, jp), a.ravel())
+        np.testing.assert_allclose(out.reshape(3, 3), expected, atol=1e-14)
+        with pytest.raises(ValueError):
+            _act("doubleqft", 3, (k, j, kp, jp), a)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_group(ShiftMod(1, 1, 4), np.ones(5))
+            _act("shiftmod", 4, (1, 1), np.ones(5))
 
 
 class TestGroupEnumeration:
     def test_shiftmod_order(self):
-        assert sum(1 for _ in enumerate_group("shiftmod", 5)) == 25
+        assert enumerate_group("shiftmod", 5).shape == (25, 2)
 
     def test_doubleqft_order(self):
-        assert sum(1 for _ in enumerate_group("doubleqft", 2)) == 16
+        assert enumerate_group("doubleqft", 2).shape == (16, 4)
 
     def test_signshift_order(self):
-        assert sum(1 for _ in enumerate_group("signshift", 3)) == 24
+        assert enumerate_group("signshift", 3).shape == (24, 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from((("shiftmod", 6), ("doubleqft", 3), ("signshift", 5))),
+           st.data())
+    def test_elements_are_distinct_monomials(self, variant_cap, data):
+        variant, cap = variant_cap
+        n = data.draw(st.integers(1, cap))
+        order = {"shiftmod": n * n, "doubleqft": n ** 4, "signshift": 2 ** n * n}[variant]
+        op = monomial(variant, n, enumerate_group(variant, n))
+        phase = np.round(op.phase, 9) + 0.0  # + 0.0 folds -0.0 into 0.0
+        distinct = {(p.tobytes(), f.tobytes()) for p, f in zip(op.perm, phase)}
+        assert len(op.perm) == len(distinct) == order
 
     def test_exhaustive_second_moment_is_isotropic(self):
         # group-averaged |<sigma(g) eta, x>|^2 equals ||x||^2 exactly
@@ -141,8 +158,8 @@ class TestGroupEnumeration:
         x = rng.complex_normal(6)
         total = 0.0
         count = 0
-        for g in enumerate_group("shiftmod", 6):
-            total += abs(np.vdot(apply_group(g, inst.payload), x)) ** 2
+        for row in enumerate_group("shiftmod", 6):
+            total += abs(np.vdot(_act("shiftmod", 6, row, inst.payload), x)) ** 2
             count += 1
         np.testing.assert_allclose(total / count, np.linalg.norm(x) ** 2, rtol=1e-12)
 
@@ -160,10 +177,9 @@ class TestSampleEnsemble:
     def test_provenance_regenerates_rows(self):
         inst = make_decaying_window(6, 4, 0.3)
         ens = sample_ensemble(inst, "shiftmod", 7, "none", SeededRng(SEED + 6))
-        for j, record in enumerate(ens.provenance["elements"]):
-            kind, t, k = record
-            assert kind == "shiftmod"
-            v = apply_group(ShiftMod(t, k, 6), inst.payload)
+        assert ens.provenance["variant"] == "shiftmod"
+        for j, row in enumerate(ens.provenance["elements"]):
+            v = _act("shiftmod", 6, row, inst.payload)
             np.testing.assert_allclose(
                 ens.rows[j], np.conj(v) / math.sqrt(7), atol=1e-14
             )
@@ -173,8 +189,8 @@ class TestSampleEnsemble:
         ens = sample_ensemble(inst, "shiftmod", 9, "random_sign", SeededRng(SEED + 7))
         eps = np.array(ens.provenance["shared_sign"], dtype=float)
         assert eps.shape == (6,) and set(np.unique(eps)) <= {-1.0, 1.0}
-        for j, (kind, t, k) in enumerate(ens.provenance["elements"]):
-            v = eps * apply_group(ShiftMod(t, k, 6), inst.payload)
+        for j, row in enumerate(ens.provenance["elements"]):
+            v = eps * _act("shiftmod", 6, row, inst.payload)
             np.testing.assert_allclose(ens.rows[j], np.conj(v) / 3.0, atol=1e-14)
 
     def test_absorbed_draws_fresh_pairs(self):
@@ -182,10 +198,8 @@ class TestSampleEnsemble:
         ens = sample_ensemble(inst, "shiftmod", 6, "absorbed", SeededRng(SEED + 8))
         recs = ens.provenance["absorbed_signs"]
         assert len(recs) == 6
-        for j, ((kind, t, k), (eps, shift)) in enumerate(
-            zip(ens.provenance["elements"], recs)
-        ):
-            v = apply_group(ShiftMod(t, k, 8), inst.payload)
+        for j, (row, (*eps, shift)) in enumerate(zip(ens.provenance["elements"], recs)):
+            v = _act("shiftmod", 8, row, inst.payload)
             v = np.roll(np.array(eps) * v, shift)
             np.testing.assert_allclose(
                 ens.rows[j], np.conj(v) / math.sqrt(6), atol=1e-14
@@ -196,14 +210,15 @@ class TestSampleEnsemble:
         # row set coincides with applying a sign-shift element on top
         inst = make_decaying_window(3, 2, 0.3)
         eta = inst.payload
+        signshift = monomial("signshift", 3, enumerate_group("signshift", 3))
         direct = []
         via_group = []
         for t, k in itertools.product(range(3), repeat=2):
-            v = apply_group(ShiftMod(t, k, 3), eta)
+            v = _act("shiftmod", 3, (t, k), eta)
             for eps in itertools.product((-1, 1), repeat=3):
                 for shift in range(3):
                     direct.append(np.roll(np.array(eps) * v, shift))
-                    via_group.append(apply_group(SignShift(eps, shift), v))
+            via_group.append(signshift.apply(v).ravel())
         direct = sorted(np.round(np.concatenate(direct), 9).view(float).tolist())
         via_group = sorted(np.round(np.concatenate(via_group), 9).view(float).tolist())
         assert direct == via_group
@@ -221,17 +236,18 @@ class TestSampleEnsemble:
 
 
 class TestGaussianStage:
-    def test_identity_hook_keeps_measurements(self):
+    def test_stage_applies_after_the_measurements(self):
         ens = sample_ensemble(make_flat(6), "shiftmod", 4, "none", SeededRng(SEED + 9))
-        composed = compose_gaussian(ens, 4, SeededRng(SEED + 10), identity_stage=True)
+        composed = compose_gaussian(ens, 3, SeededRng(SEED + 10))
         x = SeededRng(SEED + 11).complex_normal(6)
-        np.testing.assert_allclose(composed.apply(x), ens.apply(x), atol=1e-14)
+        np.testing.assert_allclose(composed.apply(x), composed.gaussian_stage @ ens.apply(x),
+                                   rtol=1e-13, atol=1e-14)
 
     def test_composed_shape(self):
         ens = sample_ensemble(make_flat(6), "shiftmod", 12, "none", SeededRng(SEED + 12))
         composed = compose_gaussian(ens, 3, SeededRng(SEED + 13))
         assert composed.effective_operator().shape == (3, 6)
-        assert composed.m == 3
+        assert (ens.m, composed.m) == (12, 3)
 
     def test_stage_preserves_energy_on_average(self):
         # E ||Xi y||^2 = ||y||^2 for the N(0, 1/m_out) stage
@@ -350,29 +366,28 @@ def _mod_matrix(n):
     return np.diag(np.exp(2j * np.pi * np.arange(1, n + 1) / n))
 
 
-def _dense(g):
+def _dense(variant, n, row):
     """The unitary of one group element, from the definitions alone."""
     power = np.linalg.matrix_power
-    n = g.n
-    if isinstance(g, ShiftMod):
-        return power(_mod_matrix(n), g.t) @ power(_shift_matrix(n), g.k)
-    if isinstance(g, SignShift):
-        return power(_shift_matrix(n), g.shift) @ np.diag(g.signs)
-    left = power(_mod_matrix(n), g.k) @ power(_shift_matrix(n), g.j)
-    right = power(_shift_matrix(n), g.jp).T @ power(_mod_matrix(n).conj(), g.kp)
+    if variant == "shiftmod":
+        t, k = row
+        return power(_mod_matrix(n), t % n) @ power(_shift_matrix(n), k % n)
+    if variant == "signshift":
+        return power(_shift_matrix(n), row[n] % n) @ np.diag(row[:n])
+    k, j, kp, jp = (int(p) % n for p in row)
+    left = power(_mod_matrix(n), k) @ power(_shift_matrix(n), j)
+    right = power(_shift_matrix(n), jp).T @ power(_mod_matrix(n).conj(), kp)
     # Row-major vec(L a R) = (L kron R^T) vec(a).
     return np.kron(left, right.T)
 
 
-def _product(g1, g2):
-    """An element whose action equals sigma(g1) sigma(g2) up to a phase."""
-    if isinstance(g1, ShiftMod):
-        return ShiftMod(g1.t + g2.t, g1.k + g2.k, g1.n)
-    if isinstance(g1, SignShift):
+def _product(variant, n, r1, r2):
+    """Parameters of an element whose action equals sigma(r1) sigma(r2) up
+    to a phase."""
+    if variant == "signshift":
         # diag(eps1) Shift^s2 = Shift^s2 diag(eps1 read s2 places ahead).
-        return SignShift(np.roll(g1.signs, -g2.shift) * np.asarray(g2.signs),
-                         g1.shift + g2.shift)
-    return DoubleQft(g1.k + g2.k, g1.j + g2.j, g1.kp + g2.kp, g1.jp + g2.jp, g1.n)
+        return [*(np.roll(r1[:n], -r2[n]) * r2[:n]), r1[n] + r2[n]]
+    return list(np.add(r1, r2))
 
 
 _PARAM = st.integers(-20, 20)
@@ -380,22 +395,20 @@ _PARAM = st.integers(-20, 20)
 
 @st.composite
 def _group_batch(draw, min_size=1, max_size=5):
-    """A variant, a list of its elements over one dimension, and an input."""
+    """A variant, its side n, a (B, p) parameter array and an input."""
     variant = draw(st.sampled_from(("shiftmod", "signshift", "doubleqft")))
     n = draw(st.integers(1, 4 if variant == "doubleqft" else 9))
     size = draw(st.integers(min_size, max_size))
-    elements = []
+    rows = []
     for _ in range(size):
-        if variant == "shiftmod":
-            elements.append(ShiftMod(draw(_PARAM), draw(_PARAM), n))
-        elif variant == "signshift":
+        if variant == "signshift":
             signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
-            elements.append(SignShift(signs, draw(_PARAM)))
+            rows.append([*signs, draw(_PARAM)])
         else:
-            elements.append(DoubleQft(*(draw(_PARAM) for _ in range(4)), n))
+            rows.append([draw(_PARAM) for _ in range(2 if variant == "shiftmod" else 4)])
     dim = n * n if variant == "doubleqft" else n
     x = SeededRng(draw(st.integers(0, 2**16))).complex_normal(dim)
-    return elements, x
+    return variant, n, np.array(rows), x
 
 
 def _bits(a):
@@ -406,9 +419,9 @@ class TestMonomialForm:
     @settings(max_examples=150)
     @given(_group_batch(max_size=1))
     def test_apply_and_adjoint_match_dense(self, case):
-        (g,), x = case
-        dense = _dense(g)
-        op = monomial([g])
+        variant, n, (row,), x = case
+        dense = _dense(variant, n, row)
+        op = monomial(variant, n, [row])
         np.testing.assert_allclose(op.apply(x)[0], dense @ x, atol=1e-12)
         np.testing.assert_allclose(op.adjoint().apply(x)[0], dense.conj().T @ x, atol=1e-12)
         # The same matrix, read off basis vectors through the monomial form.
@@ -419,23 +432,24 @@ class TestMonomialForm:
     @settings(max_examples=150)
     @given(_group_batch(max_size=1))
     def test_adjoint_inverts_and_isometry(self, case):
-        (g,), x = case
-        op = monomial([g])
+        variant, n, params, x = case
+        op = monomial(variant, n, params)
         assert sorted(op.perm[0]) == list(range(op.dim))
         np.testing.assert_allclose(np.abs(op.phase), 1.0, rtol=1e-14)
         y = op.apply(x)[0]
         np.testing.assert_allclose(np.linalg.norm(y), np.linalg.norm(x), rtol=1e-12)
         np.testing.assert_allclose(op.adjoint().apply(y)[0], x, atol=1e-12)
         np.testing.assert_allclose(op.apply(op.adjoint().apply(x)[0])[0], x, atol=1e-12)
-        np.testing.assert_allclose(apply_group_adjoint(g, apply_group(g, x)), x, atol=1e-12)
 
     @settings(max_examples=150)
     @given(_group_batch(min_size=2, max_size=2))
     def test_composition_up_to_phase(self, case):
-        (g1, g2), x = case
-        composed = monomial([g1]).apply(monomial([g2]).apply(x)[0])[0]
-        direct = monomial([_product(g1, g2)]).apply(x)[0]
-        dense_ratio = (_dense(g1) @ _dense(g2)) @ np.linalg.inv(_dense(_product(g1, g2)))
+        variant, n, (r1, r2), x = case
+        r12 = _product(variant, n, r1, r2)
+        composed = _act(variant, n, r1, _act(variant, n, r2, x))
+        direct = _act(variant, n, r12, x)
+        dense_ratio = (_dense(variant, n, r1) @ _dense(variant, n, r2)) @ np.linalg.inv(
+            _dense(variant, n, r12))
         phase = dense_ratio[0, 0]
         np.testing.assert_allclose(dense_ratio, phase * np.eye(len(x)), atol=1e-12)
         assert abs(abs(phase) - 1.0) <= 1e-12
@@ -444,31 +458,35 @@ class TestMonomialForm:
     @settings(max_examples=150)
     @given(_group_batch(max_size=6))
     def test_batch_rows_equal_single_element_calls(self, case):
-        elements, x = case
-        batch = monomial(elements)
-        block = SeededRng(len(elements)).complex_normal((len(elements), batch.dim))
+        variant, n, params, x = case
+        batch = monomial(variant, n, params)
+        block = SeededRng(len(params)).complex_normal((len(params), batch.dim))
         orbit, mapped = batch.apply(x), batch.apply(block)
         back = batch.adjoint().apply(block)
-        for b, g in enumerate(elements):
-            single = monomial([g])
+        for b, row in enumerate(params):
+            single = monomial(variant, n, [row])
             np.testing.assert_array_equal(_bits(orbit[b]), _bits(single.apply(x)[0]))
-            np.testing.assert_array_equal(_bits(orbit[b]), _bits(apply_group(g, x)))
             np.testing.assert_array_equal(_bits(mapped[b]), _bits(single.apply(block[b])[0]))
             np.testing.assert_array_equal(_bits(back[b]),
                                           _bits(single.adjoint().apply(block[b])[0]))
-            np.testing.assert_array_equal(_bits(back[b]), _bits(apply_group_adjoint(g, block[b])))
 
     def test_mixed_or_empty_batches_rejected(self):
+        bad_batches = [
+            ("shiftmod", 4, np.empty((0, 2), dtype=int)),  # empty
+            ("shiftmod", 4, [1, 1]),  # not a (B, p) array
+            ("shiftmod", 4, [[1, 1, 1, 1, 0]]),  # a signshift row
+            ("signshift", 4, [[1, 1, 1, 1, 1, 0]]),  # a signshift row over side 5
+            ("shiftmod", 4, [[0.5, 1]]),  # not an integer
+            ("shiftmod", 0, [[0, 0]]),  # no side
+            ("rotation", 4, [[1, 1]]),  # no such group
+        ]
+        for variant, n, params in bad_batches:
+            with pytest.raises(ValueError):
+                monomial(variant, n, params)
+        with pytest.raises(ValueError):  # rows of two groups do not form an array
+            monomial("shiftmod", 4, [[1, 1], [1, 1, 1, 1, 0]])
         with pytest.raises(ValueError):
-            monomial([])
-        with pytest.raises(ValueError):
-            monomial([ShiftMod(1, 1, 4), SignShift((1, 1, 1, 1), 0)])
-        with pytest.raises(ValueError):
-            monomial([ShiftMod(1, 1, 4), ShiftMod(1, 1, 5)])
-        with pytest.raises(TypeError):
-            monomial([object()])
-        with pytest.raises(ValueError):
-            monomial([ShiftMod(1, 1, 4)]).apply(np.ones(5))
+            monomial("shiftmod", 4, [[1, 1]]).apply(np.ones(5))
 
 
 def _old_rows(inst, variant, m, mode, rng):
@@ -511,6 +529,34 @@ class TestEnsembleRowsBitIdentical:
         np.testing.assert_array_equal(ens.rows, expected)
         np.testing.assert_array_equal(_bits(ens.rows), _bits(expected))
 
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(("none", "random_sign")),
+        st.integers(1, 12),
+        st.integers(1, 24),
+        st.integers(0, 2**16),
+    )
+    def test_doubleqft_rows_equal_the_matrix_formula(self, mode, n, m, seed):
+        # Row j is conj(mod^k . roll(roll(a, j, 0), jp, 1) . conj(mod^kp)),
+        # with the diagonal phases multiplied together before they meet a.
+        z = SeededRng(seed, 1).complex_normal((n, n))
+        inst = Instrument("random", z * n / np.linalg.norm(z))
+        ens = sample_ensemble(inst, "doubleqft", m, mode, SeededRng(seed))
+        rng = SeededRng(seed)
+        shared = rng.rademacher(n * n) if mode == "random_sign" else None
+        expected = np.empty((m, n * n), dtype=complex)
+        for row in range(m):
+            k, j, kp, jp = rng.integers(0, n, 4)
+            mod_k = np.exp(2j * np.pi * int(k) * np.arange(1, n + 1) / n)
+            mod_kp = np.exp(2j * np.pi * int(kp) * np.arange(1, n + 1) / n)
+            rolled = np.roll(np.roll(inst.payload, int(j), 0), int(jp), 1)
+            v = (rolled * (mod_k[:, None] * np.conj(mod_kp)[None, :])).ravel()
+            if mode == "random_sign":
+                v = shared * v
+            expected[row] = np.conj(v)
+        expected /= math.sqrt(m)
+        np.testing.assert_array_equal(_bits(ens.rows), _bits(expected))
+
 
 def _reference_deviations(u, variant, m_list, trials, rng):
     """Moment deviations from an explicit sum of S^* W S over dense unitaries,
@@ -525,10 +571,13 @@ def _reference_deviations(u, variant, m_list, trials, rng):
             stream = rng.stream(trial * len(m_list) + mi)
             if variant == "shiftmod":
                 ts, ks = stream.integers(0, side, m), stream.integers(0, side, m)
-                elements = [ShiftMod(int(t), int(k), side) for t, k in zip(ts, ks)]
+                rows = list(zip(ts, ks))
+            elif variant == "signshift":
+                rows = [[*stream.rademacher(side), stream.integers(0, side)] for _ in range(m)]
             else:
-                elements = [sample_group_element(variant, side, stream) for _ in range(m)]
-            total = sum(_dense(g).conj().T @ w @ _dense(g) for g in elements)
+                rows = [stream.integers(0, side, 4) for _ in range(m)]
+            dense = [_dense(variant, side, row) for row in rows]
+            total = sum(s.conj().T @ w @ s for s in dense)
             devs.append(np.linalg.norm(total / m - np.eye(n), 2))
         out.append(devs)
     return out
