@@ -42,10 +42,14 @@ from .group_ops import (
 )
 from .infdim import (
     BlockScheme,
+    differentiate,
     from_bumps,
+    lq_norm_function,
     make_block_instrument,
     rip_experiment,
+    standard_bump,
     truncation_level,
+    values_on_grid,
 )
 from .instruments import (
     Instrument,
@@ -608,8 +612,6 @@ def _bump_quad_norm(power_of_profile, p_exp: float, nodes: int = 1 << 15) -> flo
 
 
 def _run_bump_check(p: dict) -> RunResult:
-    from .infdim import differentiate, lq_norm_function, standard_bump, values_on_grid
-
     def dbump(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)

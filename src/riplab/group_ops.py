@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "MeasurementEnsemble",
     "sample_ensemble",
     "gaussian_ensemble",
-    "compose_gaussian",
     "isotropy_defect",
     "rosenthal_deviation",
     "group_side",
@@ -182,8 +180,7 @@ def draw_elements(variant: str, n: int, m: int, rng: SeededRng) -> np.ndarray:
 
 @dataclass
 class MeasurementEnsemble:
-    """m measurement functionals over C^dim, optionally composed with a
-    Gaussian reduction stage.
+    """m measurement functionals over C^dim.
 
     ``rows[j]`` stores conj(sigma(g_j) eta) / sqrt(m), so application is a
     plain matrix product.
@@ -191,7 +188,6 @@ class MeasurementEnsemble:
 
     rows: np.ndarray
     provenance: dict = field(default_factory=dict)
-    gaussian_stage: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -199,19 +195,16 @@ class MeasurementEnsemble:
 
     @property
     def m(self) -> int:
-        stage = self.rows if self.gaussian_stage is None else self.gaussian_stage
-        return int(stage.shape[0])
+        return int(self.rows.shape[0])
 
     def effective_operator(self) -> np.ndarray:
-        if self.gaussian_stage is None:
-            return self.rows
-        return self.gaussian_stage @ self.rows
+        return self.rows
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex).ravel()
         if x.size != self.dim:
             raise ValueError(f"expected input of dimension {self.dim}")
-        return self.effective_operator() @ x
+        return self.rows @ x
 
 
 _SIGN_MODES = ("none", "random_sign", "absorbed")
@@ -221,7 +214,7 @@ def sample_ensemble(
     inst: Instrument,
     variant: str,
     m: int,
-    sign_mode: str | None = "none",
+    sign_mode: str = "none",
     rng: SeededRng | None = None,
 ) -> MeasurementEnsemble:
     """Draw m i.i.d. group elements and build the scaled measurement rows.
@@ -237,18 +230,17 @@ def sample_ensemble(
         raise ValueError("an explicit SeededRng is required")
     if m < 1:
         raise ValueError("m must be >= 1")
-    mode = "none" if sign_mode is None else str(sign_mode)
-    if mode not in _SIGN_MODES:
+    if sign_mode not in _SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {_SIGN_MODES}; got {sign_mode!r}")
 
     n = group_side(variant, inst.ambient_dim, inst.is_matrix)
-    if mode == "absorbed" and inst.is_matrix:
+    if sign_mode == "absorbed" and inst.is_matrix:
         raise ValueError("absorbed signs are defined for vector instruments only")
 
     dim = inst.ambient_dim
     prov: dict = {
         "variant": variant,
-        "sign_mode": mode,
+        "sign_mode": sign_mode,
         "m": int(m),
         "instrument_kind": inst.kind,
         "instrument_params": dict(inst.params),
@@ -258,7 +250,7 @@ def sample_ensemble(
     }
 
     shared_sign = None
-    if mode == "random_sign":
+    if sign_mode == "random_sign":
         shared_sign = rng.rademacher(dim)
         prov["shared_sign"] = [int(s) for s in shared_sign]
 
@@ -268,13 +260,13 @@ def sample_ensemble(
     elements, absorbed = [], []
     for _ in range(m):
         elements.append(draw_elements(variant, n, 1, rng))
-        if mode == "absorbed":
+        if sign_mode == "absorbed":
             absorbed.append(draw_elements("signshift", dim, 1, rng))
     params = np.concatenate(elements)
     rows = monomial(variant, n, params).apply(inst.payload.ravel())
-    if mode == "random_sign":
+    if sign_mode == "random_sign":
         rows = shared_sign * rows
-    elif mode == "absorbed":
+    elif sign_mode == "absorbed":
         absorbed = np.concatenate(absorbed)
         rows = monomial("signshift", dim, absorbed).apply(rows)
         prov["absorbed_signs"] = absorbed.tolist()
@@ -293,21 +285,6 @@ def gaussian_ensemble(dim: int, m: int, rng: SeededRng) -> MeasurementEnsemble:
     prov = {"variant": "gaussian", "m": int(m), "dim": int(dim),
             "seed": rng.seed, "stream": rng.stream_index, "spawn_key": list(rng.spawn_key)}
     return MeasurementEnsemble(rows=rows.astype(complex), provenance=prov)
-
-
-def compose_gaussian(ens: MeasurementEnsemble, m_out: int, rng: SeededRng) -> MeasurementEnsemble:
-    """Append a Gaussian reduction: effective operator becomes Xi . A with Xi
-    an m_out x m matrix of N(0, 1/m_out) entries."""
-    if ens.gaussian_stage is not None:
-        raise ValueError("ensemble already carries a Gaussian stage")
-    if m_out < 1:
-        raise ValueError("m_out must be >= 1")
-    stage = rng.standard_normal((m_out, ens.rows.shape[0])) / math.sqrt(m_out)
-    prov = dict(ens.provenance)
-    prov["gaussian_stage"] = {"m_out": int(m_out),
-                              "seed": rng.seed, "stream": rng.stream_index,
-                              "spawn_key": list(rng.spawn_key)}
-    return MeasurementEnsemble(rows=ens.rows, provenance=prov, gaussian_stage=stage)
 
 
 # -- isotropy and moment deviation ------------------------------------------

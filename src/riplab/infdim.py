@@ -35,7 +35,6 @@ __all__ = [
     "from_bumps",
     "evaluate",
     "values_on_grid",
-    "shift",
     "differentiate",
     "weighted_seminorm",
     "lq_norm_function",
@@ -223,11 +222,6 @@ def values_on_grid(f: FourierFunction, m_grid: int) -> np.ndarray:
     return np.fft.ifft(spectrum) * m_grid
 
 
-def shift(f: FourierFunction, t: float) -> FourierFunction:
-    """Translate by t: (shift f)(x) = f(x - t)."""
-    return FourierFunction(f.coeffs * np.exp(-2j * np.pi * f.frequencies * t), f.n_big)
-
-
 def differentiate(f: FourierFunction, mode: str = "derivative") -> FourierFunction:
     """Normalized derivative (coeff_k -> k coeff_k) or its inverse.
 
@@ -249,14 +243,9 @@ def differentiate(f: FourierFunction, mode: str = "derivative") -> FourierFuncti
     raise ValueError(f"mode must be 'derivative' or 'antiderivative'; got {mode!r}")
 
 
-def weighted_seminorm(f: FourierFunction, weights) -> float:
-    """sqrt(sum_k w_k |c_k|^2) for a WeightSpec or an explicit weight vector."""
-    if isinstance(weights, (Truncated, InverseSquare, CustomWeights)):
-        w = weight_array(weights, f.n_big)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != f.coeffs.shape or np.any(w < 0):
-            raise ValueError("weights must be non-negative and match the layout")
+def weighted_seminorm(f: FourierFunction, weights: WeightSpec) -> float:
+    """sqrt(sum_k w_k |c_k|^2) for a WeightSpec."""
+    w = weight_array(weights, f.n_big)
     return float(math.sqrt(float(np.sum(w * np.abs(f.coeffs) ** 2))))
 
 
@@ -424,10 +413,6 @@ def dyadic_measure(g: FourierFunction, t, level: int):
     evaluation.
     """
     ks = dyadic_block_frequencies(level, g.n_big)
-    if ks.size == 0:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        zero = np.zeros(t_arr.shape, dtype=complex)
-        return complex(0) if np.asarray(t).ndim == 0 else zero
     c = g.coeffs[ks + g.n_big]
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.exp(-2j * np.pi * np.outer(t_arr, ks)) @ c

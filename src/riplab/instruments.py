@@ -10,7 +10,6 @@ downstream estimator assumes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,10 +23,7 @@ __all__ = [
     "make_decaying_window",
     "make_scaled_identity",
     "make_schatten_decay",
-    "make_custom",
     "instrument_norm",
-    "instrument_to_json",
-    "instrument_from_json",
 ]
 
 _VEC_TOL = 1e-10
@@ -137,35 +133,9 @@ def make_schatten_decay(n: int, alpha: float, rng: SeededRng) -> Instrument:
     return Instrument("schatten_decay", payload, {"n": int(n), "alpha": float(alpha)})
 
 
-def make_custom(payload, params: dict | None = None) -> Instrument:
-    """Wrap an arbitrary array; the normalization check still applies."""
-    return Instrument("custom", np.asarray(payload, dtype=complex), dict(params or {}))
-
-
 def instrument_norm(inst: Instrument, q: float) -> float:
     """l_q norm for vector instruments, Schatten-q norm for matrix ones."""
     if inst.is_matrix:
         return schatten_norm(inst.payload, q)
     return lq_norm(inst.payload, q)
 
-
-# -- serialization ----------------------------------------------------------
-
-
-def instrument_to_json(inst: Instrument) -> str:
-    p = inst.payload
-    entries = [[float(z.real), float(z.imag)] for z in p.ravel()]
-    doc = {
-        "kind": inst.kind,
-        "params": inst.params,
-        "shape": list(p.shape),
-        "entries": entries,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def instrument_from_json(text: str) -> Instrument:
-    doc = json.loads(text)
-    entries = np.array([complex(re, im) for re, im in doc["entries"]])
-    payload = entries.reshape(doc["shape"])
-    return Instrument(doc["kind"], payload, dict(doc.get("params", {})))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -74,24 +74,19 @@ def _effective(a) -> np.ndarray:
     return np.asarray(a.effective_operator(), dtype=complex)
 
 
-def _support_defects(gram: np.ndarray, supports) -> float:
+def _support_defects(gram: np.ndarray, supports, k: int) -> float:
     """Largest |eigenvalue| of gram[S, S] - I over an iterable of supports S.
 
-    Supports are index tuples (or arrays) of one common size k, consumed in
+    Supports are index tuples (or arrays) of size k, consumed in
     chunks so that at most one chunk is held at a time.  Each chunk gathers
     its (B, k, k) sub-Gram stack and makes one eigvalsh call; the batched
     call runs the same LAPACK routine on each matrix as a call on that matrix
     alone, so the result is bit-identical to a per-support loop.  No supports
     give 0.
     """
-    it = iter(supports)
-    first = next(it, None)
-    if first is None:
-        return 0.0
-    k = len(first)
     size = max(1, min(_SUPPORT_CHUNK, _SUPPORT_CHUNK * 16 // (k * k)))
     eye = np.eye(k)
-    it = chain([first], it)
+    it = iter(supports)
     delta = 0.0
     while chunk := list(islice(it, size)):
         idx = np.array(chunk, dtype=np.intp)
@@ -120,7 +115,7 @@ def exact_rip_canonical(a, k: int) -> RipReport:
         )
     gram = eff.conj().T @ eff
     return RipReport(
-        delta_hat=_support_defects(gram, combinations(range(n), k)),
+        delta_hat=_support_defects(gram, combinations(range(n), k), k),
         method="exact_enumeration",
         model=repr(Canonical(k)),
         m=m,
@@ -174,7 +169,7 @@ def empirical_rip(
             supports = (np.sort(stream.choice_no_replace(n, k))
                         for stream in rng.streams(range(trials)))
         return RipReport(
-            delta_hat=_support_defects(gram, supports),
+            delta_hat=_support_defects(gram, supports, k),
             method="exact_enumeration" if exhaustive else "monte_carlo",
             model=repr(model),
             m=m,

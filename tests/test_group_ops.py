@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import riplab.group_ops as go
 from riplab.group_ops import (
-    compose_gaussian,
     draw_elements,
     enumerate_group,
     gaussian_ensemble,
@@ -234,50 +233,13 @@ class TestSampleEnsemble:
         with pytest.raises(ValueError):
             sample_ensemble(make_scaled_identity(2), "shiftmod", 2, "none", SeededRng(SEED))
 
-
-class TestGaussianStage:
-    def test_stage_applies_after_the_measurements(self):
-        ens = sample_ensemble(make_flat(6), "shiftmod", 4, "none", SeededRng(SEED + 9))
-        composed = compose_gaussian(ens, 3, SeededRng(SEED + 10))
-        x = SeededRng(SEED + 11).complex_normal(6)
-        np.testing.assert_allclose(composed.apply(x), composed.gaussian_stage @ ens.apply(x),
-                                   rtol=1e-13, atol=1e-14)
-
-    def test_composed_shape(self):
-        ens = sample_ensemble(make_flat(6), "shiftmod", 12, "none", SeededRng(SEED + 12))
-        composed = compose_gaussian(ens, 3, SeededRng(SEED + 13))
-        assert composed.effective_operator().shape == (3, 6)
-        assert (ens.m, composed.m) == (12, 3)
-
-    def test_stage_preserves_energy_on_average(self):
-        # E ||Xi y||^2 = ||y||^2 for the N(0, 1/m_out) stage
-        ens = sample_ensemble(make_flat(16), "shiftmod", 16, "none", SeededRng(SEED + 14))
-        x = SeededRng(SEED + 15).complex_normal(16)
-        y_sq = np.linalg.norm(ens.apply(x)) ** 2
-        draws = 400
-        vals = np.empty(draws)
-        for i in range(draws):
-            composed = compose_gaussian(ens, 8, SeededRng(SEED + 16).stream(i))
-            vals[i] = np.linalg.norm(composed.apply(x)) ** 2
-        sigma = vals.std(ddof=1) / math.sqrt(draws)
-        assert abs(vals.mean() - y_sq) <= 3.0 * sigma
-
     def test_provenance_records_spawn_path(self):
-        rng = SeededRng(SEED + 20, 3).stream(5)
         ens = sample_ensemble(make_flat(6), "shiftmod", 4, "none", SeededRng(SEED + 20))
-        composed = compose_gaussian(ens, 2, rng)
-        gauss = gaussian_ensemble(5, 3, rng.stream(1))
+        gauss = gaussian_ensemble(5, 3, SeededRng(SEED + 20, 3).stream(5).stream(1))
         assert ens.provenance["spawn_key"] == [0]
-        assert composed.provenance["gaussian_stage"]["spawn_key"] == [3, 5]
         assert gauss.provenance["spawn_key"] == [3, 5, 1]
         replay = SeededRng(gauss.provenance["seed"], 1, parent_key=(3, 5))
         np.testing.assert_array_equal(gauss.rows, gaussian_ensemble(5, 3, replay).rows)
-
-    def test_double_stage_rejected(self):
-        ens = gaussian_ensemble(4, 4, SeededRng(SEED + 17))
-        once = compose_gaussian(ens, 2, SeededRng(SEED + 18))
-        with pytest.raises(ValueError):
-            compose_gaussian(once, 2, SeededRng(SEED + 19))
 
 
 class TestIsotropyDefect:

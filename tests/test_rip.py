@@ -132,10 +132,10 @@ class TestSupportDefects:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rip, "_SUPPORT_CHUNK", 7)
             mp.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-            got = rip._support_defects(gram, iter(supports))
+            got = rip._support_defects(gram, iter(supports), k)
         assert got == reference_support_defect(gram, supports)
         assert sum(calls) == len(supports) and max(calls) <= 7
-        assert rip._support_defects(gram, []) == 0.0
+        assert rip._support_defects(gram, [], k) == 0.0
 
     @settings(max_examples=30)
     @given(st.integers(3, 9), st.integers(1, 4), st.integers(1, 12), st.booleans(),
