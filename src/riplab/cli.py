@@ -10,9 +10,10 @@ the fully resolved configuration echoed into every output.
 --validate-only runs the checks a run starts with and nothing else: option
 types, choices and lower bounds, then the library objects the run builds
 first (instrument, a one-row ensemble, the q-cap model, the block
-instrument, the truncation level, the weakdiff separation constants) and the
-few cross-field rules no library object sees.  Checks made inside an
-experiment (the sp-opt grid, k > N, s > s_max, capacity) fail only when it runs.
+instrument, the truncation level, the weakdiff separation constants, the
+gordon count) and the few cross-field rules no library object sees.  Checks
+made inside an experiment (the sp-opt grid, k > N, s > s_max, capacity) fail
+only when it runs.
 
 Exit codes: 0 success, 2 invalid configuration, 3 capacity exceeded,
 4 numerical failure.
@@ -41,7 +42,6 @@ from .group_ops import (
     sample_ensemble,
 )
 from .infdim import (
-    BlockScheme,
     differentiate,
     from_bumps,
     lq_norm_function,
@@ -66,10 +66,11 @@ from .rip import (
     empirical_rip,
     exact_rip_canonical,
     gaussian_width,
+    gordon_m,
     mrip_check,
-    predict_m,
     Separated,
     separation_constants,
+    table1_counts,
 )
 from .sparsity import Canonical, LqCap, optimize_sparsity_parameter, sample_sparse
 
@@ -331,6 +332,8 @@ def validate(config: ExperimentConfig) -> list[str]:
             LqCap(p["q"], p["s"])
             if cmd == "weakdiff" and p["alpha"] is not None:
                 separation_constants(p["alpha"])
+        elif cmd == "gordon":
+            gordon_m(0.0, p["delta"], p["zeta"])
         elif cmd == "infdim-scan":
             make_block_instrument(p["N"], p["L"])
         elif cmd == "truncation":
@@ -340,8 +343,7 @@ def validate(config: ExperimentConfig) -> list[str]:
 
     diags: list[str] = []
     if cmd == "gordon":
-        if not 0 < p["zeta"] <= 2:
-            diags.append(f"zeta must lie in (0, 2]; got {p['zeta']}")
+        # gaussian_width clamps k to N, so no library object rejects k > N.
         if p["k"] > p["N"]:
             diags.append("k cannot exceed N")
     if cmd == "rosenthal":
@@ -377,9 +379,6 @@ def _build_instrument(p: dict, rng: SeededRng) -> Instrument:
     return make_schatten_decay(p["n"], p["alpha"] if p["alpha"] is not None else 0.25, rng)
 
 
-_SIGN_MAP = {"none": "none", "random": "random_sign", "absorbed": "absorbed"}
-
-
 def _build_ensemble(p: dict, m: int, rng: SeededRng):
     if p["ensemble"] == "gaussian":
         # Gaussian rows never read --eta: the dimension is N, else n^2.
@@ -387,7 +386,7 @@ def _build_ensemble(p: dict, m: int, rng: SeededRng):
             raise ValueError("--N or --n is required for the gaussian ensemble")
         return gaussian_ensemble(p["N"] or p["n"] ** 2, m, rng)
     inst = _build_instrument(p, rng)
-    return sample_ensemble(inst, p["ensemble"], m, _SIGN_MAP[p["sign"]], rng)
+    return sample_ensemble(inst, p["ensemble"], m, p["sign"], rng)
 
 
 def _fmt(value) -> str:
@@ -453,7 +452,7 @@ def _run_rip_scan(p: dict) -> RunResult:
             seed = p["seed"] + offset
             ens = _build_ensemble(p, m, SeededRng(seed))
             report = empirical_rip(
-                ens, Canonical(p["k"]), p["trials"], p["ascent"], SeededRng(seed, 1)
+                ens, Canonical(p["k"]), p["trials"], p["ascent"], rng=SeededRng(seed, 1)
             )
             rows.append({
                 "m": m,
@@ -525,7 +524,7 @@ def _run_weakdiff(p: dict) -> RunResult:
 def _run_gordon(p: dict) -> RunResult:
     width = gaussian_width(Canonical(p["k"]), p["N"], p["width_trials"],
                            SeededRng(p["seed"]))
-    m = predict_m("gordon", width=width["mean"], delta=p["delta"], zeta=p["zeta"])
+    m = gordon_m(width["mean"], p["delta"], p["zeta"])
     hits = 0
     for draw in range(p["draws"]):
         ens = gaussian_ensemble(p["N"], m, SeededRng(p["seed"], 1 + draw))
@@ -560,7 +559,7 @@ def _run_rosenthal(p: dict) -> RunResult:
 
 
 def _run_table1(p: dict) -> RunResult:
-    counts = predict_m("table1", s=p["s"], n=p["n"], d=p["d"])
+    counts = table1_counts(p["s"], p["n"], p["d"])
     doc = dict(counts)
     doc["ratio_group_over_gauss"] = counts["group"] / counts["gauss"]
     doc["ratio_sign_over_gauss"] = counts["group_sign"] / counts["gauss"]
@@ -577,14 +576,13 @@ def _run_infdim_scan(p: dict) -> RunResult:
     rows = []
     for mode in modes:
         inst = make_block_instrument(n_cut, block_len, mode, SeededRng(p["seed"], 9999))
-        scheme = BlockScheme(inst)
         for m in p["m"]:
 
             def sampler(stream: SeededRng):
                 center = float(stream.uniform())
                 return from_bumps(t_scale, [center], [1.0], nbig)
 
-            report = rip_experiment(sampler, scheme, m, p["trials"],
+            report = rip_experiment(sampler, inst, m, p["trials"],
                                     SeededRng(p["seed"]))
             for trial, dev in enumerate(report.details["deviations"]):
                 rows.append({

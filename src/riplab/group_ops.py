@@ -28,7 +28,8 @@ one ``Monomial`` of (B, dim) index and phase arrays, so sigma(g) x is
 orbits, the moment-deviation scan) is a gather through that one form.
 
 A measurement row for instrument eta and group element g is the functional
-x |-> <sigma(g) eta, x>, scaled by 1/sqrt(m).
+x |-> <sigma(g) eta, x>, scaled by 1/sqrt(m).  ``sample_ensemble`` takes the
+CLI's sign modes by name: none, random (one shared diagonal) or absorbed.
 """
 
 from __future__ import annotations
@@ -189,45 +190,29 @@ class MeasurementEnsemble:
     rows: np.ndarray
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def dim(self) -> int:
-        return int(self.rows.shape[1])
-
-    @property
-    def m(self) -> int:
-        return int(self.rows.shape[0])
-
     def effective_operator(self) -> np.ndarray:
         return self.rows
 
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex).ravel()
-        if x.size != self.dim:
-            raise ValueError(f"expected input of dimension {self.dim}")
-        return self.rows @ x
 
-
-_SIGN_MODES = ("none", "random_sign", "absorbed")
+_SIGN_MODES = ("none", "random", "absorbed")
 
 
 def sample_ensemble(
     inst: Instrument,
     variant: str,
     m: int,
-    sign_mode: str = "none",
-    rng: SeededRng | None = None,
+    sign_mode: str,
+    rng: SeededRng,
 ) -> MeasurementEnsemble:
     """Draw m i.i.d. group elements and build the scaled measurement rows.
 
     sign_mode:
-      "none"        -- rows are sigma(g_j) eta as-is.
-      "random_sign" -- one Rademacher diagonal, shared by all rows.
-      "absorbed"    -- a fresh (signs, shift) pair per row, i.e. each row is
-                       additionally hit by an independent element of the sign
-                       x shift group (vector instruments only).
+      "none"     -- rows are sigma(g_j) eta as-is.
+      "random"   -- one Rademacher diagonal, shared by all rows.
+      "absorbed" -- a fresh (signs, shift) pair per row, i.e. each row is
+                    additionally hit by an independent element of the sign
+                    x shift group (vector instruments only).
     """
-    if rng is None:
-        raise ValueError("an explicit SeededRng is required")
     if m < 1:
         raise ValueError("m must be >= 1")
     if sign_mode not in _SIGN_MODES:
@@ -250,7 +235,7 @@ def sample_ensemble(
     }
 
     shared_sign = None
-    if sign_mode == "random_sign":
+    if sign_mode == "random":
         shared_sign = rng.rademacher(dim)
         prov["shared_sign"] = [int(s) for s in shared_sign]
 
@@ -264,7 +249,7 @@ def sample_ensemble(
             absorbed.append(draw_elements("signshift", dim, 1, rng))
     params = np.concatenate(elements)
     rows = monomial(variant, n, params).apply(inst.payload.ravel())
-    if sign_mode == "random_sign":
+    if sign_mode == "random":
         rows = shared_sign * rows
     elif sign_mode == "absorbed":
         absorbed = np.concatenate(absorbed)

@@ -7,18 +7,19 @@ coefficients on k in [-N_big, N_big).  The derivative here is the
 the time-sampling scheme hold exactly: summing coeff_k / k blocks of the
 derivative of g telescopes back to point evaluation of g.
 
-Measurement schemes:
-  block instruments     -- d contiguous frequency blocks of length L covering
-                           [-N, N), deterministic or Rademacher-signed;
-  time sampling         -- point evaluation of a DC-free function;
-  dyadic blocks         -- harmonic-weight functionals grouped by octave.
+Measurement schemes, each passed to rip_experiment as itself:
+  BlockInstrument       -- d contiguous frequency blocks of length L covering
+                           [-N, N), summed with one +/-1 pattern (all ones
+                           for deterministic blocks, Rademacher otherwise);
+  TimeSampling          -- point evaluation of a DC-free function;
+  DyadicScheme          -- harmonic-weight functionals grouped by octave.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -47,7 +48,6 @@ __all__ = [
     "dyadic_measure",
     "covering_dyadic_level",
     "truncation_level",
-    "BlockScheme",
     "TimeSampling",
     "DyadicScheme",
     "rip_experiment",
@@ -297,32 +297,30 @@ def smooth_sparse_membership(
 class BlockInstrument:
     """d contiguous frequency blocks of length L tiling [-n_cut, n_cut).
 
-    Deterministic blocks sum their frequencies with unit signs; Rademacher
-    blocks share one +/-1 pattern of length L across all blocks.
+    Every block sums its frequencies with the same +/-1 pattern ``signs`` of
+    length L: all ones for deterministic blocks, Rademacher for random ones.
     """
 
     n_cut: int
-    block_len: int
-    n_blocks: int
-    mode: str
-    signs: Optional[np.ndarray] = None
+    signs: np.ndarray
 
     def __post_init__(self):
-        if self.n_cut < 1 or self.block_len < 1:
+        s = np.asarray(self.signs, dtype=float)
+        if s.ndim != 1 or not np.all(np.abs(s) == 1):
+            raise ValueError("block signs must be a +/-1 vector")
+        if self.n_cut < 1 or s.size < 1:
             raise ValueError("cutoff and block length must be >= 1")
-        if self.block_len * self.n_blocks != 2 * self.n_cut:
-            raise ValueError("blocks must tile the window: L * d = 2 N")
-        if self.mode not in ("deterministic", "rademacher"):
-            raise ValueError("mode must be 'deterministic' or 'rademacher'")
-        if self.mode == "rademacher":
-            if self.signs is None:
-                raise ValueError("rademacher mode needs a +/-1 sign vector of length L")
-            s = np.asarray(self.signs)
-            if s.shape != (self.block_len,) or not np.all(np.abs(s) == 1):
-                raise ValueError("rademacher mode needs a +/-1 sign vector of length L")
-            object.__setattr__(self, "signs", s.astype(float))
-        elif self.signs is not None:
-            raise ValueError("deterministic mode takes no signs")
+        if (2 * self.n_cut) % s.size != 0:
+            raise ValueError(f"block length {s.size} must divide 2 N = {2 * self.n_cut}")
+        object.__setattr__(self, "signs", s)
+
+    @property
+    def block_len(self) -> int:
+        return int(self.signs.size)
+
+    @property
+    def n_blocks(self) -> int:
+        return 2 * self.n_cut // self.block_len
 
     def frequency_grid(self) -> np.ndarray:
         """(d, L) array; row l holds the frequencies of block l."""
@@ -335,15 +333,14 @@ def make_block_instrument(
     mode: str = "deterministic",
     rng: SeededRng | None = None,
 ) -> BlockInstrument:
-    if (2 * n_cut) % block_len != 0:
-        raise ValueError(f"block length {block_len} must divide 2 N = {2 * n_cut}")
-    n_blocks = (2 * n_cut) // block_len
-    signs = None
-    if mode == "rademacher":
-        if rng is None:
-            raise ValueError("rademacher blocks need an RNG for the sign pattern")
-        signs = rng.rademacher(block_len).astype(float)
-    return BlockInstrument(n_cut, block_len, n_blocks, mode, signs)
+    """Unit signs for deterministic blocks; one Rademacher pattern from ``rng`` otherwise."""
+    if mode == "deterministic":
+        return BlockInstrument(n_cut, np.ones(block_len))
+    if mode != "rademacher":
+        raise ValueError("mode must be 'deterministic' or 'rademacher'")
+    if rng is None:
+        raise ValueError("rademacher blocks need an RNG for the sign pattern")
+    return BlockInstrument(n_cut, rng.rademacher(block_len))
 
 
 def _block_factors(f: FourierFunction, inst: BlockInstrument, t_arr: np.ndarray):
@@ -352,9 +349,7 @@ def _block_factors(f: FourierFunction, inst: BlockInstrument, t_arr: np.ndarray)
     # sum_j s_j fhat(k_{l,j}) exp(-2 pi i j t).
     if inst.n_cut > f.n_big:
         raise ValueError("function band does not cover the instrument window")
-    c = f.coeffs[inst.frequency_grid() + f.n_big]
-    if inst.mode == "rademacher":
-        c = c * inst.signs[None, :]
+    c = f.coeffs[inst.frequency_grid() + f.n_big] * inst.signs
     turns = -2j * np.pi * (t_arr[:, None] % 1.0)
     return turns, np.exp(turns * np.arange(inst.block_len)) @ c.T
 
@@ -448,11 +443,6 @@ def truncation_level(q: float, s: float, delta: float, c2: float) -> int:
 
 
 @dataclass(frozen=True)
-class BlockScheme:
-    instrument: BlockInstrument
-
-
-@dataclass(frozen=True)
 class TimeSampling:
     pass
 
@@ -466,21 +456,21 @@ class DyadicScheme:
             raise ValueError("max_level must be >= 0")
 
 
-Scheme = Union[BlockScheme, TimeSampling, DyadicScheme]
+Scheme = Union[BlockInstrument, TimeSampling, DyadicScheme]
 
 
 def _scheme_norm(f: FourierFunction, scheme: Scheme) -> float:
-    if isinstance(scheme, BlockScheme):
-        return weighted_seminorm(f, Truncated(scheme.instrument.n_cut))
+    if isinstance(scheme, BlockInstrument):
+        return weighted_seminorm(f, Truncated(scheme.n_cut))
     # Time sampling and dyadic blocks are unbiased for the plain L2 norm.
     return f.l2_norm()
 
 
 def _scheme_energy(f: FourierFunction, scheme: Scheme, ts: np.ndarray) -> np.ndarray:
-    if isinstance(scheme, BlockScheme):
+    if isinstance(scheme, BlockInstrument):
         # The block-start phase has modulus 1, so only the in-block product
         # of block_measure carries energy.
-        _, inner = _block_factors(f, scheme.instrument, ts)
+        _, inner = _block_factors(f, scheme, ts)
         return np.sum(np.abs(inner) ** 2, axis=1)
     if isinstance(scheme, TimeSampling):
         return np.abs(time_sample_measure(f, ts)) ** 2
@@ -499,7 +489,8 @@ def rip_experiment(
     trials: int,
     rng: SeededRng,
 ) -> RipReport:
-    """Monte Carlo isometry-defect estimate for a translation-sampling scheme.
+    """Monte Carlo isometry-defect estimate for a translation-sampling scheme:
+    a BlockInstrument, TimeSampling or DyadicScheme.
 
     Each trial draws a model function, normalizes it in the scheme's natural
     norm (functions below 1e-8 are redrawn), averages the measurement energy
@@ -519,7 +510,7 @@ def rip_experiment(
                 raise ValueError("sampler keeps producing numerically zero functions")
             f = sampler(stream)
             norm = _scheme_norm(f, scheme)
-        if isinstance(scheme, BlockScheme) and f.n_big < 4 * scheme.instrument.n_cut:
+        if isinstance(scheme, BlockInstrument) and f.n_big < 4 * scheme.n_cut:
             raise ValueError("carrier band must be at least 4x the scheme cutoff")
         f = f.scaled(1.0 / norm)
         ts = stream.uniform(0.0, 1.0, m)

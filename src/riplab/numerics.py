@@ -63,8 +63,6 @@ def schatten_norm(a, q: float) -> float:
 def operator_norm(a) -> float:
     """Largest singular value, via a deterministic dense decomposition."""
     a = np.asarray(a)
-    if a.ndim == 1:
-        a = a[None, :]
     if a.ndim != 2:
         raise ValueError("operator_norm expects a matrix")
     return float(np.linalg.svd(a, compute_uv=False)[0])

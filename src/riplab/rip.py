@@ -7,7 +7,7 @@ The central quantity for an operator A and a signal model D is
 estimated exactly (support enumeration for canonical sparsity) or from below
 (sampled witnesses with ascent refinement).  On top of that sit the
 multilevel check, sketched-distance bounds, a pairwise separation classifier,
-Gaussian mean width, and closed-form measurement-count predictions.
+Gaussian mean width and the closed-form counts gordon_m, implicit_m, table1_counts.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ __all__ = [
     "classify_separation",
     "separation_constants",
     "gaussian_width",
-    "predict_m",
+    "gordon_m",
+    "implicit_m",
+    "table1_counts",
 ]
 
 _ENUM_CAP = 10**6
@@ -128,7 +130,8 @@ def empirical_rip(
     model: SparsityModel,
     trials: int,
     ascent_steps: int = 50,
-    rng: SeededRng | None = None,
+    *,
+    rng: SeededRng,
 ) -> RipReport:
     """Lower-bound estimate of the isometry defect over a signal model.
 
@@ -149,8 +152,6 @@ def empirical_rip(
     a running maximum over per-trial streams and is non-decreasing in
     ``trials`` for a fixed seed.
     """
-    if rng is None:
-        raise ValueError("an explicit SeededRng is required")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     eff = _effective(a)
@@ -223,7 +224,7 @@ def _ascend(model: SparsityModel, defect: np.ndarray, shift: float, sign: float,
         live, cur = live[moving], cur[moving]
         if live.size == 0:
             break
-        nxt = project_witness(model, y[moving], x.shape[1])
+        nxt = project_witness(model, y[moving])
         x[live] = nxt
         run += live.size
         # A row that repeats bit for bit is at a fixed point: every later step
@@ -251,19 +252,17 @@ def _level_threshold(level: int, delta: float, extra_level_factor: bool) -> floa
     return base
 
 
-def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng):
+def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: SeededRng):
     """Yield (level, sparsity, observed) for each dyadic level of the q-cap
     model: sparsity is 2^l s and observed the empirical_rip lower bound of
     level l.  The i-th level of the range draws its trials from
     ``rng.stream(i)``, so every caller sees the same estimates for one ``rng``.
     """
-    if rng is None:
-        raise ValueError("an explicit SeededRng is required")
     levels = _level_range(q, s, _effective(a).shape[1])
     # Indexed by position, not by level: levels can be negative.
     for level, stream in zip(levels, rng.streams(range(len(levels)))):
         sigma = 2.0**level * s
-        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, stream)
+        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, rng=stream)
         yield level, sigma, report.delta_hat
 
 
@@ -272,9 +271,9 @@ def mrip_check(
     q: float,
     s: float,
     delta: float,
-    trials: int = 50,
-    ascent_steps: int = 50,
-    rng: SeededRng | None = None,
+    trials: int,
+    ascent_steps: int,
+    rng: SeededRng,
     extra_level_factor: bool = False,
 ) -> RipReport:
     """Multilevel restricted-isometry check over dyadic sparsity levels.
@@ -324,9 +323,9 @@ def calibrate_mrip_distortion(
     a,
     q: float,
     s: float,
-    trials: int = 50,
-    ascent_steps: int = 50,
-    rng: SeededRng | None = None,
+    trials: int,
+    ascent_steps: int,
+    rng: SeededRng,
 ):
     """Smallest delta for which every dyadic level meets its threshold,
     given the empirical per-level suprema.  Returns (delta, level records).
@@ -493,7 +492,7 @@ def _width_one_draw(model: SparsityModel, xi: np.ndarray) -> float:
         r = min(model.r, side)
         return float(np.linalg.norm(sv[:r]))
     if isinstance(model, TensorRank):
-        witness = project_witness(model, xi.astype(complex), n)
+        witness = project_witness(model, xi.astype(complex))
         return float(abs(np.vdot(witness, xi)))
     raise TypeError(f"unknown sparsity model {type(model).__name__}")
 
@@ -521,60 +520,49 @@ def gaussian_width(model: SparsityModel, ambient: int, trials: int, rng: SeededR
 # -- measurement-count predictions --------------------------------------------
 
 
-def predict_m(kind: str, **params):
-    """Closed-form measurement counts.
+def gordon_m(width: float, delta: float, zeta: float) -> int:
+    """Gordon's count ceil(delta^-2 (width + sqrt(2 ln(2/zeta)))^2)."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if not (0.0 < zeta <= 2.0):
+        raise ValueError("zeta must lie in (0, 2]")
+    if width < 0:
+        raise ValueError("width must be non-negative")
+    return int(math.ceil((width + math.sqrt(2.0 * math.log(2.0 / zeta))) ** 2 / delta**2))
 
-    kind="gordon":   ceil(delta^-2 (width + sqrt(2 ln(2/zeta)))^2).
-    kind="implicit": smallest m with m >= c delta^-2 (1 + ln m)^3 sp
-                     (monotone search, capacity-capped at 2^30).
-    kind="table1":   counts for rank-s order-d tensors over C^n under plain
-                     Gaussian, group, and sign-augmented group measurements.
-    """
-    if kind == "gordon":
-        width = float(params["width"])
-        delta = float(params["delta"])
-        zeta = float(params["zeta"])
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        if not (0.0 < zeta <= 2.0):
-            raise ValueError("zeta must lie in (0, 2]")
-        if width < 0:
-            raise ValueError("width must be non-negative")
-        return int(math.ceil((width + math.sqrt(2.0 * math.log(2.0 / zeta))) ** 2 / delta**2))
 
-    if kind == "implicit":
-        sp = float(params["sp"])
-        delta = float(params["delta"])
-        c = float(params.get("c", 1.0))
-        if sp <= 0 or delta <= 0 or c <= 0:
-            raise ValueError("sp, delta and c must be positive")
-        coeff = c * sp / delta**2
+def implicit_m(sp: float, delta: float) -> int:
+    """Smallest m with m >= delta^-2 (1 + ln m)^3 sp (monotone search,
+    capacity-capped at 2^30)."""
+    if sp <= 0 or delta <= 0:
+        raise ValueError("sp and delta must be positive")
+    coeff = sp / delta**2
 
-        def satisfied(m: int) -> bool:
-            return m >= coeff * (1.0 + math.log(m)) ** 3
+    def satisfied(m: int) -> bool:
+        return m >= coeff * (1.0 + math.log(m)) ** 3
 
-        hi = 1
-        while not satisfied(hi):
-            hi *= 2
-            if hi > _SEARCH_CAP:
-                raise CapacityError(f"no m <= {_SEARCH_CAP} satisfies the implicit bound")
-        lo = hi // 2
-        while lo + 1 < hi:  # invariant: lo unsatisfied (or 0), hi satisfied
-            mid = (lo + hi) // 2
-            if satisfied(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    hi = 1
+    while not satisfied(hi):
+        hi *= 2
+        if hi > _SEARCH_CAP:
+            raise CapacityError(f"no m <= {_SEARCH_CAP} satisfies the implicit bound")
+    lo = hi // 2
+    while lo + 1 < hi:  # invariant: lo unsatisfied (or 0), hi satisfied
+        mid = (lo + hi) // 2
+        if satisfied(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
-    if kind == "table1":
-        s, n, d = int(params["s"]), int(params["n"]), int(params["d"])
-        if min(s, n, d) < 1:
-            raise ValueError("s, n, d must all be >= 1")
-        return {
-            "gauss": s * n * d,
-            "group": s * n**2 * d**2,
-            "group_sign": s * n * d**3,
-        }
 
-    raise ValueError(f"unknown prediction kind {kind!r}")
+def table1_counts(s: int, n: int, d: int) -> dict:
+    """Counts for rank-s order-d tensors over C^n under plain Gaussian, group,
+    and sign-augmented group measurements."""
+    if min(s, n, d) < 1:
+        raise ValueError("s, n, d must all be >= 1")
+    return {
+        "gauss": s * n * d,
+        "group": s * n**2 * d**2,
+        "group_sign": s * n * d**3,
+    }

@@ -206,22 +206,21 @@ def _rank1_tensor_fit(resid: np.ndarray, n: int, d: int, iters: int = 12):
     return factors, complex(weight)
 
 
-def project_witness(model: SparsityModel, z, ambient: int) -> np.ndarray:
+def project_witness(model: SparsityModel, z) -> np.ndarray:
     """Map an arbitrary vector to a nearby unit member of the witness family.
 
-    ``z`` is one vector or a ``(B, ambient)`` block of rows.  A block returns a
-    ``(B, ambient)`` block whose row i is bit-identical to the projection of
-    ``z[i]`` on its own.
+    ``z`` is one vector or a ``(B, N)`` block of rows; the ambient dimension
+    N is read off ``z``.  A block returns a ``(B, N)`` block whose row i is
+    bit-identical to the projection of ``z[i]`` on its own.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim == 2:
-        return _project_rows(model, z, ambient)
-    return _project_rows(model, z.ravel()[None, :], ambient)[0]
+        return _project_rows(model, z)
+    return _project_rows(model, z.ravel()[None, :])[0]
 
 
-def _project_rows(model: SparsityModel, z: np.ndarray, ambient: int) -> np.ndarray:
-    if z.shape[1] != ambient:
-        raise ValueError("dimension mismatch")
+def _project_rows(model: SparsityModel, z: np.ndarray) -> np.ndarray:
+    ambient = z.shape[1]
     if not np.all(np.any(z, axis=1)):
         raise ValueError("cannot project the zero vector")
 
@@ -243,14 +242,14 @@ def _project_rows(model: SparsityModel, z: np.ndarray, ambient: int) -> np.ndarr
         return x
 
     if isinstance(model, (LowRank, TensorRank)):
-        return np.array([_project_one(model, row, ambient) for row in z]).reshape(z.shape)
+        return np.array([_project_one(model, row) for row in z]).reshape(z.shape)
 
     raise TypeError(f"unknown sparsity model {type(model).__name__}")
 
 
-def _project_one(model: LowRank | TensorRank, z: np.ndarray, ambient: int) -> np.ndarray:
+def _project_one(model: LowRank | TensorRank, z: np.ndarray) -> np.ndarray:
     if isinstance(model, LowRank):
-        n = math.isqrt(ambient)
+        n = math.isqrt(z.size)
         a = z.reshape(n, n)
         u, sv, vh = np.linalg.svd(a, full_matrices=False)
         r = min(model.r, n)
@@ -258,7 +257,7 @@ def _project_one(model: LowRank | TensorRank, z: np.ndarray, ambient: int) -> np
         return _unit(a.ravel())
 
     resid = z.copy()
-    acc = np.zeros(ambient, dtype=complex)
+    acc = np.zeros(z.size, dtype=complex)
     for _ in range(model.s):
         factors, weight = _rank1_tensor_fit(resid, model.n, model.d)
         if weight == 0:

@@ -23,7 +23,6 @@ from riplab import group_ops as go
 from riplab import rip
 from riplab import sparsity as sp
 from riplab.infdim import (
-    BlockScheme,
     FourierFunction,
     Truncated,
     block_measure,
@@ -134,7 +133,7 @@ class TestAcceptance:
         exhaustive = True
         for seed in range(10):
             ens = go.gaussian_ensemble(12, 6, SeededRng(seed))
-            emp = rip.empirical_rip(ens, sp.Canonical(2), 66, 50, SeededRng(seed, 1))
+            emp = rip.empirical_rip(ens, sp.Canonical(2), 66, 50, rng=SeededRng(seed, 1))
             ex = rip.exact_rip_canonical(ens, 2)
             exhaustive = exhaustive and emp.method == "exact_enumeration"
             worst = max(worst, abs(emp.delta_hat - ex.delta_hat))
@@ -152,7 +151,7 @@ class TestAcceptance:
                     ens = go.sample_ensemble(inst, "shiftmod", m, "none",
                                              SeededRng(seed))
                     rep = rip.empirical_rip(ens, sp.Canonical(k), 200, 50,
-                                            SeededRng(seed, 1))
+                                            rng=SeededRng(seed, 1))
                     vals.append(rep.delta_hat)
                 med[(k, m)] = float(np.median(vals))
         decreasing = all(
@@ -272,12 +271,12 @@ class TestAcceptance:
         norm deviations 0.24-0.35, all below 0.5)."""
         seed = 20260816
         width = rip.gaussian_width(sp.Canonical(4), 64, 10_000, SeededRng(seed, 90))
-        m = rip.predict_m("gordon", width=width["mean"], delta=0.5, zeta=0.1)
+        m = rip.gordon_m(width["mean"], 0.5, 0.1)
         successes = 0
         for draw in range(100):
             ens = go.gaussian_ensemble(64, m, SeededRng(seed, 9000 + draw))
             rep = rip.empirical_rip(ens, sp.Canonical(4), 200, 50,
-                                    SeededRng(seed, 9500 + draw))
+                                    rng=SeededRng(seed, 9500 + draw))
             successes += rep.delta_hat <= 0.5
         assert _verdict(9, successes >= 85,
                         f"width {width['mean']:.4f}, m={m}, delta_hat <= 0.5 "
@@ -287,7 +286,7 @@ class TestAcceptance:
         ok = True
         parts = []
         for s, n, d in ((2, 3, 4), (1, 1, 1), (3, 5, 2), (2, 2, 3)):
-            counts = rip.predict_m("table1", s=s, n=n, d=d)
+            counts = rip.table1_counts(s, n, d)
             ok = ok and counts["gauss"] == s * n * d
             ok = ok and counts["group"] == counts["gauss"] * n * d
             ok = ok and counts["group_sign"] == counts["gauss"] * d * d
@@ -426,18 +425,15 @@ class TestAcceptance:
         det_inst = make_block_instrument(64, 4)
         medians = []
         for m in (16, 64, 256):
-            rep = rip_experiment(bump16, BlockScheme(det_inst), m, 20,
-                                 SeededRng(555))
+            rep = rip_experiment(bump16, det_inst, m, 20, SeededRng(555))
             medians.append(float(np.median(rep.details["deviations"])))
         decreasing = medians[0] > medians[1] > medians[2]
         det_meds, rad_meds = [], []
         for seed in range(20):
             rad_inst = make_block_instrument(64, 4, "rademacher",
                                              SeededRng(555 + seed, 7))
-            det = rip_experiment(bump16, BlockScheme(det_inst), 64, 5,
-                                 SeededRng(555 + seed))
-            rad = rip_experiment(bump16, BlockScheme(rad_inst), 64, 5,
-                                 SeededRng(555 + seed))
+            det = rip_experiment(bump16, det_inst, 64, 5, SeededRng(555 + seed))
+            rad = rip_experiment(bump16, rad_inst, 64, 5, SeededRng(555 + seed))
             det_meds.append(float(np.median(det.details["deviations"])))
             rad_meds.append(float(np.median(rad.details["deviations"])))
         det_med = float(np.median(det_meds))

@@ -169,8 +169,8 @@ class TestSampleEnsemble:
         np.testing.assert_allclose(np.abs(ens.rows), 1.0 / math.sqrt(2), rtol=1e-12)
 
     def test_same_seed_is_bit_identical(self):
-        a = sample_ensemble(make_flat(8), "shiftmod", 5, "random_sign", SeededRng(SEED))
-        b = sample_ensemble(make_flat(8), "shiftmod", 5, "random_sign", SeededRng(SEED))
+        a = sample_ensemble(make_flat(8), "shiftmod", 5, "random", SeededRng(SEED))
+        b = sample_ensemble(make_flat(8), "shiftmod", 5, "random", SeededRng(SEED))
         np.testing.assert_array_equal(a.rows, b.rows)
 
     def test_provenance_regenerates_rows(self):
@@ -185,7 +185,8 @@ class TestSampleEnsemble:
 
     def test_random_sign_shares_one_pattern(self):
         inst = make_decaying_window(6, 4, 0.3)
-        ens = sample_ensemble(inst, "shiftmod", 9, "random_sign", SeededRng(SEED + 7))
+        ens = sample_ensemble(inst, "shiftmod", 9, "random", SeededRng(SEED + 7))
+        assert ens.provenance["sign_mode"] == "random"
         eps = np.array(ens.provenance["shared_sign"], dtype=float)
         assert eps.shape == (6,) and set(np.unique(eps)) <= {-1.0, 1.0}
         for j, row in enumerate(ens.provenance["elements"]):
@@ -226,6 +227,10 @@ class TestSampleEnsemble:
         inst = make_scaled_identity(2)
         with pytest.raises(ValueError):
             sample_ensemble(inst, "doubleqft", 3, "absorbed", SeededRng(SEED))
+
+    def test_unknown_sign_mode_rejected(self):
+        with pytest.raises(ValueError, match="sign_mode"):
+            sample_ensemble(make_flat(4), "shiftmod", 2, "rademacher", SeededRng(SEED))
 
     def test_variant_instrument_mismatch(self):
         with pytest.raises(ValueError):
@@ -455,7 +460,7 @@ def _old_rows(inst, variant, m, mode, rng):
     """Vector-instrument ensemble rows as the per-row np.roll formula built them."""
     eta = inst.payload
     n = dim = eta.size
-    shared = rng.rademacher(dim) if mode == "random_sign" else None
+    shared = rng.rademacher(dim) if mode == "random" else None
     rows = np.empty((m, dim), dtype=complex)
     for j in range(m):
         if variant == "shiftmod":
@@ -464,7 +469,7 @@ def _old_rows(inst, variant, m, mode, rng):
         else:
             signs = rng.rademacher(n)
             v = np.roll(signs * eta, int(rng.integers(0, n)))
-        if mode == "random_sign":
+        if mode == "random":
             v = shared * v
         elif mode == "absorbed":
             eps = rng.rademacher(dim)
@@ -478,7 +483,7 @@ class TestEnsembleRowsBitIdentical:
     @settings(max_examples=120)
     @given(
         st.sampled_from(("shiftmod", "signshift")),
-        st.sampled_from(("none", "random_sign", "absorbed")),
+        st.sampled_from(("none", "random", "absorbed")),
         st.integers(1, 300),
         st.integers(1, 24),
         st.integers(0, 2**16),
@@ -493,7 +498,7 @@ class TestEnsembleRowsBitIdentical:
 
     @settings(max_examples=60)
     @given(
-        st.sampled_from(("none", "random_sign")),
+        st.sampled_from(("none", "random")),
         st.integers(1, 12),
         st.integers(1, 24),
         st.integers(0, 2**16),
@@ -505,7 +510,7 @@ class TestEnsembleRowsBitIdentical:
         inst = Instrument("random", z * n / np.linalg.norm(z))
         ens = sample_ensemble(inst, "doubleqft", m, mode, SeededRng(seed))
         rng = SeededRng(seed)
-        shared = rng.rademacher(n * n) if mode == "random_sign" else None
+        shared = rng.rademacher(n * n) if mode == "random" else None
         expected = np.empty((m, n * n), dtype=complex)
         for row in range(m):
             k, j, kp, jp = rng.integers(0, n, 4)
@@ -513,7 +518,7 @@ class TestEnsembleRowsBitIdentical:
             mod_kp = np.exp(2j * np.pi * int(kp) * np.arange(1, n + 1) / n)
             rolled = np.roll(np.roll(inst.payload, int(j), 0), int(jp), 1)
             v = (rolled * (mod_k[:, None] * np.conj(mod_kp)[None, :])).ravel()
-            if mode == "random_sign":
+            if mode == "random":
                 v = shared * v
             expected[row] = np.conj(v)
         expected /= math.sqrt(m)

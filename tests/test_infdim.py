@@ -17,7 +17,6 @@ from scipy.integrate import quad
 from riplab import infdim
 from riplab.infdim import (
     BlockInstrument,
-    BlockScheme,
     CustomWeights,
     DyadicScheme,
     FourierFunction,
@@ -400,28 +399,27 @@ class TestBlockMeasurements:
     def test_frequency_grid_tiles_window(self):
         inst = make_block_instrument(8, 4)
         grid = inst.frequency_grid()
-        assert grid.shape == (4, 4)
+        assert grid.shape == (inst.n_blocks, inst.block_len) == (4, 4)
         assert np.array_equal(np.sort(grid.ravel()), np.arange(-8, 8))
+        np.testing.assert_array_equal(inst.signs, np.ones(4))
 
     def test_block_length_must_divide_window(self):
         with pytest.raises(ValueError):
             make_block_instrument(8, 3)
         with pytest.raises(ValueError):
-            BlockInstrument(8, 4, 3, "deterministic")
+            BlockInstrument(8, np.ones(3))
 
     def test_sign_validation(self):
         with pytest.raises(ValueError):
             make_block_instrument(8, 4, "rademacher")
         with pytest.raises(ValueError):
-            BlockInstrument(8, 4, 4, "rademacher")
+            make_block_instrument(8, 4, "scrambled")
         with pytest.raises(ValueError):
-            BlockInstrument(8, 4, 4, "rademacher", np.ones(3))
+            BlockInstrument(8, np.array([1.0, 2.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
-            BlockInstrument(8, 4, 4, "rademacher", np.array([1.0, 2.0, 1.0, 1.0]))
+            BlockInstrument(8, np.ones((2, 2)))
         with pytest.raises(ValueError):
-            BlockInstrument(8, 4, 4, "deterministic", np.ones(4))
-        with pytest.raises(ValueError):
-            BlockInstrument(8, 4, 4, "scrambled")
+            BlockInstrument(8, np.ones(0))
 
     def test_one_hot_deterministic(self):
         inst = make_block_instrument(8, 4)
@@ -498,7 +496,7 @@ class TestBlockMeasurements:
         f = random_poly(rng, 64)
         inst = make_block_instrument(32, 4, mode, rng.stream(1))
         ts = np.concatenate([rng.uniform(-3.0, 4.0, 200), [0.0, 0.5, 1.0]])
-        energy = infdim._scheme_energy(f, BlockScheme(inst), ts)
+        energy = infdim._scheme_energy(f, inst, ts)
         expected = np.sum(np.abs(block_measure(f, inst, ts)) ** 2, axis=1)
         np.testing.assert_allclose(energy, expected, rtol=1e-13, atol=0)
 
@@ -524,8 +522,8 @@ class TestBlockMeasurements:
             f = FourierFunction(coeffs, n_big)
         else:
             f = random_poly(stream, n_big)
-        signs = stream.rademacher(block_len) if mode == "rademacher" else None
-        inst = BlockInstrument(n_cut, block_len, 2 * n_cut // block_len, mode, signs)
+        s = stream.rademacher(block_len) if mode == "rademacher" else np.ones(block_len)
+        inst = BlockInstrument(n_cut, s)
 
         def phase(k, t):
             # exp(-2 pi i k t) with k t reduced mod 1 exactly, so the
@@ -533,7 +531,6 @@ class TestBlockMeasurements:
             return cmath.exp(-2j * math.pi * float(Fraction(t) * k % 1))
 
         # Block l holds k = -n_cut + l L + j, j < L, each with its sign s_j.
-        s = signs if mode == "rademacher" else np.ones(block_len)
         expected = np.array([[
             sum(s[j] * phase(k, t) * f.coeff(k)
                 for j, k in enumerate(range(-n_cut + l * block_len, -n_cut + (l + 1) * block_len)))
@@ -779,11 +776,11 @@ class TestTranslationExperiment:
     def test_dc_mode_unit_blocks_has_zero_deviation(self):
         inst = make_block_instrument(1, 1)
         report = rip_experiment(
-            lambda rng: psi(0, 4), BlockScheme(inst), 7, 3, SeededRng(SEED + 26)
+            lambda rng: psi(0, 4), inst, 7, 3, SeededRng(SEED + 26)
         )
         assert report.delta_hat == 0.0
         assert report.method == "translation_monte_carlo"
-        assert report.model == "BlockScheme"
+        assert report.model == "BlockInstrument"
         assert report.m == 7
         assert len(report.details["deviations"]) == 3
 
@@ -816,8 +813,8 @@ class TestTranslationExperiment:
         for seed in range(20):
             det_inst = make_block_instrument(32, 4)
             rad_inst = make_block_instrument(32, 4, "rademacher", SeededRng(SEED + seed, 7))
-            det = rip_experiment(samp, BlockScheme(det_inst), 32, 5, SeededRng(SEED + seed))
-            rad = rip_experiment(samp, BlockScheme(rad_inst), 32, 5, SeededRng(SEED + seed))
+            det = rip_experiment(samp, det_inst, 32, 5, SeededRng(SEED + seed))
+            rad = rip_experiment(samp, rad_inst, 32, 5, SeededRng(SEED + seed))
             det_medians.append(np.median(det.details["deviations"]))
             rad_medians.append(np.median(rad.details["deviations"]))
         assert np.median(rad_medians) <= np.median(det_medians)
@@ -832,7 +829,7 @@ class TestTranslationExperiment:
             return psi(0, 4)
 
         inst = make_block_instrument(1, 1)
-        report = rip_experiment(sampler, BlockScheme(inst), 3, 1, SeededRng(SEED + 29))
+        report = rip_experiment(sampler, inst, 3, 1, SeededRng(SEED + 29))
         assert report.delta_hat == 0.0
         assert calls["n"] == 2
 
@@ -841,7 +838,7 @@ class TestTranslationExperiment:
         with pytest.raises(ValueError):
             rip_experiment(
                 lambda rng: FourierFunction(np.zeros(8), 4),
-                BlockScheme(inst),
+                inst,
                 3,
                 1,
                 SeededRng(SEED + 30),
@@ -851,14 +848,14 @@ class TestTranslationExperiment:
         inst = make_block_instrument(2, 1)
         with pytest.raises(ValueError):
             rip_experiment(
-                lambda rng: psi(0, 4), BlockScheme(inst), 3, 1, SeededRng(SEED + 31)
+                lambda rng: psi(0, 4), inst, 3, 1, SeededRng(SEED + 31)
             )
 
     def test_parameter_domains(self):
         inst = make_block_instrument(1, 1)
         with pytest.raises(ValueError):
-            rip_experiment(lambda rng: psi(0, 4), BlockScheme(inst), 0, 1, SeededRng(SEED))
+            rip_experiment(lambda rng: psi(0, 4), inst, 0, 1, SeededRng(SEED))
         with pytest.raises(ValueError):
-            rip_experiment(lambda rng: psi(0, 4), BlockScheme(inst), 1, 0, SeededRng(SEED))
+            rip_experiment(lambda rng: psi(0, 4), inst, 1, 0, SeededRng(SEED))
         with pytest.raises(ValueError):
             DyadicScheme(-1)

@@ -22,8 +22,10 @@ from riplab.rip import (
     empirical_rip,
     exact_rip_canonical,
     gaussian_width,
+    gordon_m,
+    implicit_m,
     mrip_check,
-    predict_m,
+    table1_counts,
 )
 from riplab.sparsity import (
     Canonical,
@@ -32,6 +34,7 @@ from riplab.sparsity import (
     TensorRank,
     project_witness,
     sample_sparse,
+    witness_support_size,
 )
 
 SEED = 31137
@@ -179,7 +182,7 @@ class TestEmpiricalRip:
         a = np.eye(16)
         rng = SeededRng(SEED + 3)
         for model in (Canonical(3), LqCap(1.0, 4.0), LowRank(2), TensorRank(2, 4, 2)):
-            report = empirical_rip(a, model, 10, 20, rng)
+            report = empirical_rip(a, model, 10, 20, rng=rng)
             assert report.delta_hat <= 1e-10
 
     def test_exhaustive_branch_draws_nothing(self, monkeypatch):
@@ -210,15 +213,15 @@ class TestEmpiricalRip:
     def test_non_decreasing_in_trials(self):
         ens = gaussian_ensemble(16, 8, SeededRng(SEED + 6))
         model = LqCap(1.0, 3.0)
-        d_small = empirical_rip(ens, model, 5, 25, SeededRng(SEED + 7)).delta_hat
-        d_large = empirical_rip(ens, model, 40, 25, SeededRng(SEED + 7)).delta_hat
+        d_small = empirical_rip(ens, model, 5, 25, rng=SeededRng(SEED + 7)).delta_hat
+        d_large = empirical_rip(ens, model, 40, 25, rng=SeededRng(SEED + 7)).delta_hat
         assert d_large >= d_small - 1e-12
 
     def test_ascent_improves_or_matches_raw_sampling(self):
         ens = gaussian_ensemble(16, 8, SeededRng(SEED + 8))
         model = LowRank(1)
-        d_raw = empirical_rip(ens, model, 20, 0, SeededRng(SEED + 9)).delta_hat
-        d_ref = empirical_rip(ens, model, 20, 40, SeededRng(SEED + 9)).delta_hat
+        d_raw = empirical_rip(ens, model, 20, 0, rng=SeededRng(SEED + 9)).delta_hat
+        d_ref = empirical_rip(ens, model, 20, 40, rng=SeededRng(SEED + 9)).delta_hat
         assert d_ref >= d_raw - 1e-12
 
 
@@ -247,7 +250,7 @@ def reference_ascent(a, model, trials, ascent_steps, rng):
                 if not np.any(y):
                     vanished += 1
                     break
-                nxt = project_witness(model, y, n)
+                nxt = project_witness(model, y)
                 steps += 0 if fixed else 1
                 fixed = fixed or np.array_equal(nxt.view(np.uint64), x.view(np.uint64))
                 x = nxt
@@ -267,7 +270,7 @@ class TestBlockAscent:
     )
     def test_matches_per_trial_reference(self, model, trials, steps, seed):
         a = gaussian_ensemble(16, 12, SeededRng(seed)).effective_operator()
-        report = empirical_rip(a, model, trials, steps, SeededRng(seed, 1))
+        report = empirical_rip(a, model, trials, steps, rng=SeededRng(seed, 1))
         delta, iterations, _ = reference_ascent(a, model, trials, steps, SeededRng(seed, 1))
         assert report.delta_hat.hex() == delta.hex()
         assert report.details["ascent_iterations"] == iterations
@@ -277,7 +280,7 @@ class TestBlockAscent:
         # shift = 1: an upward step from a witness on those columns vanishes.
         a = np.diag(np.r_[np.ones(8), np.zeros(8)])
         model = LqCap(1.0, 1.0)
-        report = empirical_rip(a, model, 16, 5, SeededRng(SEED + 20))
+        report = empirical_rip(a, model, 16, 5, rng=SeededRng(SEED + 20))
         delta, iterations, vanished = reference_ascent(a, model, 16, 5, SeededRng(SEED + 20))
         assert 0 < vanished < 16
         assert report.delta_hat.hex() == delta.hex()
@@ -286,12 +289,12 @@ class TestBlockAscent:
     def test_canonical_reports_no_ascent(self):
         ens = gaussian_ensemble(10, 6, SeededRng(SEED + 21))
         for trials in (5, 45):
-            report = empirical_rip(ens, Canonical(2), trials, 30, SeededRng(SEED + 22))
+            report = empirical_rip(ens, Canonical(2), trials, 30, rng=SeededRng(SEED + 22))
             assert report.details["ascent_iterations"] == 0
 
     def test_fixed_points_stop_early(self):
         ens = gaussian_ensemble(64, 256, SeededRng(SEED + 23))
-        report = empirical_rip(ens, LqCap(1.0, 1.0), 20, 50, SeededRng(SEED + 24))
+        report = empirical_rip(ens, LqCap(1.0, 1.0), 20, 50, rng=SeededRng(SEED + 24))
         assert 0 < report.details["ascent_iterations"] < 2 * 20 * 50
         assert report.details["trials"] == 20
 
@@ -475,25 +478,56 @@ class TestGaussianWidth:
         with pytest.raises(ValueError):
             gaussian_width(Canonical(1), 8, 1, SeededRng(SEED))
 
+    @pytest.mark.parametrize("q,s", [(1.0, 1.0), (1.0, 2.5), (1.25, 2.0), (1.5, 1.5),
+                                     (1.5, 8.0), (2.0, 1.0)])
+    def test_lqcap_draw_is_the_best_flat_witness(self, q, s):
+        # The q-cap witnesses are flat: unit-modulus phases / sqrt(j) on j <=
+        # j_max coordinates.  Against a real draw the best phases are its signs.
+        n = 7
+        j_max = witness_support_size(q, s, n)
+        for stream in SeededRng(SEED + 24).streams(range(20)):
+            xi = stream.standard_normal(n)
+            best = 0.0
+            for j in range(1, j_max + 1):
+                for support in itertools.combinations(range(n), j):
+                    x = np.zeros(n)
+                    x[list(support)] = np.sign(xi[list(support)]) / math.sqrt(j)
+                    best = max(best, abs(float(x @ xi)))
+            assert abs(rip._width_one_draw(LqCap(q, s), xi) - best) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rank_one_tensor_draw_stays_below_top_singular_value(self, n):
+        # An order-2 elementary tensor is a unit rank-1 matrix, so its greedy
+        # witness cannot beat the exact rank-1 supremum, the top singular value.
+        for stream in SeededRng(SEED + 25, n).streams(range(20)):
+            xi = stream.standard_normal(n * n)
+            greedy = rip._width_one_draw(TensorRank(1, n, 2), xi)
+            exact = rip._width_one_draw(LowRank(1), xi)
+            assert greedy <= exact + 1e-12
+
 
 class TestPredictM:
+    """The closed-form measurement counts, one function per formula."""
+
     def test_gordon_arithmetic(self):
-        assert predict_m("gordon", width=3.0, delta=1.0, zeta=2.0) == 9
+        assert gordon_m(3.0, 1.0, 2.0) == 9
 
     def test_gordon_domain(self):
         with pytest.raises(ValueError):
-            predict_m("gordon", width=3.0, delta=0.0, zeta=0.5)
+            gordon_m(3.0, 0.0, 0.5)
         with pytest.raises(ValueError):
-            predict_m("gordon", width=3.0, delta=0.5, zeta=2.5)
+            gordon_m(3.0, 0.5, 2.5)
+        with pytest.raises(ValueError):
+            gordon_m(-1.0, 0.5, 0.5)
 
     def test_table1_ratios(self):
-        counts = predict_m("table1", s=2, n=4, d=3)
+        counts = table1_counts(2, 4, 3)
         assert counts["gauss"] == 24
         assert counts["group"] == counts["gauss"] * 4 * 3
         assert counts["group_sign"] == counts["gauss"] * 3 * 3
 
     def test_implicit_matches_monotone_scan(self):
-        m = predict_m("implicit", sp=10.0, delta=0.5, c=1.0)
+        m = implicit_m(10.0, 0.5)
         grid = np.arange(1, m + 1000, dtype=float)
         ok = grid >= 40.0 * (1.0 + np.log(grid)) ** 3
         smallest = int(grid[np.argmax(ok)])
@@ -502,8 +536,4 @@ class TestPredictM:
 
     def test_implicit_capacity(self):
         with pytest.raises(CapacityError):
-            predict_m("implicit", sp=1e12, delta=1e-4, c=1.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            predict_m("bogus")
+            implicit_m(1e12, 1e-4)

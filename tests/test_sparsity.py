@@ -131,14 +131,14 @@ class TestSampleSparse:
 class TestProjectWitness:
     def test_canonical_keeps_top_entries(self):
         z = np.array([0.1, -3.0, 0.2 + 0.2j, 2.0, 0.05])
-        w = project_witness(Canonical(2), z, 5)
+        w = project_witness(Canonical(2), z)
         assert np.count_nonzero(w) == 2
         assert abs(w[1]) > 0 and abs(w[3]) > 0
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_lqcap_flat_modulus_keeps_phases(self):
         z = np.array([3.0 * np.exp(1j * 0.3), -1.0, 0.25j, 2.0 * np.exp(-1j * 1.1)])
-        w = project_witness(LqCap(1.0, 2.0), z, 4)
+        w = project_witness(LqCap(1.0, 2.0), z)
         nz = w[np.abs(w) > 0]
         assert nz.size == 2
         np.testing.assert_allclose(np.abs(nz), np.abs(nz[0]), rtol=1e-12)
@@ -149,7 +149,7 @@ class TestProjectWitness:
     def test_lowrank_matches_svd_truncation(self):
         rng = np.random.default_rng(SEED + 6)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        w = project_witness(LowRank(2), a.ravel(), 25).reshape(5, 5)
+        w = project_witness(LowRank(2), a.ravel()).reshape(5, 5)
         u, sv, vh = np.linalg.svd(a)
         best = u[:, :2] @ np.diag(sv[:2]) @ vh[:2]
         np.testing.assert_allclose(w, best / np.linalg.norm(best), atol=1e-10)
@@ -161,7 +161,7 @@ class TestProjectWitness:
         u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         a = u @ np.diag([5.0, 0.5, 0.2, 0.1]) @ v.conj().T
-        w = project_witness(TensorRank(1, 4, 2), a.ravel(), 16)
+        w = project_witness(TensorRank(1, 4, 2), a.ravel())
         top = 5.0 * np.outer(u[:, 0], v[:, 0].conj())
         top = top.ravel() / np.linalg.norm(top)
         overlap = abs(np.vdot(w, top))
@@ -226,10 +226,10 @@ class TestProjectWitnessBlocks:
     @given(_model_and_block())
     def test_block_rows_equal_single_vector_calls(self, case):
         model, z = case
-        block = project_witness(model, z, z.shape[1])
+        block = project_witness(model, z)
         assert block.shape == z.shape
         for row, expected_input in zip(block, z):
-            single = project_witness(model, expected_input, z.shape[1])
+            single = project_witness(model, expected_input)
             np.testing.assert_array_equal(_bits(row), _bits(single))
             if isinstance(model, (Canonical, LqCap)):
                 reference = _reference_flat_projection(model, expected_input)
@@ -239,11 +239,7 @@ class TestProjectWitnessBlocks:
         z = np.ones((3, 4), dtype=complex)
         z[1] = 0
         with pytest.raises(ValueError, match="zero vector"):
-            project_witness(LqCap(1.0, 2.0), z, 4)
-
-    def test_block_width_must_match_ambient(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            project_witness(LqCap(1.0, 2.0), np.ones((2, 5)), 4)
+            project_witness(LqCap(1.0, 2.0), z)
 
 
 class TestSparsityParameter:
