@@ -62,7 +62,7 @@ _VARIANTS = ("shiftmod", "doubleqft", "signshift")
 # -- monomial form ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Monomial:
     """A batch of B monomial unitaries on C^dim.
 

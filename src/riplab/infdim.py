@@ -7,7 +7,8 @@ coefficients on k in [-N_big, N_big).  The derivative here is the
 the time-sampling scheme hold exactly: summing coeff_k / k blocks of the
 derivative of g telescopes back to point evaluation of g.
 
-Measurement schemes, each passed to rip_experiment as itself:
+Measurement schemes, passed to rip_experiment as a list that every trial's
+function is measured by:
   BlockInstrument       -- d contiguous frequency blocks of length L covering
                            [-N, N), summed with one +/-1 pattern (all ones
                            for deterministic blocks, Rademacher otherwise);
@@ -38,6 +39,9 @@ __all__ = [
     "values_on_grid",
     "differentiate",
     "weighted_seminorm",
+    "quadrature_moduli",
+    "grid_lq_norm",
+    "support_fraction",
     "lq_norm_function",
     "smooth_sparse_membership",
     "BlockInstrument",
@@ -59,7 +63,7 @@ _DC_TOL = 1e-10
 _OVERSAMPLE = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierFunction:
     """Trigonometric polynomial with coefficients on k in [-n_big, n_big).
 
@@ -113,7 +117,7 @@ class InverseSquare:
     """w_k = 1 / max(k^2, 1); the weight induced by harmonic functionals."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomWeights:
     values: np.ndarray
 
@@ -249,6 +253,23 @@ def weighted_seminorm(f: FourierFunction, weights: WeightSpec) -> float:
     return float(math.sqrt(float(np.sum(w * np.abs(f.coeffs) ** 2))))
 
 
+def quadrature_moduli(f: FourierFunction) -> np.ndarray:
+    """|f| at the 8 n_big uniform quadrature nodes t = i / (8 n_big)."""
+    return np.abs(values_on_grid(f, _OVERSAMPLE * f.n_big))
+
+
+def grid_lq_norm(moduli: np.ndarray, q: float) -> float:
+    """L_q(0, 1) norm by the uniform-grid quadrature of node moduli |f(t_i)|."""
+    if q == math.inf:
+        return float(moduli.max())
+    return float(np.mean(moduli**q) ** (1.0 / q))
+
+
+def support_fraction(moduli: np.ndarray) -> float:
+    """Fraction of nodes where |f| exceeds 1e-8 times its maximum."""
+    return float(np.mean(moduli > 1e-8 * moduli.max()))
+
+
 def lq_norm_function(f: FourierFunction, q: float) -> float:
     """L_q(0, 1) norm by uniform-grid quadrature with 8 n_big nodes.
 
@@ -256,10 +277,7 @@ def lq_norm_function(f: FourierFunction, q: float) -> float:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    vals = np.abs(values_on_grid(f, _OVERSAMPLE * f.n_big))
-    if q == math.inf:
-        return float(vals.max())
-    return float(np.mean(vals**q) ** (1.0 / q))
+    return grid_lq_norm(quadrature_moduli(f), q)
 
 
 def smooth_sparse_membership(
@@ -281,8 +299,7 @@ def smooth_sparse_membership(
         raise ValueError("membership is undefined for the zero function")
     deriv = differentiate(f, "derivative")
     measured_rho = 2.0 * math.pi * deriv.l2_norm() / l2
-    vals = np.abs(values_on_grid(f, _OVERSAMPLE * f.n_big))
-    measured_gamma = float(np.mean(vals > 1e-8 * vals.max()))
+    measured_gamma = support_fraction(quadrature_moduli(f))
     return {
         "member": bool(measured_rho <= rho_max and measured_gamma <= gamma_max),
         "measured_rho": measured_rho,
@@ -293,7 +310,7 @@ def smooth_sparse_membership(
 # -- measurement schemes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockInstrument:
     """d contiguous frequency blocks of length L tiling [-n_cut, n_cut).
 
@@ -343,15 +360,19 @@ def make_block_instrument(
     return BlockInstrument(n_cut, rng.rademacher(block_len))
 
 
-def _block_factors(f: FourierFunction, inst: BlockInstrument, t_arr: np.ndarray):
-    # The factors of block_measure at the 1-D translates t_arr: the (m, 1)
-    # turns -2 pi i (t mod 1) and the (m, d) in-block product
-    # sum_j s_j fhat(k_{l,j}) exp(-2 pi i j t).
+def _block_coeffs(f: FourierFunction, inst: BlockInstrument) -> np.ndarray:
+    # (d, L) signed coefficients s_j fhat(k_{l,j}) of the blocks.
     if inst.n_cut > f.n_big:
         raise ValueError("function band does not cover the instrument window")
-    c = f.coeffs[inst.frequency_grid() + f.n_big] * inst.signs
+    return f.coeffs[inst.frequency_grid() + f.n_big] * inst.signs
+
+
+def _in_block_phases(block_len: int, t_arr: np.ndarray):
+    # The (m, 1) turns -2 pi i (t mod 1) of the 1-D translates t_arr and the
+    # (m, L) in-block phases exp(-2 pi i j t).  Both are elementwise in t, so
+    # the first m rows for t_arr equal the phases of t_arr[:m] bit for bit.
     turns = -2j * np.pi * (t_arr[:, None] % 1.0)
-    return turns, np.exp(turns * np.arange(inst.block_len)) @ c.T
+    return turns, np.exp(turns * np.arange(block_len))
 
 
 def block_measure(f: FourierFunction, inst: BlockInstrument, t):
@@ -368,8 +389,8 @@ def block_measure(f: FourierFunction, inst: BlockInstrument, t):
     first; this keeps the phase arguments, and their rounding, small for t
     far outside [0, 1) and changes nothing for t inside it.
     """
-    turns, inner = _block_factors(f, inst, np.atleast_1d(np.asarray(t, dtype=float)))
-    out = np.exp(turns * inst.frequency_grid()[:, 0]) * inner
+    turns, phases = _in_block_phases(inst.block_len, np.atleast_1d(np.asarray(t, dtype=float)))
+    out = np.exp(turns * inst.frequency_grid()[:, 0]) * (phases @ _block_coeffs(f, inst).T)
     return out[0] if np.asarray(t).ndim == 0 else out
 
 
@@ -466,11 +487,17 @@ def _scheme_norm(f: FourierFunction, scheme: Scheme) -> float:
     return f.l2_norm()
 
 
-def _scheme_energy(f: FourierFunction, scheme: Scheme, ts: np.ndarray) -> np.ndarray:
+def _scheme_energy(f: FourierFunction, scheme: Scheme, ts: np.ndarray,
+                   phases: dict) -> np.ndarray:
+    """Measurement energy of f at each translate of ts.
+
+    ``phases`` maps each block length L to the in-block phases of a run of
+    translates that begins with ts; block schemes read its first ts.size rows.
+    """
     if isinstance(scheme, BlockInstrument):
         # The block-start phase has modulus 1, so only the in-block product
         # of block_measure carries energy.
-        _, inner = _block_factors(f, scheme, ts)
+        inner = phases[scheme.block_len][:ts.size] @ _block_coeffs(f, scheme).T
         return np.sum(np.abs(inner) ** 2, axis=1)
     if isinstance(scheme, TimeSampling):
         return np.abs(time_sample_measure(f, ts)) ** 2
@@ -484,42 +511,62 @@ def _scheme_energy(f: FourierFunction, scheme: Scheme, ts: np.ndarray) -> np.nda
 
 def rip_experiment(
     sampler: Callable[[SeededRng], FourierFunction],
-    scheme: Scheme,
-    m: int,
+    schemes: list[Scheme],
+    m_list: list[int],
     trials: int,
     rng: SeededRng,
-) -> RipReport:
-    """Monte Carlo isometry-defect estimate for a translation-sampling scheme:
-    a BlockInstrument, TimeSampling or DyadicScheme.
+) -> list[RipReport]:
+    """Monte Carlo isometry-defect estimates for translation-sampling schemes
+    (BlockInstrument, TimeSampling or DyadicScheme) on a grid of translate
+    counts; one RipReport per (scheme, m), scheme-major, in the given orders.
 
-    Each trial draws a model function, normalizes it in the scheme's natural
-    norm (functions below 1e-8 are redrawn), averages the measurement energy
-    over m uniform translates, and records |average - 1|.  The report's
-    delta_hat is the maximum over trials.
+    Each trial draws one model function from its own stream and redraws it
+    while any scheme's natural norm is below 1e-8.  Each scheme normalizes it
+    by its own norm and averages the measurement energy over the first m of
+    max(m_list) uniform translates, drawn once per trial; the cell records
+    |average - 1|.  Uniform doubles are drawn in sequence, so the first m
+    translates are the m a single-m run would draw, and every cell equals a
+    run of rip_experiment on that scheme and m alone.  A report's delta_hat is
+    the maximum over trials; ``details["redraws"]`` counts the redrawn
+    functions, summed over trials.
     """
-    if m < 1 or trials < 1:
+    schemes, m_list = list(schemes), [int(m) for m in m_list]
+    if not schemes or not m_list:
+        raise ValueError("need at least one scheme and one m")
+    if min(m_list) < 1 or trials < 1:
         raise ValueError("m and trials must be >= 1")
-    devs = np.empty(trials)
+    devs = np.empty((len(schemes), len(m_list), trials))
+    block_lens = {s.block_len for s in schemes if isinstance(s, BlockInstrument)}
+    redraws = 0
     for trial, stream in enumerate(rng.streams(range(trials))):
         f = sampler(stream)
-        norm = _scheme_norm(f, scheme)
+        norms = [_scheme_norm(f, scheme) for scheme in schemes]
         attempts = 0
-        while norm < 1e-8:
+        while min(norms) < 1e-8:
             attempts += 1
             if attempts > 100:
                 raise ValueError("sampler keeps producing numerically zero functions")
             f = sampler(stream)
-            norm = _scheme_norm(f, scheme)
-        if isinstance(scheme, BlockInstrument) and f.n_big < 4 * scheme.n_cut:
+            norms = [_scheme_norm(f, scheme) for scheme in schemes]
+        redraws += attempts
+        if any(isinstance(s, BlockInstrument) and f.n_big < 4 * s.n_cut for s in schemes):
             raise ValueError("carrier band must be at least 4x the scheme cutoff")
-        f = f.scaled(1.0 / norm)
-        ts = stream.uniform(0.0, 1.0, m)
-        energies = _scheme_energy(f, scheme, ts)
-        devs[trial] = abs(float(energies.mean()) - 1.0)
-    return RipReport(
-        delta_hat=float(devs.max()),
-        method="translation_monte_carlo",
-        model=type(scheme).__name__,
-        m=int(m),
-        details={"trials": int(trials), "deviations": devs.tolist()},
-    )
+        ts = stream.uniform(0.0, 1.0, max(m_list))
+        phases = {n: _in_block_phases(n, ts)[1] for n in block_lens}
+        for i, (scheme, norm) in enumerate(zip(schemes, norms)):
+            g = f.scaled(1.0 / norm)
+            for j, m in enumerate(m_list):
+                energy = _scheme_energy(g, scheme, ts[:m], phases)
+                devs[i, j, trial] = abs(float(energy.mean()) - 1.0)
+    return [
+        RipReport(
+            delta_hat=float(devs[i, j].max()),
+            method="translation_monte_carlo",
+            model=type(scheme).__name__,
+            m=m,
+            details={"trials": int(trials), "redraws": redraws,
+                     "deviations": devs[i, j].tolist()},
+        )
+        for i, scheme in enumerate(schemes)
+        for j, m in enumerate(m_list)
+    ]

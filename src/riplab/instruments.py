@@ -30,7 +30,7 @@ _VEC_TOL = 1e-10
 _MAT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     kind: str
     payload: np.ndarray

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -54,6 +54,10 @@ _SEARCH_CAP = 2**30
 # chunk so a (B, k, k) sub-Gram stack never holds more entries than 8192
 # 4 x 4 blocks (2 MB complex).
 _SUPPORT_CHUNK = 8192
+# Relative widening of the Frobenius bound in pruned enumeration.  It covers
+# the rounding of the bound's sum and of eigvalsh (a few k^2 ulps) many times
+# over, and costs a negligible share of the pruning.
+_PRUNE_MARGIN = 1e-6
 
 
 @dataclass
@@ -76,35 +80,87 @@ def _effective(a) -> np.ndarray:
     return np.asarray(a.effective_operator(), dtype=complex)
 
 
+def _chunk_size(k: int) -> int:
+    return max(1, min(_SUPPORT_CHUNK, _SUPPORT_CHUNK * 16 // (k * k)))
+
+
+def _chunk_defect(gram: np.ndarray, idx: np.ndarray) -> float:
+    """Largest |eigenvalue| of gram[S, S] - I over the rows S of a (B, k)
+    index array, from one batched eigvalsh call.
+
+    The batched call runs the same LAPACK routine on each matrix as a call
+    on that matrix alone, so the result does not depend on how supports are
+    grouped into calls.
+    """
+    sub = gram[idx[:, :, None], idx[:, None, :]]
+    sub -= np.eye(idx.shape[1])
+    w = np.linalg.eigvalsh(sub)
+    return float(np.maximum(-w[:, 0], w[:, -1]).max())
+
+
 def _support_defects(gram: np.ndarray, supports, k: int) -> float:
     """Largest |eigenvalue| of gram[S, S] - I over an iterable of supports S.
 
     Supports are index tuples (or arrays) of size k, consumed in
-    chunks so that at most one chunk is held at a time.  Each chunk gathers
-    its (B, k, k) sub-Gram stack and makes one eigvalsh call; the batched
-    call runs the same LAPACK routine on each matrix as a call on that matrix
-    alone, so the result is bit-identical to a per-support loop.  No supports
-    give 0.
+    chunks so that at most one chunk is held at a time, each chunk one
+    _chunk_defect call; the result is bit-identical to a per-support loop.
+    No supports give 0.
     """
-    size = max(1, min(_SUPPORT_CHUNK, _SUPPORT_CHUNK * 16 // (k * k)))
-    eye = np.eye(k)
+    size = _chunk_size(k)
     it = iter(supports)
     delta = 0.0
     while chunk := list(islice(it, size)):
-        idx = np.array(chunk, dtype=np.intp)
-        sub = gram[idx[:, :, None], idx[:, None, :]]
-        sub -= eye
-        w = np.linalg.eigvalsh(sub)
-        delta = max(delta, float(np.maximum(-w[:, 0], w[:, -1]).max()))
+        delta = max(delta, _chunk_defect(gram, np.array(chunk, dtype=np.intp)))
     return delta
+
+
+def _enumerated_defects(gram: np.ndarray, k: int) -> tuple[float, int]:
+    """_support_defects over all k-element supports, skipping those whose
+    Frobenius bound cannot reach the running maximum.
+
+    ||G_S - I||_2 <= ||G_S - I||_F, and
+    ||G_S - I||_F^2 = sum_i |G_ii - 1|^2 + 2 sum_{i<j} |G_ji|^2 is summed
+    from |G - I|^2 (its lower triangle, the one eigvalsh reads) without
+    gathering sub-Gram blocks.  A support reaches eigvalsh only if its bound,
+    widened by a relative rounding margin, reaches the running maximum, so
+    the maximum is taken over a superset of the argmax and equals
+    _support_defects over all supports bit for bit.  The supports stream in
+    lexicographic chunks; each chunk goes to eigvalsh in descending bound
+    order, in batches of doubling size, so the maximum rises before most of
+    the chunk is tested.  Returns (maximum, supports that reached eigvalsh).
+    """
+    n = gram.shape[0]
+    sq = np.abs(gram - np.eye(n)) ** 2
+    size = _chunk_size(k)
+    it = combinations(range(n), k)
+    delta, evaluated = 0.0, 0
+    while (flat := np.fromiter(chain.from_iterable(islice(it, size)), dtype=np.intp)).size:
+        idx = flat.reshape(-1, k)
+        fro2 = sq[idx, idx].sum(axis=1)
+        for j in range(1, k):
+            for i in range(j):
+                fro2 += 2.0 * sq[idx[:, j], idx[:, i]]
+        bound = fro2 * (1.0 + _PRUNE_MARGIN)
+        order = np.argsort(bound)[::-1]
+        start, batch = 0, 1
+        while start < order.size and bound[order[start]] >= delta * delta:
+            take = order[start:start + batch]
+            take = take[bound[take] >= delta * delta]
+            delta = max(delta, _chunk_defect(gram, idx[take]))
+            evaluated += take.size
+            start, batch = start + batch, 2 * batch
+    return delta, evaluated
 
 
 def exact_rip_canonical(a, k: int) -> RipReport:
     """Exact isometry defect over all k-element supports.
 
     Enumerates every support, so C(N, k) must not exceed 10^6.  The supports
-    stream through one chunked batched-eigvalsh kernel, so memory stays at one
-    chunk of at most 8192 sub-Gram blocks whatever C(N, k) is.
+    stream in chunks of at most 8192, so memory stays at one chunk whatever
+    C(N, k) is.  Only the supports whose Frobenius bound ||G_S - I||_F
+    reaches the running maximum go to the batched-eigvalsh kernel; the result
+    is the unpruned maximum bit for bit.  ``details["supports"]`` is C(N, k)
+    and ``details["evaluated"]`` the number of supports that reached eigvalsh.
     """
     eff = _effective(a)
     m, n = eff.shape
@@ -116,12 +172,13 @@ def exact_rip_canonical(a, k: int) -> RipReport:
             f"C({n}, {k}) = {n_supports} supports exceed the enumeration cap {_ENUM_CAP}"
         )
     gram = eff.conj().T @ eff
+    delta, evaluated = _enumerated_defects(gram, k)
     return RipReport(
-        delta_hat=_support_defects(gram, combinations(range(n), k), k),
+        delta_hat=delta,
         method="exact_enumeration",
         model=repr(Canonical(k)),
         m=m,
-        details={"supports": n_supports},
+        details={"supports": n_supports, "evaluated": evaluated},
     )
 
 
@@ -136,9 +193,11 @@ def empirical_rip(
     """Lower-bound estimate of the isometry defect over a signal model.
 
     Canonical models get the exact per-support extreme eigenvalue; if the
-    trial budget covers every support the supports are enumerated outright,
-    nothing is drawn (a drawn support would repeat an enumerated one), and the
-    estimate coincides with exact_rip_canonical.  Enumerated or
+    trial budget covers every support the supports are enumerated outright
+    with exact_rip_canonical's pruning, nothing is drawn (a drawn support
+    would repeat an enumerated one), and the estimate coincides with
+    exact_rip_canonical.  ``details["evaluated"]`` counts the supports that
+    reached eigvalsh.  Enumerated or
     sampled supports (in trial order) go through the same chunked
     batched-eigvalsh kernel as exact_rip_canonical, which holds at most one
     chunk of 8192 sub-Gram blocks at a time.  ``ascent_steps`` is unused for
@@ -165,16 +224,18 @@ def empirical_rip(
         n_supports = math.comb(n, k)
         exhaustive = n_supports <= trials and n_supports <= _ENUM_CAP
         if exhaustive:
-            supports = combinations(range(n), k)
+            delta, evaluated = _enumerated_defects(gram, k)
         else:
-            supports = (np.sort(stream.choice_no_replace(n, k))
-                        for stream in rng.streams(range(trials)))
+            delta = _support_defects(gram, (np.sort(stream.choice_no_replace(n, k))
+                                            for stream in rng.streams(range(trials))), k)
+            evaluated = trials
         return RipReport(
-            delta_hat=_support_defects(gram, supports, k),
+            delta_hat=delta,
             method="exact_enumeration" if exhaustive else "monte_carlo",
             model=repr(model),
             m=m,
-            details={"trials": trials, "exhaustive": exhaustive, "ascent_iterations": 0},
+            details={"trials": trials, "exhaustive": exhaustive, "evaluated": evaluated,
+                     "ascent_iterations": 0},
         )
 
     defect = gram - np.eye(n)

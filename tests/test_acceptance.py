@@ -425,15 +425,15 @@ class TestAcceptance:
         det_inst = make_block_instrument(64, 4)
         medians = []
         for m in (16, 64, 256):
-            rep = rip_experiment(bump16, det_inst, m, 20, SeededRng(555))
+            (rep,) = rip_experiment(bump16, [det_inst], [m], 20, SeededRng(555))
             medians.append(float(np.median(rep.details["deviations"])))
         decreasing = medians[0] > medians[1] > medians[2]
         det_meds, rad_meds = [], []
         for seed in range(20):
             rad_inst = make_block_instrument(64, 4, "rademacher",
                                              SeededRng(555 + seed, 7))
-            det = rip_experiment(bump16, det_inst, 64, 5, SeededRng(555 + seed))
-            rad = rip_experiment(bump16, rad_inst, 64, 5, SeededRng(555 + seed))
+            (det,) = rip_experiment(bump16, [det_inst], [64], 5, SeededRng(555 + seed))
+            (rad,) = rip_experiment(bump16, [rad_inst], [64], 5, SeededRng(555 + seed))
             det_meds.append(float(np.median(det.details["deviations"])))
             rad_meds.append(float(np.median(rad.details["deviations"])))
         det_med = float(np.median(det_meds))

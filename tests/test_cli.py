@@ -171,6 +171,27 @@ class TestReports:
         assert not {"nan", "inf", "-inf"} & set(cells)
 
 
+    def test_infdim_scan_grid_rows_match_single_cells(self, tmp_path):
+        # One grid call serves every (mode, m) cell; its rows must be those of
+        # the single-mode, single-m runs, in mode-major order, m as given.
+        base = ("infdim-scan", "--N", "16", "--L", "4", "--trials", "3",
+                "--gamma", "0.0625", "--seed", "5")
+
+        def data_lines(name, *argv):
+            assert run_cli(*base, *argv, "--out", str(tmp_path / name)) == 0
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            return [line for line in lines if not line.startswith("#")]
+
+        grid = data_lines("grid", "--mode", "both", "--m", "64,16,64")
+        single = {(mode, m): data_lines(f"{mode}{m}", "--mode", mode, "--m", m)
+                  for mode in ("deterministic", "rademacher") for m in ("64", "16")}
+        header = grid[0]
+        assert all(lines[0] == header for lines in single.values())
+        expected = [row for mode in ("deterministic", "rademacher")
+                    for m in ("64", "16", "64") for row in single[mode, m][1:]]
+        assert grid[1:] == expected and len(expected) == 18
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ("sp-opt", "--eta", "flat", "--N", "32", "--r", "4", "--seed", "11")

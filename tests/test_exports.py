@@ -1,11 +1,17 @@
-"""Every name a riplab module lists in ``__all__`` exists in that module."""
+"""Package-wide checks: every name a riplab module lists in ``__all__``
+exists in that module, and the frozen classes that hold arrays compare and
+hash without raising."""
 
 import importlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import riplab
+from riplab.group_ops import monomial
+from riplab.infdim import CustomWeights, FourierFunction, make_block_instrument
+from riplab.instruments import make_flat
 
 MODULES = ["riplab"] + [f"riplab.{info.name}" for info in pkgutil.iter_modules(riplab.__path__)]
 
@@ -15,3 +21,18 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_block_instrument(8, 4),
+    lambda: FourierFunction(np.ones(8), 4),
+    lambda: CustomWeights(np.ones(8)),
+    lambda: make_flat(8),
+    lambda: monomial("shiftmod", 8, np.array([[1, 2]])),
+], ids=["BlockInstrument", "FourierFunction", "CustomWeights", "Instrument", "Monomial"])
+def test_array_holders_compare_by_identity(build):
+    # A generated field-wise __eq__ would compare arrays and raise.
+    a, b = build(), build()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2

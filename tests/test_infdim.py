@@ -496,7 +496,8 @@ class TestBlockMeasurements:
         f = random_poly(rng, 64)
         inst = make_block_instrument(32, 4, mode, rng.stream(1))
         ts = np.concatenate([rng.uniform(-3.0, 4.0, 200), [0.0, 0.5, 1.0]])
-        energy = infdim._scheme_energy(f, inst, ts)
+        phases = {4: infdim._in_block_phases(4, ts)[1]}
+        energy = infdim._scheme_energy(f, inst, ts, phases)
         expected = np.sum(np.abs(block_measure(f, inst, ts)) ** 2, axis=1)
         np.testing.assert_allclose(energy, expected, rtol=1e-13, atol=0)
 
@@ -775,8 +776,8 @@ def bump_sampler(t_scale, n_big, count=1, dc_free=False):
 class TestTranslationExperiment:
     def test_dc_mode_unit_blocks_has_zero_deviation(self):
         inst = make_block_instrument(1, 1)
-        report = rip_experiment(
-            lambda rng: psi(0, 4), inst, 7, 3, SeededRng(SEED + 26)
+        (report,) = rip_experiment(
+            lambda rng: psi(0, 4), [inst], [7], 3, SeededRng(SEED + 26)
         )
         assert report.delta_hat == 0.0
         assert report.method == "translation_monte_carlo"
@@ -786,22 +787,22 @@ class TestTranslationExperiment:
 
     def test_pure_mode_octave_scheme_has_zero_deviation(self):
         scheme = DyadicScheme(covering_dyadic_level(8))
-        report = rip_experiment(
-            lambda rng: psi(1, 8), scheme, 5, 2, SeededRng(SEED + 27)
+        (report,) = rip_experiment(
+            lambda rng: psi(1, 8), [scheme], [5], 2, SeededRng(SEED + 27)
         )
         assert report.delta_hat == 0.0
 
     def test_deterministic_given_seed(self):
         samp = bump_sampler(8.0, 256, 2, dc_free=True)
-        a = rip_experiment(samp, TimeSampling(), 16, 4, SeededRng(SEED + 28))
-        b = rip_experiment(samp, TimeSampling(), 16, 4, SeededRng(SEED + 28))
+        (a,) = rip_experiment(samp, [TimeSampling()], [16], 4, SeededRng(SEED + 28))
+        (b,) = rip_experiment(samp, [TimeSampling()], [16], 4, SeededRng(SEED + 28))
         assert a.details["deviations"] == b.details["deviations"]
 
     def test_deviation_median_decreases_with_samples(self):
         samp = bump_sampler(8.0, 256, 2, dc_free=True)
         medians = []
         for m in (8, 64, 512):
-            report = rip_experiment(samp, TimeSampling(), m, 20, SeededRng(SEED + 1))
+            (report,) = rip_experiment(samp, [TimeSampling()], [m], 20, SeededRng(SEED + 1))
             medians.append(float(np.median(report.details["deviations"])))
         assert medians[0] > medians[1] > medians[2]
 
@@ -813,11 +814,38 @@ class TestTranslationExperiment:
         for seed in range(20):
             det_inst = make_block_instrument(32, 4)
             rad_inst = make_block_instrument(32, 4, "rademacher", SeededRng(SEED + seed, 7))
-            det = rip_experiment(samp, det_inst, 32, 5, SeededRng(SEED + seed))
-            rad = rip_experiment(samp, rad_inst, 32, 5, SeededRng(SEED + seed))
+            (det,) = rip_experiment(samp, [det_inst], [32], 5, SeededRng(SEED + seed))
+            (rad,) = rip_experiment(samp, [rad_inst], [32], 5, SeededRng(SEED + seed))
             det_medians.append(np.median(det.details["deviations"]))
             rad_medians.append(np.median(rad.details["deviations"]))
         assert np.median(rad_medians) <= np.median(det_medians)
+
+    @settings(max_examples=25)
+    @given(names=st.lists(st.sampled_from(["det", "rad", "rad2", "time", "dyadic"]),
+                          min_size=1, max_size=3),
+           m_list=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           trials=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_grid_equals_single_cells(self, names, m_list, trials, seed):
+        # Unsorted and repeated m, and block schemes that share or differ in L.
+        build = {
+            "det": lambda: make_block_instrument(8, 4),
+            "rad": lambda: make_block_instrument(8, 4, "rademacher", SeededRng(seed, 7)),
+            "rad2": lambda: make_block_instrument(8, 2, "rademacher", SeededRng(seed, 8)),
+            "time": TimeSampling,
+            "dyadic": lambda: DyadicScheme(covering_dyadic_level(32)),
+        }
+        schemes = [build[name]() for name in names]
+        samp = bump_sampler(8.0, 32, dc_free=True)
+        grid = rip_experiment(samp, schemes, m_list, trials, SeededRng(seed))
+        assert len(grid) == len(schemes) * len(m_list)
+        cells = iter(grid)
+        for scheme in schemes:
+            for m in m_list:
+                (single,) = rip_experiment(samp, [scheme], [m], trials, SeededRng(seed))
+                cell = next(cells)
+                assert (cell.model, cell.m) == (single.model, m)
+                assert cell.details["deviations"] == single.details["deviations"]
+                assert cell.delta_hat == single.delta_hat
 
     def test_degenerate_draws_are_resampled(self):
         calls = {"n": 0}
@@ -829,17 +857,18 @@ class TestTranslationExperiment:
             return psi(0, 4)
 
         inst = make_block_instrument(1, 1)
-        report = rip_experiment(sampler, inst, 3, 1, SeededRng(SEED + 29))
+        (report,) = rip_experiment(sampler, [inst], [3], 1, SeededRng(SEED + 29))
         assert report.delta_hat == 0.0
         assert calls["n"] == 2
+        assert report.details["redraws"] == 1
 
     def test_persistent_zero_sampler_rejected(self):
         inst = make_block_instrument(1, 1)
         with pytest.raises(ValueError):
             rip_experiment(
                 lambda rng: FourierFunction(np.zeros(8), 4),
-                inst,
-                3,
+                [inst],
+                [3],
                 1,
                 SeededRng(SEED + 30),
             )
@@ -848,14 +877,14 @@ class TestTranslationExperiment:
         inst = make_block_instrument(2, 1)
         with pytest.raises(ValueError):
             rip_experiment(
-                lambda rng: psi(0, 4), inst, 3, 1, SeededRng(SEED + 31)
+                lambda rng: psi(0, 4), [inst], [3], 1, SeededRng(SEED + 31)
             )
 
     def test_parameter_domains(self):
         inst = make_block_instrument(1, 1)
         with pytest.raises(ValueError):
-            rip_experiment(lambda rng: psi(0, 4), inst, 0, 1, SeededRng(SEED))
+            rip_experiment(lambda rng: psi(0, 4), [inst], [0], 1, SeededRng(SEED))
         with pytest.raises(ValueError):
-            rip_experiment(lambda rng: psi(0, 4), inst, 1, 0, SeededRng(SEED))
+            rip_experiment(lambda rng: psi(0, 4), [inst], [1], 0, SeededRng(SEED))
         with pytest.raises(ValueError):
             DyadicScheme(-1)

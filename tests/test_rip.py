@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riplab import rip
@@ -175,6 +175,45 @@ class TestSupportDefects:
                 report = empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed, 1))
             assert report.delta_hat == reference_support_defect(gram, listed)
             assert report.details["exhaustive"] is exhaustive
+
+
+    @staticmethod
+    def tied_operator(seed, m, n, complex_entries, kind):
+        """Operators whose Grams tie: +/-1 (or +/-1, +/-i) entries, repeated
+        columns, or the identity, where every Frobenius bound is 0."""
+        if kind == "identity":
+            return np.eye(n)
+        if kind == "gaussian":
+            return TestSupportDefects.operator(seed, m, n, complex_entries)
+        g = np.random.default_rng(seed)
+        units = np.array([1, -1, 1j, -1j]) if complex_entries else np.array([1.0, -1.0])
+        a = g.choice(units, size=(m, n))
+        if kind == "repeated":
+            a = a[:, np.arange(n) % max(1, n // 2)]
+        return a / math.sqrt(m)
+
+    @settings(max_examples=80)
+    @given(n=st.integers(1, 9), k=st.integers(1, 9), m=st.integers(1, 12),
+           complex_entries=st.booleans(),
+           kind=st.sampled_from(["gaussian", "signs", "repeated", "identity"]),
+           seed=st.integers(0, 2**16))
+    @example(n=7, k=1, m=5, complex_entries=True, kind="gaussian", seed=1)
+    @example(n=7, k=7, m=5, complex_entries=False, kind="gaussian", seed=2)
+    @example(n=8, k=8, m=3, complex_entries=True, kind="signs", seed=3)
+    @example(n=8, k=1, m=4, complex_entries=False, kind="repeated", seed=4)
+    @example(n=6, k=3, m=6, complex_entries=False, kind="identity", seed=0)
+    def test_pruned_enumeration_matches_unpruned(self, n, k, m, complex_entries, kind, seed):
+        # The chunk is shrunk to 7 supports so pruning runs across several
+        # chunks and partial batches.
+        k = min(k, n)
+        gram = self.library_gram(self.tied_operator(seed, m, n, complex_entries, kind))
+        every = itertools.combinations(range(n), k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rip, "_SUPPORT_CHUNK", 7)
+            expected = rip._support_defects(gram, every, k)
+            got, evaluated = rip._enumerated_defects(gram, k)
+        assert got.hex() == expected.hex()
+        assert 1 <= evaluated <= math.comb(n, k)
 
 
 class TestEmpiricalRip:
