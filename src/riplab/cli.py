@@ -127,7 +127,7 @@ _SKETCH_OPTS = (
     Opt("q", "float", default=1.0),
     Opt("s", "float", required=True),
     Opt("trials", "int", default=50, above=0, help="trials per dyadic level"),
-    Opt("ascent", "int", default=50),
+    Opt("ascent", "int", default=50, above=-1),
 )
 
 SCHEMAS: dict[str, tuple] = {
@@ -148,7 +148,7 @@ SCHEMAS: dict[str, tuple] = {
     "rip-scan": _ENSEMBLE_OPTS + (
         Opt("m", "int_list", required=True, above=0, help="comma-separated row counts"),
         Opt("trials", "int", default=200, above=0),
-        Opt("ascent", "int", default=50),
+        Opt("ascent", "int", default=50, above=-1),
         Opt("seeds", "int", default=1, above=0, help="number of consecutive seeds"),
     ),
     "mrip": _SKETCH_OPTS + (
@@ -547,12 +547,12 @@ def _run_rosenthal(p: dict) -> RunResult:
                                   SeededRng(p["seed"]))
     rows = [{k: r[k] for k in ("M", "median", "mean")} for r in records]
     medians = [r["median"] for r in records]
-    # The log-log slope needs two M values and positive medians; otherwise
-    # it is written as null (JSON has no NaN) and the summary says why.
+    # The log-log slope needs two distinct M values and positive medians;
+    # otherwise it is written as null (JSON has no NaN) and the summary says why.
     slope, summary = None, "slope=null (one M value, no log-log fit)"
     if min(medians) <= 0.0:
         summary = "slope=null (a median deviation is 0, no log-log fit)"
-    elif len(records) > 1:
+    elif len({r["M"] for r in records}) > 1:
         logm = np.log([r["M"] for r in records])
         slope = float(np.polyfit(logm, np.log(medians), 1)[0])
         summary = f"slope={_fmt(slope)}"

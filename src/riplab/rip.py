@@ -5,9 +5,13 @@ The central quantity for an operator A and a signal model D is
     delta(A, D) = sup { | ||A x||_2^2 - 1 | : x in D, ||x||_2 = 1 },
 
 estimated exactly (support enumeration for canonical sparsity) or from below
-(sampled witnesses with ascent refinement).  On top of that sit the
-multilevel check, sketched-distance bounds, a pairwise separation classifier,
-Gaussian mean width and the closed-form counts gordon_m, implicit_m, table1_counts.
+(sampled supports, or sampled witnesses with ascent refinement).  Each
+estimator has one kernel: _max_defect, the Frobenius-pruned maximum over any
+stream of canonical supports, enumerated or sampled, and _ascend, projected
+power ascent toward both signed extremes as one block.  On top of that sit
+the multilevel check, sketched-distance bounds, a pairwise separation
+classifier, Gaussian mean width and the closed-form counts gordon_m,
+implicit_m, table1_counts.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ __all__ = [
 
 _ENUM_CAP = 10**6
 _SEARCH_CAP = 2**30
-# Supports per batched eigvalsh call.  Supports larger than k = 4 shrink the
+# Supports per chunk of _max_defect.  Supports larger than k = 4 shrink the
 # chunk so a (B, k, k) sub-Gram stack never holds more entries than 8192
 # 4 x 4 blocks (2 MB complex).
 _SUPPORT_CHUNK = 8192
@@ -84,55 +88,27 @@ def _chunk_size(k: int) -> int:
     return max(1, min(_SUPPORT_CHUNK, _SUPPORT_CHUNK * 16 // (k * k)))
 
 
-def _chunk_defect(gram: np.ndarray, idx: np.ndarray) -> float:
-    """Largest |eigenvalue| of gram[S, S] - I over the rows S of a (B, k)
-    index array, from one batched eigvalsh call.
-
-    The batched call runs the same LAPACK routine on each matrix as a call
-    on that matrix alone, so the result does not depend on how supports are
-    grouped into calls.
-    """
-    sub = gram[idx[:, :, None], idx[:, None, :]]
-    sub -= np.eye(idx.shape[1])
-    w = np.linalg.eigvalsh(sub)
-    return float(np.maximum(-w[:, 0], w[:, -1]).max())
-
-
-def _support_defects(gram: np.ndarray, supports, k: int) -> float:
-    """Largest |eigenvalue| of gram[S, S] - I over an iterable of supports S.
-
-    Supports are index tuples (or arrays) of size k, consumed in
-    chunks so that at most one chunk is held at a time, each chunk one
-    _chunk_defect call; the result is bit-identical to a per-support loop.
-    No supports give 0.
-    """
-    size = _chunk_size(k)
-    it = iter(supports)
-    delta = 0.0
-    while chunk := list(islice(it, size)):
-        delta = max(delta, _chunk_defect(gram, np.array(chunk, dtype=np.intp)))
-    return delta
-
-
-def _enumerated_defects(gram: np.ndarray, k: int) -> tuple[float, int]:
-    """_support_defects over all k-element supports, skipping those whose
-    Frobenius bound cannot reach the running maximum.
+def _max_defect(gram: np.ndarray, supports, k: int) -> tuple[float, int]:
+    """Largest |eigenvalue| of gram[S, S] - I over an iterable of k-supports S
+    (k increasing indices each; a support may recur), and how many supports
+    reached eigvalsh.  No supports give (0.0, 0).
 
     ||G_S - I||_2 <= ||G_S - I||_F, and
     ||G_S - I||_F^2 = sum_i |G_ii - 1|^2 + 2 sum_{i<j} |G_ji|^2 is summed
     from |G - I|^2 (its lower triangle, the one eigvalsh reads) without
     gathering sub-Gram blocks.  A support reaches eigvalsh only if its bound,
     widened by a relative rounding margin, reaches the running maximum, so
-    the maximum is taken over a superset of the argmax and equals
-    _support_defects over all supports bit for bit.  The supports stream in
-    lexicographic chunks; each chunk goes to eigvalsh in descending bound
-    order, in batches of doubling size, so the maximum rises before most of
-    the chunk is tested.  Returns (maximum, supports that reached eigvalsh).
+    the maximum is taken over a superset of the argmax.  The supports stream
+    in chunks, so at most one chunk is held at a time; each chunk goes to
+    eigvalsh in descending bound order, in batches of doubling size, so the
+    maximum rises before most of the chunk is tested.  A batched eigvalsh
+    runs the same LAPACK routine on each matrix as a call on that matrix
+    alone, so the result equals a per-support loop bit for bit.
     """
     n = gram.shape[0]
     sq = np.abs(gram - np.eye(n)) ** 2
     size = _chunk_size(k)
-    it = combinations(range(n), k)
+    it = iter(supports)
     delta, evaluated = 0.0, 0
     while (flat := np.fromiter(chain.from_iterable(islice(it, size)), dtype=np.intp)).size:
         idx = flat.reshape(-1, k)
@@ -145,9 +121,10 @@ def _enumerated_defects(gram: np.ndarray, k: int) -> tuple[float, int]:
         start, batch = 0, 1
         while start < order.size and bound[order[start]] >= delta * delta:
             take = order[start:start + batch]
-            take = take[bound[take] >= delta * delta]
-            delta = max(delta, _chunk_defect(gram, idx[take]))
-            evaluated += take.size
+            rows = idx[take[bound[take] >= delta * delta]]
+            w = np.linalg.eigvalsh(gram[rows[:, :, None], rows[:, None, :]] - np.eye(k))
+            delta = max(delta, float(np.maximum(-w[:, 0], w[:, -1]).max()))
+            evaluated += len(rows)
             start, batch = start + batch, 2 * batch
     return delta, evaluated
 
@@ -155,12 +132,11 @@ def _enumerated_defects(gram: np.ndarray, k: int) -> tuple[float, int]:
 def exact_rip_canonical(a, k: int) -> RipReport:
     """Exact isometry defect over all k-element supports.
 
-    Enumerates every support, so C(N, k) must not exceed 10^6.  The supports
-    stream in chunks of at most 8192, so memory stays at one chunk whatever
-    C(N, k) is.  Only the supports whose Frobenius bound ||G_S - I||_F
-    reaches the running maximum go to the batched-eigvalsh kernel; the result
-    is the unpruned maximum bit for bit.  ``details["supports"]`` is C(N, k)
-    and ``details["evaluated"]`` the number of supports that reached eigvalsh.
+    Enumerates every support, so C(N, k) must not exceed 10^6, through
+    _max_defect: memory stays at one chunk of at most 8192 supports, and the
+    Frobenius pruning leaves the unpruned maximum bit for bit.
+    ``details["supports"]`` is C(N, k) and ``details["evaluated"]`` the
+    number of supports that reached eigvalsh.
     """
     eff = _effective(a)
     m, n = eff.shape
@@ -172,7 +148,7 @@ def exact_rip_canonical(a, k: int) -> RipReport:
             f"C({n}, {k}) = {n_supports} supports exceed the enumeration cap {_ENUM_CAP}"
         )
     gram = eff.conj().T @ eff
-    delta, evaluated = _enumerated_defects(gram, k)
+    delta, evaluated = _max_defect(gram, combinations(range(n), k), k)
     return RipReport(
         delta_hat=delta,
         method="exact_enumeration",
@@ -192,19 +168,18 @@ def empirical_rip(
 ) -> RipReport:
     """Lower-bound estimate of the isometry defect over a signal model.
 
-    Canonical models get the exact per-support extreme eigenvalue; if the
-    trial budget covers every support the supports are enumerated outright
-    with exact_rip_canonical's pruning, nothing is drawn (a drawn support
-    would repeat an enumerated one), and the estimate coincides with
-    exact_rip_canonical.  ``details["evaluated"]`` counts the supports that
-    reached eigvalsh.  Enumerated or
-    sampled supports (in trial order) go through the same chunked
-    batched-eigvalsh kernel as exact_rip_canonical, which holds at most one
-    chunk of 8192 sub-Gram blocks at a time.  ``ascent_steps`` is unused for
-    canonical models.  Other models refine sampled witnesses by
-    projected power ascent on the defect quadratic form, run on all trials as
-    one block; a row stops early when its iterate vanishes under the step or
-    repeats bit for bit, which changes no result.
+    Canonical models take the largest per-support extreme eigenvalue over
+    one support per trial, drawn in trial order; if the trial budget covers
+    every support the supports are enumerated instead, nothing is drawn (a
+    drawn support would repeat an enumerated one), and the estimate
+    coincides with exact_rip_canonical.  Both go through exact_rip_canonical's
+    pruned kernel, so a sampled maximum is the unpruned one bit for bit, and
+    ``details["evaluated"]`` counts the supports that reached eigvalsh (at
+    most ``trials``).  ``ascent_steps`` is unused for canonical models.
+    Other models refine sampled witnesses by projected power ascent on the
+    defect quadratic form, both signs of every trial as one block; a row
+    stops early when its iterate vanishes under the step (as every row does
+    when the defect is 0) or repeats bit for bit, which changes no result.
     ``details["ascent_iterations"]`` counts the row-steps actually run.
 
     Each trial draws its witness from its own RNG stream, so the estimate is
@@ -223,12 +198,10 @@ def empirical_rip(
             raise ValueError(f"k={k} exceeds ambient dimension {n}")
         n_supports = math.comb(n, k)
         exhaustive = n_supports <= trials and n_supports <= _ENUM_CAP
-        if exhaustive:
-            delta, evaluated = _enumerated_defects(gram, k)
-        else:
-            delta = _support_defects(gram, (np.sort(stream.choice_no_replace(n, k))
-                                            for stream in rng.streams(range(trials))), k)
-            evaluated = trials
+        supports = (combinations(range(n), k) if exhaustive else
+                    (np.sort(stream.choice_no_replace(n, k)).tolist()
+                     for stream in rng.streams(range(trials))))
+        delta, evaluated = _max_defect(gram, supports, k)
         return RipReport(
             delta_hat=delta,
             method="exact_enumeration" if exhaustive else "monte_carlo",
@@ -240,22 +213,16 @@ def empirical_rip(
 
     defect = gram - np.eye(n)
     shift = operator_norm(defect)
-    if shift == 0.0:
-        return RipReport(0.0, "monte_carlo", repr(model), m,
-                         details={"trials": trials, "exhaustive": False,
-                                  "ascent_iterations": 0})
 
     def form(x: np.ndarray) -> float:
         return abs(float(np.real(np.vdot(x, defect @ x))))
 
     x0 = np.stack([sample_sparse(model, n, stream) for stream in rng.streams(range(trials))])
-    # Projected power ascent toward each signed extreme of the form.
-    up, up_steps = _ascend(model, defect, shift, +1.0, x0, ascent_steps)
-    down, down_steps = _ascend(model, defect, shift, -1.0, x0, ascent_steps)
-    delta = 0.0
-    for trial in range(trials):
-        best = max(form(x0[trial]), form(up[trial]), form(down[trial]))
-        delta = max(delta, best)
+    # Projected power ascent toward each signed extreme of the form: the
+    # first copy of the trials climbs, the second descends.
+    signs = np.repeat([1.0, -1.0], trials)[:, None]
+    x, steps = _ascend(model, defect, shift, signs, np.concatenate([x0, x0]), ascent_steps)
+    delta = max(map(form, chain(x0, x)))
 
     return RipReport(
         delta_hat=delta,
@@ -263,24 +230,26 @@ def empirical_rip(
         model=repr(model),
         m=m,
         details={"trials": trials, "exhaustive": False, "ascent_steps": ascent_steps,
-                 "ascent_iterations": up_steps + down_steps},
+                 "ascent_iterations": steps},
     )
 
 
-def _ascend(model: SparsityModel, defect: np.ndarray, shift: float, sign: float,
+def _ascend(model: SparsityModel, defect: np.ndarray, shift: float, signs: np.ndarray,
             x0: np.ndarray, steps: int) -> tuple:
-    """Run up to ``steps`` iterations x <- P(sign defect x + shift x) on every row of x0.
+    """Run up to ``steps`` iterations x <- P(sign defect x + shift x) on every row
+    of x0, with that row's sign from the (B, 1) column ``signs`` of +-1.
 
     Returns the final rows and the number of row-steps run.  The broadcast
-    product applies the same gemv to each row as ``defect @ x`` does, so every
-    row is bit-identical to an ascent run on that row alone.
+    product applies the same gemv to each row as ``defect @ x`` does, and a
+    product with +-1 is exact, so every row is bit-identical to an ascent run
+    on that row alone.
     """
     x = x0.copy()
     live = np.arange(len(x))
     run = 0
     for _ in range(steps):
         cur = x[live]
-        y = sign * (defect @ cur[:, :, None])[:, :, 0] + shift * cur
+        y = signs[live] * (defect @ cur[:, :, None])[:, :, 0] + shift * cur
         moving = np.any(y, axis=1)
         live, cur = live[moving], cur[moving]
         if live.size == 0:

@@ -136,6 +136,7 @@ class TestReports:
     @pytest.mark.parametrize("argv,reason", [
         (("--N", "8", "--d", "8", "--M", "4,16"), "a median deviation is 0"),
         (("--N", "8", "--d", "2", "--M", "4"), "one M value"),
+        (("--N", "8", "--d", "2", "--M", "16,16"), "one M value"),
     ])
     def test_rosenthal_undefined_slope_is_null(self, tmp_path, capsys, argv, reason):
         def reject(constant):
@@ -391,6 +392,8 @@ _INVALID = [
     ((*_VALID["sp-opt"], "--r", "nan"), "r: must be a finite number; got nan"),
     (("truncation", "--q", "2", "--s", "1e300", "--delta", "1e-300", "--C2", "1e300"),
      "underflows to 0"),
+    ((*_VALID["mrip"], "--ascent", "-3"), "ascent: must exceed -1; got -3"),
+    ((*_VALID["rip-scan"], "--ascent", "-3"), "ascent: must exceed -1; got -3"),
 ]
 
 

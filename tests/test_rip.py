@@ -97,7 +97,7 @@ def reference_support_defect(gram, supports):
 
 
 class TestSupportDefects:
-    """The chunked kernel against a per-support loop, bit for bit.
+    """The pruned kernel against a per-support loop, bit for bit.
 
     The chunk is shrunk to 7 supports so every run spans several chunks and
     most end on a partial one.
@@ -124,21 +124,26 @@ class TestSupportDefects:
         k = min(k, n)
         a = self.operator(seed, m, n, complex_entries)
         gram = a.conj().T @ a
-        supports = list(itertools.combinations(range(n), k))
+        g = np.random.default_rng(seed)
+        # 30 draws from at most C(9, 4) = 126 supports, so most runs repeat one.
+        sampled = [sorted(g.choice(n, size=k, replace=False).tolist()) for _ in range(30)]
+        eigvalsh = np.linalg.eigvalsh
         calls = []
 
         def counting_eigvalsh(x):
             calls.append(x.shape[0])
             return eigvalsh(x)
 
-        eigvalsh = np.linalg.eigvalsh
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rip, "_SUPPORT_CHUNK", 7)
-            mp.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-            got = rip._support_defects(gram, iter(supports), k)
-        assert got == reference_support_defect(gram, supports)
-        assert sum(calls) == len(supports) and max(calls) <= 7
-        assert rip._support_defects(gram, [], k) == 0.0
+        for supports in (list(itertools.combinations(range(n), k)), sampled):
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rip, "_SUPPORT_CHUNK", 7)
+                mp.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+                got, evaluated = rip._max_defect(gram, iter(supports), k)
+            assert got == reference_support_defect(gram, supports)
+            assert evaluated == sum(calls) and 1 <= evaluated <= len(supports)
+            assert max(calls) <= 7
+        assert rip._max_defect(gram, [], k) == (0.0, 0)
 
     @settings(max_examples=30)
     @given(st.integers(3, 9), st.integers(1, 4), st.integers(1, 12), st.booleans(),
@@ -175,6 +180,7 @@ class TestSupportDefects:
                 report = empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed, 1))
             assert report.delta_hat == reference_support_defect(gram, listed)
             assert report.details["exhaustive"] is exhaustive
+            assert 1 <= report.details["evaluated"] <= min(trials, n_supports)
 
 
     @staticmethod
@@ -207,12 +213,11 @@ class TestSupportDefects:
         # chunks and partial batches.
         k = min(k, n)
         gram = self.library_gram(self.tied_operator(seed, m, n, complex_entries, kind))
-        every = itertools.combinations(range(n), k)
+        every = list(itertools.combinations(range(n), k))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rip, "_SUPPORT_CHUNK", 7)
-            expected = rip._support_defects(gram, every, k)
-            got, evaluated = rip._enumerated_defects(gram, k)
-        assert got.hex() == expected.hex()
+            got, evaluated = rip._max_defect(gram, every, k)
+        assert got.hex() == reference_support_defect(gram, every).hex()
         assert 1 <= evaluated <= math.comb(n, k)
 
 
