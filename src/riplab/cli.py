@@ -158,7 +158,6 @@ SCHEMAS: dict[str, tuple] = {
     ),
     "distance": _SKETCH_OPTS + (
         Opt("pairs", "int", default=100, above=0),
-        Opt("eps", "float", default=1.0, above=0),
     ),
     "weakdiff": _SKETCH_OPTS + (
         Opt("pairs", "int", default=100, above=0),
@@ -493,7 +492,7 @@ def _run_distance(p: dict) -> RunResult:
     ens, delta, pairs = _calibrated_pairs(p)
     rows = []
     for i, (x, y) in enumerate(pairs):
-        res = distance_bound_check(ens, x, y, p["s"], delta, p["q"], p["eps"])
+        res = distance_bound_check(ens, x, y, p["s"], delta, p["q"])
         rows.append({"pair": i, **{k: res[k] for k in ("observed", "bound", "passed")}})
     violations = sum(not row["passed"] for row in rows)
     doc = {"delta_calibrated": delta, "pairs": p["pairs"], "violations": violations,

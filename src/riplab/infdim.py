@@ -3,24 +3,21 @@
 Functions are trigonometric polynomials carried by their Fourier
 coefficients on k in [-N_big, N_big).  The derivative here is the
 *normalized* one, acting as coeff_k -> k coeff_k; the physical derivative is
-2 pi times that.  With this convention the harmonic-weight identities used by
-the time-sampling scheme hold exactly: summing coeff_k / k blocks of the
-derivative of g telescopes back to point evaluation of g.
+2 pi times that.  With this convention the harmonic-weight identities behind
+time sampling and the dyadic octaves hold exactly: summing coeff_k / k blocks
+of the derivative of g telescopes back to point evaluation of g.
 
-Measurement schemes, passed to rip_experiment as a list that every trial's
-function is measured by:
-  BlockInstrument       -- d contiguous frequency blocks of length L covering
-                           [-N, N), summed with one +/-1 pattern (all ones
-                           for deterministic blocks, Rademacher otherwise);
-  TimeSampling          -- point evaluation of a DC-free function;
-  DyadicScheme          -- harmonic-weight functionals grouped by octave.
+rip_experiment measures every trial's function with a list of
+BlockInstruments: d contiguous frequency blocks of length L covering [-N, N),
+summed with one +/-1 pattern (all ones for deterministic blocks, Rademacher
+otherwise), and normalized by the window seminorm of [-N, N).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -30,8 +27,6 @@ from .rip import RipReport
 __all__ = [
     "FourierFunction",
     "Truncated",
-    "InverseSquare",
-    "CustomWeights",
     "weight_array",
     "standard_bump",
     "from_bumps",
@@ -52,8 +47,6 @@ __all__ = [
     "dyadic_measure",
     "covering_dyadic_level",
     "truncation_level",
-    "TimeSampling",
-    "DyadicScheme",
     "rip_experiment",
 ]
 
@@ -112,38 +105,12 @@ class Truncated:
             raise ValueError("cutoff must be >= 1")
 
 
-@dataclass(frozen=True)
-class InverseSquare:
-    """w_k = 1 / max(k^2, 1); the weight induced by harmonic functionals."""
-
-
-@dataclass(frozen=True, eq=False)
-class CustomWeights:
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or np.any(v < 0):
-            raise ValueError("weights must be a non-negative vector")
-        object.__setattr__(self, "values", v)
-
-
-WeightSpec = Union[Truncated, InverseSquare, CustomWeights]
-
-
-def weight_array(spec: WeightSpec, n_big: int) -> np.ndarray:
+def weight_array(window: Truncated, n_big: int) -> np.ndarray:
+    """0/1 mask of the window over the carrier band [-n_big, n_big)."""
+    if window.n_cut > n_big:
+        raise ValueError(f"cutoff {window.n_cut} exceeds the carrier band {n_big}")
     k = np.arange(-n_big, n_big)
-    if isinstance(spec, Truncated):
-        if spec.n_cut > n_big:
-            raise ValueError(f"cutoff {spec.n_cut} exceeds the carrier band {n_big}")
-        return ((k >= -spec.n_cut) & (k < spec.n_cut)).astype(float)
-    if isinstance(spec, InverseSquare):
-        return 1.0 / np.maximum(k.astype(float) ** 2, 1.0)
-    if isinstance(spec, CustomWeights):
-        if spec.values.shape != (2 * n_big,):
-            raise ValueError("custom weights must match the coefficient layout")
-        return spec.values.copy()
-    raise TypeError(f"unknown weight spec {type(spec).__name__}")
+    return ((k >= -window.n_cut) & (k < window.n_cut)).astype(float)
 
 
 # -- construction --------------------------------------------------------------
@@ -237,9 +204,7 @@ def differentiate(f: FourierFunction, mode: str = "derivative") -> FourierFuncti
     if mode == "derivative":
         return FourierFunction(f.coeffs * k, f.n_big)
     if mode == "antiderivative":
-        scale = max(1.0, float(np.abs(f.coeffs).max()))
-        if abs(f.coeff(0)) > _DC_TOL * scale:
-            raise ValueError("antiderivative requires a DC-free function")
+        _require_dc_free(f, "antiderivative requires a DC-free function")
         out = np.zeros_like(f.coeffs)
         nz = k != 0
         out[nz] = f.coeffs[nz] / k[nz]
@@ -247,9 +212,15 @@ def differentiate(f: FourierFunction, mode: str = "derivative") -> FourierFuncti
     raise ValueError(f"mode must be 'derivative' or 'antiderivative'; got {mode!r}")
 
 
-def weighted_seminorm(f: FourierFunction, weights: WeightSpec) -> float:
-    """sqrt(sum_k w_k |c_k|^2) for a WeightSpec."""
-    w = weight_array(weights, f.n_big)
+def _require_dc_free(f: FourierFunction, message: str) -> None:
+    # The DC coefficient must vanish relative to the largest coefficient.
+    if abs(f.coeff(0)) > _DC_TOL * max(1.0, float(np.abs(f.coeffs).max())):
+        raise ValueError(message)
+
+
+def weighted_seminorm(f: FourierFunction, window: Truncated) -> float:
+    """Window seminorm sqrt(sum_k w_k |c_k|^2), w the 0/1 mask of the window."""
+    w = weight_array(window, f.n_big)
     return float(math.sqrt(float(np.sum(w * np.abs(f.coeffs) ** 2))))
 
 
@@ -396,9 +367,7 @@ def block_measure(f: FourierFunction, inst: BlockInstrument, t):
 
 def time_sample_measure(g: FourierFunction, t):
     """Point evaluation g(t) for DC-free g; the scalar sampling functional."""
-    scale = max(1.0, float(np.abs(g.coeffs).max()))
-    if abs(g.coeff(0)) > _DC_TOL * scale:
-        raise ValueError("time sampling requires a DC-free function")
+    _require_dc_free(g, "time sampling requires a DC-free function")
     return evaluate(g, t)
 
 
@@ -463,67 +432,27 @@ def truncation_level(q: float, s: float, delta: float, c2: float) -> int:
 # -- the sampling experiment -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimeSampling:
-    pass
-
-
-@dataclass(frozen=True)
-class DyadicScheme:
-    max_level: int
-
-    def __post_init__(self):
-        if self.max_level < 0:
-            raise ValueError("max_level must be >= 0")
-
-
-Scheme = Union[BlockInstrument, TimeSampling, DyadicScheme]
-
-
-def _scheme_norm(f: FourierFunction, scheme: Scheme) -> float:
-    if isinstance(scheme, BlockInstrument):
-        return weighted_seminorm(f, Truncated(scheme.n_cut))
-    # Time sampling and dyadic blocks are unbiased for the plain L2 norm.
-    return f.l2_norm()
-
-
-def _scheme_energy(f: FourierFunction, scheme: Scheme, ts: np.ndarray,
-                   phases: dict) -> np.ndarray:
-    """Measurement energy of f at each translate of ts.
-
-    ``phases`` maps each block length L to the in-block phases of a run of
-    translates that begins with ts; block schemes read its first ts.size rows.
-    """
-    if isinstance(scheme, BlockInstrument):
-        # The block-start phase has modulus 1, so only the in-block product
-        # of block_measure carries energy.
-        inner = phases[scheme.block_len][:ts.size] @ _block_coeffs(f, scheme).T
-        return np.sum(np.abs(inner) ** 2, axis=1)
-    if isinstance(scheme, TimeSampling):
-        return np.abs(time_sample_measure(f, ts)) ** 2
-    if isinstance(scheme, DyadicScheme):
-        acc = np.zeros(ts.shape, dtype=float)
-        for level in range(scheme.max_level + 1):
-            acc += np.abs(dyadic_measure(f, ts, level)) ** 2
-        return acc
-    raise TypeError(f"unknown scheme {type(scheme).__name__}")
+def _block_energy(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    # Energy at each translate from its (m, L) in-block phases and the (L, d)
+    # transposed _block_coeffs: block_measure's block-start phase has modulus
+    # 1, so only the in-block product carries energy.
+    return np.sum(np.abs(phases @ coeffs) ** 2, axis=1)
 
 
 def rip_experiment(
     sampler: Callable[[SeededRng], FourierFunction],
-    schemes: list[Scheme],
+    schemes: list[BlockInstrument],
     m_list: list[int],
     trials: int,
     rng: SeededRng,
 ) -> list[RipReport]:
-    """Monte Carlo isometry-defect estimates for translation-sampling schemes
-    (BlockInstrument, TimeSampling or DyadicScheme) on a grid of translate
-    counts; one RipReport per (scheme, m), scheme-major, in the given orders.
+    """Monte Carlo isometry defects of block instruments over translate counts;
+    one RipReport per (scheme, m), scheme-major, in the given orders.
 
     Each trial draws one model function from its own stream and redraws it
-    while any scheme's natural norm is below 1e-8.  Each scheme normalizes it
-    by its own norm and averages the measurement energy over the first m of
-    max(m_list) uniform translates, drawn once per trial; the cell records
+    while any scheme's window seminorm is below 1e-8.  Each scheme normalizes
+    it by that seminorm and averages the measurement energy over the first m
+    of max(m_list) uniform translates, drawn once per trial; the cell records
     |average - 1|.  Uniform doubles are drawn in sequence, so the first m
     translates are the m a single-m run would draw, and every cell equals a
     run of rip_experiment on that scheme and m alone.  A report's delta_hat is
@@ -536,37 +465,36 @@ def rip_experiment(
     if min(m_list) < 1 or trials < 1:
         raise ValueError("m and trials must be >= 1")
     devs = np.empty((len(schemes), len(m_list), trials))
-    block_lens = {s.block_len for s in schemes if isinstance(s, BlockInstrument)}
+    windows = [Truncated(inst.n_cut) for inst in schemes]
     redraws = 0
     for trial, stream in enumerate(rng.streams(range(trials))):
-        f = sampler(stream)
-        norms = [_scheme_norm(f, scheme) for scheme in schemes]
-        attempts = 0
-        while min(norms) < 1e-8:
+        f, attempts = sampler(stream), 0
+        while min(norms := [weighted_seminorm(f, w) for w in windows]) < 1e-8:
             attempts += 1
             if attempts > 100:
                 raise ValueError("sampler keeps producing numerically zero functions")
             f = sampler(stream)
-            norms = [_scheme_norm(f, scheme) for scheme in schemes]
         redraws += attempts
-        if any(isinstance(s, BlockInstrument) and f.n_big < 4 * s.n_cut for s in schemes):
+        if f.n_big < 4 * max(w.n_cut for w in windows):
             raise ValueError("carrier band must be at least 4x the scheme cutoff")
         ts = stream.uniform(0.0, 1.0, max(m_list))
-        phases = {n: _in_block_phases(n, ts)[1] for n in block_lens}
-        for i, (scheme, norm) in enumerate(zip(schemes, norms)):
-            g = f.scaled(1.0 / norm)
+        phases = {n: _in_block_phases(n, ts)[1] for n in {s.block_len for s in schemes}}
+        for i, (inst, norm) in enumerate(zip(schemes, norms)):
+            # One product per cell: a shared max(m) product sliced to m rows
+            # would differ in the last bit at m = 1, where BLAS takes gemv.
+            coeffs = _block_coeffs(f.scaled(1.0 / norm), inst).T
             for j, m in enumerate(m_list):
-                energy = _scheme_energy(g, scheme, ts[:m], phases)
+                energy = _block_energy(coeffs, phases[inst.block_len][:m])
                 devs[i, j, trial] = abs(float(energy.mean()) - 1.0)
     return [
         RipReport(
             delta_hat=float(devs[i, j].max()),
             method="translation_monte_carlo",
-            model=type(scheme).__name__,
+            model="BlockInstrument",
             m=m,
             details={"trials": int(trials), "redraws": redraws,
                      "deviations": devs[i, j].tolist()},
         )
-        for i, scheme in enumerate(schemes)
+        for i in range(len(schemes))
         for j, m in enumerate(m_list)
     ]

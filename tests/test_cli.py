@@ -342,7 +342,7 @@ _INVALID = [
     ((*_VALID["distance"], "--m", "0"), "m: must exceed 0"),
     ((*_VALID["distance"], "--q", "2.5"), "q must lie in [1, 2]"),
     ((*_VALID["distance"], "--pairs", "0"), "pairs: must exceed 0"),
-    ((*_VALID["distance"], "--eps", "0"), "eps: must exceed 0"),
+    ((*_VALID["distance"], "--s", "0.5"), "the l_q cap is empty for s < 1"),
     ((*_VALID["weakdiff"], "--s", "0.5"), "the l_q cap is empty for s < 1"),
     ((*_VALID["weakdiff"], "--pairs", "0"), "pairs: must exceed 0"),
     ((*_VALID["weakdiff"], "--alpha", "3"), "lower sandwich factor non-positive"),

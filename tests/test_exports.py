@@ -10,7 +10,7 @@ import pytest
 
 import riplab
 from riplab.group_ops import monomial
-from riplab.infdim import CustomWeights, FourierFunction, make_block_instrument
+from riplab.infdim import FourierFunction, make_block_instrument
 from riplab.instruments import make_flat
 
 MODULES = ["riplab"] + [f"riplab.{info.name}" for info in pkgutil.iter_modules(riplab.__path__)]
@@ -26,10 +26,9 @@ def test_all_names_resolve(name):
 @pytest.mark.parametrize("build", [
     lambda: make_block_instrument(8, 4),
     lambda: FourierFunction(np.ones(8), 4),
-    lambda: CustomWeights(np.ones(8)),
     lambda: make_flat(8),
     lambda: monomial("shiftmod", 8, np.array([[1, 2]])),
-], ids=["BlockInstrument", "FourierFunction", "CustomWeights", "Instrument", "Monomial"])
+], ids=["BlockInstrument", "FourierFunction", "Instrument", "Monomial"])
 def test_array_holders_compare_by_identity(build):
     # A generated field-wise __eq__ would compare arrays and raise.
     a, b = build(), build()

@@ -17,11 +17,7 @@ from scipy.integrate import quad
 from riplab import infdim
 from riplab.infdim import (
     BlockInstrument,
-    CustomWeights,
-    DyadicScheme,
     FourierFunction,
-    InverseSquare,
-    TimeSampling,
     Truncated,
     block_measure,
     covering_dyadic_level,
@@ -243,10 +239,9 @@ class TestShiftAndDerivative:
     def test_seminorms_are_shift_invariant(self):
         f = random_poly(SeededRng(SEED + 7), 32)
         g = FourierFunction(f.coeffs * np.exp(-2j * np.pi * f.frequencies * 0.377), f.n_big)
-        for spec in (Truncated(16), InverseSquare(), CustomWeights(np.arange(64.0))):
-            a = weighted_seminorm(f, spec)
-            b = weighted_seminorm(g, spec)
-            assert abs(a - b) <= 1e-12 * max(a, 1.0)
+        a = weighted_seminorm(f, Truncated(16))
+        b = weighted_seminorm(g, Truncated(16))
+        assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
     def test_first_mode_is_derivative_fixed_point(self):
         f = psi(1, 8)
@@ -259,8 +254,11 @@ class TestShiftAndDerivative:
         assert np.max(np.abs(g.coeffs - f.coeffs)) <= 1e-14 * f.l2_norm()
 
     def test_inverse_square_norm_of_derivative(self):
+        # With the normalized derivative, the 1 / max(k^2, 1) weights undo it.
         f = random_poly(SeededRng(SEED + 9), 64, dc_free=True)
-        lhs = weighted_seminorm(differentiate(f), InverseSquare())
+        d = differentiate(f)
+        w = 1.0 / np.maximum(d.frequencies.astype(float) ** 2, 1.0)
+        lhs = math.sqrt(float(np.sum(w * np.abs(d.coeffs) ** 2)))
         assert abs(lhs - f.l2_norm()) <= 1e-12 * f.l2_norm()
 
     def test_antiderivative_requires_dc_free(self):
@@ -279,9 +277,6 @@ class TestWeightsAndNorms:
     def test_truncated_dc_mode(self):
         assert weighted_seminorm(psi(0, 128), Truncated(64)) == 1.0
 
-    def test_inverse_square_second_mode(self):
-        assert abs(weighted_seminorm(psi(2, 16), InverseSquare()) - 0.5) <= 1e-15
-
     def test_truncated_window_is_half_open(self):
         w = weight_array(Truncated(4), 8)
         k = np.arange(-8, 8)
@@ -290,20 +285,6 @@ class TestWeightsAndNorms:
     def test_cutoff_beyond_band_rejected(self):
         with pytest.raises(ValueError):
             weight_array(Truncated(16), 8)
-
-    def test_custom_weights_validation(self):
-        with pytest.raises(ValueError):
-            CustomWeights(np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            weighted_seminorm(psi(0, 4), CustomWeights(np.ones(4)))
-
-    def test_explicit_weight_vector(self):
-        f = psi(2, 4)
-        w = np.zeros(8)
-        w[6] = 9.0
-        assert weighted_seminorm(f, CustomWeights(w)) == 3.0
-        with pytest.raises(ValueError):
-            weighted_seminorm(f, CustomWeights(np.ones(5)))
 
     def test_pure_modes_have_unit_lq_norm(self):
         for q in (1.0, 1.5, 2.0, 4.0, math.inf):
@@ -490,14 +471,14 @@ class TestBlockMeasurements:
 
     @pytest.mark.parametrize("mode", ["deterministic", "rademacher"])
     def test_scheme_energy_drops_only_the_unit_phase(self, mode):
-        # The scheme energy skips block_measure's unit-modulus block-start
+        # The block energy skips block_measure's unit-modulus block-start
         # phase, so it equals the energy of block_measure up to rounding.
         rng = SeededRng(SEED + 18)
         f = random_poly(rng, 64)
         inst = make_block_instrument(32, 4, mode, rng.stream(1))
         ts = np.concatenate([rng.uniform(-3.0, 4.0, 200), [0.0, 0.5, 1.0]])
-        phases = {4: infdim._in_block_phases(4, ts)[1]}
-        energy = infdim._scheme_energy(f, inst, ts, phases)
+        energy = infdim._block_energy(infdim._block_coeffs(f, inst).T,
+                                      infdim._in_block_phases(4, ts)[1])
         expected = np.sum(np.abs(block_measure(f, inst, ts)) ** 2, axis=1)
         np.testing.assert_allclose(energy, expected, rtol=1e-13, atol=0)
 
@@ -762,13 +743,12 @@ class TestTruncationBudget:
             assert mean_tail[l0] <= 4.0 * envelope, l0
 
 
-def bump_sampler(t_scale, n_big, count=1, dc_free=False):
+def bump_sampler(t_scale, n_big, count=1):
     def sampler(stream):
         centers = draw_centers(stream, count, t_scale)
         moduli = stream.uniform(0.5, 2.0, count)
         phases = np.exp(2j * np.pi * stream.uniform(0.0, 1.0, count))
-        f = from_bumps(t_scale, centers, moduli * phases, n_big)
-        return drop_dc(f) if dc_free else f
+        return from_bumps(t_scale, centers, moduli * phases, n_big)
 
     return sampler
 
@@ -785,24 +765,19 @@ class TestTranslationExperiment:
         assert report.m == 7
         assert len(report.details["deviations"]) == 3
 
-    def test_pure_mode_octave_scheme_has_zero_deviation(self):
-        scheme = DyadicScheme(covering_dyadic_level(8))
-        (report,) = rip_experiment(
-            lambda rng: psi(1, 8), [scheme], [5], 2, SeededRng(SEED + 27)
-        )
-        assert report.delta_hat == 0.0
-
     def test_deterministic_given_seed(self):
-        samp = bump_sampler(8.0, 256, 2, dc_free=True)
-        (a,) = rip_experiment(samp, [TimeSampling()], [16], 4, SeededRng(SEED + 28))
-        (b,) = rip_experiment(samp, [TimeSampling()], [16], 4, SeededRng(SEED + 28))
+        samp = bump_sampler(8.0, 256, 2)
+        inst = make_block_instrument(64, 4, "rademacher", SeededRng(SEED + 28, 7))
+        (a,) = rip_experiment(samp, [inst], [16], 4, SeededRng(SEED + 28))
+        (b,) = rip_experiment(samp, [inst], [16], 4, SeededRng(SEED + 28))
         assert a.details["deviations"] == b.details["deviations"]
 
     def test_deviation_median_decreases_with_samples(self):
-        samp = bump_sampler(8.0, 256, 2, dc_free=True)
+        samp = bump_sampler(8.0, 256, 2)
+        inst = make_block_instrument(64, 4)
         medians = []
         for m in (8, 64, 512):
-            (report,) = rip_experiment(samp, [TimeSampling()], [m], 20, SeededRng(SEED + 1))
+            (report,) = rip_experiment(samp, [inst], [m], 20, SeededRng(SEED + 1))
             medians.append(float(np.median(report.details["deviations"])))
         assert medians[0] > medians[1] > medians[2]
 
@@ -821,21 +796,21 @@ class TestTranslationExperiment:
         assert np.median(rad_medians) <= np.median(det_medians)
 
     @settings(max_examples=25)
-    @given(names=st.lists(st.sampled_from(["det", "rad", "rad2", "time", "dyadic"]),
-                          min_size=1, max_size=3),
+    @given(names=st.lists(st.sampled_from(["det", "rad", "rad2"]), min_size=1, max_size=3),
            m_list=st.lists(st.integers(1, 40), min_size=1, max_size=4),
            trials=st.integers(1, 3), seed=st.integers(0, 2**16))
+    # A one-row product goes through gemv, not gemm: slicing one max(m) product
+    # gives m = 1 cells that differ from a single m = 1 run in the last bit.
+    @example(names=["det", "rad2"], m_list=[1, 40, 1], trials=3, seed=0)
     def test_grid_equals_single_cells(self, names, m_list, trials, seed):
         # Unsorted and repeated m, and block schemes that share or differ in L.
         build = {
             "det": lambda: make_block_instrument(8, 4),
             "rad": lambda: make_block_instrument(8, 4, "rademacher", SeededRng(seed, 7)),
             "rad2": lambda: make_block_instrument(8, 2, "rademacher", SeededRng(seed, 8)),
-            "time": TimeSampling,
-            "dyadic": lambda: DyadicScheme(covering_dyadic_level(32)),
         }
         schemes = [build[name]() for name in names]
-        samp = bump_sampler(8.0, 32, dc_free=True)
+        samp = bump_sampler(8.0, 32)
         grid = rip_experiment(samp, schemes, m_list, trials, SeededRng(seed))
         assert len(grid) == len(schemes) * len(m_list)
         cells = iter(grid)
@@ -886,5 +861,3 @@ class TestTranslationExperiment:
             rip_experiment(lambda rng: psi(0, 4), [inst], [0], 1, SeededRng(SEED))
         with pytest.raises(ValueError):
             rip_experiment(lambda rng: psi(0, 4), [inst], [1], 0, SeededRng(SEED))
-        with pytest.raises(ValueError):
-            DyadicScheme(-1)
