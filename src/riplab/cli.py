@@ -80,6 +80,10 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_NUMERICAL = 4
 
+# gordon builds draw d's ensemble from root stream 1 + d and its supports from
+# root stream _GORDON_SUPPORT_ROOT + d, so more draws would share a stream.
+_GORDON_SUPPORT_ROOT = 100000
+
 
 # -- option schema -----------------------------------------------------------
 
@@ -148,7 +152,8 @@ SCHEMAS: dict[str, tuple] = {
     "rip-scan": _ENSEMBLE_OPTS + (
         Opt("m", "int_list", required=True, above=0, help="comma-separated row counts"),
         Opt("trials", "int", default=200, above=0),
-        Opt("ascent", "int", default=50, above=-1),
+        Opt("ascent", "int", default=50, above=-1,
+            help="no effect: canonical models enumerate or draw supports"),
         Opt("seeds", "int", default=1, above=0, help="number of consecutive seeds"),
     ),
     "mrip": _SKETCH_OPTS + (
@@ -346,6 +351,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         # gaussian_width clamps k to N, so no library object rejects k > N.
         if p["k"] > p["N"]:
             diags.append("k cannot exceed N")
+        if p["draws"] >= _GORDON_SUPPORT_ROOT:
+            diags.append(f"draws cannot exceed {_GORDON_SUPPORT_ROOT - 1}")
     if cmd == "rosenthal":
         # The compression u is built by index, d rows of N columns.
         if p["d"] > p["N"]:
@@ -440,7 +447,7 @@ def _run_isotropy(p: dict) -> RunResult:
 def _run_rip_exact(p: dict) -> RunResult:
     ens = _build_ensemble(p, p["m"], SeededRng(p["seed"]))
     report = exact_rip_canonical(ens, p["k"])
-    doc = {"delta_hat": report.delta_hat, "method": report.method,
+    doc = {"delta_hat": report.delta_hat, "method": "exact_enumeration",
            "model": report.model, "m": report.m}
     return RunResult(None, doc, f"delta_hat={_fmt(report.delta_hat)}")
 
@@ -465,13 +472,13 @@ def _run_rip_scan(p: dict) -> RunResult:
 
 def _run_mrip(p: dict) -> RunResult:
     ens = gaussian_ensemble(p["N"], p["m"], SeededRng(p["seed"]))
-    report = mrip_check(
+    all_pass, levels = mrip_check(
         ens, p["q"], p["s"], p["delta"], p["trials"], p["ascent"],
         SeededRng(p["seed"], 1), extra_level_factor=p["extra_factor"],
     )
-    doc = {"all_pass": report.details["all_pass"], "delta": p["delta"],
-           "q": p["q"], "s": p["s"], "levels": report.levels}
-    return RunResult(report.levels, doc, f"all_pass={report.details['all_pass']}")
+    doc = {"all_pass": all_pass, "delta": p["delta"], "q": p["q"], "s": p["s"],
+           "levels": levels}
+    return RunResult(levels, doc, f"all_pass={all_pass}")
 
 
 def _calibrated_pairs(p: dict):
@@ -529,7 +536,7 @@ def _run_gordon(p: dict) -> RunResult:
     for draw in range(p["draws"]):
         ens = gaussian_ensemble(p["N"], m, SeededRng(p["seed"], 1 + draw))
         rep = empirical_rip(ens, Canonical(p["k"]), p["trials"],
-                            rng=SeededRng(p["seed"], 100000 + draw))
+                            rng=SeededRng(p["seed"], _GORDON_SUPPORT_ROOT + draw))
         hits += 1 if rep.delta_hat <= p["delta"] else 0
     doc = {"width_mean": width["mean"], "width_stderr": width["stderr"],
            "predicted_m": m, "draws": p["draws"], "achieving": hits,
@@ -581,12 +588,12 @@ def _run_infdim_scan(p: dict) -> RunResult:
         return from_bumps(t_scale, [center], [1.0], nbig)
 
     # Every (mode, m) cell shares the trial streams of one root, so one grid
-    # call draws each trial's bump once; reports come scheme-major.
-    reports = iter(rip_experiment(sampler, insts, p["m"], p["trials"], SeededRng(p["seed"])))
+    # call draws each trial's bump once.
+    grid = rip_experiment(sampler, insts, p["m"], p["trials"], SeededRng(p["seed"]))
     rows = []
-    for mode, inst in zip(modes, insts):
-        for m, report in zip(p["m"], reports):
-            for trial, dev in enumerate(report.details["deviations"]):
+    for mode, inst, scheme_devs in zip(modes, insts, grid.deviations):
+        for m, devs in zip(p["m"], scheme_devs):
+            for trial, dev in enumerate(devs.tolist()):
                 rows.append({
                     "scheme": mode,
                     "N": n_cut,

@@ -190,6 +190,7 @@ class MeasurementEnsemble:
     rows: np.ndarray
     provenance: dict = field(default_factory=dict)
 
+    # perfbench/sweep.py is the only caller of this alias of rows.
     def effective_operator(self) -> np.ndarray:
         return self.rows
 

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .numerics import SeededRng
-from .rip import RipReport
 
 __all__ = [
     "FourierFunction",
@@ -47,6 +46,7 @@ __all__ = [
     "dyadic_measure",
     "covering_dyadic_level",
     "truncation_level",
+    "DeviationGrid",
     "rip_experiment",
 ]
 
@@ -439,15 +439,32 @@ def _block_energy(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(phases @ coeffs) ** 2, axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class DeviationGrid:
+    """Translation-average deviations of rip_experiment.
+
+    ``deviations[i, j, t]`` is |average energy - 1| of trial t's function
+    under scheme i over the first m_list[j] translates.  ``details`` holds
+    ``trials`` and ``redraws``, the functions redrawn over all trials.
+    """
+
+    deviations: np.ndarray
+    details: dict
+
+
 def rip_experiment(
     sampler: Callable[[SeededRng], FourierFunction],
     schemes: list[BlockInstrument],
     m_list: list[int],
     trials: int,
     rng: SeededRng,
-) -> list[RipReport]:
-    """Monte Carlo isometry defects of block instruments over translate counts;
-    one RipReport per (scheme, m), scheme-major, in the given orders.
+) -> DeviationGrid:
+    """Translation-average deviations of block instruments over translate
+    counts, as an (S, M, trials) grid in the given scheme and m orders.
+
+    Each cell is one random function's deviation under one fresh draw of
+    translates, not a uniform isometry constant (a supremum over the function
+    class for fixed translates), and has no side.
 
     Each trial draws one model function from its own stream and redraws it
     while any scheme's window seminorm is below 1e-8.  Each scheme normalizes
@@ -455,9 +472,7 @@ def rip_experiment(
     of max(m_list) uniform translates, drawn once per trial; the cell records
     |average - 1|.  Uniform doubles are drawn in sequence, so the first m
     translates are the m a single-m run would draw, and every cell equals a
-    run of rip_experiment on that scheme and m alone.  A report's delta_hat is
-    the maximum over trials; ``details["redraws"]`` counts the redrawn
-    functions, summed over trials.
+    run of rip_experiment on that scheme and m alone.
     """
     schemes, m_list = list(schemes), [int(m) for m in m_list]
     if not schemes or not m_list:
@@ -486,15 +501,4 @@ def rip_experiment(
             for j, m in enumerate(m_list):
                 energy = _block_energy(coeffs, phases[inst.block_len][:m])
                 devs[i, j, trial] = abs(float(energy.mean()) - 1.0)
-    return [
-        RipReport(
-            delta_hat=float(devs[i, j].max()),
-            method="translation_monte_carlo",
-            model="BlockInstrument",
-            m=m,
-            details={"trials": int(trials), "redraws": redraws,
-                     "deviations": devs[i, j].tolist()},
-        )
-        for i in range(len(schemes))
-        for j, m in enumerate(m_list)
-    ]
+    return DeviationGrid(devs, {"trials": int(trials), "redraws": redraws})

@@ -5,19 +5,20 @@ The central quantity for an operator A and a signal model D is
     delta(A, D) = sup { | ||A x||_2^2 - 1 | : x in D, ||x||_2 = 1 },
 
 estimated exactly (support enumeration for canonical sparsity) or from below
-(sampled supports, or sampled witnesses with ascent refinement).  Each
-estimator has one kernel: _max_defect, the Frobenius-pruned maximum over any
-stream of canonical supports, enumerated or sampled, and _ascend, projected
-power ascent toward both signed extremes as one block.  On top of that sit
-the multilevel check, sketched-distance bounds, a pairwise separation
-classifier, Gaussian mean width and the closed-form counts gordon_m,
-implicit_m, table1_counts.
+(sampled supports, or sampled witnesses with ascent refinement); computing it
+is NP-hard, so a sampled value only bounds it, and each RipReport states its
+side.  Each estimator has one kernel: _max_defect, the Frobenius-pruned
+maximum over any stream of canonical supports, enumerated or sampled, and
+_ascend, projected power ascent toward both signed extremes as one block.
+On top of that sit the multilevel check, sketched-distance bounds, a pairwise
+separation classifier, Gaussian mean width and the closed-form counts
+gordon_m, implicit_m, table1_counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -64,16 +65,23 @@ _SUPPORT_CHUNK = 8192
 _PRUNE_MARGIN = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class RipReport:
-    """Result of an isometry-defect estimate."""
+    """A sided isometry-defect estimate and its cost.
+
+    ``side`` is "exact" when every support was enumerated and "lower" when
+    the value is a maximum over drawn supports or witnesses.  ``details``
+    holds the same four counts on every report: ``trials``; ``supports``,
+    C(N, k) when supports are enumerated, ``trials`` when they are drawn and
+    0 for ascent; ``evaluated``, the supports that reached eigvalsh; and
+    ``ascent_iterations``, the ascent row-steps run.
+    """
 
     delta_hat: float
-    method: str
+    side: str
     model: str
     m: int
-    levels: list | None = None
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def _effective(a) -> np.ndarray:
@@ -81,7 +89,7 @@ def _effective(a) -> np.ndarray:
         if a.ndim != 2:
             raise ValueError("operator must be a 2-d array")
         return a.astype(complex)
-    return np.asarray(a.effective_operator(), dtype=complex)
+    return np.asarray(a.rows, dtype=complex)
 
 
 def _chunk_size(k: int) -> int:
@@ -134,9 +142,8 @@ def exact_rip_canonical(a, k: int) -> RipReport:
 
     Enumerates every support, so C(N, k) must not exceed 10^6, through
     _max_defect: memory stays at one chunk of at most 8192 supports, and the
-    Frobenius pruning leaves the unpruned maximum bit for bit.
-    ``details["supports"]`` is C(N, k) and ``details["evaluated"]`` the
-    number of supports that reached eigvalsh.
+    Frobenius pruning leaves the unpruned maximum bit for bit.  Nothing is
+    drawn, so ``details["trials"]`` is 0.
     """
     eff = _effective(a)
     m, n = eff.shape
@@ -149,13 +156,9 @@ def exact_rip_canonical(a, k: int) -> RipReport:
         )
     gram = eff.conj().T @ eff
     delta, evaluated = _max_defect(gram, combinations(range(n), k), k)
-    return RipReport(
-        delta_hat=delta,
-        method="exact_enumeration",
-        model=repr(Canonical(k)),
-        m=m,
-        details={"supports": n_supports, "evaluated": evaluated},
-    )
+    return RipReport(delta, "exact", repr(Canonical(k)), m,
+                     {"trials": 0, "supports": n_supports, "evaluated": evaluated,
+                      "ascent_iterations": 0})
 
 
 def empirical_rip(
@@ -166,21 +169,21 @@ def empirical_rip(
     *,
     rng: SeededRng,
 ) -> RipReport:
-    """Lower-bound estimate of the isometry defect over a signal model.
+    """Estimate of the isometry defect over a signal model, from below unless
+    every support is enumerated.
 
     Canonical models take the largest per-support extreme eigenvalue over
     one support per trial, drawn in trial order; if the trial budget covers
     every support the supports are enumerated instead, nothing is drawn (a
-    drawn support would repeat an enumerated one), and the estimate
-    coincides with exact_rip_canonical.  Both go through exact_rip_canonical's
-    pruned kernel, so a sampled maximum is the unpruned one bit for bit, and
-    ``details["evaluated"]`` counts the supports that reached eigvalsh (at
-    most ``trials``).  ``ascent_steps`` is unused for canonical models.
+    drawn support would repeat an enumerated one), and the report is
+    exact_rip_canonical's value with side "exact".  Both go through
+    exact_rip_canonical's pruned kernel, so a sampled maximum is the unpruned
+    one bit for bit.
+    ``ascent_steps`` is unused for canonical models.
     Other models refine sampled witnesses by projected power ascent on the
     defect quadratic form, both signs of every trial as one block; a row
     stops early when its iterate vanishes under the step (as every row does
     when the defect is 0) or repeats bit for bit, which changes no result.
-    ``details["ascent_iterations"]`` counts the row-steps actually run.
 
     Each trial draws its witness from its own RNG stream, so the estimate is
     a running maximum over per-trial streams and is non-decreasing in
@@ -202,14 +205,9 @@ def empirical_rip(
                     (np.sort(stream.choice_no_replace(n, k)).tolist()
                      for stream in rng.streams(range(trials))))
         delta, evaluated = _max_defect(gram, supports, k)
-        return RipReport(
-            delta_hat=delta,
-            method="exact_enumeration" if exhaustive else "monte_carlo",
-            model=repr(model),
-            m=m,
-            details={"trials": trials, "exhaustive": exhaustive, "evaluated": evaluated,
-                     "ascent_iterations": 0},
-        )
+        return RipReport(delta, "exact" if exhaustive else "lower", repr(model), m,
+                         {"trials": trials, "supports": n_supports if exhaustive else trials,
+                          "evaluated": evaluated, "ascent_iterations": 0})
 
     defect = gram - np.eye(n)
     shift = operator_norm(defect)
@@ -224,14 +222,9 @@ def empirical_rip(
     x, steps = _ascend(model, defect, shift, signs, np.concatenate([x0, x0]), ascent_steps)
     delta = max(map(form, chain(x0, x)))
 
-    return RipReport(
-        delta_hat=delta,
-        method="monte_carlo",
-        model=repr(model),
-        m=m,
-        details={"trials": trials, "exhaustive": False, "ascent_steps": ascent_steps,
-                 "ascent_iterations": steps},
-    )
+    return RipReport(delta, "lower", repr(model), m,
+                     {"trials": trials, "supports": 0, "evaluated": 0,
+                      "ascent_iterations": steps})
 
 
 def _ascend(model: SparsityModel, defect: np.ndarray, shift: float, signs: np.ndarray,
@@ -305,8 +298,9 @@ def mrip_check(
     ascent_steps: int,
     rng: SeededRng,
     extra_level_factor: bool = False,
-) -> RipReport:
+):
     """Multilevel restricted-isometry check over dyadic sparsity levels.
+    Returns (all_pass, level records).
 
     Level l carries the q-cap model at sparsity 2^l s and must stay below
     max(2^(l/2) delta, 2^l delta^2); ``extra_level_factor`` multiplies the
@@ -317,36 +311,11 @@ def mrip_check(
     if delta <= 0:
         raise ValueError("delta must be positive")
     levels = []
-    all_pass = True
-    worst = 0.0
     for level, sigma, observed in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
         threshold = _level_threshold(level, delta, extra_level_factor)
-        passed = observed <= threshold
-        all_pass &= passed
-        worst = max(worst, observed)
-        levels.append(
-            {
-                "level": level,
-                "sparsity": sigma,
-                "observed": observed,
-                "threshold": threshold,
-                "passed": bool(passed),
-            }
-        )
-    return RipReport(
-        delta_hat=worst,
-        method="mrip_monte_carlo",
-        model=f"LqCap(q={q}, s={s}) dyadic levels",
-        m=_effective(a).shape[0],
-        levels=levels,
-        details={
-            "q": q,
-            "s": s,
-            "delta": delta,
-            "extra_level_factor": bool(extra_level_factor),
-            "all_pass": bool(all_pass),
-        },
-    )
+        levels.append({"level": level, "sparsity": sigma, "observed": observed,
+                       "threshold": threshold, "passed": bool(observed <= threshold)})
+    return all(lv["passed"] for lv in levels), levels
 
 
 def calibrate_mrip_distortion(

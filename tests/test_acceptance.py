@@ -135,7 +135,7 @@ class TestAcceptance:
             ens = go.gaussian_ensemble(12, 6, SeededRng(seed))
             emp = rip.empirical_rip(ens, sp.Canonical(2), 66, 50, rng=SeededRng(seed, 1))
             ex = rip.exact_rip_canonical(ens, 2)
-            exhaustive = exhaustive and emp.method == "exact_enumeration"
+            exhaustive = exhaustive and emp.side == "exact"
             worst = max(worst, abs(emp.delta_hat - ex.delta_hat))
         assert _verdict(3, exhaustive and worst <= 1e-10,
                         f"exhaustive sampling matched enumeration to {worst:.2e}")
@@ -425,17 +425,17 @@ class TestAcceptance:
         det_inst = make_block_instrument(64, 4)
         medians = []
         for m in (16, 64, 256):
-            (rep,) = rip_experiment(bump16, [det_inst], [m], 20, SeededRng(555))
-            medians.append(float(np.median(rep.details["deviations"])))
+            devs = rip_experiment(bump16, [det_inst], [m], 20, SeededRng(555)).deviations
+            medians.append(float(np.median(devs[0, 0])))
         decreasing = medians[0] > medians[1] > medians[2]
         det_meds, rad_meds = [], []
         for seed in range(20):
             rad_inst = make_block_instrument(64, 4, "rademacher",
                                              SeededRng(555 + seed, 7))
-            (det,) = rip_experiment(bump16, [det_inst], [64], 5, SeededRng(555 + seed))
-            (rad,) = rip_experiment(bump16, [rad_inst], [64], 5, SeededRng(555 + seed))
-            det_meds.append(float(np.median(det.details["deviations"])))
-            rad_meds.append(float(np.median(rad.details["deviations"])))
+            det = rip_experiment(bump16, [det_inst], [64], 5, SeededRng(555 + seed))
+            rad = rip_experiment(bump16, [rad_inst], [64], 5, SeededRng(555 + seed))
+            det_meds.append(float(np.median(det.deviations[0, 0])))
+            rad_meds.append(float(np.median(rad.deviations[0, 0])))
         det_med = float(np.median(det_meds))
         rad_med = float(np.median(rad_meds))
         ok = decreasing and rad_med <= det_med

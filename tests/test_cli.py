@@ -394,6 +394,8 @@ _INVALID = [
      "underflows to 0"),
     ((*_VALID["mrip"], "--ascent", "-3"), "ascent: must exceed -1; got -3"),
     ((*_VALID["rip-scan"], "--ascent", "-3"), "ascent: must exceed -1; got -3"),
+    # Draw d's ensemble stream 1 + d would meet draw 0's support stream 100000.
+    ((*_VALID["gordon"], "--draws", "100000"), "draws cannot exceed 99999"),
 ]
 
 

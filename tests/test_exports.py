@@ -10,7 +10,7 @@ import pytest
 
 import riplab
 from riplab.group_ops import monomial
-from riplab.infdim import FourierFunction, make_block_instrument
+from riplab.infdim import DeviationGrid, FourierFunction, make_block_instrument
 from riplab.instruments import make_flat
 
 MODULES = ["riplab"] + [f"riplab.{info.name}" for info in pkgutil.iter_modules(riplab.__path__)]
@@ -28,7 +28,8 @@ def test_all_names_resolve(name):
     lambda: FourierFunction(np.ones(8), 4),
     lambda: make_flat(8),
     lambda: monomial("shiftmod", 8, np.array([[1, 2]])),
-], ids=["BlockInstrument", "FourierFunction", "Instrument", "Monomial"])
+    lambda: DeviationGrid(np.zeros((1, 1, 2)), {"trials": 2, "redraws": 0}),
+], ids=["BlockInstrument", "FourierFunction", "Instrument", "Monomial", "DeviationGrid"])
 def test_array_holders_compare_by_identity(build):
     # A generated field-wise __eq__ would compare arrays and raise.
     a, b = build(), build()

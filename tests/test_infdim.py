@@ -756,29 +756,25 @@ def bump_sampler(t_scale, n_big, count=1):
 class TestTranslationExperiment:
     def test_dc_mode_unit_blocks_has_zero_deviation(self):
         inst = make_block_instrument(1, 1)
-        (report,) = rip_experiment(
-            lambda rng: psi(0, 4), [inst], [7], 3, SeededRng(SEED + 26)
-        )
-        assert report.delta_hat == 0.0
-        assert report.method == "translation_monte_carlo"
-        assert report.model == "BlockInstrument"
-        assert report.m == 7
-        assert len(report.details["deviations"]) == 3
+        grid = rip_experiment(lambda rng: psi(0, 4), [inst], [7], 3, SeededRng(SEED + 26))
+        assert grid.deviations.shape == (1, 1, 3)
+        assert not grid.deviations.any()
+        assert grid.details == {"trials": 3, "redraws": 0}
 
     def test_deterministic_given_seed(self):
         samp = bump_sampler(8.0, 256, 2)
         inst = make_block_instrument(64, 4, "rademacher", SeededRng(SEED + 28, 7))
-        (a,) = rip_experiment(samp, [inst], [16], 4, SeededRng(SEED + 28))
-        (b,) = rip_experiment(samp, [inst], [16], 4, SeededRng(SEED + 28))
-        assert a.details["deviations"] == b.details["deviations"]
+        a = rip_experiment(samp, [inst], [16], 4, SeededRng(SEED + 28))
+        b = rip_experiment(samp, [inst], [16], 4, SeededRng(SEED + 28))
+        np.testing.assert_array_equal(a.deviations, b.deviations)
 
     def test_deviation_median_decreases_with_samples(self):
         samp = bump_sampler(8.0, 256, 2)
         inst = make_block_instrument(64, 4)
         medians = []
         for m in (8, 64, 512):
-            (report,) = rip_experiment(samp, [inst], [m], 20, SeededRng(SEED + 1))
-            medians.append(float(np.median(report.details["deviations"])))
+            grid = rip_experiment(samp, [inst], [m], 20, SeededRng(SEED + 1))
+            medians.append(float(np.median(grid.deviations[0, 0])))
         assert medians[0] > medians[1] > medians[2]
 
     def test_signed_blocks_beat_plain_blocks_on_bumps(self):
@@ -789,10 +785,10 @@ class TestTranslationExperiment:
         for seed in range(20):
             det_inst = make_block_instrument(32, 4)
             rad_inst = make_block_instrument(32, 4, "rademacher", SeededRng(SEED + seed, 7))
-            (det,) = rip_experiment(samp, [det_inst], [32], 5, SeededRng(SEED + seed))
-            (rad,) = rip_experiment(samp, [rad_inst], [32], 5, SeededRng(SEED + seed))
-            det_medians.append(np.median(det.details["deviations"]))
-            rad_medians.append(np.median(rad.details["deviations"]))
+            det = rip_experiment(samp, [det_inst], [32], 5, SeededRng(SEED + seed))
+            rad = rip_experiment(samp, [rad_inst], [32], 5, SeededRng(SEED + seed))
+            det_medians.append(np.median(det.deviations[0, 0]))
+            rad_medians.append(np.median(rad.deviations[0, 0]))
         assert np.median(rad_medians) <= np.median(det_medians)
 
     @settings(max_examples=25)
@@ -811,16 +807,12 @@ class TestTranslationExperiment:
         }
         schemes = [build[name]() for name in names]
         samp = bump_sampler(8.0, 32)
-        grid = rip_experiment(samp, schemes, m_list, trials, SeededRng(seed))
-        assert len(grid) == len(schemes) * len(m_list)
-        cells = iter(grid)
-        for scheme in schemes:
-            for m in m_list:
-                (single,) = rip_experiment(samp, [scheme], [m], trials, SeededRng(seed))
-                cell = next(cells)
-                assert (cell.model, cell.m) == (single.model, m)
-                assert cell.details["deviations"] == single.details["deviations"]
-                assert cell.delta_hat == single.delta_hat
+        grid = rip_experiment(samp, schemes, m_list, trials, SeededRng(seed)).deviations
+        assert grid.shape == (len(schemes), len(m_list), trials)
+        for scheme, scheme_devs in zip(schemes, grid):
+            for m, cell in zip(m_list, scheme_devs):
+                single = rip_experiment(samp, [scheme], [m], trials, SeededRng(seed))
+                assert cell.tobytes() == single.deviations[0, 0].tobytes()
 
     def test_degenerate_draws_are_resampled(self):
         calls = {"n": 0}
@@ -832,10 +824,10 @@ class TestTranslationExperiment:
             return psi(0, 4)
 
         inst = make_block_instrument(1, 1)
-        (report,) = rip_experiment(sampler, [inst], [3], 1, SeededRng(SEED + 29))
-        assert report.delta_hat == 0.0
+        grid = rip_experiment(sampler, [inst], [3], 1, SeededRng(SEED + 29))
+        assert grid.deviations.tolist() == [[[0.0]]]
         assert calls["n"] == 2
-        assert report.details["redraws"] == 1
+        assert grid.details == {"trials": 1, "redraws": 1}
 
     def test_persistent_zero_sampler_rejected(self):
         inst = make_block_instrument(1, 1)

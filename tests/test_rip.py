@@ -63,7 +63,7 @@ class TestExactRip:
 
     def test_matches_brute_force_supports(self):
         ens = gaussian_ensemble(7, 5, SeededRng(SEED + 1))
-        a = ens.effective_operator()
+        a = ens.rows
         k = 3
         best = 0.0
         for support in itertools.combinations(range(7), k):
@@ -73,7 +73,7 @@ class TestExactRip:
 
     def test_scaling_has_no_hidden_normalization(self):
         ens = gaussian_ensemble(6, 4, SeededRng(SEED + 2))
-        a = ens.effective_operator()
+        a = ens.rows
         c = 1.7
         report = exact_rip_canonical(c * a, 2)
         best = 0.0
@@ -179,7 +179,7 @@ class TestSupportDefects:
                 mp.setattr(rip, "_SUPPORT_CHUNK", 7)
                 report = empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed, 1))
             assert report.delta_hat == reference_support_defect(gram, listed)
-            assert report.details["exhaustive"] is exhaustive
+            assert report.side == ("exact" if exhaustive else "lower")
             assert 1 <= report.details["evaluated"] <= min(trials, n_supports)
 
 
@@ -237,7 +237,7 @@ class TestEmpiricalRip:
         ens = gaussian_ensemble(6, 4, SeededRng(SEED))
         # C(6, 2) = 15 supports, 40 trials: 25 trials are left after enumeration.
         report = empirical_rip(ens, Canonical(2), 40, rng=SeededRng(SEED, 1))
-        assert report.details["exhaustive"] and calls == []
+        assert report.side == "exact" and calls == []
 
     def test_exhaustive_trials_match_exact(self):
         for seed in range(4):
@@ -246,7 +246,7 @@ class TestEmpiricalRip:
             # C(10, 2) = 45 supports, trial budget covers them all
             emp = empirical_rip(ens, Canonical(2), 45, rng=SeededRng(seed, 1))
             assert emp.delta_hat == pytest.approx(exact, abs=1e-10)
-            assert emp.method == "exact_enumeration"
+            assert emp.side == "exact"
 
     def test_monte_carlo_is_lower_bound(self):
         ens = gaussian_ensemble(12, 8, SeededRng(SEED + 4))
@@ -313,7 +313,7 @@ class TestBlockAscent:
         st.integers(0, 2**16),
     )
     def test_matches_per_trial_reference(self, model, trials, steps, seed):
-        a = gaussian_ensemble(16, 12, SeededRng(seed)).effective_operator()
+        a = gaussian_ensemble(16, 12, SeededRng(seed)).rows
         report = empirical_rip(a, model, trials, steps, rng=SeededRng(seed, 1))
         delta, iterations, _ = reference_ascent(a, model, trials, steps, SeededRng(seed, 1))
         assert report.delta_hat.hex() == delta.hex()
@@ -343,31 +343,54 @@ class TestBlockAscent:
         assert report.details["trials"] == 20
 
 
+class TestReportContract:
+    # Every estimate states its side and the same four cost counts.  The
+    # operator has C(6, 2) = 15 supports: 10 trials draw, 40 enumerate.
+    @pytest.mark.parametrize("estimate,side,trials,supports", [
+        (lambda a: exact_rip_canonical(a, 2), "exact", 0, 15),
+        (lambda a: empirical_rip(a, Canonical(2), 10, rng=SeededRng(SEED, 1)), "lower", 10, 10),
+        (lambda a: empirical_rip(a, Canonical(2), 40, rng=SeededRng(SEED, 1)), "exact", 40, 15),
+        (lambda a: empirical_rip(a, LqCap(1.0, 2.0), 10, 5, rng=SeededRng(SEED, 1)),
+         "lower", 10, 0),
+    ], ids=["exact", "drawn", "enumerated", "ascent"])
+    def test_side_and_cost_keys(self, estimate, side, trials, supports):
+        a = gaussian_ensemble(6, 4, SeededRng(SEED + 40)).rows
+        report = estimate(a)
+        assert report.side == side
+        assert report.details.keys() == {"trials", "supports", "evaluated", "ascent_iterations"}
+        assert (report.details["trials"], report.details["supports"]) == (trials, supports)
+        assert 0 <= report.details["evaluated"] <= supports
+        # Only ascent, which evaluates no supports, runs ascent steps.
+        assert (report.details["ascent_iterations"] > 0) == (supports == 0)
+        if side == "exact":
+            assert report.delta_hat.hex() == exact_rip_canonical(a, 2).delta_hat.hex()
+
+
 class TestMripCheck:
     def test_identity_passes_any_delta(self):
-        report = mrip_check(np.eye(16), 1.0, 1.0, 1e-6, 10, 10, SeededRng(SEED + 10))
-        assert report.details["all_pass"]
+        all_pass, _ = mrip_check(np.eye(16), 1.0, 1.0, 1e-6, 10, 10, SeededRng(SEED + 10))
+        assert all_pass
 
     def test_level_range_arithmetic(self):
-        report = mrip_check(np.eye(16), 1.0, 1.0, 0.5, 2, 2, SeededRng(SEED + 11))
-        assert [lv["level"] for lv in report.levels] == [0, 1, 2, 3, 4]
+        _, levels = mrip_check(np.eye(16), 1.0, 1.0, 0.5, 2, 2, SeededRng(SEED + 11))
+        assert [lv["level"] for lv in levels] == [0, 1, 2, 3, 4]
 
     def test_level_range_with_fractional_start(self):
-        report = mrip_check(np.eye(32), 1.0, 2.0, 0.5, 2, 2, SeededRng(SEED + 12))
-        assert [lv["level"] for lv in report.levels] == [-1, 0, 1, 2, 3, 4]
+        _, levels = mrip_check(np.eye(32), 1.0, 2.0, 0.5, 2, 2, SeededRng(SEED + 12))
+        assert [lv["level"] for lv in levels] == [-1, 0, 1, 2, 3, 4]
 
     def test_threshold_formula(self):
         delta = 0.3
-        report = mrip_check(np.eye(16), 1.0, 1.0, delta, 2, 2, SeededRng(SEED + 13))
-        for lv in report.levels:
+        _, levels = mrip_check(np.eye(16), 1.0, 1.0, delta, 2, 2, SeededRng(SEED + 13))
+        for lv in levels:
             expected = max(2 ** (lv["level"] / 2) * delta, 2 ** lv["level"] * delta ** 2)
             assert lv["threshold"] == pytest.approx(expected, rel=1e-12)
 
     def test_extra_level_factor_loosens_thresholds(self):
         delta = 0.3
-        loose = mrip_check(np.eye(16), 1.0, 1.0, delta, 2, 2, SeededRng(SEED + 14),
-                           extra_level_factor=True)
-        for lv in loose.levels:
+        _, loose = mrip_check(np.eye(16), 1.0, 1.0, delta, 2, 2, SeededRng(SEED + 14),
+                              extra_level_factor=True)
+        for lv in loose:
             expected = 2 ** (lv["level"] / 2) * max(
                 2 ** (lv["level"] / 2) * delta, 2 ** lv["level"] * delta ** 2
             )
@@ -379,10 +402,10 @@ class TestMripCheck:
         # reproduces those sups, so the check must pass at that delta
         ens = gaussian_ensemble(32, 128, SeededRng(SEED + 15))
         delta, records = calibrate_mrip_distortion(ens, 1.0, 2.0, 10, 20, SeededRng(SEED + 16))
-        report = mrip_check(ens, 1.0, 2.0, delta, 10, 20, SeededRng(SEED + 16))
-        assert report.details["all_pass"]
-        shrunk = mrip_check(ens, 1.0, 2.0, delta * 0.98, 10, 20, SeededRng(SEED + 16))
-        assert not shrunk.details["all_pass"]
+        all_pass, _ = mrip_check(ens, 1.0, 2.0, delta, 10, 20, SeededRng(SEED + 16))
+        assert all_pass
+        shrunk, _ = mrip_check(ens, 1.0, 2.0, delta * 0.98, 10, 20, SeededRng(SEED + 16))
+        assert not shrunk
 
     def test_invalid_sparsity_rejected(self):
         with pytest.raises(ValueError):
@@ -405,7 +428,7 @@ class TestDistanceBound:
         x = SeededRng(SEED + 19).complex_normal(16)
         x /= np.linalg.norm(x)
         res = distance_bound_check(ens, x, np.zeros(16), 16.0, 0.5, 1.0)
-        a = ens.effective_operator()
+        a = ens.rows
         observed = abs(np.linalg.norm(a @ x) ** 2 - 1.0)
         assert res["observed"] == pytest.approx(observed, rel=1e-12)
 
