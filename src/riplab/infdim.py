@@ -25,8 +25,6 @@ from .numerics import SeededRng
 
 __all__ = [
     "FourierFunction",
-    "Truncated",
-    "weight_array",
     "standard_bump",
     "from_bumps",
     "evaluate",
@@ -89,28 +87,6 @@ class FourierFunction:
 
     def scaled(self, a: complex) -> "FourierFunction":
         return FourierFunction(self.coeffs * a, self.n_big)
-
-
-# -- weights ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Truncated:
-    """Indicator weights of the frequency window [-n_cut, n_cut)."""
-
-    n_cut: int
-
-    def __post_init__(self):
-        if self.n_cut < 1:
-            raise ValueError("cutoff must be >= 1")
-
-
-def weight_array(window: Truncated, n_big: int) -> np.ndarray:
-    """0/1 mask of the window over the carrier band [-n_big, n_big)."""
-    if window.n_cut > n_big:
-        raise ValueError(f"cutoff {window.n_cut} exceeds the carrier band {n_big}")
-    k = np.arange(-n_big, n_big)
-    return ((k >= -window.n_cut) & (k < window.n_cut)).astype(float)
 
 
 # -- construction --------------------------------------------------------------
@@ -218,9 +194,13 @@ def _require_dc_free(f: FourierFunction, message: str) -> None:
         raise ValueError(message)
 
 
-def weighted_seminorm(f: FourierFunction, window: Truncated) -> float:
-    """Window seminorm sqrt(sum_k w_k |c_k|^2), w the 0/1 mask of the window."""
-    w = weight_array(window, f.n_big)
+def weighted_seminorm(f: FourierFunction, n_cut: int) -> float:
+    """Window seminorm sqrt(sum_k w_k |c_k|^2), w the 0/1 mask of the frequency
+    window [-n_cut, n_cut) over the carrier band [-n_big, n_big)."""
+    if n_cut > f.n_big:
+        raise ValueError(f"cutoff {n_cut} exceeds the carrier band {f.n_big}")
+    k = f.frequencies
+    w = ((k >= -n_cut) & (k < n_cut)).astype(float)
     return float(math.sqrt(float(np.sum(w * np.abs(f.coeffs) ** 2))))
 
 
@@ -480,17 +460,16 @@ def rip_experiment(
     if min(m_list) < 1 or trials < 1:
         raise ValueError("m and trials must be >= 1")
     devs = np.empty((len(schemes), len(m_list), trials))
-    windows = [Truncated(inst.n_cut) for inst in schemes]
     redraws = 0
     for trial, stream in enumerate(rng.streams(range(trials))):
         f, attempts = sampler(stream), 0
-        while min(norms := [weighted_seminorm(f, w) for w in windows]) < 1e-8:
+        while min(norms := [weighted_seminorm(f, inst.n_cut) for inst in schemes]) < 1e-8:
             attempts += 1
             if attempts > 100:
                 raise ValueError("sampler keeps producing numerically zero functions")
             f = sampler(stream)
         redraws += attempts
-        if f.n_big < 4 * max(w.n_cut for w in windows):
+        if f.n_big < 4 * max(inst.n_cut for inst in schemes):
             raise ValueError("carrier band must be at least 4x the scheme cutoff")
         ts = stream.uniform(0.0, 1.0, max(m_list))
         phases = {n: _in_block_phases(n, ts)[1] for n in {s.block_len for s in schemes}}

@@ -26,10 +26,8 @@ import numpy as np
 from .numerics import CapacityError, SeededRng, lq_norm, operator_norm
 from .sparsity import (
     Canonical,
-    LowRank,
     LqCap,
     SparsityModel,
-    TensorRank,
     max_sparsity_level,
     project_witness,
     sample_sparse,
@@ -180,7 +178,7 @@ def empirical_rip(
     exact_rip_canonical's pruned kernel, so a sampled maximum is the unpruned
     one bit for bit.
     ``ascent_steps`` is unused for canonical models.
-    Other models refine sampled witnesses by projected power ascent on the
+    q-cap models refine sampled witnesses by projected power ascent on the
     defect quadratic form, both signs of every trial as one block; a row
     stops early when its iterate vanishes under the step (as every row does
     when the defect is 0) or repeats bit for bit, which changes no result.
@@ -263,7 +261,8 @@ def _level_range(q: float, s: float, n: int) -> range:
     smax = max_sparsity_level(q, n)
     if not (1.0 <= s <= smax * (1 + 1e-12)):
         raise ValueError(f"s must lie in [1, s_max={smax:.6g}]; got {s}")
-    lo = math.floor(round(-math.log2(s), 12))
+    # The lowest level is the first with sparsity 2^l s >= 1; it holds every 1-sparse vector.
+    lo = math.ceil(round(-math.log2(s), 12))
     hi = math.ceil(round(math.log2(smax / s), 12))
     return range(lo, hi + 1)
 
@@ -483,25 +482,15 @@ def _width_one_draw(model: SparsityModel, xi: np.ndarray) -> float:
         cums = np.cumsum(mags[:j_max])
         j = np.arange(1, j_max + 1, dtype=float)
         return float(np.max(cums / np.sqrt(j)))
-    if isinstance(model, LowRank):
-        side = math.isqrt(n)
-        if side * side != n:
-            raise ValueError("low-rank ambient dimension must be a perfect square")
-        sv = np.linalg.svd(xi.reshape(side, side), compute_uv=False)
-        r = min(model.r, side)
-        return float(np.linalg.norm(sv[:r]))
-    if isinstance(model, TensorRank):
-        witness = project_witness(model, xi.astype(complex))
-        return float(abs(np.vdot(witness, xi)))
     raise TypeError(f"unknown sparsity model {type(model).__name__}")
 
 
 def gaussian_width(model: SparsityModel, ambient: int, trials: int, rng: SeededRng) -> dict:
     """Monte Carlo Gaussian mean width of the model's unit-sphere section.
 
-    Canonical, q-cap and low-rank suprema are evaluated in closed form per
-    draw; elementary-tensor models use a greedy witness and therefore report
-    a lower-bound estimate.
+    The supremum over the model is evaluated in closed form per draw: the
+    norm of the k largest moduli for Canonical(k), the best flat witness for
+    a q-cap.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")

@@ -1,21 +1,18 @@
 """Sparsity models and the instrument-dependent sparsity parameter.
 
-A model describes a set of unit-norm signals:
+A model describes a set of unit-norm signals in C^N:
 
-* ``Canonical(k)``        -- at most k nonzero coordinates.
-* ``LqCap(q, s)``         -- ||x||_q <= sqrt(s) ||x||_2 (1 <= q <= 2).
-* ``LowRank(r)``          -- n x n matrices of rank <= r, unit Frobenius norm.
-* ``TensorRank(s, n, d)`` -- sums of s elementary d-fold tensors over C^n.
+* ``Canonical(k)`` -- at most k nonzero coordinates.
+* ``LqCap(q, s)``  -- ||x||_q <= sqrt(s) ||x||_2 (1 <= q <= 2).
 
-``sample_sparse`` draws canonical witnesses from each family, always returned
-as flattened unit vectors so measurement operators apply uniformly.
+``sample_sparse`` draws witnesses from either model and ``project_witness``
+maps a vector back onto one; the projected ascent in rip uses both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -25,8 +22,6 @@ from .numerics import SeededRng, lq_norm, schatten_norm
 __all__ = [
     "Canonical",
     "LqCap",
-    "LowRank",
-    "TensorRank",
     "SparsityModel",
     "sparsity_level",
     "max_sparsity_level",
@@ -60,27 +55,7 @@ class LqCap:
             raise ValueError(f"the l_q cap is empty for s < 1; got s={self.s}")
 
 
-@dataclass(frozen=True)
-class LowRank:
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("rank must be >= 1")
-
-
-@dataclass(frozen=True)
-class TensorRank:
-    s: int
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.s < 1 or self.n < 1 or self.d < 1:
-            raise ValueError("tensor rank, mode size and order must all be >= 1")
-
-
-SparsityModel = Union[Canonical, LqCap, LowRank, TensorRank]
+SparsityModel = Canonical | LqCap
 
 
 def sparsity_level(x, q: float) -> float:
@@ -115,8 +90,11 @@ def witness_support_size(q: float, s: float, n: int) -> int:
         raise ValueError("no witness exists for s < 1")
     if q == 2.0:
         return n
-    j = int(math.floor(s ** (1.0 / (2.0 / q - 1.0))))
-    return max(1, min(n, j))
+    expo = 1.0 / (2.0 / q - 1.0)
+    # Past 2N the cap is N anyway, and s^expo can overflow a float near q = 2.
+    if expo * math.log2(s) >= math.log2(n) + 1:
+        return n
+    return max(1, min(n, int(math.floor(s**expo))))
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -127,10 +105,7 @@ def _unit(x: np.ndarray) -> np.ndarray:
 
 
 def sample_sparse(model: SparsityModel, ambient: int, rng: SeededRng) -> np.ndarray:
-    """Random unit-norm member of the model's witness family, flattened.
-
-    ambient is the flattened dimension (N, n^2 for matrices, n^d for tensors).
-    """
+    """Random unit-norm member of the model's witness family in C^ambient."""
     if isinstance(model, Canonical):
         if model.k > ambient:
             raise ValueError(f"k={model.k} exceeds ambient dimension {ambient}")
@@ -146,26 +121,6 @@ def sample_sparse(model: SparsityModel, ambient: int, rng: SeededRng) -> np.ndar
         x[support] = rng.unit_phases(j) / math.sqrt(j)
         return x
 
-    if isinstance(model, LowRank):
-        n = math.isqrt(ambient)
-        if n * n != ambient:
-            raise ValueError("low-rank ambient dimension must be a perfect square")
-        if model.r > n:
-            raise ValueError(f"rank {model.r} exceeds matrix side {n}")
-        a = rng.complex_normal((n, model.r)) @ rng.complex_normal((model.r, n))
-        return _unit(a.ravel())
-
-    if isinstance(model, TensorRank):
-        if model.n**model.d != ambient:
-            raise ValueError("tensor ambient dimension must equal n^d")
-        acc = np.zeros(ambient, dtype=complex)
-        for _ in range(model.s):
-            term = np.ones(1, dtype=complex)
-            for _ in range(model.d):
-                term = np.multiply.outer(term, rng.complex_normal(model.n)).ravel()
-            acc += term
-        return _unit(acc)
-
     raise TypeError(f"unknown sparsity model {type(model).__name__}")
 
 
@@ -176,34 +131,6 @@ def _top_support(z: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k largest moduli in each row of z."""
     n = z.shape[1]
     return np.argpartition(np.abs(z), n - k, axis=1)[:, n - k:]
-
-
-def _rank1_tensor_fit(resid: np.ndarray, n: int, d: int, iters: int = 12):
-    """Alternating power iterations for the dominant elementary tensor."""
-    t = resid.reshape((n,) * d)
-    factors = []
-    flat_abs = np.abs(resid)
-    lead = int(np.argmax(flat_abs))
-    idx = np.unravel_index(lead, (n,) * d)
-    for mode in range(d):
-        e = np.zeros(n, dtype=complex)
-        e[idx[mode]] = 1.0
-        factors.append(e)
-    for _ in range(iters):
-        for mode in range(d):
-            contracted = t
-            for other in range(d - 1, -1, -1):
-                if other == mode:
-                    continue
-                contracted = np.tensordot(contracted, np.conj(factors[other]), axes=([other], [0]))
-            nrm = np.linalg.norm(contracted)
-            if nrm == 0:
-                return factors, 0.0
-            factors[mode] = contracted / nrm
-    weight = t
-    for mode in range(d - 1, -1, -1):
-        weight = np.tensordot(weight, np.conj(factors[mode]), axes=([mode], [0]))
-    return factors, complex(weight)
 
 
 def project_witness(model: SparsityModel, z) -> np.ndarray:
@@ -241,35 +168,7 @@ def _project_rows(model: SparsityModel, z: np.ndarray) -> np.ndarray:
         np.put_along_axis(x, keep, phases / math.sqrt(j), axis=1)
         return x
 
-    if isinstance(model, (LowRank, TensorRank)):
-        return np.array([_project_one(model, row) for row in z]).reshape(z.shape)
-
     raise TypeError(f"unknown sparsity model {type(model).__name__}")
-
-
-def _project_one(model: LowRank | TensorRank, z: np.ndarray) -> np.ndarray:
-    if isinstance(model, LowRank):
-        n = math.isqrt(z.size)
-        a = z.reshape(n, n)
-        u, sv, vh = np.linalg.svd(a, full_matrices=False)
-        r = min(model.r, n)
-        a = (u[:, :r] * sv[:r]) @ vh[:r]
-        return _unit(a.ravel())
-
-    resid = z.copy()
-    acc = np.zeros(z.size, dtype=complex)
-    for _ in range(model.s):
-        factors, weight = _rank1_tensor_fit(resid, model.n, model.d)
-        if weight == 0:
-            break
-        term = np.ones(1, dtype=complex)
-        for f in factors:
-            term = np.multiply.outer(term, f).ravel()
-        acc += weight * term
-        resid = resid - weight * term
-    if not np.any(acc):
-        return _unit(z)  # degenerate fit; fall back to the raw direction
-    return _unit(acc)
 
 
 # -- the instrument-dependent sparsity parameter -----------------------------

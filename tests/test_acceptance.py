@@ -24,7 +24,6 @@ from riplab import rip
 from riplab import sparsity as sp
 from riplab.infdim import (
     FourierFunction,
-    Truncated,
     block_measure,
     covering_dyadic_level,
     differentiate,
@@ -357,7 +356,7 @@ class TestAcceptance:
         rng = SeededRng(61002)
         f = _random_poly(rng, 256)
         ts = np.arange(4 * f.n_big) / (4 * f.n_big)
-        target = weighted_seminorm(f, Truncated(64)) ** 2
+        target = weighted_seminorm(f, 64) ** 2
         worst = 0.0
         for block_len in (1, 4, 8):
             for mode in ("deterministic", "rademacher"):

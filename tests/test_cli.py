@@ -471,6 +471,19 @@ class TestValidation:
         assert run_cli(*argv, "--validate-only") == 0
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
 
+    # s = 3 is not a power of two: its lowest dyadic level holds sparsity 1.5.
+    # q = 1.999 puts the top level's witness size at 2^1999, past any float.
+    @pytest.mark.parametrize("argv", [
+        (*_VALID["mrip"], "--s", "3"),
+        (*_VALID["distance"], "--s", "3"),
+        (*_VALID["weakdiff"], "--s", "3"),
+        (*_VALID["mrip"], "--s", "1", "--q", "1.999"),
+    ], ids=["mrip", "distance", "weakdiff", "mrip-q-near-2"])
+    def test_level_edge_configs_validate_and_run(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--validate-only") == 0
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
+
     @pytest.mark.parametrize("argv,message", _INVALID)
     def test_validate_only_agrees_with_the_run(self, tmp_path, monkeypatch, capsys,
                                                argv, message):

@@ -18,7 +18,6 @@ from riplab import infdim
 from riplab.infdim import (
     BlockInstrument,
     FourierFunction,
-    Truncated,
     block_measure,
     covering_dyadic_level,
     differentiate,
@@ -34,7 +33,6 @@ from riplab.infdim import (
     time_sample_measure,
     truncation_level,
     values_on_grid,
-    weight_array,
     weighted_seminorm,
 )
 from riplab.numerics import SeededRng
@@ -239,8 +237,8 @@ class TestShiftAndDerivative:
     def test_seminorms_are_shift_invariant(self):
         f = random_poly(SeededRng(SEED + 7), 32)
         g = FourierFunction(f.coeffs * np.exp(-2j * np.pi * f.frequencies * 0.377), f.n_big)
-        a = weighted_seminorm(f, Truncated(16))
-        b = weighted_seminorm(g, Truncated(16))
+        a = weighted_seminorm(f, 16)
+        b = weighted_seminorm(g, 16)
         assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
     def test_first_mode_is_derivative_fixed_point(self):
@@ -272,19 +270,18 @@ class TestShiftAndDerivative:
 
 class TestWeightsAndNorms:
     def test_truncated_out_of_band_mode(self):
-        assert weighted_seminorm(psi(67, 128), Truncated(64)) == 0.0
+        assert weighted_seminorm(psi(67, 128), 64) == 0.0
 
     def test_truncated_dc_mode(self):
-        assert weighted_seminorm(psi(0, 128), Truncated(64)) == 1.0
+        assert weighted_seminorm(psi(0, 128), 64) == 1.0
 
     def test_truncated_window_is_half_open(self):
-        w = weight_array(Truncated(4), 8)
-        k = np.arange(-8, 8)
-        assert np.array_equal(w == 1.0, (k >= -4) & (k < 4))
+        norms = [weighted_seminorm(psi(k, 8), 4) for k in range(-8, 8)]
+        assert norms == [1.0 if -4 <= k < 4 else 0.0 for k in range(-8, 8)]
 
     def test_cutoff_beyond_band_rejected(self):
-        with pytest.raises(ValueError):
-            weight_array(Truncated(16), 8)
+        with pytest.raises(ValueError, match="exceeds the carrier band"):
+            weighted_seminorm(psi(0, 8), 16)
 
     def test_pure_modes_have_unit_lq_norm(self):
         for q in (1.0, 1.5, 2.0, 4.0, math.inf):
@@ -356,7 +353,7 @@ class TestMembership:
         """Members with derivative ratio <= N/2 obey the band-seminorm bound.
 
         ||f||_Lq <= sqrt((1 + 4 rho^2/N^2) gamma^(2/q-1)) * ||f||_2,w with the
-        Truncated(N) window, using the measured rho and gamma.
+        window [-N, N), using the measured rho and gamma.
         """
         n_cut = 64
         rng = SeededRng(SEED + 12)
@@ -367,7 +364,7 @@ class TestMembership:
             rep = smooth_sparse_membership(f, 1e9, 1.0)
             rho, gamma = rep["measured_rho"], rep["measured_gamma"]
             assert rho <= n_cut / 2
-            base = weighted_seminorm(f, Truncated(n_cut))
+            base = weighted_seminorm(f, n_cut)
             for q in (1.25, 1.5, 2.0):
                 lhs = lq_norm_function(f, q)
                 rhs = math.sqrt(
@@ -453,7 +450,7 @@ class TestBlockMeasurements:
                 )
                 vals = block_measure(f, inst, ts)
                 mean_energy = float(np.mean(np.sum(np.abs(vals) ** 2, axis=1)))
-                target = weighted_seminorm(f, Truncated(16)) ** 2
+                target = weighted_seminorm(f, 16) ** 2
                 assert abs(mean_energy - target) <= 1e-10 * target, (block_len, mode)
 
     def test_band_must_cover_window(self):

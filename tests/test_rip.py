@@ -29,9 +29,7 @@ from riplab.rip import (
 )
 from riplab.sparsity import (
     Canonical,
-    LowRank,
     LqCap,
-    TensorRank,
     project_witness,
     sample_sparse,
     witness_support_size,
@@ -225,7 +223,7 @@ class TestEmpiricalRip:
     def test_identity_all_models(self):
         a = np.eye(16)
         rng = SeededRng(SEED + 3)
-        for model in (Canonical(3), LqCap(1.0, 4.0), LowRank(2), TensorRank(2, 4, 2)):
+        for model in (Canonical(3), LqCap(1.0, 4.0), LqCap(1.5, 2.0), LqCap(2.0, 1.0)):
             report = empirical_rip(a, model, 10, 20, rng=rng)
             assert report.delta_hat <= 1e-10
 
@@ -263,7 +261,7 @@ class TestEmpiricalRip:
 
     def test_ascent_improves_or_matches_raw_sampling(self):
         ens = gaussian_ensemble(16, 8, SeededRng(SEED + 8))
-        model = LowRank(1)
+        model = LqCap(1.25, 2.0)
         d_raw = empirical_rip(ens, model, 20, 0, rng=SeededRng(SEED + 9)).delta_hat
         d_ref = empirical_rip(ens, model, 20, 40, rng=SeededRng(SEED + 9)).delta_hat
         assert d_ref >= d_raw - 1e-12
@@ -306,8 +304,8 @@ def reference_ascent(a, model, trials, ascent_steps, rng):
 class TestBlockAscent:
     @settings(max_examples=40)
     @given(
-        st.sampled_from([LqCap(1.0, 1.0), LqCap(1.0, 3.0), LqCap(1.5, 2.0), LowRank(1),
-                         LowRank(2)]),
+        st.sampled_from([LqCap(1.0, 1.0), LqCap(1.0, 3.0), LqCap(1.5, 2.0), LqCap(1.25, 2.5),
+                         LqCap(2.0, 1.0)]),
         st.integers(1, 12),
         st.integers(0, 8),
         st.integers(0, 2**16),
@@ -378,6 +376,13 @@ class TestMripCheck:
     def test_level_range_with_fractional_start(self):
         _, levels = mrip_check(np.eye(32), 1.0, 2.0, 0.5, 2, 2, SeededRng(SEED + 12))
         assert [lv["level"] for lv in levels] == [-1, 0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("s", [1.5, 3.0])
+    def test_level_range_starts_at_the_first_nonempty_cap(self, s):
+        # The lowest level has 2^l s in [1, 2): below 1 the cap is empty.
+        _, levels = mrip_check(np.eye(64), 1.0, s, 0.5, 2, 2, SeededRng(SEED + 12))
+        assert 1.0 <= levels[0]["sparsity"] < 2.0
+        assert levels[-1]["sparsity"] >= 64.0
 
     def test_threshold_formula(self):
         delta = 0.3
@@ -533,14 +538,6 @@ class TestGaussianWidth:
         b = gaussian_width(Canonical(2), 12, 50, SeededRng(SEED + 22))
         assert a["mean"] == b["mean"]
 
-    def test_low_rank_full_equals_frobenius_width(self):
-        # rank-n model on n x n matrices: sup is the full Frobenius norm
-        n = 4
-        stats = gaussian_width(LowRank(n), n * n, 2000, SeededRng(SEED + 23))
-        dim = n * n
-        exact = math.sqrt(2) * math.exp(math.lgamma((dim + 1) / 2) - math.lgamma(dim / 2))
-        assert abs(stats["mean"] - exact) <= 3 * stats["stderr"]
-
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             gaussian_width(Canonical(1), 8, 1, SeededRng(SEED))
@@ -561,16 +558,6 @@ class TestGaussianWidth:
                     x[list(support)] = np.sign(xi[list(support)]) / math.sqrt(j)
                     best = max(best, abs(float(x @ xi)))
             assert abs(rip._width_one_draw(LqCap(q, s), xi) - best) <= 1e-12
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_rank_one_tensor_draw_stays_below_top_singular_value(self, n):
-        # An order-2 elementary tensor is a unit rank-1 matrix, so its greedy
-        # witness cannot beat the exact rank-1 supremum, the top singular value.
-        for stream in SeededRng(SEED + 25, n).streams(range(20)):
-            xi = stream.standard_normal(n * n)
-            greedy = rip._width_one_draw(TensorRank(1, n, 2), xi)
-            exact = rip._width_one_draw(LowRank(1), xi)
-            assert greedy <= exact + 1e-12
 
 
 class TestPredictM:
