@@ -152,8 +152,6 @@ SCHEMAS: dict[str, tuple] = {
     "rip-scan": _ENSEMBLE_OPTS + (
         Opt("m", "int_list", required=True, above=0, help="comma-separated row counts"),
         Opt("trials", "int", default=200, above=0),
-        Opt("ascent", "int", default=50, above=-1,
-            help="no effect: canonical models enumerate or draw supports"),
         Opt("seeds", "int", default=1, above=0, help="number of consecutive seeds"),
     ),
     "mrip": _SKETCH_OPTS + (
@@ -214,11 +212,11 @@ SCHEMAS: dict[str, tuple] = {
 }
 
 
-def _coerce(opt: Opt, raw):
+def _coerce(opt: Opt, raw: str | None):
+    """Parse one flag or config-file value, a string either way."""
     if raw is None:
         return None
-    if isinstance(raw, str):
-        raw = raw.strip()
+    raw = raw.strip()
     try:
         if opt.kind == "int":
             return int(raw)
@@ -228,22 +226,19 @@ def _coerce(opt: Opt, raw):
                 raise ValueError(f"must be a finite number; got {raw}")
             return value
         if opt.kind == "bool":
-            if isinstance(raw, bool):
-                return raw
-            low = str(raw).lower()
+            low = raw.lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         if opt.kind == "int_list":
-            parts = raw if isinstance(raw, list) else [
-                part for part in str(raw).split(",") if part.strip()]
+            parts = [part for part in raw.split(",") if part.strip()]
             if not parts:
                 raise ValueError("needs at least one value")
             return [int(part) for part in parts]
-        return str(raw)
-    except (TypeError, ValueError) as exc:
+        return raw
+    except ValueError as exc:
         raise ValueError(f"{opt.name}: {exc}") from None
 
 
@@ -458,9 +453,7 @@ def _run_rip_scan(p: dict) -> RunResult:
         for offset in range(p["seeds"]):
             seed = p["seed"] + offset
             ens = _build_ensemble(p, m, SeededRng(seed))
-            report = empirical_rip(
-                ens, Canonical(p["k"]), p["trials"], p["ascent"], rng=SeededRng(seed, 1)
-            )
+            report = empirical_rip(ens, Canonical(p["k"]), p["trials"], rng=SeededRng(seed, 1))
             rows.append({
                 "m": m,
                 "delta_hat": report.delta_hat,
@@ -612,8 +605,8 @@ def _run_infdim_scan(p: dict) -> RunResult:
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _bump_quad_norm(power_of_profile, p_exp: float, nodes: int = 1 << 15) -> float:
-    x = np.linspace(-0.5, 0.5, nodes)
+def _bump_quad_norm(power_of_profile, p_exp: float) -> float:
+    x = np.linspace(-0.5, 0.5, 1 << 15)
     y = power_of_profile(x) ** p_exp
     return float(_trapezoid(y, x) ** (1.0 / p_exp))
 

@@ -227,11 +227,7 @@ def sample_ensemble(
     prov: dict = {
         "variant": variant,
         "sign_mode": sign_mode,
-        "m": int(m),
-        "instrument_kind": inst.kind,
-        "instrument_params": dict(inst.params),
         "seed": rng.seed,
-        "stream": rng.stream_index,
         "spawn_key": list(rng.spawn_key),
     }
 
@@ -268,8 +264,7 @@ def gaussian_ensemble(dim: int, m: int, rng: SeededRng) -> MeasurementEnsemble:
     if m < 1 or dim < 1:
         raise ValueError("m and dim must be >= 1")
     rows = rng.standard_normal((m, dim)) / math.sqrt(m)
-    prov = {"variant": "gaussian", "m": int(m), "dim": int(dim),
-            "seed": rng.seed, "stream": rng.stream_index, "spawn_key": list(rng.spawn_key)}
+    prov = {"variant": "gaussian", "seed": rng.seed, "spawn_key": list(rng.spawn_key)}
     return MeasurementEnsemble(rows=rows.astype(complex), provenance=prov)
 
 

@@ -1,17 +1,17 @@
 """Measurement instruments: the fixed vector (or matrix) each group orbit moves.
 
-Normalization conventions, enforced at construction:
-  vector instrument eta in C^N     : ||eta||_2 = sqrt(N)   (tol 1e-10)
-  matrix instrument eta in C^{n,n} : ||eta||_S2 = n        (tol 1e-9)
+Normalization convention, enforced at construction to relative tolerance
+1e-10: ||eta||_F = sqrt(eta.size), i.e. ||eta||_2 = sqrt(N) for a vector in
+C^N and ||eta||_S2 = n for a matrix in C^{n,n}.
 
-These make the associated group averages isotropic, which is what every
+This makes the associated group averages isotropic, which is what every
 downstream estimator assumes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,39 +26,25 @@ __all__ = [
     "instrument_norm",
 ]
 
-_VEC_TOL = 1e-10
-_MAT_TOL = 1e-9
+_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
     kind: str
     payload: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         p = np.asarray(self.payload, dtype=complex)
         object.__setattr__(self, "payload", p)
-        if p.ndim == 1:
-            n = p.size
-            if n < 1:
-                raise ValueError("vector instrument must be non-empty")
-            norm = float(np.linalg.norm(p))
-            if abs(norm - math.sqrt(n)) > _VEC_TOL * math.sqrt(n):
-                raise ValueError(
-                    f"vector instrument must satisfy ||eta||_2 = sqrt(N); got {norm:.12g} for N={n}"
-                )
-        elif p.ndim == 2:
-            if p.shape[0] != p.shape[1]:
-                raise ValueError("matrix instrument must be square")
-            n = p.shape[0]
-            norm = float(np.linalg.norm(p))  # Frobenius = Schatten-2
-            if abs(norm - n) > _MAT_TOL * n:
-                raise ValueError(
-                    f"matrix instrument must satisfy ||eta||_S2 = n; got {norm:.12g} for n={n}"
-                )
-        else:
+        if p.ndim not in (1, 2) or p.ndim == 2 and p.shape[0] != p.shape[1]:
             raise ValueError("instrument payload must be a vector or a square matrix")
+        if p.size < 1:
+            raise ValueError("instrument payload must be non-empty")
+        norm, target = float(np.linalg.norm(p)), math.sqrt(p.size)
+        if abs(norm - target) > _TOL * target:
+            raise ValueError(f"instrument must satisfy ||eta||_F = sqrt(size); "
+                             f"got {norm:.12g} for size {p.size}")
 
     @property
     def is_matrix(self) -> bool:
@@ -74,7 +60,7 @@ def make_flat(n: int) -> Instrument:
     """All-ones vector of length N; the maximally spread instrument."""
     if n < 1:
         raise ValueError("N must be >= 1")
-    return Instrument("flat", np.ones(n, dtype=complex), {"N": int(n)})
+    return Instrument("flat", np.ones(n, dtype=complex))
 
 
 def make_decaying_window(n: int, n_window: int, alpha: float) -> Instrument:
@@ -94,18 +80,14 @@ def make_decaying_window(n: int, n_window: int, alpha: float) -> Instrument:
     c = math.sqrt(n / float(np.sum(profile**2)))
     payload = np.zeros(n, dtype=complex)
     payload[:n_window] = c * profile
-    return Instrument(
-        "decaying_window",
-        payload,
-        {"N": int(n), "N_window": int(n_window), "alpha": float(alpha)},
-    )
+    return Instrument("decaying_window", payload)
 
 
 def make_scaled_identity(n: int) -> Instrument:
     """sqrt(n) * Id_n, the flat matrix instrument (all singular values equal)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Instrument("scaled_identity", math.sqrt(n) * np.eye(n, dtype=complex), {"n": int(n)})
+    return Instrument("scaled_identity", math.sqrt(n) * np.eye(n, dtype=complex))
 
 
 def _haar_unitary(n: int, rng: SeededRng) -> np.ndarray:
@@ -130,7 +112,7 @@ def make_schatten_decay(n: int, alpha: float, rng: SeededRng) -> Instrument:
     u = _haar_unitary(n, rng)
     v = _haar_unitary(n, rng)
     payload = (u * sv) @ v.conj().T
-    return Instrument("schatten_decay", payload, {"n": int(n), "alpha": float(alpha)})
+    return Instrument("schatten_decay", payload)
 
 
 def instrument_norm(inst: Instrument, q: float) -> float:

@@ -204,10 +204,6 @@ class SeededRng:
         self._pool, self._hash = seq.pool, _INIT_A * pow(_MULT_A, 4 * n_words, 2**32) % 2**32
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
-    @property
-    def stream_index(self) -> int:
-        return self.spawn_key[-1]
-
     def stream(self, index: int) -> "SeededRng":
         """Child source on the spawn key ``self.spawn_key + (index,)``."""
         return next(self.streams((index,)))

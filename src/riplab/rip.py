@@ -344,29 +344,19 @@ def calibrate_mrip_distortion(
 # -- distance preservation and pair classification ---------------------------
 
 
-def distance_bound_check(
-    a,
-    x,
-    y,
-    s: float,
-    delta: float,
-    q: float,
-    eps: float = 1.0,
-) -> dict:
-    """Check the sketched-distance bound for one pair.
+def distance_bound_check(a, x, y, s: float, delta: float, q: float) -> dict:
+    """Check the sketched-distance bound for one pair h = x - y.
 
-    observed = | ||A(x-y)||^2 - ||x-y||^2 | must stay below
+    observed = | ||A h||^2 - ||h||^2 | must stay below
     max(sqrt(2) delta ||h||_q ||h||_2 / sqrt(s), 2 delta^2 ||h||_q^2 / s).
 
     When the pair is flat enough that ||h||_q <= sqrt(s) ||h||_2 /
-    (sqrt(2) (1+eps) delta), the refined alternative
-    min(||h||_2^2 / (1+eps), sqrt(2) delta (||x||+||y||) ||h||_2) is also
-    evaluated.
+    (2 sqrt(2) delta), the refined alternative
+    min(||h||_2^2 / 2, sqrt(2) delta (||x||+||y||) ||h||_2) is also
+    evaluated.  The factor 2 is the paper's 1 + eps at eps = 1.
     """
     if delta <= 0 or s <= 0:
         raise ValueError("delta and s must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     eff = _effective(a)
     x = np.asarray(x, dtype=complex).ravel()
     y = np.asarray(y, dtype=complex).ravel()
@@ -387,12 +377,12 @@ def distance_bound_check(
         "h_norm": h2,
         "h_q_norm": hq,
     }
-    refined_applies = hq <= math.sqrt(s) * h2 / (math.sqrt(2.0) * (1.0 + eps) * delta)
+    refined_applies = hq <= math.sqrt(s) * h2 / (math.sqrt(2.0) * 2.0 * delta)
     result["refined_applies"] = bool(refined_applies)
     if refined_applies:
         xn = float(np.linalg.norm(x))
         yn = float(np.linalg.norm(y))
-        refined = min(h2**2 / (1.0 + eps), math.sqrt(2.0) * delta * (xn + yn) * h2)
+        refined = min(h2**2 / 2.0, math.sqrt(2.0) * delta * (xn + yn) * h2)
         result["refined_bound"] = refined
         result["refined_passed"] = bool(observed <= refined)
     return result
@@ -490,7 +480,7 @@ def gaussian_width(model: SparsityModel, ambient: int, trials: int, rng: SeededR
 
     The supremum over the model is evaluated in closed form per draw: the
     norm of the k largest moduli for Canonical(k), the best flat witness for
-    a q-cap.
+    a q-cap.  Returns the ``mean`` of the per-draw suprema and its ``stderr``.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")
@@ -501,7 +491,6 @@ def gaussian_width(model: SparsityModel, ambient: int, trials: int, rng: SeededR
     return {
         "mean": float(sups.mean()),
         "stderr": float(sups.std(ddof=1) / math.sqrt(trials)),
-        "trials": int(trials),
     }
 
 

@@ -279,6 +279,27 @@ class TestConfigFile:
         cfg.write_text("N 16\n")
         assert run_cli("rip-scan", "--config", str(cfg)) == 2
 
+    def test_rip_scan_has_no_ascent_key(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("N = 16\nk = 2\nm = 4\nascent = 5\n")
+        assert run_cli("rip-scan", "--config", str(cfg)) == 2
+        assert "unknown config key: ascent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,stamped", [("off", False), ("no", False), ("0", False),
+                                               ("on", True)])
+    def test_bool_values_from_file(self, tmp_path, value, stamped):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"s = 1\nn = 2\nd = 2\nstamp = {value}\n")
+        assert run_cli("table1", "--config", str(cfg), "--out", str(tmp_path / "x")) == 0
+        assert ("timestamp" in json.loads((tmp_path / "x.json").read_text())) == stamped
+
+    def test_non_boolean_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("s = 1\nn = 2\nd = 2\nstamp = maybe\n")
+        assert run_cli("table1", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert "config error: stamp: not a boolean: 'maybe'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 # One small valid config per command (the gaussian one has no --N: its rows
 # never read --eta, so the dimension is n^2).  A later flag overrides an
@@ -393,10 +414,22 @@ _INVALID = [
     (("truncation", "--q", "2", "--s", "1e300", "--delta", "1e-300", "--C2", "1e300"),
      "underflows to 0"),
     ((*_VALID["mrip"], "--ascent", "-3"), "ascent: must exceed -1; got -3"),
-    ((*_VALID["rip-scan"], "--ascent", "-3"), "ascent: must exceed -1; got -3"),
     # Draw d's ensemble stream 1 + d would meet draw 0's support stream 100000.
     ((*_VALID["gordon"], "--draws", "100000"), "draws cannot exceed 99999"),
 ]
+
+# (argv, diagnostic): configs that --validate-only accepts because the rule is
+# checked inside the experiment, which then exits 2 and writes nothing.
+_RUN_ONLY_INVALID = {
+    "rip-scan": (("rip-scan", "--ensemble", "gaussian", "--N", "4", "--k", "5", "--m", "2",
+                  "--trials", "1"), "k=5 exceeds ambient dimension 4"),
+    "rip-exact": (("rip-exact", "--eta", "flat", "--N", "4", "--k", "5", "--m", "2"),
+                  "k must lie in [1, N]; got 5"),
+    "mrip": (("mrip", "--N", "8", "--m", "4", "--s", "100", "--delta", "0.3", "--trials", "2",
+              "--ascent", "2"), "s must lie in [1, s_max=8]; got 100.0"),
+    "sp-opt": (("sp-opt", "--eta", "flat", "--N", "8", "--r", "2", "--qmin", "3",
+                "--qmax", "2.5"), "need 2 < q_min < q_max"),
+}
 
 
 class TestValidation:
@@ -519,10 +552,29 @@ class TestValidation:
             assert echo in (None, config)
         assert echo is not None or (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("argv,message", _RUN_ONLY_INVALID.values(),
+                             ids=list(_RUN_ONLY_INVALID))
+    def test_run_only_failures_exit_two(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--validate-only") == 0
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flag_values_are_trimmed(self):
+        assert run_cli("sp-opt", "--eta", " flat ", "--N", " 16", "--r", "2 ",
+                       "--validate-only") == 0
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate", "--N", "4")
         assert exc.value.code == 2
+
+    def test_rip_scan_has_no_ascent_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*_VALID["rip-scan"], "--ascent", "5")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ascent 5" in capsys.readouterr().err
 
 
 class TestFailureExitCodes:
@@ -539,3 +591,16 @@ class TestFailureExitCodes:
         code = run_cli("table1", "--s", "1", "--n", "2", "--d", "2",
                        "--out", str(tmp_path / "x"))
         assert code == 4
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        renamed = []
+
+        def refuse(src, dst):
+            renamed.append(src)
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            run_cli("table1", "--s", "1", "--n", "2", "--d", "2", "--out", str(tmp_path / "x"))
+        assert [Path(src).name[:12] for src in renamed] == [".riplab_tmp_"]
+        assert list(tmp_path.iterdir()) == []

@@ -123,7 +123,14 @@ class TestNormalizationInvariants:
 
     def test_matrix_instruments(self):
         for inst in (make_scaled_identity(5), make_schatten_decay(5, 0.2, SeededRng(SEED + 4))):
-            assert abs(schatten_norm(inst.payload, 2) - 5.0) <= 1e-9 * 5.0
+            assert abs(schatten_norm(inst.payload, 2) - 5.0) <= 1e-10 * 5.0
+
+    @pytest.mark.parametrize("payload", [np.ones(16), math.sqrt(4) * np.eye(4)],
+                             ids=["vector", "matrix"])
+    def test_one_tolerance_for_vectors_and_matrices(self, payload):
+        Instrument("ok", payload * (1 + 5e-11))
+        with pytest.raises(ValueError, match=r"sqrt\(size\)"):
+            Instrument("off", payload * (1 + 5e-10))
 
     def test_custom_rejects_bad_normalization(self):
         with pytest.raises(ValueError):

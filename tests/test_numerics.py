@@ -162,7 +162,7 @@ class TestSeededRng:
             SeededRng(SEED, 2, parent_key=(4,)).standard_normal(8),
         )
 
-    def test_stream_index_must_fit_one_word(self):
+    def test_child_index_must_fit_one_word(self):
         for bad in (-1, 2**32):
             with pytest.raises(ValueError, match="stream index"):
                 SeededRng(SEED).stream(bad)
