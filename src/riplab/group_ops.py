@@ -155,25 +155,32 @@ def enumerate_group(variant: str, n: int) -> np.ndarray:
     return np.array(list(product(range(n), repeat=_width(variant, n))))
 
 
+def _bounds(variant: str, n: int) -> list:
+    # Exclusive upper bound of each parameter as drawn, per column: signshift
+    # draws its signs as 0/1 bits.
+    return [2] * n + [n] if variant == "signshift" else [n] * _width(variant, n)
+
+
+def _from_draws(variant: str, n: int, draws: np.ndarray) -> np.ndarray:
+    # The parameters of draws made under _bounds, mapping sign bits to +-1 in
+    # place.
+    if variant == "signshift":
+        draws[:, :n] = 2 * draws[:, :n] - 1
+    return draws
+
+
 def draw_elements(variant: str, n: int, m: int, rng: SeededRng) -> np.ndarray:
     """The (m, p) parameter array of m independent uniform elements of the
     chosen group over side n.
 
     The draw order is part of every report: shiftmod draws all m
-    modulations, then all m shifts; doubleqft draws element by element;
-    signshift draws each element's signs, then its shift.
+    modulations, then all m shifts; doubleqft and signshift draw element by
+    element, signshift each element's signs, then its shift.
     """
     if variant == "shiftmod":
         return rng.integers(0, n, (2, m)).T
-    if variant == "doubleqft":
-        return rng.integers(0, n, (m, 4))
-    if variant == "signshift":
-        params = np.empty((m, n + 1), dtype=np.int64)
-        for row in params:
-            row[:n] = rng.rademacher(n)
-            row[n] = rng.integers(0, n)
-        return params
-    raise ValueError(f"unknown group variant {variant!r}")
+    bounds = _bounds(variant, n)
+    return _from_draws(variant, n, rng.integers(0, bounds, (m, len(bounds))))
 
 
 # -- ensembles --------------------------------------------------------------
@@ -236,20 +243,18 @@ def sample_ensemble(
         shared_sign = rng.rademacher(dim)
         prov["shared_sign"] = [int(s) for s in shared_sign]
 
-    # Draws go row by row: each row's element, then its absorbed
+    # One call draws row by row: each row's element, then its absorbed
     # (signs, shift) pair, a signshift element over dim.  The rows
     # themselves are one gather.
-    elements, absorbed = [], []
-    for _ in range(m):
-        elements.append(draw_elements(variant, n, 1, rng))
-        if sign_mode == "absorbed":
-            absorbed.append(draw_elements("signshift", dim, 1, rng))
-    params = np.concatenate(elements)
+    width = _width(variant, n)
+    bounds = _bounds(variant, n) + (_bounds("signshift", dim) if sign_mode == "absorbed" else [])
+    draws = rng.integers(0, bounds, (m, len(bounds)))
+    params = _from_draws(variant, n, draws[:, :width])
     rows = monomial(variant, n, params).apply(inst.payload.ravel())
     if sign_mode == "random":
         rows = shared_sign * rows
     elif sign_mode == "absorbed":
-        absorbed = np.concatenate(absorbed)
+        absorbed = _from_draws("signshift", dim, draws[:, width:])
         rows = monomial("signshift", dim, absorbed).apply(rows)
         prov["absorbed_signs"] = absorbed.tolist()
     rows = np.conj(rows)

@@ -153,21 +153,146 @@ def _words_seed_sequence():
     return WordsSeedSequence
 
 
+def _child_words(pool: np.ndarray, h: int, indices: list) -> tuple:
+    """The shared step of every child derivation, for the children on the
+    parent's key followed by each of ``indices``: their uint32 index words,
+    their (B, 4) pools and hash constant, and their (B, 4) uint64 PCG64
+    seeding words, from the parent's ``pool`` and hash constant ``h``."""
+    idx = _index_words(indices)
+    pools, child_h = _absorb(pool, h, idx)
+    return idx, pools, child_h, _state_words(pools)
+
+
 def _derive(seed: int, key: tuple, pool: np.ndarray, h: int, indices):
     """The one stream derivation: lazily yield the SeededRng on ``key + (i,)``
-    for each i of ``indices``, in order, from the parent's ``pool`` and hash
-    constant ``h``, one vectorised pass per chunk of _CHUNK indices."""
-    it = iter(indices)
+    for each i of ``indices``, in order, one vectorised pass per chunk of
+    _CHUNK indices."""
+    it, seed_seq = iter(indices), _words_seed_sequence()
     while chunk := list(islice(it, _CHUNK)):
-        idx = _index_words(chunk)
-        pools, child_h = _absorb(pool, h, idx)
-        words, seed_seq = _state_words(pools), _words_seed_sequence()
+        idx, pools, child_h, words = _child_words(pool, h, chunk)
         for j, index in enumerate(idx.tolist()):
             rng = SeededRng.__new__(SeededRng)
             rng.seed, rng.spawn_key = seed, (*key, index)
             rng._pool, rng._hash = pools[j], child_h
             rng._gen = np.random.Generator(np.random.PCG64(seed_seq(words[j])))
             yield rng
+
+
+# numpy's PCG64 (O'Neill, "PCG", HMC-CS-2014-0905) on 128-bit values held as
+# (hi, lo) pairs of uint64 arrays.  Every operand is a uint64 array or scalar,
+# so numpy 1.x neither promotes to float64 nor warns on the wrap-around.
+_U64 = np.uint64
+_ONE, _32, _58, _63, _64 = _U64(1), _U64(32), _U64(58), _U64(63), _U64(64)
+_LO32, _TWO32 = _U64(2**32 - 1), _U64(2**32)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Generator.choice(n, k, replace=False) runs Floyd's algorithm up to this n;
+# above it numpy may switch to a tail shuffle.
+_FLOYD_MAX_N = 10_000
+# Rows of one sorted_supports block: enough to spread the per-column numpy
+# calls of Floyd's loop, few enough that the block's membership bitmap
+# (256 n bytes) stays near the cache.
+_SUPPORT_ROWS = 256
+# Entries of one tile of PCG64 outputs or bounded draws (64 KB): numpy
+# temporaries much larger than this cost more in page faults than they save
+# in calls.
+_TILE = 2**13
+
+
+def _mulhi(a, b):
+    # High words of the 128-bit products a * b, from 32-bit halves (Hacker's
+    # Delight, mulhu); no partial sum exceeds 2^64 - 2^32.
+    a0, a1, b0, b1 = a & _LO32, a >> _32, b & _LO32, b >> _32
+    t = a1 * b0 + ((a0 * b0) >> _32)
+    w = (t & _LO32) + a0 * b1
+    return a1 * b1 + (t >> _32) + (w >> _32)
+
+
+def _mul128(a, b):
+    (ah, al), (bh, bl) = a, b
+    return _mulhi(al, bl) + al * bh + ah * bl, al * bl
+
+
+def _add128(a, b):
+    (ah, al), (bh, bl) = a, b
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+@lru_cache(maxsize=16)
+def _pcg_jumps(count: int) -> np.ndarray:
+    """A (4, count) uint64 array whose column t - 1 holds the hi and lo words
+    of A^(t+1), then of 1 + A + ... + A^t, mod 2^128, for t = 1..count and
+    A the PCG64 multiplier.  Seeding steps 0 to inc, adds initstate and
+    steps again, and output t steps once more and reads the new state, so
+    the state behind output t is A^(t+1) (initstate + inc) +
+    (1 + A + ... + A^t) inc."""
+    power, total, table = _PCG_MULT, 1, []
+    for _ in range(count):
+        total, power = (total + power) % 2**128, power * _PCG_MULT % 2**128
+        table.append((power >> 64, power % 2**64, total >> 64, total % 2**64))
+    table = np.array(table, dtype=_U64).reshape(count, 4).T
+    table.flags.writeable = False
+    return table
+
+
+def _pcg64_outputs(words: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """Outputs of the PCG64 seeded with each row of the (B, 4) uint64
+    ``words``, one column per column of ``jumps`` (columns of _pcg_jumps):
+    initstate is w0 w1 and the increment (w2 w3) << 1 | 1, and an output
+    is XSL-RR of the stepped state, rotr64(hi ^ lo, hi >> 58)."""
+    w0, w1, w2, w3 = (words[:, i, None] for i in range(4))
+    inc = ((w2 << _ONE) | (w3 >> _63), (w3 << _ONE) | _ONE)
+    p_hi, p_lo, q_hi, q_lo = jumps
+    hi, lo = _add128(_mul128((p_hi, p_lo), _add128((w0, w1), inc)), _mul128((q_hi, q_lo), inc))
+    mixed, rot = hi ^ lo, hi >> _58
+    return (mixed >> rot) | (mixed << ((_64 - rot) & _63))
+
+
+def _lemire(u32: np.ndarray, span: np.ndarray) -> tuple:
+    """Lemire's bounded draws (ACM TOMACS 29, 2019) in [0, span) from uint32
+    draws, one span per column, and where each is rejected: with
+    m = u32 span, the draw is m >> 32 unless m mod 2^32 <
+    (2^32 - span) mod span, where numpy draws again."""
+    m = u32 * span
+    return m >> _32, (m & _LO32) < (_TWO32 - span) % span
+
+
+def _floyd_sorted(words: np.ndarray, n: int, k: int) -> tuple:
+    """Sorted Generator.choice(n, k, replace=False) of the PCG64 seeded with
+    each row of ``words``, for n <= _FLOYD_MAX_N, and a flag per row: True
+    where a Lemire draw was rejected, which this pass does not redraw.
+
+    Floyd's algorithm takes j = n - k .. n - 1 and, for j > 0, a draw v in
+    [0, j] by _lemire; then it adds v, or j if v is already in the set.  A
+    uint32 draw is the low half of a fresh 64-bit output, then its high half.
+    numpy shuffles the set afterwards, which sorting undoes.  Row r's set
+    is the bitmap taken[r n : (r + 1) n], and the draws come in tiles of
+    at most _TILE entries.
+    """
+    rows, first = len(words), max(n - k, 1)
+    offsets = np.arange(rows) * n
+    taken = np.zeros(rows * n, dtype=bool)
+    # Row c of chosen: the bitmap position each row adds for j = n - k + c.
+    chosen = np.empty((k, rows), dtype=np.intp)
+    if k == n:
+        taken[offsets] = True  # j = 0 adds 0 without a draw
+        chosen[0] = offsets
+    rejected = np.zeros(rows, dtype=bool)
+    jumps = _pcg_jumps((n - first + 1) // 2)
+    outs = max(1, _TILE // (2 * rows))
+    for t in range(0, jumps.shape[1], outs):
+        j0 = first + 2 * t
+        span = np.arange(j0 + 1, min(j0 + 2 * outs, n) + 1, dtype=_U64)
+        draws = _pcg64_outputs(words, jumps[:, t:t + outs]).astype("<u8", copy=False)
+        v, reject = _lemire(draws.view("<u4")[:, :len(span)], span)
+        rejected |= reject.any(axis=1)
+        # Row c: the bitmap positions of the draws for j = j0 + c.
+        picks = v.T.astype(np.intp, order="C") + offsets
+        for j, pick in zip(range(j0, n), picks):
+            add = chosen[j - n + k]
+            np.copyto(add, np.where(taken[pick], offsets + j, pick))
+            taken[add] = True
+    return np.sort(chosen.T - offsets[:, None], axis=1), rejected
 
 
 class SeededRng:
@@ -188,6 +313,9 @@ class SeededRng:
     words that ``SeedSequence(seed, spawn_key=key).generate_state(4,
     np.uint64)`` gives, which the tests use as the oracle, so its draws equal
     those of a ``Generator(PCG64(SeedSequence(...)))`` bit for bit.
+    ``sorted_supports(indices, n, k)`` draws the sorted k-subsets of many
+    children at once from those same words, with no child generator, and
+    equals each child's own ``choice_no_replace`` bit for bit.
     """
 
     def __init__(self, seed: int, stream: int = 0, parent_key: tuple = ()):
@@ -246,3 +374,41 @@ class SeededRng:
 
     def choice_no_replace(self, n: int, k: int):
         return self._gen.choice(n, size=k, replace=False)
+
+    # -- batched draws -----------------------------------------------------
+
+    def sorted_supports(self, indices, n: int, k: int) -> np.ndarray:
+        """A (len(indices), k) int array whose row r equals
+        ``np.sort(self.stream(indices[r]).choice_no_replace(n, k))`` bit for
+        bit, for 1 <= k <= n.
+
+        No child generator is built where the batch pays: the children's
+        seeding words come from the shared derivation step, and one
+        vectorised pass per block of 256 rows runs their PCG64 outputs,
+        Lemire's bounded draws and Floyd's algorithm, as ``choice`` does in
+        C.  The per-stream ``choice`` draws instead
+          * a row whose Lemire draw would be rejected (probability below
+            n / 2^32 per row);
+          * every row when n > 10,000, where numpy may sample by a tail
+            shuffle;
+          * every row of a block with fewer than 2 (k + 8) rows.  A pass
+            costs about as much as 8 per-stream draws plus one per Floyd
+            column, so this keeps it where it pays twice over.
+        """
+        indices = list(indices)
+        n, k = int(n), int(k)
+        if not 1 <= k <= n:
+            raise ValueError(f"k must lie in [1, n]; got k={k}, n={n}")
+        out = np.empty((len(indices), k), dtype=np.intp)
+        redo = []
+        for lo in range(0, len(indices), _SUPPORT_ROWS):
+            rows = np.arange(lo, min(lo + _SUPPORT_ROWS, len(indices)))
+            if n > _FLOYD_MAX_N or len(rows) < 2 * (k + 8):
+                redo.extend(rows)
+                continue
+            *_, words = _child_words(self._pool, self._hash, indices[lo:lo + len(rows)])
+            out[rows], rejected = _floyd_sorted(words, n, k)
+            redo.extend(rows[rejected])
+        for r, stream in zip(redo, self.streams(indices[r] for r in redo)):
+            out[r] = np.sort(stream.choice_no_replace(n, k))
+        return out

@@ -94,18 +94,31 @@ def _chunk_size(k: int) -> int:
     return max(1, min(_SUPPORT_CHUNK, _SUPPORT_CHUNK * 16 // (k * k)))
 
 
+def _support_chunks(supports, size: int, k: int):
+    """(B, k) index arrays of at most ``size`` supports each, in order:
+    slices of a (T, k) array, or runs of an iterable of supports."""
+    if isinstance(supports, np.ndarray):
+        yield from (supports[lo:lo + size] for lo in range(0, len(supports), size))
+        return
+    it = iter(supports)
+    while (flat := np.fromiter(chain.from_iterable(islice(it, size)), dtype=np.intp)).size:
+        yield flat.reshape(-1, k)
+
+
 def _max_defect(gram: np.ndarray, supports, k: int) -> tuple[float, int]:
-    """Largest |eigenvalue| of gram[S, S] - I over an iterable of k-supports S
-    (k increasing indices each; a support may recur), and how many supports
-    reached eigvalsh.  No supports give (0.0, 0).
+    """Largest |eigenvalue| of gram[S, S] - I over k-supports S (k increasing
+    indices each; a support may recur), given as an iterable or as the rows
+    of a (T, k) array, and how many supports reached eigvalsh.  No supports
+    give (0.0, 0).
 
     ||G_S - I||_2 <= ||G_S - I||_F, and
     ||G_S - I||_F^2 = sum_i |G_ii - 1|^2 + 2 sum_{i<j} |G_ji|^2 is summed
     from |G - I|^2 (its lower triangle, the one eigvalsh reads) without
     gathering sub-Gram blocks.  A support reaches eigvalsh only if its bound,
     widened by a relative rounding margin, reaches the running maximum, so
-    the maximum is taken over a superset of the argmax.  The supports stream
-    in chunks, so at most one chunk is held at a time; each chunk goes to
+    the maximum is taken over a superset of the argmax.  The supports go in
+    chunks, so at most one chunk of an iterable is held at a time; each
+    chunk goes to
     eigvalsh in descending bound order, in batches of doubling size, so the
     maximum rises before most of the chunk is tested.  A batched eigvalsh
     runs the same LAPACK routine on each matrix as a call on that matrix
@@ -113,11 +126,8 @@ def _max_defect(gram: np.ndarray, supports, k: int) -> tuple[float, int]:
     """
     n = gram.shape[0]
     sq = np.abs(gram - np.eye(n)) ** 2
-    size = _chunk_size(k)
-    it = iter(supports)
     delta, evaluated = 0.0, 0
-    while (flat := np.fromiter(chain.from_iterable(islice(it, size)), dtype=np.intp)).size:
-        idx = flat.reshape(-1, k)
+    for idx in _support_chunks(supports, _chunk_size(k), k):
         fro2 = sq[idx, idx].sum(axis=1)
         for j in range(1, k):
             for i in range(j):
@@ -171,7 +181,11 @@ def empirical_rip(
     every support is enumerated.
 
     Canonical models take the largest per-support extreme eigenvalue over
-    one support per trial, drawn in trial order; if the trial budget covers
+    one support per trial.  ``rng.sorted_supports`` draws every trial's
+    support at once, as a (trials, k) array whose row t equals the sorted
+    ``choice_no_replace`` of ``rng.stream(t)`` bit for bit; it falls back
+    to that per-stream call for a rejected Lemire draw, for N > 10,000 and
+    for trial blocks too small to batch.  If the trial budget covers
     every support the supports are enumerated instead, nothing is drawn (a
     drawn support would repeat an enumerated one), and the report is
     exact_rip_canonical's value with side "exact".  Both go through
@@ -200,8 +214,7 @@ def empirical_rip(
         n_supports = math.comb(n, k)
         exhaustive = n_supports <= trials and n_supports <= _ENUM_CAP
         supports = (combinations(range(n), k) if exhaustive else
-                    (np.sort(stream.choice_no_replace(n, k)).tolist()
-                     for stream in rng.streams(range(trials))))
+                    rng.sorted_supports(range(trials), n, k))
         delta, evaluated = _max_defect(gram, supports, k)
         return RipReport(delta, "exact" if exhaustive else "lower", repr(model), m,
                          {"trials": trials, "supports": n_supports if exhaustive else trials,

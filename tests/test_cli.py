@@ -137,7 +137,7 @@ class TestReports:
         (("--N", "8", "--d", "8", "--M", "4,16"), "a median deviation is 0"),
         (("--N", "8", "--d", "2", "--M", "4"), "one M value"),
         (("--N", "8", "--d", "2", "--M", "16,16"), "one M value"),
-    ])
+    ], ids=["argv0-a median deviation is 0", "argv1-one M value", "argv2-one M value"])
     def test_rosenthal_undefined_slope_is_null(self, tmp_path, capsys, argv, reason):
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -153,14 +153,15 @@ class TestReports:
     @pytest.mark.parametrize("rows,doc,error", [
         ([{"a": 1.5}, {"a": None, "b": 2}], {"x": 1}, ValueError),  # a stray column
         ([{"a": 1.5}], {"x": object()}, TypeError),  # a value JSON cannot hold
-    ])
+    ], ids=["rows0-doc0-ValueError", "rows1-doc1-TypeError"])
     def test_render_failure_writes_nothing(self, tmp_path, rows, doc, error):
         config, _ = cli.resolve_config("table1", {"s": "1", "n": "2", "d": "2"})
         with pytest.raises(error):
             cli.write_outputs(config, cli.RunResult(rows, doc, ""), str(tmp_path / "x"), False)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("rho_argv,cell", [((), ""), (("--rho", "2"), "2")])
+    @pytest.mark.parametrize("rho_argv,cell", [((), ""), (("--rho", "2"), "2")],
+                             ids=["rho_argv0-", "rho_argv1-2"])
     def test_infdim_scan_rho_cell(self, tmp_path, rho_argv, cell):
         code = run_cli("infdim-scan", "--N", "16", "--L", "4", "--m", "16", "--trials", "2",
                        "--gamma", "0.0625", *rho_argv, "--out", str(tmp_path / "s"))
@@ -329,93 +330,95 @@ _VALID = {
     "truncation": ("truncation", "--q", "2", "--s", "4", "--delta", "0.25", "--C2", "1"),
 }
 
-# (argv, part of the diagnostic): one config per rule that --validate-only
-# checks, each of which the run must reject as well.
+# (case number, argv, part of the diagnostic): one config per rule that
+# --validate-only checks, each of which the run must reject as well.  A case
+# keeps its number, and with it its test id argv<number>-<diagnostic>, when
+# other cases are added or removed.
 _INVALID = [
-    (("sp-opt", "--eta", "flat", "--r", "2"), "--N is required for the flat instrument"),
-    (("sp-opt", "--eta", "decaying", "--Neta", "4", "--alpha", "0.25", "--r", "2"),
+    (0, ("sp-opt", "--eta", "flat", "--r", "2"), "--N is required for the flat instrument"),
+    (1, ("sp-opt", "--eta", "decaying", "--Neta", "4", "--alpha", "0.25", "--r", "2"),
      "--N is required for the decaying instrument"),
-    (("sp-opt", "--eta", "decaying", "--N", "16", "--alpha", "0.25", "--r", "2"),
+    (2, ("sp-opt", "--eta", "decaying", "--N", "16", "--alpha", "0.25", "--r", "2"),
      "--Neta is required"),
-    (("sp-opt", "--eta", "decaying", "--N", "16", "--Neta", "4", "--r", "2"),
+    (3, ("sp-opt", "--eta", "decaying", "--N", "16", "--Neta", "4", "--r", "2"),
      "--alpha is required"),
-    ((*_VALID["sp-opt"], "--alpha", "0.7"), "decay exponent must lie in (0, 1/2)"),
-    ((*_VALID["sp-opt"], "--Neta", "32"), "window length must lie in [1, N]"),
-    (("isotropy", "--eta", "scaled-identity"), "--n is required for the scaled-identity"),
-    (("isotropy", "--eta", "schatten-decay"), "--n is required for the schatten-decay"),
-    ((*_VALID["isotropy"], "--n", "3", "--alpha", "0.7"), "decay exponent must lie in"),
-    ((*_VALID["rip-exact"], "--ensemble", "doubleqft"), "doubleqft requires a matrix"),
-    ((*_VALID["rip-scan"], "--eta", "scaled-identity", "--n", "3", "--ensemble", "signshift"),
+    (4, (*_VALID["sp-opt"], "--alpha", "0.7"), "decay exponent must lie in (0, 1/2)"),
+    (5, (*_VALID["sp-opt"], "--Neta", "32"), "window length must lie in [1, N]"),
+    (6, ("isotropy", "--eta", "scaled-identity"), "--n is required for the scaled-identity"),
+    (7, ("isotropy", "--eta", "schatten-decay"), "--n is required for the schatten-decay"),
+    (8, (*_VALID["isotropy"], "--n", "3", "--alpha", "0.7"), "decay exponent must lie in"),
+    (9, (*_VALID["rip-exact"], "--ensemble", "doubleqft"), "doubleqft requires a matrix"),
+    (10, (*_VALID["rip-scan"], "--eta", "scaled-identity", "--n", "3", "--ensemble", "signshift"),
      "requires a vector instrument"),
-    (("rip-exact", "--eta", "scaled-identity", "--n", "3", "--ensemble", "doubleqft",
-      "--sign", "absorbed", "--k", "1", "--m", "2"), "absorbed signs are defined for vector"),
-    (("rip-exact", "--ensemble", "gaussian", "--k", "1", "--m", "2"),
+    (11, ("rip-exact", "--eta", "scaled-identity", "--n", "3", "--ensemble", "doubleqft",
+          "--sign", "absorbed", "--k", "1", "--m", "2"), "absorbed signs are defined for vector"),
+    (12, ("rip-exact", "--ensemble", "gaussian", "--k", "1", "--m", "2"),
      "--N or --n is required for the gaussian ensemble"),
-    ((*_VALID["rip-exact"], "--k", "0"), "k: must exceed 0; got 0"),
-    ((*_VALID["rip-exact"], "--m", "0"), "m: must exceed 0; got 0"),
-    ((*_VALID["rip-scan"], "--trials", "0"), "trials: must exceed 0"),
-    ((*_VALID["rip-scan"], "--seeds", "0"), "seeds: must exceed 0"),
-    ((*_VALID["rip-scan"], "--m", "2,0"), "m: must exceed 0; got 0"),
-    ((*_VALID["mrip"], "--N", "0"), "N: must exceed 0"),
-    ((*_VALID["mrip"], "--trials", "0"), "trials: must exceed 0"),
-    ((*_VALID["mrip"], "--delta", "0"), "delta: must exceed 0"),
-    ((*_VALID["mrip"], "--s", "0"), "the l_q cap is empty for s < 1"),
-    ((*_VALID["distance"], "--m", "0"), "m: must exceed 0"),
-    ((*_VALID["distance"], "--q", "2.5"), "q must lie in [1, 2]"),
-    ((*_VALID["distance"], "--pairs", "0"), "pairs: must exceed 0"),
-    ((*_VALID["distance"], "--s", "0.5"), "the l_q cap is empty for s < 1"),
-    ((*_VALID["weakdiff"], "--s", "0.5"), "the l_q cap is empty for s < 1"),
-    ((*_VALID["weakdiff"], "--pairs", "0"), "pairs: must exceed 0"),
-    ((*_VALID["weakdiff"], "--alpha", "3"), "lower sandwich factor non-positive"),
-    ((*_VALID["weakdiff"], "--alpha", "-5"), "alpha must exceed 2 sqrt(2)"),
-    ((*_VALID["gordon"], "--N", "0"), "N: must exceed 0"),
-    ((*_VALID["gordon"], "--k", "0"), "k: must exceed 0"),
-    ((*_VALID["gordon"], "--delta", "0"), "delta: must exceed 0"),
-    ((*_VALID["gordon"], "--draws", "0"), "draws: must exceed 0"),
-    ((*_VALID["gordon"], "--trials", "0"), "trials: must exceed 0"),
-    ((*_VALID["gordon"], "--width-trials", "1"), "width-trials: must exceed 1"),
-    ((*_VALID["gordon"], "--zeta", "3"), "zeta must lie in (0, 2]"),
-    ((*_VALID["gordon"], "--k", "9"), "k cannot exceed N"),
-    ((*_VALID["rosenthal"], "--N", "0"), "N: must exceed 0"),
-    ((*_VALID["rosenthal"], "--d", "0"), "d: must exceed 0"),
-    ((*_VALID["rosenthal"], "--trials", "0"), "trials: must exceed 0"),
-    ((*_VALID["rosenthal"], "--M", "4,0"), "M: must exceed 0"),
-    ((*_VALID["rosenthal"], "--d", "9"), "d cannot exceed N"),
-    ((*_VALID["rosenthal"], "--variant", "doubleqft", "--N", "15"), "perfect square"),
-    ((*_VALID["table1"], "--s", "0"), "s: must exceed 0"),
-    ((*_VALID["table1"], "--n", "0"), "n: must exceed 0"),
-    ((*_VALID["table1"], "--d", "0"), "d: must exceed 0"),
-    ((*_VALID["infdim-scan"], "--N", "0"), "N: must exceed 0"),
+    (13, (*_VALID["rip-exact"], "--k", "0"), "k: must exceed 0; got 0"),
+    (14, (*_VALID["rip-exact"], "--m", "0"), "m: must exceed 0; got 0"),
+    (15, (*_VALID["rip-scan"], "--trials", "0"), "trials: must exceed 0"),
+    (16, (*_VALID["rip-scan"], "--seeds", "0"), "seeds: must exceed 0"),
+    (17, (*_VALID["rip-scan"], "--m", "2,0"), "m: must exceed 0; got 0"),
+    (18, (*_VALID["mrip"], "--N", "0"), "N: must exceed 0"),
+    (19, (*_VALID["mrip"], "--trials", "0"), "trials: must exceed 0"),
+    (20, (*_VALID["mrip"], "--delta", "0"), "delta: must exceed 0"),
+    (21, (*_VALID["mrip"], "--s", "0"), "the l_q cap is empty for s < 1"),
+    (22, (*_VALID["distance"], "--m", "0"), "m: must exceed 0"),
+    (23, (*_VALID["distance"], "--q", "2.5"), "q must lie in [1, 2]"),
+    (24, (*_VALID["distance"], "--pairs", "0"), "pairs: must exceed 0"),
+    (25, (*_VALID["distance"], "--s", "0.5"), "the l_q cap is empty for s < 1"),
+    (26, (*_VALID["weakdiff"], "--s", "0.5"), "the l_q cap is empty for s < 1"),
+    (27, (*_VALID["weakdiff"], "--pairs", "0"), "pairs: must exceed 0"),
+    (28, (*_VALID["weakdiff"], "--alpha", "3"), "lower sandwich factor non-positive"),
+    (29, (*_VALID["weakdiff"], "--alpha", "-5"), "alpha must exceed 2 sqrt(2)"),
+    (30, (*_VALID["gordon"], "--N", "0"), "N: must exceed 0"),
+    (31, (*_VALID["gordon"], "--k", "0"), "k: must exceed 0"),
+    (32, (*_VALID["gordon"], "--delta", "0"), "delta: must exceed 0"),
+    (33, (*_VALID["gordon"], "--draws", "0"), "draws: must exceed 0"),
+    (34, (*_VALID["gordon"], "--trials", "0"), "trials: must exceed 0"),
+    (35, (*_VALID["gordon"], "--width-trials", "1"), "width-trials: must exceed 1"),
+    (36, (*_VALID["gordon"], "--zeta", "3"), "zeta must lie in (0, 2]"),
+    (37, (*_VALID["gordon"], "--k", "9"), "k cannot exceed N"),
+    (38, (*_VALID["rosenthal"], "--N", "0"), "N: must exceed 0"),
+    (39, (*_VALID["rosenthal"], "--d", "0"), "d: must exceed 0"),
+    (40, (*_VALID["rosenthal"], "--trials", "0"), "trials: must exceed 0"),
+    (41, (*_VALID["rosenthal"], "--M", "4,0"), "M: must exceed 0"),
+    (42, (*_VALID["rosenthal"], "--d", "9"), "d cannot exceed N"),
+    (43, (*_VALID["rosenthal"], "--variant", "doubleqft", "--N", "15"), "perfect square"),
+    (44, (*_VALID["table1"], "--s", "0"), "s: must exceed 0"),
+    (45, (*_VALID["table1"], "--n", "0"), "n: must exceed 0"),
+    (46, (*_VALID["table1"], "--d", "0"), "d: must exceed 0"),
+    (47, (*_VALID["infdim-scan"], "--N", "0"), "N: must exceed 0"),
     # make_block_instrument divides by L, so the schema bound must fire first.
-    ((*_VALID["infdim-scan"], "--L", "0"), "L: must exceed 0"),
-    ((*_VALID["infdim-scan"], "--L", "3"), "must divide 2 N"),
-    ((*_VALID["infdim-scan"], "--trials", "0"), "trials: must exceed 0"),
-    ((*_VALID["infdim-scan"], "--m", "16,0"), "m: must exceed 0"),
-    ((*_VALID["infdim-scan"], "--gamma", "0.5"), "gamma must lie in (0, 1/2)"),
-    ((*_VALID["infdim-scan"], "--nbig", "32"), "nbig must be at least 4N"),
-    ((*_VALID["bump-check"], "--configs", "0"), "configs: must exceed 0"),
-    ((*_VALID["bump-check"], "--tol", "0"), "tol: must exceed 0"),
-    ((*_VALID["truncation"], "--q", "1"), "q must lie in (1, 2]"),
-    ((*_VALID["truncation"], "--s", "0"), "s, delta, c2 must be positive"),
-    ((*_VALID["truncation"], "--delta", "0"), "s, delta, c2 must be positive"),
-    ((*_VALID["truncation"], "--C2", "0"), "s, delta, c2 must be positive"),
-    (("mrip", "--N", "8", "--m", "4", "--s", "2", "--delta", "0.3", "--seed", "-1"),
+    (48, (*_VALID["infdim-scan"], "--L", "0"), "L: must exceed 0"),
+    (49, (*_VALID["infdim-scan"], "--L", "3"), "must divide 2 N"),
+    (50, (*_VALID["infdim-scan"], "--trials", "0"), "trials: must exceed 0"),
+    (51, (*_VALID["infdim-scan"], "--m", "16,0"), "m: must exceed 0"),
+    (52, (*_VALID["infdim-scan"], "--gamma", "0.5"), "gamma must lie in (0, 1/2)"),
+    (53, (*_VALID["infdim-scan"], "--nbig", "32"), "nbig must be at least 4N"),
+    (54, (*_VALID["bump-check"], "--configs", "0"), "configs: must exceed 0"),
+    (55, (*_VALID["bump-check"], "--tol", "0"), "tol: must exceed 0"),
+    (56, (*_VALID["truncation"], "--q", "1"), "q must lie in (1, 2]"),
+    (57, (*_VALID["truncation"], "--s", "0"), "s, delta, c2 must be positive"),
+    (58, (*_VALID["truncation"], "--delta", "0"), "s, delta, c2 must be positive"),
+    (59, (*_VALID["truncation"], "--C2", "0"), "s, delta, c2 must be positive"),
+    (60, ("mrip", "--N", "8", "--m", "4", "--s", "2", "--delta", "0.3", "--seed", "-1"),
      "seed: must exceed -1; got -1"),
-    ((*_VALID["infdim-scan"], "--seed", "-3"), "seed: must exceed -1; got -3"),
-    (("isotropy", "--eta", "flat", "--N", "4", "--variant", "doubleqft"),
+    (61, (*_VALID["infdim-scan"], "--seed", "-3"), "seed: must exceed -1; got -3"),
+    (62, ("isotropy", "--eta", "flat", "--N", "4", "--variant", "doubleqft"),
      "doubleqft requires a matrix instrument"),
-    ((*_VALID["rosenthal"], "--M", ","), "M: needs at least one value"),
-    ((*_VALID["rip-scan"], "--m", ","), "m: needs at least one value"),
-    ((*_VALID["infdim-scan"], "--m", ","), "m: needs at least one value"),
-    ((*_VALID["mrip"], "--delta", "nan"), "delta: must be a finite number; got nan"),
-    ((*_VALID["mrip"], "--s", "nan"), "s: must be a finite number; got nan"),
-    ((*_VALID["truncation"], "--delta", "inf"), "delta: must be a finite number; got inf"),
-    ((*_VALID["sp-opt"], "--r", "nan"), "r: must be a finite number; got nan"),
-    (("truncation", "--q", "2", "--s", "1e300", "--delta", "1e-300", "--C2", "1e300"),
+    (63, (*_VALID["rosenthal"], "--M", ","), "M: needs at least one value"),
+    (64, (*_VALID["rip-scan"], "--m", ","), "m: needs at least one value"),
+    (65, (*_VALID["infdim-scan"], "--m", ","), "m: needs at least one value"),
+    (66, (*_VALID["mrip"], "--delta", "nan"), "delta: must be a finite number; got nan"),
+    (67, (*_VALID["mrip"], "--s", "nan"), "s: must be a finite number; got nan"),
+    (68, (*_VALID["truncation"], "--delta", "inf"), "delta: must be a finite number; got inf"),
+    (69, (*_VALID["sp-opt"], "--r", "nan"), "r: must be a finite number; got nan"),
+    (70, ("truncation", "--q", "2", "--s", "1e300", "--delta", "1e-300", "--C2", "1e300"),
      "underflows to 0"),
-    ((*_VALID["mrip"], "--ascent", "-3"), "ascent: must exceed -1; got -3"),
+    (71, (*_VALID["mrip"], "--ascent", "-3"), "ascent: must exceed -1; got -3"),
     # Draw d's ensemble stream 1 + d would meet draw 0's support stream 100000.
-    ((*_VALID["gordon"], "--draws", "100000"), "draws cannot exceed 99999"),
+    (72, (*_VALID["gordon"], "--draws", "100000"), "draws cannot exceed 99999"),
 ]
 
 # (argv, diagnostic): configs that --validate-only accepts because the rule is
@@ -517,7 +520,8 @@ class TestValidation:
         assert run_cli(*argv, "--validate-only") == 0
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
 
-    @pytest.mark.parametrize("argv,message", _INVALID)
+    @pytest.mark.parametrize("argv,message", [case[1:] for case in _INVALID],
+                             ids=[f"argv{no}-{message}" for no, _, message in _INVALID])
     def test_validate_only_agrees_with_the_run(self, tmp_path, monkeypatch, capsys,
                                                argv, message):
         monkeypatch.chdir(tmp_path)

@@ -479,6 +479,50 @@ def _old_rows(inst, variant, m, mode, rng):
     return rows
 
 
+def _per_row_elements(variant: str, n: int, rng: SeededRng) -> list:
+    """One element's parameters, drawn as separate calls in parameter order."""
+    if variant == "signshift":
+        return [*rng.rademacher(n).tolist(), int(rng.integers(0, n))]
+    return rng.integers(0, n, 2 if variant == "shiftmod" else 4).tolist()
+
+
+class TestBatchedDraws:
+    """One integers call with per-column bounds draws what the per-row calls
+    drew and leaves the stream where they left it."""
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**16))
+    def test_signshift_elements_equal_per_row_draws(self, n, m, seed):
+        rng, ref = SeededRng(seed), SeededRng(seed)
+        got = draw_elements("signshift", n, m, rng)
+        assert got.tolist() == [_per_row_elements("signshift", n, ref) for _ in range(m)]
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(("shiftmod", "signshift", "doubleqft")),
+           st.sampled_from(("none", "random", "absorbed")),
+           st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**16))
+    def test_ensemble_draws_equal_per_row_draws(self, variant, mode, n, m, seed):
+        matrix = variant == "doubleqft"
+        if matrix and mode == "absorbed":
+            mode = "none"  # absorbed signs are for vector instruments only
+        z = SeededRng(seed, 1).complex_normal((n, n) if matrix else n)
+        inst = Instrument("random", z * math.sqrt(z.size) / np.linalg.norm(z))
+        dim = z.size
+        rng, ref = SeededRng(seed), SeededRng(seed)
+        prov = sample_ensemble(inst, variant, m, mode, rng).provenance
+        if mode == "random":
+            assert prov["shared_sign"] == ref.rademacher(dim).tolist()
+        elements, absorbed = [], []
+        for _ in range(m):
+            elements.append(_per_row_elements(variant, n, ref))
+            if mode == "absorbed":
+                absorbed.append(_per_row_elements("signshift", dim, ref))
+        assert prov["elements"] == elements
+        assert prov.get("absorbed_signs", []) == absorbed
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
 class TestEnsembleRowsBitIdentical:
     @settings(max_examples=120)
     @given(

@@ -288,6 +288,103 @@ class TestStreamDerivation:
             SeededRng(SEED, 0, parent_key=(2**32,))
 
 
+def _per_stream_supports(parent: SeededRng, indices, n: int, k: int) -> np.ndarray:
+    """The oracle of sorted_supports: each child's own choice, sorted."""
+    rows = [np.sort(child.choice_no_replace(n, k)) for child in parent.streams(indices)]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), k)
+
+
+# (seed, index, N, k) whose one Lemire draw, for j = N - 1 = 9713, is
+# rejected: numpy draws again and picks 5014 where the first draw gives
+# 8892.  Found by scanning _floyd_sorted's rejection flags over the children
+# of SeededRng(0).
+_REJECTED = (0, 603099, 9714, 1)
+
+
+class TestSortedSupports:
+    """sorted_supports equals the per-stream choice, sorted, bit for bit."""
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**96), key=st.lists(_WORD, min_size=1, max_size=2).map(tuple),
+           n=st.integers(1, 300), k=st.integers(1, 300),
+           indices=st.lists(_INDEX, min_size=1, max_size=9))
+    @example(seed=0, key=(0,), n=1, k=1, indices=[0])
+    @example(seed=5, key=(3, 1), n=64, k=64, indices=[*range(7)])
+    @example(seed=2**70, key=(2,), n=300, k=299, indices=[2**32 - 1, 4])
+    def test_floyd_pass_equals_choice(self, seed, key, n, k, indices):
+        # The vectorised pass itself, on every row, whatever the block size;
+        # k = N draws nothing for j = 0, which adds 0.
+        k = min(k, n)
+        parent = SeededRng(seed, key[-1], key[:-1])
+        *_, words = numerics._child_words(parent._pool, parent._hash, indices)
+        got, rejected = numerics._floyd_sorted(words, n, k)
+        assert not rejected.any()
+        np.testing.assert_array_equal(got, _per_stream_supports(parent, indices, n, k))
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**64), n=st.integers(1, 300), k=st.integers(1, 40),
+           start=st.integers(0, 2**32 - 1200), stride=st.integers(1, 3),
+           count=st.integers(1, 600))
+    def test_strided_indices(self, seed, n, k, start, stride, count):
+        # k up to 40 leaves most blocks of 256 rows to the vectorised pass.
+        k = min(k, n)
+        parent = SeededRng(seed, 2)
+        indices = range(start, start + stride * count, stride)
+        np.testing.assert_array_equal(parent.sorted_supports(indices, n, k),
+                                      _per_stream_supports(parent, indices, n, k))
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (40, 1), (40, 40), (256, 8)])
+    def test_repeated_indices(self, n, k):
+        parent = SeededRng(SEED, 4).stream(9)
+        indices = [3, 3, 0, 2**32 - 1, 7, 3] * 50
+        got = parent.sorted_supports(indices, n, k)
+        np.testing.assert_array_equal(got, _per_stream_supports(parent, indices, n, k))
+        np.testing.assert_array_equal(got[0], got[1])
+
+    def test_indices_crossing_the_derivation_chunk(self):
+        parent = SeededRng(SEED, 5)
+        indices = range(numerics._CHUNK + 300)
+        np.testing.assert_array_equal(parent.sorted_supports(indices, 48, 3),
+                                      _per_stream_supports(parent, indices, 48, 3))
+
+    def test_large_n_falls_back_to_choice(self):
+        parent = SeededRng(SEED, 6)
+        with mock.patch.object(numerics, "_floyd_sorted", side_effect=AssertionError):
+            got = parent.sorted_supports(range(30), 10_001, 3)
+        np.testing.assert_array_equal(got, _per_stream_supports(parent, range(30), 10_001, 3))
+
+    def test_rejected_lemire_draw_falls_back_to_choice(self):
+        seed, index, n, k = _REJECTED
+        parent = SeededRng(seed)
+        *_, words = numerics._child_words(parent._pool, parent._hash, [index])
+        unrejected, rejected = numerics._floyd_sorted(words, n, k)
+        expected = _per_stream_supports(parent, [index], n, k)
+        assert rejected.tolist() == [True]
+        assert unrejected.tolist() != expected.tolist()
+        # A block of 2 (k + 8) rows or more takes the vectorised pass.
+        indices = [index, *range(2 * (k + 8))]
+        got = parent.sorted_supports(indices, n, k)
+        np.testing.assert_array_equal(got, _per_stream_supports(parent, indices, n, k))
+        assert got[0].tolist() == [5014]
+
+    @pytest.mark.parametrize("span", [3, 641, 9713, 9999])
+    def test_lemire_rejects_below_the_threshold(self, span):
+        # For odd span, u32 = r / span mod 2^32 puts m mod 2^32 at r exactly,
+        # so each r is tested at the edge of the rejection zone
+        # [0, (2^32 - span) mod span).
+        threshold = (2**32 - span) % span
+        leftovers = sorted({0, max(threshold - 1, 0), threshold, span - 1, 2**32 - 1})
+        u32 = np.array([r * pow(span, -1, 2**32) % 2**32 for r in leftovers], dtype=np.uint32)
+        v, rejected = numerics._lemire(u32, np.full(len(u32), span, dtype=np.uint64))
+        assert rejected.tolist() == [r < threshold for r in leftovers]
+        assert v.tolist() == [int(u) * span >> 32 for u in u32.tolist()]
+
+    @pytest.mark.parametrize("n,k", [(5, 0), (5, 6), (0, 0)])
+    def test_k_outside_one_to_n_rejected(self, n, k):
+        with pytest.raises(ValueError, match="k must lie in"):
+            SeededRng(SEED).sorted_supports(range(3), n, k)
+
+
 class TestErrors:
     def test_error_hierarchy(self):
         assert issubclass(CapacityError, RuntimeError)

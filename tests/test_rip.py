@@ -180,6 +180,27 @@ class TestSupportDefects:
             assert report.side == ("exact" if exhaustive else "lower")
             assert 1 <= report.details["evaluated"] <= min(trials, n_supports)
 
+    @settings(max_examples=25)
+    @given(n=st.integers(12, 64), k=st.integers(1, 8), m=st.integers(1, 24),
+           complex_entries=st.booleans(), trials=st.integers(1, 600),
+           chunk=st.sampled_from([7, rip._SUPPORT_CHUNK]), seed=st.integers(0, 2**16))
+    def test_sampled_report_equals_per_stream_supports(self, n, k, m, complex_entries,
+                                                       trials, chunk, seed):
+        # Every trial's support drawn at once against each trial stream's own
+        # sorted choice, through the same kernel: the same maximum to the bit
+        # and the same supports sent to eigvalsh.
+        trials = min(trials, math.comb(n, k) - 1)
+        a = self.operator(seed, m, n, complex_entries)
+        supports = [np.sort(stream.choice_no_replace(n, k)).tolist()
+                    for stream in SeededRng(seed, 1).streams(range(trials))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rip, "_SUPPORT_CHUNK", chunk)
+            delta, evaluated = rip._max_defect(self.library_gram(a), supports, k)
+            report = empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed, 1))
+        assert report.delta_hat.hex() == delta.hex()
+        assert report.details == {"trials": trials, "supports": trials,
+                                  "evaluated": evaluated, "ascent_iterations": 0}
+
 
     @staticmethod
     def tied_operator(seed, m, n, complex_entries, kind):
