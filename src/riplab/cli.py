@@ -7,13 +7,11 @@ is added to the header only when --stamp is passed.  Results are written
 atomically (temp file + rename) as CSV curves and/or JSON summaries, with
 the fully resolved configuration echoed into every output.
 
---validate-only runs the checks a run starts with and nothing else: option
-types, choices and lower bounds, then the library objects the run builds
-first (instrument, a one-row ensemble, the q-cap model, the block
-instrument, the truncation level, the weakdiff separation constants, the
-gordon count) and the few cross-field rules no library object sees.  Checks
-made inside an experiment (the sp-opt grid, k > N, s > s_max, capacity) fail
-only when it runs.
+--validate-only runs a command up to the point where its experiment starts,
+and writes nothing: option types, choices and lower bounds, then the
+command's own build phase (each runner is a generator whose first yield ends
+it).  Checks made inside an experiment (the sp-opt grid, k > N, s > s_max,
+capacity) fail only when it runs.
 
 Exit codes: 0 success, 2 invalid configuration, 3 capacity exceeded,
 4 numerical failure.
@@ -30,6 +28,7 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,9 +110,9 @@ _ETA_OPTS = (
     Opt("eta", "str", default="flat",
         choices=("flat", "decaying", "scaled-identity", "schatten-decay"),
         help="instrument family"),
-    Opt("N", "int", default=None, help="vector dimension"),
-    Opt("n", "int", default=None, help="matrix side (matrix instruments)"),
-    Opt("Neta", "int", default=None, help="window length for decaying instruments"),
+    Opt("N", "int", default=None, above=0, help="vector dimension"),
+    Opt("n", "int", default=None, above=0, help="matrix side (matrix instruments)"),
+    Opt("Neta", "int", default=None, above=0, help="window length for decaying instruments"),
     Opt("alpha", "float", default=None, help="decay exponent in (0, 1/2)"),
 )
 
@@ -136,10 +135,10 @@ _SKETCH_OPTS = (
 
 SCHEMAS: dict[str, tuple] = {
     "sp-opt": _ETA_OPTS + (
-        Opt("r", "float", required=True, help="model cardinality parameter"),
+        Opt("r", "float", required=True, above=0, help="model cardinality parameter"),
         Opt("qmin", "float", default=2.001),
         Opt("qmax", "float", default=128.0),
-        Opt("points", "int", default=200),
+        Opt("points", "int", default=200, above=1),
     ),
     "isotropy": _ETA_OPTS + (
         Opt("variant", "str", default=None,
@@ -312,54 +311,6 @@ def resolve_config(command: str, cli_values: dict) -> tuple:
     return ExperimentConfig(command, params), diagnostics
 
 
-def validate(config: ExperimentConfig) -> list[str]:
-    """Build and discard the cheap library objects a run builds, so their own
-    range checks judge ``config``, then check the cross-field rules no library
-    object reaches before the run.  ``config`` must have passed resolve_config.
-    """
-    p, cmd = config.params, config.command
-    try:
-        if cmd in ("rip-exact", "rip-scan"):
-            _build_ensemble(p, 1, SeededRng(p["seed"]))
-        elif cmd == "sp-opt":
-            _build_instrument(p, SeededRng(p["seed"]))
-        elif cmd == "isotropy":
-            inst = _build_instrument(p, SeededRng(p["seed"]))
-            group_side(_isotropy_variant(p, inst), inst.ambient_dim, inst.is_matrix)
-        elif cmd == "rosenthal":
-            group_side(p["variant"], p["N"])
-        elif cmd in ("mrip", "distance", "weakdiff"):
-            LqCap(p["q"], p["s"])
-            if cmd == "weakdiff" and p["alpha"] is not None:
-                separation_constants(p["alpha"])
-        elif cmd == "gordon":
-            gordon_m(0.0, p["delta"], p["zeta"])
-        elif cmd == "infdim-scan":
-            make_block_instrument(p["N"], p["L"])
-        elif cmd == "truncation":
-            truncation_level(p["q"], p["s"], p["delta"], p["C2"])
-    except ValueError as exc:
-        return [str(exc)]
-
-    diags: list[str] = []
-    if cmd == "gordon":
-        # gaussian_width clamps k to N, so no library object rejects k > N.
-        if p["k"] > p["N"]:
-            diags.append("k cannot exceed N")
-        if p["draws"] >= _GORDON_SUPPORT_ROOT:
-            diags.append(f"draws cannot exceed {_GORDON_SUPPORT_ROOT - 1}")
-    if cmd == "rosenthal":
-        # The compression u is built by index, d rows of N columns.
-        if p["d"] > p["N"]:
-            diags.append("d cannot exceed N")
-    if cmd == "infdim-scan":
-        if not 0 < p["gamma"] < 0.5:
-            diags.append(f"gamma must lie in (0, 1/2); got {p['gamma']}")
-        if p["nbig"] is not None and p["nbig"] < 4 * p["N"]:
-            diags.append("nbig must be at least 4N")
-    return diags
-
-
 # -- execution helpers --------------------------------------------------------
 
 
@@ -411,10 +362,16 @@ class RunResult:
 
 
 # -- subcommand bodies ---------------------------------------------------------
+#
+# Each runner is a generator that yields twice.  The first yield ends its build
+# phase: the objects it makes before its experiment starts, whose own range
+# checks judge the config, and its cross-field rules.  --validate-only stops
+# there.  The second yield is the RunResult.
 
 
-def _run_sp_opt(p: dict) -> RunResult:
+def _run_sp_opt(p: dict) -> Iterator[RunResult | None]:
     inst = _build_instrument(p, SeededRng(p["seed"]))
+    yield
     curve = optimize_sparsity_parameter(
         inst, p["r"], q_min=p["qmin"], q_max=p["qmax"], points=p["points"]
     )
@@ -424,30 +381,31 @@ def _run_sp_opt(p: dict) -> RunResult:
     ]
     doc = {"q_opt": curve.q_opt if math.isfinite(curve.q_opt) else "inf",
            "value": curve.value, "eta": inst.kind, "r": p["r"]}
-    return RunResult(rows, doc, f"q_opt={_fmt(curve.q_opt)} value={_fmt(curve.value)}")
+    yield RunResult(rows, doc, f"q_opt={_fmt(curve.q_opt)} value={_fmt(curve.value)}")
 
 
-def _isotropy_variant(p: dict, inst: Instrument) -> str:
-    return p["variant"] or ("doubleqft" if inst.is_matrix else "shiftmod")
-
-
-def _run_isotropy(p: dict) -> RunResult:
+def _run_isotropy(p: dict) -> Iterator[RunResult | None]:
     inst = _build_instrument(p, SeededRng(p["seed"]))
-    variant = _isotropy_variant(p, inst)
+    variant = p["variant"] or ("doubleqft" if inst.is_matrix else "shiftmod")
+    group_side(variant, inst.ambient_dim, inst.is_matrix)
+    yield
     defect = isotropy_defect(inst, variant)
     doc = {"defect": defect, "eta": inst.kind, "variant": variant}
-    return RunResult(None, doc, f"defect={_fmt(defect)}")
+    yield RunResult(None, doc, f"defect={_fmt(defect)}")
 
 
-def _run_rip_exact(p: dict) -> RunResult:
+def _run_rip_exact(p: dict) -> Iterator[RunResult | None]:
     ens = _build_ensemble(p, p["m"], SeededRng(p["seed"]))
+    yield
     report = exact_rip_canonical(ens, p["k"])
     doc = {"delta_hat": report.delta_hat, "method": "exact_enumeration",
            "model": report.model, "m": report.m}
-    return RunResult(None, doc, f"delta_hat={_fmt(report.delta_hat)}")
+    yield RunResult(None, doc, f"delta_hat={_fmt(report.delta_hat)}")
 
 
-def _run_rip_scan(p: dict) -> RunResult:
+def _run_rip_scan(p: dict) -> Iterator[RunResult | None]:
+    _build_ensemble(p, 1, SeededRng(p["seed"]))
+    yield
     rows = []
     for m in p["m"]:
         for offset in range(p["seeds"]):
@@ -460,10 +418,12 @@ def _run_rip_scan(p: dict) -> RunResult:
                 "model": f"canonical_k{p['k']}",
                 "seed": seed,
             })
-    return RunResult(rows, None, f"{len(rows)} rows")
+    yield RunResult(rows, None, f"{len(rows)} rows")
 
 
-def _run_mrip(p: dict) -> RunResult:
+def _run_mrip(p: dict) -> Iterator[RunResult | None]:
+    LqCap(p["q"], p["s"])
+    yield
     ens = gaussian_ensemble(p["N"], p["m"], SeededRng(p["seed"]))
     all_pass, levels = mrip_check(
         ens, p["q"], p["s"], p["delta"], p["trials"], p["ascent"],
@@ -471,25 +431,26 @@ def _run_mrip(p: dict) -> RunResult:
     )
     doc = {"all_pass": all_pass, "delta": p["delta"], "q": p["q"], "s": p["s"],
            "levels": levels}
-    return RunResult(levels, doc, f"all_pass={all_pass}")
+    yield RunResult(levels, doc, f"all_pass={all_pass}")
 
 
-def _calibrated_pairs(p: dict):
+def _calibrated_pairs(p: dict, model: LqCap):
     """The Gaussian sketch of distance and weakdiff, its calibrated distortion,
-    and a lazy sequence of the ``pairs`` random q-cap pairs (x, y); pair i is
-    drawn from stream i of the pair RNG."""
+    and a lazy sequence of the ``pairs`` random pairs (x, y) of ``model``;
+    pair i is drawn from stream i of the pair RNG."""
     ens = gaussian_ensemble(p["N"], p["m"], SeededRng(p["seed"]))
     delta, _ = calibrate_mrip_distortion(
         ens, p["q"], p["s"], p["trials"], p["ascent"], SeededRng(p["seed"], 1)
     )
-    model = LqCap(p["q"], p["s"])
     pairs = ((sample_sparse(model, p["N"], stream), sample_sparse(model, p["N"], stream))
              for stream in SeededRng(p["seed"], 2).streams(range(p["pairs"])))
     return ens, delta, pairs
 
 
-def _run_distance(p: dict) -> RunResult:
-    ens, delta, pairs = _calibrated_pairs(p)
+def _run_distance(p: dict) -> Iterator[RunResult | None]:
+    model = LqCap(p["q"], p["s"])
+    yield
+    ens, delta, pairs = _calibrated_pairs(p, model)
     rows = []
     for i, (x, y) in enumerate(pairs):
         res = distance_bound_check(ens, x, y, p["s"], delta, p["q"])
@@ -497,11 +458,15 @@ def _run_distance(p: dict) -> RunResult:
     violations = sum(not row["passed"] for row in rows)
     doc = {"delta_calibrated": delta, "pairs": p["pairs"], "violations": violations,
            "pass_rate": 1.0 - violations / p["pairs"]}
-    return RunResult(rows, doc, f"violations={violations}/{p['pairs']} delta={_fmt(delta)}")
+    yield RunResult(rows, doc, f"violations={violations}/{p['pairs']} delta={_fmt(delta)}")
 
 
-def _run_weakdiff(p: dict) -> RunResult:
-    ens, delta, pairs = _calibrated_pairs(p)
+def _run_weakdiff(p: dict) -> Iterator[RunResult | None]:
+    model = LqCap(p["q"], p["s"])
+    if p["alpha"] is not None:
+        separation_constants(p["alpha"])
+    yield
+    ens, delta, pairs = _calibrated_pairs(p, model)
     rows = []
     for i, (x, y) in enumerate(pairs):
         verdict = classify_separation(ens, x, y, delta, alpha=p["alpha"])
@@ -516,12 +481,19 @@ def _run_weakdiff(p: dict) -> RunResult:
     violations = sum(not row["ok"] for row in rows)
     doc = {"delta_calibrated": delta, "pairs": p["pairs"], "violations": violations,
            **counts}
-    return RunResult(rows, doc,
-                     f"separated={counts['separated']} close={counts['close']} "
-                     f"violations={violations}")
+    yield RunResult(rows, doc,
+                    f"separated={counts['separated']} close={counts['close']} "
+                    f"violations={violations}")
 
 
-def _run_gordon(p: dict) -> RunResult:
+def _run_gordon(p: dict) -> Iterator[RunResult | None]:
+    gordon_m(0.0, p["delta"], p["zeta"])
+    # gaussian_width clamps k to N, so no library object rejects k > N.
+    if p["k"] > p["N"]:
+        raise ValueError("k cannot exceed N")
+    if p["draws"] >= _GORDON_SUPPORT_ROOT:
+        raise ValueError(f"draws cannot exceed {_GORDON_SUPPORT_ROOT - 1}")
+    yield
     width = gaussian_width(Canonical(p["k"]), p["N"], p["width_trials"],
                            SeededRng(p["seed"]))
     m = gordon_m(width["mean"], p["delta"], p["zeta"])
@@ -534,12 +506,16 @@ def _run_gordon(p: dict) -> RunResult:
     doc = {"width_mean": width["mean"], "width_stderr": width["stderr"],
            "predicted_m": m, "draws": p["draws"], "achieving": hits,
            "fraction": hits / p["draws"]}
-    return RunResult(None, doc,
-                     f"m={m} achieving={hits}/{p['draws']}")
+    yield RunResult(None, doc, f"m={m} achieving={hits}/{p['draws']}")
 
 
-def _run_rosenthal(p: dict) -> RunResult:
+def _run_rosenthal(p: dict) -> Iterator[RunResult | None]:
     n, d = p["N"], p["d"]
+    group_side(p["variant"], n)
+    # The compression u is built by index, d rows of N columns.
+    if d > n:
+        raise ValueError("d cannot exceed N")
+    yield
     u = np.zeros((d, n), dtype=complex)
     u[np.arange(d), np.arange(d)] = math.sqrt(n / d)
     records = rosenthal_deviation(u, p["variant"], p["M"], p["trials"],
@@ -555,26 +531,32 @@ def _run_rosenthal(p: dict) -> RunResult:
         logm = np.log([r["M"] for r in records])
         slope = float(np.polyfit(logm, np.log(medians), 1)[0])
         summary = f"slope={_fmt(slope)}"
-    return RunResult(rows, {"slope": slope, "records": rows}, summary)
+    yield RunResult(rows, {"slope": slope, "records": rows}, summary)
 
 
-def _run_table1(p: dict) -> RunResult:
+def _run_table1(p: dict) -> Iterator[RunResult | None]:
+    yield
     counts = table1_counts(p["s"], p["n"], p["d"])
     doc = dict(counts)
     doc["ratio_group_over_gauss"] = counts["group"] / counts["gauss"]
     doc["ratio_sign_over_gauss"] = counts["group_sign"] / counts["gauss"]
-    return RunResult(None, doc,
-                     f"gauss={counts['gauss']} group={counts['group']} "
-                     f"group_sign={counts['group_sign']}")
+    yield RunResult(None, doc,
+                    f"gauss={counts['gauss']} group={counts['group']} "
+                    f"group_sign={counts['group_sign']}")
 
 
-def _run_infdim_scan(p: dict) -> RunResult:
+def _run_infdim_scan(p: dict) -> Iterator[RunResult | None]:
     n_cut, block_len = p["N"], p["L"]
-    nbig = p["nbig"] if p["nbig"] else 4 * n_cut
-    t_scale = 1.0 / p["gamma"]
     modes = ("deterministic", "rademacher") if p["mode"] == "both" else (p["mode"],)
     insts = [make_block_instrument(n_cut, block_len, mode, SeededRng(p["seed"], 9999))
              for mode in modes]
+    if not 0 < p["gamma"] < 0.5:
+        raise ValueError(f"gamma must lie in (0, 1/2); got {p['gamma']}")
+    if p["nbig"] is not None and p["nbig"] < 4 * n_cut:
+        raise ValueError("nbig must be at least 4N")
+    yield
+    nbig = p["nbig"] or 4 * n_cut
+    t_scale = 1.0 / p["gamma"]
 
     def sampler(stream: SeededRng):
         center = float(stream.uniform())
@@ -599,7 +581,7 @@ def _run_infdim_scan(p: dict) -> RunResult:
                     "trial": trial,
                     "deviation": dev,
                 })
-    return RunResult(rows, None, f"{len(rows)} rows")
+    yield RunResult(rows, None, f"{len(rows)} rows")
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -611,7 +593,9 @@ def _bump_quad_norm(power_of_profile, p_exp: float) -> float:
     return float(_trapezoid(y, x) ** (1.0 / p_exp))
 
 
-def _run_bump_check(p: dict) -> RunResult:
+def _run_bump_check(p: dict) -> Iterator[RunResult | None]:
+    yield
+
     def dbump(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
@@ -668,16 +652,17 @@ def _run_bump_check(p: dict) -> RunResult:
     all_ok = all(row["ok"] for row in rows)
     worst = max(max(row["rel_lp"], row["rel_deriv"]) for row in rows)
     doc = {"configs": p["configs"], "max_rel_error": worst, "all_pass": all_ok}
-    return RunResult(rows, doc, f"all_pass={all_ok} max_rel={_fmt(worst)}")
+    yield RunResult(rows, doc, f"all_pass={all_ok} max_rel={_fmt(worst)}")
 
 
-def _run_truncation(p: dict) -> RunResult:
+def _run_truncation(p: dict) -> Iterator[RunResult | None]:
     l0 = truncation_level(p["q"], p["s"], p["delta"], p["C2"])
+    yield
     q_dual = p["q"] / (p["q"] - 1.0)
     guaranteed = 2.0 * p["C2"] * p["s"] * 2.0 ** (-2.0 * l0 / q_dual)
     doc = {"l0": l0, "guaranteed_tail": guaranteed, "delta": p["delta"],
            "meets_half_delta": guaranteed <= p["delta"]}
-    return RunResult(None, doc, f"l0={l0}")
+    yield RunResult(None, doc, f"l0={l0}")
 
 
 _RUNNERS = {
@@ -771,18 +756,18 @@ def main(argv=None) -> int:
     cli_values = {k.replace("-", "_"): v for k, v in vars(args).items()
                   if k != "command"}
     config, diagnostics = resolve_config(args.command, cli_values)
-    if not diagnostics:
-        diagnostics = validate(config)
     if diagnostics:
         for diag in diagnostics:
             print(f"config error: {diag}", file=sys.stderr)
         return EXIT_CONFIG
-    if config.params.get("validate_only"):
-        print("configuration ok")
-        return EXIT_OK
 
     try:
-        result = _RUNNERS[args.command](config.params)
+        run = _RUNNERS[args.command](config.params)
+        next(run)  # the build phase
+        if config.params["validate_only"]:
+            print("configuration ok")
+            return EXIT_OK
+        result = next(run)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -419,7 +419,24 @@ _INVALID = [
     (71, (*_VALID["mrip"], "--ascent", "-3"), "ascent: must exceed -1; got -3"),
     # Draw d's ensemble stream 1 + d would meet draw 0's support stream 100000.
     (72, (*_VALID["gordon"], "--draws", "100000"), "draws cannot exceed 99999"),
+    # A Gaussian ensemble's dimension is N, else n^2, so a zero N must not fall through to n.
+    (73, (*_VALID["rip-exact-gaussian-n"], "--N", "0"), "N: must exceed 0; got 0"),
+    (74, ("rip-exact", "--ensemble", "gaussian", "--N", "0", "--k", "1", "--m", "2"),
+     "N: must exceed 0; got 0"),
+    (75, ("rip-exact", "--ensemble", "gaussian", "--n", "0", "--k", "1", "--m", "2"),
+     "n: must exceed 0; got 0"),
+    (76, (*_VALID["sp-opt"], "--Neta", "0"), "Neta: must exceed 0; got 0"),
+    (77, (*_VALID["isotropy"], "--n", "-1"), "n: must exceed 0; got -1"),
+    (78, (*_VALID["sp-opt"], "--r", "0"), "r: must exceed 0; got 0.0"),
+    (79, (*_VALID["sp-opt"], "--r", "-2"), "r: must exceed 0; got -2.0"),
+    (80, (*_VALID["sp-opt"], "--points", "1"), "points: must exceed 1; got 1"),
 ]
+
+# The library calls that start each command's experiment; --validate-only
+# must stop before any of them.
+_EXPERIMENTS = ("optimize_sparsity_parameter", "isotropy_defect", "exact_rip_canonical",
+                "empirical_rip", "mrip_check", "calibrate_mrip_distortion", "gaussian_width",
+                "rosenthal_deviation", "rip_experiment", "from_bumps", "table1_counts")
 
 # (argv, diagnostic): configs that --validate-only accepts because the rule is
 # checked inside the experiment, which then exits 2 and writes nothing.
@@ -449,21 +466,19 @@ class TestValidation:
         assert "missing required key q" in diags
         assert "missing required key C2" in diags
 
-    def test_alpha_window_message(self):
-        config, diags = cli.resolve_config(
-            "sp-opt",
-            {"eta": "decaying", "N": "256", "Neta": "64", "alpha": "0.7", "r": "8"},
-        )
-        assert diags == []
-        assert cli.validate(config) == ["decay exponent must lie in (0, 1/2); got 0.7"]
+    def test_alpha_window_message(self, capsys):
+        code = run_cli("sp-opt", "--eta", "decaying", "--N", "256", "--Neta", "64",
+                       "--alpha", "0.7", "--r", "8", "--validate-only")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: decay exponent must lie in (0, 1/2); got 0.7\n")
 
-    def test_valid_config_has_no_diagnostics(self):
-        config, diags = cli.resolve_config(
-            "sp-opt",
-            {"eta": "decaying", "N": "256", "Neta": "64", "alpha": "0.25", "r": "8"},
-        )
-        assert diags == []
-        assert cli.validate(config) == []
+    def test_valid_config_has_no_diagnostics(self, capsys):
+        code = run_cli("sp-opt", "--eta", "decaying", "--N", "256", "--Neta", "64",
+                       "--alpha", "0.25", "--r", "8", "--validate-only")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("configuration ok\n", "")
 
     def test_alpha_window_exit_code(self, tmp_path):
         code = run_cli("sp-opt", "--eta", "decaying", "--N", "256", "--Neta", "64",
@@ -500,6 +515,19 @@ class TestValidation:
                        "--M", "4", "--validate-only")
         assert code == 0
         assert "configuration ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", _VALID.values(), ids=list(_VALID))
+    def test_validate_only_stops_before_the_experiment(self, tmp_path, monkeypatch, capsys,
+                                                       argv):
+        def started(*args, **kwargs):
+            raise AssertionError("--validate-only started the experiment")
+
+        for name in _EXPERIMENTS:
+            monkeypatch.setattr(cli, name, started)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, "--validate-only") == 0
+        assert capsys.readouterr().out == "configuration ok\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", _VALID.values(), ids=list(_VALID))
     def test_valid_config_validates_and_runs(self, tmp_path, monkeypatch, argv):
