@@ -10,11 +10,12 @@ the fully resolved configuration echoed into every output.
 --validate-only runs a command up to the point where its experiment starts,
 and writes nothing: option types, choices and lower bounds, then the
 command's own build phase (each runner is a generator whose first yield ends
-it).  Checks made inside an experiment (the sp-opt grid, k > N, s > s_max,
-capacity) fail only when it runs.
+it).  Checks made inside an experiment (k > N, s > s_max, capacity) fail
+only when it runs.
 
-Exit codes: 0 success, 2 invalid configuration, 3 capacity exceeded,
-4 numerical failure.
+Exit codes: 0 success, 2 invalid configuration, 3 capacity exceeded (an
+enumeration past its cap, or an allocation the machine refuses), 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 import tempfile
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -136,9 +137,6 @@ _SKETCH_OPTS = (
 SCHEMAS: dict[str, tuple] = {
     "sp-opt": _ETA_OPTS + (
         Opt("r", "float", required=True, above=0, help="model cardinality parameter"),
-        Opt("qmin", "float", default=2.001),
-        Opt("qmax", "float", default=128.0),
-        Opt("points", "int", default=200, above=1),
     ),
     "isotropy": _ETA_OPTS + (
         Opt("variant", "str", default=None,
@@ -372,16 +370,10 @@ class RunResult:
 def _run_sp_opt(p: dict) -> Iterator[RunResult | None]:
     inst = _build_instrument(p, SeededRng(p["seed"]))
     yield
-    curve = optimize_sparsity_parameter(
-        inst, p["r"], q_min=p["qmin"], q_max=p["qmax"], points=p["points"]
-    )
-    rows = [
-        {"q_prime": q, "value": v}
-        for q, v in zip(curve.q_grid, curve.values)
-    ]
-    doc = {"q_opt": curve.q_opt if math.isfinite(curve.q_opt) else "inf",
-           "value": curve.value, "eta": inst.kind, "r": p["r"]}
-    yield RunResult(rows, doc, f"q_opt={_fmt(curve.q_opt)} value={_fmt(curve.value)}")
+    opt = optimize_sparsity_parameter(inst, p["r"])
+    doc = {**asdict(opt), "eta": inst.kind, "r": p["r"]}
+    yield RunResult(None, doc, f"q_opt={_fmt(opt.q_opt)} value={_fmt(opt.value)} "
+                               f"gain={_fmt(opt.gain)}")
 
 
 def _run_isotropy(p: dict) -> Iterator[RunResult | None]:
@@ -768,7 +760,7 @@ def main(argv=None) -> int:
             print("configuration ok")
             return EXIT_OK
         result = next(run)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -7,6 +7,9 @@ A model describes a set of unit-norm signals in C^N:
 
 ``sample_sparse`` draws witnesses from either model and ``project_witness``
 maps a vector back onto one; the projected ascent in rip uses both.
+
+``optimize_sparsity_parameter`` finds the exact minimum over q' >= 2 of the
+instrument-dependent objective and its gain over the q' = 2 baseline.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import Instrument, instrument_norm
-from .numerics import SeededRng, lq_norm, schatten_norm
+from .numerics import NumericalError, SeededRng, lq_norm, schatten_norm
 
 __all__ = [
     "Canonical",
@@ -28,7 +31,7 @@ __all__ = [
     "witness_support_size",
     "sample_sparse",
     "project_witness",
-    "SparsityCurve",
+    "SparsityOptimum",
     "sparsity_parameter_value",
     "optimize_sparsity_parameter",
 ]
@@ -173,54 +176,59 @@ def _project_rows(model: SparsityModel, z: np.ndarray) -> np.ndarray:
 
 # -- the instrument-dependent sparsity parameter -----------------------------
 
+_U_TOL = 1e-12  # the bisection stops once its bracket on u = 1/q' is this narrow
+
 
 @dataclass(frozen=True)
-class SparsityCurve:
-    """Objective values q' |-> (q')^3 r^(1 - 2/q') ||eta||_{q'}^2 on a grid."""
+class SparsityOptimum:
+    """Exact minimum of the objective over q' >= 2 and its gain f(2) / value
+    over the q' = 2 baseline; gain is exactly 1.0 iff q_opt is exactly 2.0."""
 
-    q_grid: tuple
-    values: tuple
     q_opt: float
     value: float
+    gain: float
 
 
 def sparsity_parameter_value(inst: Instrument, r: float, q_prime: float) -> float:
-    """Objective at a single exponent q' in (2, inf)."""
+    """Objective (q')^3 r^(1 - 2/q') ||eta||_{q'}^2 at one exponent q' in [2, inf)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    if not (q_prime > 2.0):
-        raise ValueError(f"q' must exceed 2; got {q_prime}")
-    if q_prime == math.inf:
-        raise ValueError("evaluate the capped infinity entry via optimize_sparsity_parameter")
+    if not (2.0 <= q_prime < math.inf):
+        raise ValueError(f"q' must lie in [2, inf); got {q_prime}")
     return q_prime**3 * r ** (1.0 - 2.0 / q_prime) * instrument_norm(inst, q_prime) ** 2
 
 
-def optimize_sparsity_parameter(
-    inst: Instrument,
-    r: float,
-    q_min: float = 2.001,
-    q_max: float = 128.0,
-    points: int = 200,
-) -> SparsityCurve:
-    """Minimize the sparsity-parameter objective over a log-spaced grid.
+def optimize_sparsity_parameter(inst: Instrument, r: float) -> SparsityOptimum:
+    """Minimize the objective f exactly over q' in [2, inf).
 
-    The grid covers (2, q_max] and ends with an infinity entry, which uses the
-    limiting norm ||eta||_inf with the cubic factor capped at q_max^3 (the
-    literal limit diverges, so the entry is reported as a capped candidate only).
-    Ties resolve to the smaller exponent.
+    log f(1/u) = -3 log u + (1 - 2u) log r + 2 log ||eta||_{1/u} is strictly
+    convex in u (power means are log-convex: Hardy, Littlewood & Polya), so
+    bisection on the sign of its slope finds the one minimizer.  The slope of
+    log ||eta||_{1/u} is the entropy of the weights |eta_i|^(1/u) / sum_j
+    |eta_j|^(1/u).  For u below u_lo = (min(r, 1) ||eta||_inf^2 / f(2))^(1/3),
+    f(1/u) >= u^-3 min(r, 1) ||eta||_inf^2 > f(2), so the search runs over
+    [u_lo, 1/2], and a minimizer that does not beat f(2) is reported as q' = 2.
     """
-    if not (2.0 < q_min < q_max):
-        raise ValueError("need 2 < q_min < q_max")
-    if points < 2:
-        raise ValueError("grid needs at least 2 points")
-    grid = list(np.geomspace(q_min, q_max, points))
-    values = [sparsity_parameter_value(inst, r, q) for q in grid]
-    grid.append(math.inf)
-    values.append(q_max**3 * float(r) * instrument_norm(inst, math.inf) ** 2)
-    best = int(np.argmin(values))  # argmin takes the first hit: smaller q' wins ties
-    return SparsityCurve(
-        q_grid=tuple(float(q) for q in grid),
-        values=tuple(float(v) for v in values),
-        q_opt=float(grid[best]),
-        value=float(values[best]),
-    )
+    f2 = sparsity_parameter_value(inst, r, 2.0)
+    eta = inst.payload
+    mags = np.linalg.svd(eta, compute_uv=False) if inst.is_matrix else np.abs(eta)
+    top = float(mags.max())
+    log_mags, log_r = np.log(mags[mags > 0] / top), math.log(r)
+
+    def slope(u: float) -> float:
+        x = log_mags / u
+        weights = np.exp(x)
+        total = float(weights.sum())
+        return -3.0 / u - 2.0 * log_r + 2.0 * (math.log(total) - float(weights @ x) / total)
+
+    lo, hi = (min(r, 1.0) * top**2 / f2) ** (1.0 / 3.0), 0.5
+    while hi - lo > _U_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    value = sparsity_parameter_value(inst, r, 1.0 / hi)
+    gain = f2 / value
+    if math.isinf(gain):
+        raise NumericalError(f"the gain over q' = 2 overflows a float at r={r}")
+    if gain <= 1.0:
+        return SparsityOptimum(q_opt=2.0, value=f2, gain=1.0)
+    return SparsityOptimum(q_opt=1.0 / hi, value=value, gain=gain)

@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -59,19 +60,34 @@ class TestReports:
         assert doc["config"]["q"] == "2"
         assert not (tmp_path / "trunc.csv").exists()
 
-    def test_sp_opt_curve_and_optimum(self, tmp_path):
-        out = tmp_path / "sp"
+    def test_sp_opt_json_report(self, tmp_path, capsys):
+        # The AC05 window: its minimum is the q' = 2 endpoint, f(2) = 8 * 256.
         code = run_cli("sp-opt", "--eta", "decaying", "--N", "256", "--Neta", "64",
-                       "--alpha", "0.25", "--r", "8", "--out", str(out))
+                       "--alpha", "0.25", "--r", "8", "--out", str(tmp_path / "sp"))
         assert code == 0
-        comments, fields, rows = read_csv(tmp_path / "sp.csv")
-        assert fields == ["q_prime", "value"]
-        assert len(rows) == 201
-        doc = json.loads((tmp_path / "sp.json").read_text())
-        values = [float(r["value"]) for r in rows]
-        assert abs(doc["result"]["value"] - min(values)) <= 1e-9 * min(values)
-        q_opt = float(doc["result"]["q_opt"])
-        assert any(abs(float(r["q_prime"]) - q_opt) < 1e-9 for r in rows)
+        assert [path.name for path in tmp_path.iterdir()] == ["sp.json"]
+        result = json.loads((tmp_path / "sp.json").read_text())["result"]
+        assert set(result) == {"q_opt", "value", "gain", "eta", "r"}
+        assert (result["q_opt"], result["gain"]) == (2.0, 1.0)
+        assert result["value"] == pytest.approx(2048.0, rel=1e-9)
+        assert "q_opt=2 value=2048 gain=1 ->" in capsys.readouterr().out
+
+    def test_sp_opt_interior_optimum(self, tmp_path):
+        # Flat N = 16 at r = 1e-300: q' = (2/3) ln(N / r) = 462.365 and f(2) = 128.
+        code = run_cli("sp-opt", "--eta", "flat", "--N", "16", "--r", "1e-300",
+                       "--out", str(tmp_path / "sp"))
+        assert code == 0
+        result = json.loads((tmp_path / "sp.json").read_text())["result"]
+        assert result["q_opt"] == pytest.approx(462.365411, rel=1e-9)
+        assert result["value"] == pytest.approx(1.98536087e-291, rel=1e-8)
+        assert result["gain"] == pytest.approx(128.0 / result["value"], rel=1e-12)
+
+    def test_sp_opt_gain_past_float_range_is_numerical(self, tmp_path, capsys):
+        code = run_cli("sp-opt", "--eta", "flat", "--N", "16", "--r", "5e-324",
+                       "--out", str(tmp_path / "sp"))
+        assert code == 4
+        assert "numerical error: the gain over q' = 2 overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_isotropy_defect_is_tiny(self, tmp_path):
         out = tmp_path / "iso"
@@ -196,7 +212,8 @@ class TestReports:
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
-        args = ("sp-opt", "--eta", "flat", "--N", "32", "--r", "4", "--seed", "11")
+        args = ("rosenthal", "--N", "4", "--d", "2", "--M", "2,4", "--trials", "2",
+                "--seed", "11")
         assert run_cli(*args, "--out", str(tmp_path / "a")) == 0
         assert run_cli(*args, "--out", str(tmp_path / "b")) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -212,7 +229,7 @@ class TestDeterminism:
         assert rows_a[0]["seed"] != rows_b[0]["seed"]
 
     def test_stamp_adds_one_header_line(self, tmp_path):
-        args = ("sp-opt", "--eta", "flat", "--N", "16", "--r", "2")
+        args = ("rosenthal", "--N", "4", "--d", "2", "--M", "2,4", "--trials", "2")
         assert run_cli(*args, "--out", str(tmp_path / "plain")) == 0
         assert run_cli(*args, "--stamp", "--out", str(tmp_path / "stamped")) == 0
         plain = (tmp_path / "plain.csv").read_text().splitlines()
@@ -226,14 +243,14 @@ class TestDeterminism:
         assert "timestamp" in doc
 
     def test_header_echoes_resolved_config(self, tmp_path):
-        assert run_cli("sp-opt", "--eta", "flat", "--N", "16", "--r", "2",
+        assert run_cli("rosenthal", "--N", "4", "--d", "2", "--M", "2,4", "--trials", "2",
                        "--out", str(tmp_path / "echo")) == 0
         comments, _, _ = read_csv(tmp_path / "echo.csv")
         text = "".join(comments)
-        assert "# command=sp-opt\n" in comments
-        assert "# N=16\n" in comments
-        assert "# r=2\n" in comments
-        assert "# qmin=2.001\n" in comments
+        assert "# command=rosenthal\n" in comments
+        assert "# N=4\n" in comments
+        assert "# M=2,4\n" in comments
+        assert "# variant=shiftmod\n" in comments  # a default the flags never set
         assert "timestamp" not in text
 
 
@@ -280,6 +297,12 @@ class TestConfigFile:
         cfg.write_text("N 16\n")
         assert run_cli("rip-scan", "--config", str(cfg)) == 2
 
+    def test_sp_opt_has_no_points_key(self, tmp_path, capsys):
+        cfg = tmp_path / "sp.cfg"
+        cfg.write_text("eta = flat\nN = 16\nr = 2\npoints = 5\n")
+        assert run_cli("sp-opt", "--config", str(cfg)) == 2
+        assert "unknown config key: points" in capsys.readouterr().err
+
     def test_rip_scan_has_no_ascent_key(self, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("N = 16\nk = 2\nm = 4\nascent = 5\n")
@@ -307,7 +330,7 @@ class TestConfigFile:
 # earlier one, so each invalid config below is a valid one plus one change.
 _VALID = {
     "sp-opt": ("sp-opt", "--eta", "decaying", "--N", "16", "--Neta", "4", "--alpha", "0.25",
-               "--r", "2", "--points", "5"),
+               "--r", "2"),
     "isotropy": ("isotropy", "--eta", "schatten-decay", "--n", "2"),
     "rip-exact": ("rip-exact", "--eta", "flat", "--N", "8", "--k", "1", "--m", "2"),
     "rip-exact-gaussian-n": ("rip-exact", "--ensemble", "gaussian", "--n", "3", "--k", "1",
@@ -429,7 +452,6 @@ _INVALID = [
     (77, (*_VALID["isotropy"], "--n", "-1"), "n: must exceed 0; got -1"),
     (78, (*_VALID["sp-opt"], "--r", "0"), "r: must exceed 0; got 0.0"),
     (79, (*_VALID["sp-opt"], "--r", "-2"), "r: must exceed 0; got -2.0"),
-    (80, (*_VALID["sp-opt"], "--points", "1"), "points: must exceed 1; got 1"),
 ]
 
 # The library calls that start each command's experiment; --validate-only
@@ -447,8 +469,6 @@ _RUN_ONLY_INVALID = {
                   "k must lie in [1, N]; got 5"),
     "mrip": (("mrip", "--N", "8", "--m", "4", "--s", "100", "--delta", "0.3", "--trials", "2",
               "--ascent", "2"), "s must lie in [1, s_max=8]; got 100.0"),
-    "sp-opt": (("sp-opt", "--eta", "flat", "--N", "8", "--r", "2", "--qmin", "3",
-                "--qmax", "2.5"), "need 2 < q_min < q_max"),
 }
 
 
@@ -565,7 +585,7 @@ class TestValidation:
         labels |= {"separated", "close", f"canonical_k{dict(zip(argv, argv[1:])).get('--k')}"}
 
         def rendered(cell):
-            if re.fullmatch(r"-?\d+", cell) or cell in {"true", "false", "", "inf"} | labels:
+            if re.fullmatch(r"-?\d+", cell) or cell in {"true", "false", ""} | labels:
                 return True
             try:
                 return format(float(cell), ".12g") == cell
@@ -602,6 +622,14 @@ class TestValidation:
             run_cli("frobnicate", "--N", "4")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--qmin", "3"), ("--qmax", "9"), ("--points", "5")],
+                             ids=["qmin", "qmax", "points"])
+    def test_sp_opt_has_no_grid_flags(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*_VALID["sp-opt"], flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     def test_rip_scan_has_no_ascent_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(*_VALID["rip-scan"], "--ascent", "5")
@@ -614,6 +642,21 @@ class TestFailureExitCodes:
         code = run_cli("rip-exact", "--eta", "flat", "--N", "64", "--k", "8",
                        "--m", "4", "--out", str(tmp_path / "x"))
         assert code == 3
+
+    # Each config asks for exabytes, which the allocator refuses at once.
+    @pytest.mark.parametrize("argv", [
+        ("gordon", "--N", "4", "--k", "2", "--delta", "1e-8", "--draws", "1", "--trials", "1",
+         "--width-trials", "2"),
+        ("rip-exact", "--ensemble", "gaussian", "--N", "4", "--k", "2",
+         "--m", "100000000000000000", "--validate-only"),
+    ], ids=["gordon", "rip-exact-validate-only"])
+    def test_refused_allocation_is_a_capacity_error(self, tmp_path, capsys, argv):
+        code = run_cli(*argv, "--out", str(tmp_path / "x"))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("capacity error: Unable to allocate")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_exit(self, tmp_path, monkeypatch):
         def boom(params):
@@ -636,3 +679,22 @@ class TestFailureExitCodes:
             run_cli("table1", "--s", "1", "--n", "2", "--d", "2", "--out", str(tmp_path / "x"))
         assert [Path(src).name[:12] for src in renamed] == [".riplab_tmp_"]
         assert list(tmp_path.iterdir()) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    def test_example_lines_parse(self):
+        lines = [line.strip() for line in README.read_text().splitlines()
+                 if line.strip().startswith("riplab ")]
+        assert lines
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
+
+    def test_command_table_lists_every_command(self):
+        blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+        tables = [body for lang, body in blocks if not lang]
+        assert len(tables) == 1
+        assert [line.split()[0] for line in tables[0].splitlines()] == list(cli.SCHEMAS)

@@ -1,6 +1,7 @@
 """Tests for sparsity models, witnesses, and the sparsity-parameter optimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from riplab.instruments import make_decaying_window, make_flat
+from riplab.instruments import (
+    make_decaying_window,
+    make_flat,
+    make_scaled_identity,
+    make_schatten_decay,
+)
 from riplab.numerics import SeededRng, lq_norm
 from riplab.sparsity import (
     Canonical,
@@ -203,49 +209,48 @@ class TestProjectWitnessBlocks:
 
 class TestSparsityParameter:
     def test_flat_r1_curve_increases(self):
-        curve = optimize_sparsity_parameter(make_flat(16), 1.0, points=60)
-        finite = [v for q, v in zip(curve.q_grid, curve.values) if math.isfinite(q)]
-        assert all(a <= b + 1e-9 for a, b in zip(finite, finite[1:]))
-        assert curve.q_opt == pytest.approx(2.001, rel=1e-12)
+        # (2/3) ln(N / r) = 1.85 < 2: f rises from q' = 2, so the minimum is the endpoint.
+        inst = make_flat(16)
+        values = [sparsity_parameter_value(inst, 1.0, q) for q in np.geomspace(2.0, 128.0, 60)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        opt = optimize_sparsity_parameter(inst, 1.0)
+        assert (opt.q_opt, opt.value, opt.gain) == (2.0, values[0], 1.0)
 
     def test_flat_large_matches_direct_evaluation(self):
-        curve = optimize_sparsity_parameter(make_flat(1024), 16.0)
-        qs = np.array([q for q in curve.q_grid if math.isfinite(q)])
-        direct = qs ** 3 * 16.0 ** (1.0 - 2.0 / qs) * 1024.0 ** (2.0 / qs)
-        np.testing.assert_allclose(
-            [v for q, v in zip(curve.q_grid, curve.values) if math.isfinite(q)],
-            direct,
-            rtol=1e-12,
-        )
-        assert curve.value == pytest.approx(
-            min(direct.min(), curve.values[-1]), rel=1e-12
-        )
+        opt = optimize_sparsity_parameter(make_flat(1024), 16.0)
+        q = opt.q_opt
+        assert q == pytest.approx((2.0 / 3.0) * math.log(1024 / 16.0), rel=1e-9)
+        direct = q**3 * 16.0 ** (1.0 - 2.0 / q) * 1024.0 ** (2.0 / q)
+        assert opt.value == pytest.approx(direct, rel=1e-12)
+        assert opt.gain == pytest.approx(8.0 * 1024 / direct, rel=1e-12)
 
     def test_window_curve_shape(self):
         # at this window size the cubic prefactor dominates: the curve rises
-        # from the left grid edge, so the optimizer lands near q' = 2
+        # from q' = 2, so the minimum is the endpoint f(2) = 8 ||eta||_2^2
         inst = make_decaying_window(256, 64, 0.25)
         f25 = sparsity_parameter_value(inst, 8.0, 2.5)
         f4 = sparsity_parameter_value(inst, 8.0, 4.0)
         f64 = sparsity_parameter_value(inst, 8.0, 64.0)
         assert f25 < f4 < f64
-        curve = optimize_sparsity_parameter(inst, 8.0)
-        assert curve.value <= f25
-        assert curve.q_opt < 2.5
+        opt = optimize_sparsity_parameter(inst, 8.0)
+        assert (opt.q_opt, opt.gain) == (2.0, 1.0)
+        assert opt.value == pytest.approx(2048.0, rel=1e-9)
 
     def test_optimizer_never_worse_than_fixed_points(self):
         inst = make_flat(1024)
-        curve = optimize_sparsity_parameter(inst, 16.0)
-        proxy = 1.0 + math.log(1024)
-        assert curve.value <= sparsity_parameter_value(inst, 16.0, proxy) + 1e-9
-        # the capped infinity candidate participates in the minimum
-        assert curve.value <= curve.values[-1] + 1e-9
-        assert math.isinf(curve.q_grid[-1])
+        opt = optimize_sparsity_parameter(inst, 16.0)
+        for q in (2.0, 1.0 + math.log(1024), 64.0, 1e6):
+            assert opt.value <= sparsity_parameter_value(inst, 16.0, q)
+        assert opt.gain > 1.0
 
     def test_curve_is_finite(self):
         inst = make_decaying_window(64, 16, 0.4)
-        curve = optimize_sparsity_parameter(inst, 4.0, points=80)
-        assert np.all(np.isfinite(curve.values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [sparsity_parameter_value(inst, 4.0, q) for q in np.geomspace(2, 1e8, 80)]
+            opt = optimize_sparsity_parameter(inst, 4.0)
+        assert np.all(np.isfinite(values))
+        assert all(math.isfinite(x) for x in (opt.q_opt, opt.value, opt.gain))
 
     def test_matrix_instrument_uses_schatten_norms(self):
         from riplab.instruments import make_scaled_identity
@@ -254,3 +259,66 @@ class TestSparsityParameter:
         # f(q') = (q')^3 r^(1 - 2/q') n^(1 + 2/q') for the scaled identity
         val = sparsity_parameter_value(inst, 2.0, 4.0)
         assert val == pytest.approx(64.0 * 2.0 ** 0.5 * 4.0 ** 1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("q_prime", [1.999, math.inf, math.nan])
+    def test_value_needs_q_prime_in_two_to_infinity(self, q_prime):
+        with pytest.raises(ValueError, match=r"q' must lie in \[2, inf\)"):
+            sparsity_parameter_value(make_flat(4), 2.0, q_prime)
+
+    def test_value_at_two_is_the_baseline(self):
+        # f(2) = 8 ||eta||_2^2 = 8 * size, whatever r is.
+        inst = make_decaying_window(256, 64, 0.25)
+        for r in (1e-300, 1.0, 1e6):
+            assert sparsity_parameter_value(inst, r, 2.0) == pytest.approx(2048.0, rel=1e-9)
+
+
+# For these instruments log f(1/u) = -3 log u + (1 - 2u) log r + 2u log D + const
+# (D = N, or n for the scaled identity), minimized at q' = max(2, (2/3) ln(D / r)):
+# flat N = 256 at r = 8 gives 2.310491, and N = 16 at r = 1e-300 gives 462.365.
+_CLOSED_FORM_R = (1e-300, 1e-100, 1e-10, 1e-3, 1.0, 8.0, 1e3, 1e6)
+
+
+class TestExactMinimizer:
+    @pytest.mark.parametrize("make,size", [(make_flat, 16), (make_flat, 256),
+                                           (make_flat, 4096), (make_scaled_identity, 2),
+                                           (make_scaled_identity, 8)],
+                             ids=["flat16", "flat256", "flat4096", "identity2", "identity8"])
+    @pytest.mark.parametrize("r", _CLOSED_FORM_R, ids=[f"r{r:g}" for r in _CLOSED_FORM_R])
+    def test_closed_form(self, make, size, r):
+        opt = optimize_sparsity_parameter(make(size), r)
+        q_closed = max(2.0, (2.0 / 3.0) * math.log(size / r))
+        assert abs(1.0 / opt.q_opt - 1.0 / q_closed) <= 1e-9
+        assert (opt.q_opt == 2.0) == (opt.gain == 1.0) == (q_closed == 2.0)
+
+    def test_minimizer_just_inside_the_endpoint(self):
+        # r = N e^(-3.015) puts the closed-form minimizer at q' = 2.01, where
+        # the gain over q' = 2 is only about 1 + 2e-5.
+        opt = optimize_sparsity_parameter(make_flat(256), 256 * math.exp(-3.015))
+        assert abs(1.0 / opt.q_opt - 1.0 / 2.01) <= 1e-9
+        assert 1.0 < opt.gain < 1.0001
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_value_is_below_the_objective_everywhere(self, data):
+        kind = data.draw(st.sampled_from(["decaying", "schatten-decay", "flat"]))
+        if kind == "decaying":
+            n = data.draw(st.integers(1, 300))
+            inst = make_decaying_window(n, data.draw(st.integers(1, n)),
+                                        data.draw(st.floats(0.01, 0.49)))
+        elif kind == "schatten-decay":
+            inst = make_schatten_decay(data.draw(st.integers(1, 8)),
+                                       data.draw(st.floats(0.01, 0.49)),
+                                       SeededRng(data.draw(st.integers(0, 2**32 - 1))))
+        else:
+            inst = make_flat(data.draw(st.integers(1, 512)))
+        r = 10.0 ** data.draw(st.floats(-300.0, 6.0))
+        randoms = data.draw(st.lists(st.floats(2.0, 1e4), min_size=1, max_size=20))
+        grid = 1.0 / np.linspace(0.0, 0.5, 2001)[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt = optimize_sparsity_parameter(inst, r)
+            values = [sparsity_parameter_value(inst, r, float(q)) for q in [*grid, *randoms]]
+        assert opt.value <= min(values) * (1.0 + 1e-12)
+        assert opt.value == sparsity_parameter_value(inst, r, opt.q_opt)
+        assert (opt.q_opt == 2.0) == (opt.gain == 1.0)
+        assert opt.gain >= 1.0
