@@ -194,7 +194,6 @@ SCHEMAS: dict[str, tuple] = {
         Opt("rho", "float", default=None, help="nominal smoothness label for the report"),
         Opt("m", "int_list", required=True, above=0),
         Opt("trials", "int", default=20, above=0),
-        Opt("nbig", "int", default=None, help="carrier band (default 4N)"),
     ),
     "bump-check": (
         Opt("configs", "int", default=20, above=0),
@@ -335,6 +334,8 @@ def _build_ensemble(p: dict, m: int, rng: SeededRng):
         # Gaussian rows never read --eta: the dimension is N, else n^2.
         if not (p["N"] or p["n"]):
             raise ValueError("--N or --n is required for the gaussian ensemble")
+        if p["sign"] != "none":
+            raise ValueError(f"the gaussian ensemble takes no signs; got --sign {p['sign']}")
         return gaussian_ensemble(p["N"] or p["n"] ** 2, m, rng)
     inst = _build_instrument(p, rng)
     return sample_ensemble(inst, p["ensemble"], m, p["sign"], rng)
@@ -544,15 +545,13 @@ def _run_infdim_scan(p: dict) -> Iterator[RunResult | None]:
              for mode in modes]
     if not 0 < p["gamma"] < 0.5:
         raise ValueError(f"gamma must lie in (0, 1/2); got {p['gamma']}")
-    if p["nbig"] is not None and p["nbig"] < 4 * n_cut:
-        raise ValueError("nbig must be at least 4N")
     yield
-    nbig = p["nbig"] or 4 * n_cut
     t_scale = 1.0 / p["gamma"]
 
     def sampler(stream: SeededRng):
+        # The carrier band is 4N, the least rip_experiment accepts.
         center = float(stream.uniform())
-        return from_bumps(t_scale, [center], [1.0], nbig)
+        return from_bumps(t_scale, [center], [1.0], 4 * n_cut)
 
     # Every (mode, m) cell shares the trial streams of one root, so one grid
     # call draws each trial's bump once.

@@ -35,8 +35,7 @@ CLI's sign modes by name: none, random (one shared diagonal) or absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,11 +94,13 @@ class Monomial:
         return Monomial(inv, np.conj(np.take_along_axis(self.phase, inv, axis=1)))
 
 
-def _width(variant: str, n: int) -> int:
-    # Parameters per element of the chosen group over side n.
+def _bounds(variant: str, n: int) -> list:
+    # The one per-variant parameter table: the exclusive upper bound of each
+    # parameter as drawn, per column, so an element has len(_bounds) of them.
+    # signshift draws its signs as 0/1 bits.
     if variant not in _VARIANTS:
         raise ValueError(f"unknown group variant {variant!r}")
-    return {"shiftmod": 2, "doubleqft": 4, "signshift": n + 1}[variant]
+    return [2] * n + [n] if variant == "signshift" else [n] * (2 if variant == "shiftmod" else 4)
 
 
 def _mod_phases(n: int, t) -> np.ndarray:
@@ -121,7 +122,7 @@ def monomial(variant: str, n: int, params) -> Monomial:
     """
     if n < 1:
         raise ValueError("group side must be >= 1")
-    width = _width(variant, n)
+    width = len(_bounds(variant, n))
     params = np.asarray(params)
     if params.ndim != 2 or params.shape[1] != width or not len(params):
         raise ValueError(f"{variant} over side {n} needs a non-empty (B, {width}) "
@@ -147,26 +148,19 @@ def monomial(variant: str, n: int, params) -> Monomial:
     return Monomial(perm.reshape(-1, n * n), phase.reshape(-1, n * n))
 
 
-def enumerate_group(variant: str, n: int) -> np.ndarray:
-    """The (|G|, p) parameter array of every element of the chosen group over
-    side n, rows in lexicographic order."""
-    if variant == "signshift":
-        return np.array(list(product(*[(-1, 1)] * n, range(n))))
-    return np.array(list(product(range(n), repeat=_width(variant, n))))
-
-
-def _bounds(variant: str, n: int) -> list:
-    # Exclusive upper bound of each parameter as drawn, per column: signshift
-    # draws its signs as 0/1 bits.
-    return [2] * n + [n] if variant == "signshift" else [n] * _width(variant, n)
-
-
 def _from_draws(variant: str, n: int, draws: np.ndarray) -> np.ndarray:
     # The parameters of draws made under _bounds, mapping sign bits to +-1 in
     # place.
     if variant == "signshift":
         draws[:, :n] = 2 * draws[:, :n] - 1
     return draws
+
+
+def enumerate_group(variant: str, n: int) -> np.ndarray:
+    """The (|G|, p) parameter array of every element of the chosen group over
+    side n, rows in lexicographic order."""
+    bounds = _bounds(variant, n)
+    return _from_draws(variant, n, np.indices(bounds).reshape(len(bounds), -1).T)
 
 
 def draw_elements(variant: str, n: int, m: int, rng: SeededRng) -> np.ndarray:
@@ -186,16 +180,16 @@ def draw_elements(variant: str, n: int, m: int, rng: SeededRng) -> np.ndarray:
 # -- ensembles --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MeasurementEnsemble:
     """m measurement functionals over C^dim.
 
     ``rows[j]`` stores conj(sigma(g_j) eta) / sqrt(m), so application is a
-    plain matrix product.
+    plain matrix product.  The rows are all it keeps: the seed and spawn key
+    of the ``SeededRng`` that drew them regenerate them.
     """
 
     rows: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     # perfbench/sweep.py is the only caller of this alias of rows.
     def effective_operator(self) -> np.ndarray:
@@ -231,23 +225,15 @@ def sample_ensemble(
         raise ValueError("absorbed signs are defined for vector instruments only")
 
     dim = inst.ambient_dim
-    prov: dict = {
-        "variant": variant,
-        "sign_mode": sign_mode,
-        "seed": rng.seed,
-        "spawn_key": list(rng.spawn_key),
-    }
-
-    shared_sign = None
-    if sign_mode == "random":
-        shared_sign = rng.rademacher(dim)
-        prov["shared_sign"] = [int(s) for s in shared_sign]
+    shared_sign = rng.rademacher(dim) if sign_mode == "random" else None
 
     # One call draws row by row: each row's element, then its absorbed
     # (signs, shift) pair, a signshift element over dim.  The rows
     # themselves are one gather.
-    width = _width(variant, n)
-    bounds = _bounds(variant, n) + (_bounds("signshift", dim) if sign_mode == "absorbed" else [])
+    bounds = _bounds(variant, n)
+    width = len(bounds)
+    if sign_mode == "absorbed":
+        bounds += _bounds("signshift", dim)
     draws = rng.integers(0, bounds, (m, len(bounds)))
     params = _from_draws(variant, n, draws[:, :width])
     rows = monomial(variant, n, params).apply(inst.payload.ravel())
@@ -256,12 +242,9 @@ def sample_ensemble(
     elif sign_mode == "absorbed":
         absorbed = _from_draws("signshift", dim, draws[:, width:])
         rows = monomial("signshift", dim, absorbed).apply(rows)
-        prov["absorbed_signs"] = absorbed.tolist()
     rows = np.conj(rows)
     rows /= math.sqrt(m)
-
-    prov["elements"] = params.tolist()
-    return MeasurementEnsemble(rows=rows, provenance=prov)
+    return MeasurementEnsemble(rows)
 
 
 def gaussian_ensemble(dim: int, m: int, rng: SeededRng) -> MeasurementEnsemble:
@@ -269,8 +252,7 @@ def gaussian_ensemble(dim: int, m: int, rng: SeededRng) -> MeasurementEnsemble:
     if m < 1 or dim < 1:
         raise ValueError("m and dim must be >= 1")
     rows = rng.standard_normal((m, dim)) / math.sqrt(m)
-    prov = {"variant": "gaussian", "seed": rng.seed, "spawn_key": list(rng.spawn_key)}
-    return MeasurementEnsemble(rows=rows.astype(complex), provenance=prov)
+    return MeasurementEnsemble(rows.astype(complex))
 
 
 # -- isotropy and moment deviation ------------------------------------------

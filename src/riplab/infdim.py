@@ -85,9 +85,6 @@ class FourierFunction:
         """L2 norm on the circle (Parseval)."""
         return float(np.linalg.norm(self.coeffs))
 
-    def scaled(self, a: complex) -> "FourierFunction":
-        return FourierFunction(self.coeffs * a, self.n_big)
-
 
 # -- construction --------------------------------------------------------------
 
@@ -476,7 +473,7 @@ def rip_experiment(
         for i, (inst, norm) in enumerate(zip(schemes, norms)):
             # One product per cell: a shared max(m) product sliced to m rows
             # would differ in the last bit at m = 1, where BLAS takes gemv.
-            coeffs = _block_coeffs(f.scaled(1.0 / norm), inst).T
+            coeffs = (_block_coeffs(f, inst) * (1.0 / norm)).T
             for j, m in enumerate(m_list):
                 energy = _block_energy(coeffs, phases[inst.block_len][:m])
                 devs[i, j, trial] = abs(float(energy.mean()) - 1.0)

@@ -382,18 +382,15 @@ class SeededRng:
         ``np.sort(self.stream(indices[r]).choice_no_replace(n, k))`` bit for
         bit, for 1 <= k <= n.
 
-        No child generator is built where the batch pays: the children's
-        seeding words come from the shared derivation step, and one
-        vectorised pass per block of 256 rows runs their PCG64 outputs,
-        Lemire's bounded draws and Floyd's algorithm, as ``choice`` does in
-        C.  The per-stream ``choice`` draws instead
+        No child generator is built: the children's seeding words come from
+        the shared derivation step, and one vectorised pass per block of up
+        to 256 rows, however few, runs their PCG64 outputs, Lemire's bounded
+        draws and Floyd's algorithm, as ``choice`` does in C.  The
+        per-stream ``choice`` draws only
           * a row whose Lemire draw would be rejected (probability below
             n / 2^32 per row);
           * every row when n > 10,000, where numpy may sample by a tail
-            shuffle;
-          * every row of a block with fewer than 2 (k + 8) rows.  A pass
-            costs about as much as 8 per-stream draws plus one per Floyd
-            column, so this keeps it where it pays twice over.
+            shuffle.
         """
         indices = list(indices)
         n, k = int(n), int(k)
@@ -403,7 +400,7 @@ class SeededRng:
         redo = []
         for lo in range(0, len(indices), _SUPPORT_ROWS):
             rows = np.arange(lo, min(lo + _SUPPORT_ROWS, len(indices)))
-            if n > _FLOYD_MAX_N or len(rows) < 2 * (k + 8):
+            if n > _FLOYD_MAX_N:
                 redo.extend(rows)
                 continue
             *_, words = _child_words(self._pool, self._hash, indices[lo:lo + len(rows)])

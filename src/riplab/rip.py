@@ -184,9 +184,9 @@ def empirical_rip(
     one support per trial.  ``rng.sorted_supports`` draws every trial's
     support at once, as a (trials, k) array whose row t equals the sorted
     ``choice_no_replace`` of ``rng.stream(t)`` bit for bit; it falls back
-    to that per-stream call for a rejected Lemire draw, for N > 10,000 and
-    for trial blocks too small to batch.  If the trial budget covers
-    every support the supports are enumerated instead, nothing is drawn (a
+    to that per-stream call only for a rejected Lemire draw and for
+    N > 10,000.  If the trial budget covers every support the supports
+    are enumerated instead, nothing is drawn (a
     drawn support would repeat an enumerated one), and the report is
     exact_rip_canonical's value with side "exact".  Both go through
     exact_rip_canonical's pruned kernel, so a sampled maximum is the unpruned

@@ -418,7 +418,6 @@ _INVALID = [
     (50, (*_VALID["infdim-scan"], "--trials", "0"), "trials: must exceed 0"),
     (51, (*_VALID["infdim-scan"], "--m", "16,0"), "m: must exceed 0"),
     (52, (*_VALID["infdim-scan"], "--gamma", "0.5"), "gamma must lie in (0, 1/2)"),
-    (53, (*_VALID["infdim-scan"], "--nbig", "32"), "nbig must be at least 4N"),
     (54, (*_VALID["bump-check"], "--configs", "0"), "configs: must exceed 0"),
     (55, (*_VALID["bump-check"], "--tol", "0"), "tol: must exceed 0"),
     (56, (*_VALID["truncation"], "--q", "1"), "q must lie in (1, 2]"),
@@ -452,6 +451,11 @@ _INVALID = [
     (77, (*_VALID["isotropy"], "--n", "-1"), "n: must exceed 0; got -1"),
     (78, (*_VALID["sp-opt"], "--r", "0"), "r: must exceed 0; got 0.0"),
     (79, (*_VALID["sp-opt"], "--r", "-2"), "r: must exceed 0; got -2.0"),
+    # Gaussian rows take no signs, so a sign mode would only be echoed.
+    (80, ("rip-scan", "--ensemble", "gaussian", "--N", "16", "--k", "2", "--m", "8",
+          "--sign", "absorbed", "--trials", "5"), "the gaussian ensemble takes no signs"),
+    (81, (*_VALID["rip-exact-gaussian-n"], "--sign", "random"),
+     "the gaussian ensemble takes no signs; got --sign random"),
 ]
 
 # The library calls that start each command's experiment; --validate-only

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import riplab
-from riplab.group_ops import monomial
+from riplab.group_ops import MeasurementEnsemble, monomial
 from riplab.infdim import DeviationGrid, FourierFunction, make_block_instrument
 from riplab.instruments import make_flat
 
@@ -29,7 +29,9 @@ def test_all_names_resolve(name):
     lambda: make_flat(8),
     lambda: monomial("shiftmod", 8, np.array([[1, 2]])),
     lambda: DeviationGrid(np.zeros((1, 1, 2)), {"trials": 2, "redraws": 0}),
-], ids=["BlockInstrument", "FourierFunction", "Instrument", "Monomial", "DeviationGrid"])
+    lambda: MeasurementEnsemble(np.ones((2, 4), dtype=complex)),
+], ids=["BlockInstrument", "FourierFunction", "Instrument", "Monomial", "DeviationGrid",
+        "MeasurementEnsemble"])
 def test_array_holders_compare_by_identity(build):
     # A generated field-wise __eq__ would compare arrays and raise.
     a, b = build(), build()

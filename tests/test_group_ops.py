@@ -12,7 +12,6 @@ import riplab.group_ops as go
 from riplab.group_ops import (
     draw_elements,
     enumerate_group,
-    gaussian_ensemble,
     isotropy_defect,
     monomial,
     rosenthal_deviation,
@@ -33,6 +32,13 @@ SEED = 90210
 def _act(variant, n, row, x):
     """sigma(g) x for the one element with parameters ``row``."""
     return monomial(variant, n, [row]).apply(x)[0]
+
+
+def _per_row_elements(variant: str, n: int, rng: SeededRng) -> list:
+    """One element's parameters, drawn as separate calls in parameter order."""
+    if variant == "signshift":
+        return [*rng.rademacher(n).tolist(), int(rng.integers(0, n))]
+    return rng.integers(0, n, 2 if variant == "shiftmod" else 4).tolist()
 
 
 def _act_adjoint(variant, n, row, x):
@@ -138,6 +144,18 @@ class TestGroupEnumeration:
     def test_signshift_order(self):
         assert enumerate_group("signshift", 3).shape == (24, 4)
 
+    @pytest.mark.parametrize("variant", ["shiftmod", "doubleqft", "signshift"])
+    def test_rows_are_the_whole_group_in_lexicographic_order(self, variant):
+        for n in range(1, 5):
+            rows = enumerate_group(variant, n).tolist()
+            order = {"shiftmod": n**2, "doubleqft": n**4, "signshift": 2**n * n}[variant]
+            assert len(rows) == len({tuple(row) for row in rows}) == order
+            assert rows == sorted(rows)
+            # Every row is an element: signs are +/-1 and the rest lie in [0, n).
+            signs = n if variant == "signshift" else 0
+            assert all(abs(e) == 1 for row in rows for e in row[:signs])
+            assert all(0 <= e < n for row in rows for e in row[signs:])
+
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from((("shiftmod", 6), ("doubleqft", 3), ("signshift", 5))),
            st.data())
@@ -173,12 +191,14 @@ class TestSampleEnsemble:
         b = sample_ensemble(make_flat(8), "shiftmod", 5, "random", SeededRng(SEED))
         np.testing.assert_array_equal(a.rows, b.rows)
 
-    def test_provenance_regenerates_rows(self):
+    # The tests below replay each row's draws from a fresh SeededRng of the
+    # same seed, which is all it takes to regenerate an ensemble.
+    def test_replayed_draws_regenerate_rows(self):
         inst = make_decaying_window(6, 4, 0.3)
         ens = sample_ensemble(inst, "shiftmod", 7, "none", SeededRng(SEED + 6))
-        assert ens.provenance["variant"] == "shiftmod"
-        for j, row in enumerate(ens.provenance["elements"]):
-            v = _act("shiftmod", 6, row, inst.payload)
+        replay = SeededRng(SEED + 6)
+        for j in range(7):
+            v = _act("shiftmod", 6, _per_row_elements("shiftmod", 6, replay), inst.payload)
             np.testing.assert_allclose(
                 ens.rows[j], np.conj(v) / math.sqrt(7), atol=1e-14
             )
@@ -186,20 +206,19 @@ class TestSampleEnsemble:
     def test_random_sign_shares_one_pattern(self):
         inst = make_decaying_window(6, 4, 0.3)
         ens = sample_ensemble(inst, "shiftmod", 9, "random", SeededRng(SEED + 7))
-        assert ens.provenance["sign_mode"] == "random"
-        eps = np.array(ens.provenance["shared_sign"], dtype=float)
-        assert eps.shape == (6,) and set(np.unique(eps)) <= {-1.0, 1.0}
-        for j, row in enumerate(ens.provenance["elements"]):
-            v = eps * _act("shiftmod", 6, row, inst.payload)
+        replay = SeededRng(SEED + 7)
+        eps = replay.rademacher(6).astype(float)
+        for j in range(9):
+            v = eps * _act("shiftmod", 6, _per_row_elements("shiftmod", 6, replay), inst.payload)
             np.testing.assert_allclose(ens.rows[j], np.conj(v) / 3.0, atol=1e-14)
 
     def test_absorbed_draws_fresh_pairs(self):
         inst = make_decaying_window(8, 5, 0.3)
         ens = sample_ensemble(inst, "shiftmod", 6, "absorbed", SeededRng(SEED + 8))
-        recs = ens.provenance["absorbed_signs"]
-        assert len(recs) == 6
-        for j, (row, (*eps, shift)) in enumerate(zip(ens.provenance["elements"], recs)):
-            v = _act("shiftmod", 8, row, inst.payload)
+        replay = SeededRng(SEED + 8)
+        for j in range(6):
+            v = _act("shiftmod", 8, _per_row_elements("shiftmod", 8, replay), inst.payload)
+            *eps, shift = _per_row_elements("signshift", 8, replay)
             v = np.roll(np.array(eps) * v, shift)
             np.testing.assert_allclose(
                 ens.rows[j], np.conj(v) / math.sqrt(6), atol=1e-14
@@ -237,14 +256,6 @@ class TestSampleEnsemble:
             sample_ensemble(make_flat(4), "doubleqft", 2, "none", SeededRng(SEED))
         with pytest.raises(ValueError):
             sample_ensemble(make_scaled_identity(2), "shiftmod", 2, "none", SeededRng(SEED))
-
-    def test_provenance_records_spawn_path(self):
-        ens = sample_ensemble(make_flat(6), "shiftmod", 4, "none", SeededRng(SEED + 20))
-        gauss = gaussian_ensemble(5, 3, SeededRng(SEED + 20, 3).stream(5).stream(1))
-        assert ens.provenance["spawn_key"] == [0]
-        assert gauss.provenance["spawn_key"] == [3, 5, 1]
-        replay = SeededRng(gauss.provenance["seed"], 1, parent_key=(3, 5))
-        np.testing.assert_array_equal(gauss.rows, gaussian_ensemble(5, 3, replay).rows)
 
 
 class TestIsotropyDefect:
@@ -479,13 +490,6 @@ def _old_rows(inst, variant, m, mode, rng):
     return rows
 
 
-def _per_row_elements(variant: str, n: int, rng: SeededRng) -> list:
-    """One element's parameters, drawn as separate calls in parameter order."""
-    if variant == "signshift":
-        return [*rng.rademacher(n).tolist(), int(rng.integers(0, n))]
-    return rng.integers(0, n, 2 if variant == "shiftmod" else 4).tolist()
-
-
 class TestBatchedDraws:
     """One integers call with per-column bounds draws what the per-row calls
     drew and leaves the stream where they left it."""
@@ -510,16 +514,17 @@ class TestBatchedDraws:
         inst = Instrument("random", z * math.sqrt(z.size) / np.linalg.norm(z))
         dim = z.size
         rng, ref = SeededRng(seed), SeededRng(seed)
-        prov = sample_ensemble(inst, variant, m, mode, rng).provenance
-        if mode == "random":
-            assert prov["shared_sign"] == ref.rademacher(dim).tolist()
-        elements, absorbed = [], []
-        for _ in range(m):
-            elements.append(_per_row_elements(variant, n, ref))
-            if mode == "absorbed":
-                absorbed.append(_per_row_elements("signshift", dim, ref))
-        assert prov["elements"] == elements
-        assert prov.get("absorbed_signs", []) == absorbed
+        rows = sample_ensemble(inst, variant, m, mode, rng).rows
+        shared = ref.rademacher(dim) if mode == "random" else None
+        expected = np.empty((m, dim), dtype=complex)
+        for j in range(m):
+            v = _act(variant, n, _per_row_elements(variant, n, ref), inst.payload.ravel())
+            if mode == "random":
+                v = shared * v
+            elif mode == "absorbed":
+                v = _act("signshift", dim, _per_row_elements("signshift", dim, ref), v)
+            expected[j] = np.conj(v) / math.sqrt(m)
+        np.testing.assert_array_equal(rows, expected)
         assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 

@@ -156,10 +156,6 @@ class TestFourierFunction:
         with pytest.raises(ValueError):
             values_on_grid(psi(0, 8), 8)
 
-    def test_scaled(self):
-        f = psi(2, 4).scaled(3j)
-        assert f.coeff(2) == 3j
-
 
 class TestBumps:
     def test_profile_peak_and_support(self):
@@ -562,7 +558,7 @@ class TestTimeSampling:
         rng = SeededRng(SEED + 20)
         f, _ = random_bumps(rng.stream(0), 8.0, 2, 256)
         g = drop_dc(f)
-        g = g.scaled(1.0 / g.l2_norm())
+        g = FourierFunction(g.coeffs * (1.0 / g.l2_norm()), g.n_big)
         r4 = lq_norm_function(g, 4.0) / lq_norm_function(g, 2.0)
         m = 4096
         errs = []

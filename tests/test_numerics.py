@@ -326,7 +326,6 @@ class TestSortedSupports:
            start=st.integers(0, 2**32 - 1200), stride=st.integers(1, 3),
            count=st.integers(1, 600))
     def test_strided_indices(self, seed, n, k, start, stride, count):
-        # k up to 40 leaves most blocks of 256 rows to the vectorised pass.
         k = min(k, n)
         parent = SeededRng(seed, 2)
         indices = range(start, start + stride * count, stride)
@@ -340,6 +339,15 @@ class TestSortedSupports:
         got = parent.sorted_supports(indices, n, k)
         np.testing.assert_array_equal(got, _per_stream_supports(parent, indices, n, k))
         np.testing.assert_array_equal(got[0], got[1])
+
+    # Even a block of 1 row, or of 2 (k + 8) - 1 rows, takes the vectorised
+    # pass and builds no child generator.
+    @pytest.mark.parametrize("k,rows", [(4, 1), (4, 23), (8, 1), (8, 31)])
+    def test_small_blocks_take_the_vectorised_pass(self, k, rows):
+        parent = SeededRng(SEED, 7)
+        with mock.patch.object(SeededRng, "choice_no_replace", side_effect=AssertionError):
+            got = parent.sorted_supports(range(rows), 256, k)
+        np.testing.assert_array_equal(got, _per_stream_supports(parent, range(rows), 256, k))
 
     def test_indices_crossing_the_derivation_chunk(self):
         parent = SeededRng(SEED, 5)
@@ -361,8 +369,7 @@ class TestSortedSupports:
         expected = _per_stream_supports(parent, [index], n, k)
         assert rejected.tolist() == [True]
         assert unrejected.tolist() != expected.tolist()
-        # A block of 2 (k + 8) rows or more takes the vectorised pass.
-        indices = [index, *range(2 * (k + 8))]
+        indices = [index, *range(5)]
         got = parent.sorted_supports(indices, n, k)
         np.testing.assert_array_equal(got, _per_stream_supports(parent, indices, n, k))
         assert got[0].tolist() == [5014]
