@@ -10,8 +10,11 @@ the fully resolved configuration echoed into every output.
 --validate-only runs a command up to the point where its experiment starts,
 and writes nothing: option types, choices and lower bounds, then the
 command's own build phase (each runner is a generator whose first yield ends
-it).  Checks made inside an experiment (k > N, s > s_max, capacity) fail
-only when it runs.
+it).  Only the enumeration capacity is checked inside an experiment, so a
+config that validates can still fail there, with exit 3.
+
+Every run first sets numpy's bundled OpenBLAS to one thread
+(numerics.pin_blas_threads).
 
 Exit codes: 0 success, 2 invalid configuration, 3 capacity exceeded (an
 enumeration past its cap, or an allocation the machine refuses), 4 numerical
@@ -59,8 +62,9 @@ from .instruments import (
     make_scaled_identity,
     make_schatten_decay,
 )
-from .numerics import CapacityError, NumericalError, SeededRng
+from .numerics import CapacityError, NumericalError, SeededRng, pin_blas_threads
 from .rip import (
+    _level_range,
     calibrate_mrip_distortion,
     classify_separation,
     distance_bound_check,
@@ -336,9 +340,21 @@ def _build_ensemble(p: dict, m: int, rng: SeededRng):
             raise ValueError("--N or --n is required for the gaussian ensemble")
         if p["sign"] != "none":
             raise ValueError(f"the gaussian ensemble takes no signs; got --sign {p['sign']}")
-        return gaussian_ensemble(p["N"] or p["n"] ** 2, m, rng)
-    inst = _build_instrument(p, rng)
-    return sample_ensemble(inst, p["ensemble"], m, p["sign"], rng)
+        ens = gaussian_ensemble(p["N"] or p["n"] ** 2, m, rng)
+    else:
+        inst = _build_instrument(p, rng)
+        ens = sample_ensemble(inst, p["ensemble"], m, p["sign"], rng)
+    if p["k"] > ens.rows.shape[1]:
+        raise ValueError(f"k={p['k']} exceeds ambient dimension {ens.rows.shape[1]}")
+    return ens
+
+
+def _sketch_model(p: dict) -> LqCap:
+    """The q-cap model of mrip, distance and weakdiff, once s is known to lie
+    in [1, s_max] for the sketch dimension N."""
+    model = LqCap(p["q"], p["s"])
+    _level_range(p["q"], p["s"], p["N"])
+    return model
 
 
 def _fmt(value) -> str:
@@ -415,7 +431,7 @@ def _run_rip_scan(p: dict) -> Iterator[RunResult | None]:
 
 
 def _run_mrip(p: dict) -> Iterator[RunResult | None]:
-    LqCap(p["q"], p["s"])
+    _sketch_model(p)
     yield
     ens = gaussian_ensemble(p["N"], p["m"], SeededRng(p["seed"]))
     all_pass, levels = mrip_check(
@@ -441,7 +457,7 @@ def _calibrated_pairs(p: dict, model: LqCap):
 
 
 def _run_distance(p: dict) -> Iterator[RunResult | None]:
-    model = LqCap(p["q"], p["s"])
+    model = _sketch_model(p)
     yield
     ens, delta, pairs = _calibrated_pairs(p, model)
     rows = []
@@ -455,7 +471,7 @@ def _run_distance(p: dict) -> Iterator[RunResult | None]:
 
 
 def _run_weakdiff(p: dict) -> Iterator[RunResult | None]:
-    model = LqCap(p["q"], p["s"])
+    model = _sketch_model(p)
     if p["alpha"] is not None:
         separation_constants(p["alpha"])
     yield
@@ -743,6 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_blas_threads()
     args = build_parser().parse_args(argv)
     cli_values = {k.replace("-", "_"): v for k, v in vars(args).items()
                   if k != "command"}

@@ -1,4 +1,5 @@
-"""Shared numerical primitives: vector/matrix norms and reproducible RNG streams.
+"""Shared numerical primitives: vector/matrix norms, reproducible RNG streams
+and the BLAS thread pin of the command line.
 
 All vectors and matrices are complex numpy arrays.  The inner product
 convention is <u, v> = sum_j conj(u_j) v_j (np.vdot order).
@@ -19,6 +20,7 @@ __all__ = [
     "schatten_norm",
     "operator_norm",
     "SeededRng",
+    "pin_blas_threads",
 ]
 
 
@@ -409,3 +411,46 @@ class SeededRng:
         for r, stream in zip(redo, self.streams(indices[r] for r in redo)):
             out[r] = np.sort(stream.choice_no_replace(n, k))
         return out
+
+
+# Thread-count setters of the OpenBLAS builds that numpy wheels bundle:
+# scipy-openblas (numpy >= 2), the 64-bit-integer build of older wheels, and
+# a 32-bit-integer build.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads")
+
+
+@lru_cache(maxsize=None)
+def _blas_setter():
+    """The thread-count setter of the OpenBLAS in numpy's ``numpy.libs``, or
+    None when numpy runs another BLAS (MKL, Accelerate, a system library)."""
+    # Imported here, so that only a CLI run pays for the lookup, not an import.
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(np.__file__))),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in _BLAS_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+def pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread for the rest of the process.
+    Without a bundled OpenBLAS, nothing changes.
+
+    The command line calls this first.  Its products are at most a few
+    hundred columns wide, where a second thread saves little, and an idle
+    OpenBLAS worker spin-waits on its core after each threaded call.  The
+    tests check that reports are byte-identical at one and two threads.
+    Code that imports riplab as a library keeps numpy's default.
+    """
+    setter = _blas_setter()
+    if setter is not None:
+        setter(1)

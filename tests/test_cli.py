@@ -456,6 +456,22 @@ _INVALID = [
           "--sign", "absorbed", "--trials", "5"), "the gaussian ensemble takes no signs"),
     (81, (*_VALID["rip-exact-gaussian-n"], "--sign", "random"),
      "the gaussian ensemble takes no signs; got --sign random"),
+    # s_max is N at q = 1, so s = 100 leaves no dyadic level.
+    (82, ("mrip", "--N", "16", "--m", "8", "--s", "100", "--q", "1", "--delta", "0.3"),
+     "s must lie in [1, s_max=16]; got 100.0"),
+    (83, ("distance", "--N", "16", "--m", "8", "--s", "100", "--q", "1"),
+     "s must lie in [1, s_max=16]; got 100.0"),
+    (84, ("weakdiff", "--N", "16", "--m", "8", "--s", "100", "--q", "1"),
+     "s must lie in [1, s_max=16]; got 100.0"),
+    # k is checked against the built ensemble's dimension: N, or n^2 for a matrix.
+    (85, ("rip-exact", "--ensemble", "gaussian", "--N", "8", "--k", "9", "--m", "4"),
+     "k=9 exceeds ambient dimension 8"),
+    (86, ("rip-scan", "--ensemble", "gaussian", "--N", "8", "--k", "9", "--m", "4"),
+     "k=9 exceeds ambient dimension 8"),
+    (87, ("rip-exact", "--eta", "flat", "--N", "4", "--k", "5", "--m", "2"),
+     "k=5 exceeds ambient dimension 4"),
+    (88, ("rip-scan", "--eta", "scaled-identity", "--n", "2", "--ensemble", "doubleqft",
+          "--k", "5", "--m", "2"), "k=5 exceeds ambient dimension 4"),
 ]
 
 # The library calls that start each command's experiment; --validate-only
@@ -463,18 +479,6 @@ _INVALID = [
 _EXPERIMENTS = ("optimize_sparsity_parameter", "isotropy_defect", "exact_rip_canonical",
                 "empirical_rip", "mrip_check", "calibrate_mrip_distortion", "gaussian_width",
                 "rosenthal_deviation", "rip_experiment", "from_bumps", "table1_counts")
-
-# (argv, diagnostic): configs that --validate-only accepts because the rule is
-# checked inside the experiment, which then exits 2 and writes nothing.
-_RUN_ONLY_INVALID = {
-    "rip-scan": (("rip-scan", "--ensemble", "gaussian", "--N", "4", "--k", "5", "--m", "2",
-                  "--trials", "1"), "k=5 exceeds ambient dimension 4"),
-    "rip-exact": (("rip-exact", "--eta", "flat", "--N", "4", "--k", "5", "--m", "2"),
-                  "k must lie in [1, N]; got 5"),
-    "mrip": (("mrip", "--N", "8", "--m", "4", "--s", "100", "--delta", "0.3", "--trials", "2",
-              "--ascent", "2"), "s must lie in [1, s_max=8]; got 100.0"),
-}
-
 
 class TestValidation:
     def test_validate_only_runs_nothing(self, tmp_path, monkeypatch, capsys):
@@ -607,15 +611,6 @@ class TestValidation:
             config = json.loads((tmp_path / "x.json").read_text())["config"]
             assert echo in (None, config)
         assert echo is not None or (tmp_path / "x.json").exists()
-
-    @pytest.mark.parametrize("argv,message", _RUN_ONLY_INVALID.values(),
-                             ids=list(_RUN_ONLY_INVALID))
-    def test_run_only_failures_exit_two(self, tmp_path, monkeypatch, capsys, argv, message):
-        monkeypatch.chdir(tmp_path)
-        assert run_cli(*argv, "--validate-only") == 0
-        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     def test_flag_values_are_trimmed(self):
         assert run_cli("sp-opt", "--eta", " flat ", "--N", " 16", "--r", "2 ",

@@ -1,7 +1,12 @@
 """Tests for the shared numeric primitives."""
 
+import ctypes
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riplab import numerics
+import riplab
+from riplab import cli, numerics
 from riplab.numerics import (
     CapacityError,
     NumericalError,
@@ -396,3 +402,81 @@ class TestErrors:
     def test_error_hierarchy(self):
         assert issubclass(CapacityError, RuntimeError)
         assert issubclass(NumericalError, RuntimeError)
+
+
+# Thread-count getters of the OpenBLAS builds numpy wheels bundle; each setter
+# is the same name with "set".  Looked up here without riplab's own lookup.
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads")
+
+
+@pytest.fixture
+def openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, restored
+    afterwards; skips where numpy bundles none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in _BLAS_GETTERS:
+            get = getattr(lib, name, None)
+            if get is not None:
+                put = getattr(lib, name.replace("_get_", "_set_"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                before = get()
+                yield get, put
+                put(before)
+                return
+    pytest.skip("numpy bundles no OpenBLAS here")
+
+
+class TestBlasPin:
+    def test_cli_run_leaves_one_thread(self, openblas, tmp_path):
+        get, put = openblas
+        put(2)
+        assert cli.main(["table1", "--s", "2", "--n", "3", "--d", "4",
+                         "--out", str(tmp_path / "t1")]) == 0
+        assert get() == 1
+
+    # The mrip sketch is the benchmark's 64-wide ascent, and the rip-scan Gram
+    # at m = 256 is 256 wide, large enough for OpenBLAS to split it.
+    @pytest.mark.parametrize("argv", [
+        ("mrip", "--N", "64", "--m", "256", "--s", "2", "--q", "1", "--delta", "0.3",
+         "--trials", "8", "--ascent", "10"),
+        ("rip-scan", "--eta", "decaying", "--alpha", "0.25", "--N", "256", "--Neta", "64",
+         "--k", "4", "--m", "32,256", "--trials", "50"),
+        ("rosenthal", "--variant", "shiftmod", "--N", "32", "--d", "4", "--M", "64,256",
+         "--trials", "5"),
+    ], ids=["mrip", "rip-scan", "rosenthal"])
+    def test_reports_are_byte_identical_at_one_and_two_threads(self, openblas, tmp_path,
+                                                                 monkeypatch, argv):
+        get, put = openblas
+        monkeypatch.setattr(cli, "pin_blas_threads", lambda: None)
+        reports = {}
+        for threads in (1, 2):
+            put(threads)
+            if get() != threads:
+                pytest.skip(f"OpenBLAS cannot run {threads} threads here")
+            assert cli.main([*argv, "--out", str(tmp_path / f"t{threads}")]) == 0
+            assert get() == threads
+            reports[threads] = {path.suffix: path.read_bytes()
+                                for path in tmp_path.glob(f"t{threads}.*")}
+        assert reports[1] and reports[1] == reports[2]
+
+    def test_numpy_without_bundled_openblas_is_left_alone(self, tmp_path, monkeypatch):
+        # As with MKL or Accelerate: no numpy.libs beside numpy, so no setter.
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert numerics._blas_setter.__wrapped__() is None
+
+    def test_import_and_parser_leave_blas_alone(self):
+        # Importing riplab and building the parser must not look the library
+        # up: the benchmark times both, and library users keep numpy's default.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(riplab.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+        code = ("import riplab.cli, riplab.rip; riplab.cli.build_parser(); "
+                "print(riplab.numerics._blas_setter.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"

@@ -578,7 +578,7 @@ class TestGaussianWidth:
                     x = np.zeros(n)
                     x[list(support)] = np.sign(xi[list(support)]) / math.sqrt(j)
                     best = max(best, abs(float(x @ xi)))
-            assert abs(rip._width_one_draw(LqCap(q, s), xi) - best) <= 1e-12
+            assert abs(rip._width_block(LqCap(q, s), xi[None])[0] - best) <= 1e-12
 
 
 class TestPredictM:
