@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -758,9 +759,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser for every run in a process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     pin_blas_threads()
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cli_values = {k.replace("-", "_"): v for k, v in vars(args).items()
                   if k != "command"}
     config, diagnostics = resolve_config(args.command, cli_values)

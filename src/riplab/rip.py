@@ -28,8 +28,8 @@ from .sparsity import (
     Canonical,
     LqCap,
     SparsityModel,
+    _flat_witness,
     max_sparsity_level,
-    project_witness,
     sample_sparse,
     witness_support_size,
 )
@@ -195,9 +195,11 @@ def empirical_rip(
     one bit for bit.
     ``ascent_steps`` is unused for canonical models.
     q-cap models refine sampled witnesses by projected power ascent on the
-    defect quadratic form, both signs of every trial as one block; a row
-    stops early when its iterate vanishes under the step (as every row does
-    when the defect is 0) or repeats bit for bit, which changes no result.
+    defect quadratic form, both signs of every trial as one block that takes
+    one complex matrix product per step; each row is bit-identical to an
+    ascent run on that row alone.  A row stops early when its iterate
+    vanishes under the step (as every row does when the defect is 0) or
+    repeats bit for bit, which changes no result.
 
     Each trial draws its witness from its own RNG stream, so the estimate is
     a running maximum over per-trial streams and is non-decreasing in
@@ -223,50 +225,52 @@ def empirical_rip(
                           "evaluated": evaluated, "ascent_iterations": 0})
 
     defect = gram - np.eye(n)
-    shift = operator_norm(defect)
-
-    def form(x: np.ndarray) -> float:
-        return abs(float(np.real(np.vdot(x, defect @ x))))
-
-    x0 = np.stack([sample_sparse(model, n, stream) for stream in rng.streams(range(trials))])
-    # Projected power ascent toward each signed extreme of the form: the
-    # first copy of the trials climbs, the second descends.
-    signs = np.repeat([1.0, -1.0], trials)[:, None]
-    x, steps = _ascend(model, defect, shift, signs, np.concatenate([x0, x0]), ascent_steps)
-    delta = max(map(form, chain(x0, x)))
-
+    delta, steps = _ascend(model, defect, operator_norm(defect), trials, ascent_steps, rng)
     return RipReport(delta, "lower", repr(model), m,
                      {"trials": trials, "supports": 0, "evaluated": 0,
                       "ascent_iterations": steps})
 
 
-def _ascend(model: SparsityModel, defect: np.ndarray, shift: float, signs: np.ndarray,
-            x0: np.ndarray, steps: int) -> tuple:
-    """Run up to ``steps`` iterations x <- P(sign defect x + shift x) on every row
-    of x0, with that row's sign from the (B, 1) column ``signs`` of +-1.
+def _ascend(model: LqCap, defect: np.ndarray, shift: float, trials: int, steps: int,
+            rng: SeededRng) -> tuple[float, int]:
+    """Projected power ascent on the form x^* defect x from one witness per
+    trial, drawn from ``rng.stream(t)``.
 
-    Returns the final rows and the number of row-steps run.  The broadcast
-    product applies the same gemv to each row as ``defect @ x`` does, and a
-    product with +-1 is exact, so every row is bit-identical to an ascent run
-    on that row alone.
+    Both signs of every trial run as one block of 2 * trials rows: the first
+    copy climbs and the second descends, by up to ``steps`` iterations
+    x <- P(sign defect x + shift x), with P the flat-witness projection.
+    Returns the largest |form| over the drawn and the final rows, and the
+    number of row-steps run.
+
+    Each step is one product x @ defect.T over the whole block, whichever
+    rows are still live.  OpenBLAS computes each row of a zgemm apart from
+    the other rows, so a row of the block equals that row's product padded
+    with a zero row, and a product with +-1 is exact: every row is
+    bit-identical to an ascent run on that row alone.  The product must
+    always cover the whole block, since numpy sends a one-row product to
+    zgemv, which rounds differently.
     """
-    x = x0.copy()
-    live = np.arange(len(x))
+    n = defect.shape[0]
+    j = witness_support_size(model.q, model.s, n)
+    x0 = np.stack([sample_sparse(model, n, stream) for stream in rng.streams(range(trials))])
+    signs = np.repeat([1.0, -1.0], trials)[:, None]
+    x = np.concatenate([x0, x0])
+    live = np.ones(len(x), dtype=bool)
     run = 0
     for _ in range(steps):
-        cur = x[live]
-        y = signs[live] * (defect @ cur[:, :, None])[:, :, 0] + shift * cur
-        moving = np.any(y, axis=1)
-        live, cur = live[moving], cur[moving]
-        if live.size == 0:
+        y = signs * (x @ defect.T) + shift * x
+        moduli = np.abs(y)
+        live &= moduli.any(axis=1)
+        if not live.any():
             break
-        nxt = project_witness(model, y[moving])
-        x[live] = nxt
-        run += live.size
+        nxt = _flat_witness(y, moduli, j)
+        run += np.count_nonzero(live)
         # A row that repeats bit for bit is at a fixed point: every later step
         # would reproduce it.
-        live = live[np.any(nxt.view(np.uint64) != cur.view(np.uint64), axis=1)]
-    return x, run
+        moved = live & (nxt.view(np.uint64) != x.view(np.uint64)).any(axis=1)
+        np.copyto(x, nxt, where=live[:, None])
+        live = moved
+    return max(abs(float(np.real(np.vdot(v, defect @ v)))) for v in chain(x0, x)), run
 
 
 # -- multilevel check ---------------------------------------------------------
@@ -294,13 +298,20 @@ def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: S
     model: sparsity is 2^l s and observed the empirical_rip lower bound of
     level l.  The i-th level of the range draws its trials from
     ``rng.stream(i)``, so every caller sees the same estimates for one ``rng``.
+    The defect form and its shift are computed once for all levels.
     """
-    levels = _level_range(q, s, _effective(a).shape[1])
+    eff = _effective(a)
+    n = eff.shape[1]
+    levels = _level_range(q, s, n)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    defect = eff.conj().T @ eff - np.eye(n)
+    shift = operator_norm(defect)
     # Indexed by position, not by level: levels can be negative.
     for level, stream in zip(levels, rng.streams(range(len(levels)))):
         sigma = 2.0**level * s
-        report = empirical_rip(a, LqCap(q, sigma), trials, ascent_steps, rng=stream)
-        yield level, sigma, report.delta_hat
+        yield level, sigma, _ascend(LqCap(q, sigma), defect, shift, trials, ascent_steps,
+                                    stream)[0]
 
 
 def mrip_check(

@@ -6,7 +6,8 @@ A model describes a set of unit-norm signals in C^N:
 * ``LqCap(q, s)``  -- ||x||_q <= sqrt(s) ||x||_2 (1 <= q <= 2).
 
 ``sample_sparse`` draws witnesses from either model and ``project_witness``
-maps a vector back onto one; the projected ascent in rip uses both.
+maps a vector back onto one; the projected ascent in rip draws with the
+first and projects with the q-cap kernel of the second, ``_flat_witness``.
 
 ``optimize_sparsity_parameter`` finds the exact minimum over q' >= 2 of the
 instrument-dependent objective and its gain over the q' = 2 baseline.
@@ -130,10 +131,18 @@ def sample_sparse(model: SparsityModel, ambient: int, rng: SeededRng) -> np.ndar
 # -- witness projections (used by the ascent refinement in rip) -------------
 
 
-def _top_support(z: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k largest moduli in each row of z."""
-    n = z.shape[1]
-    return np.argpartition(np.abs(z), n - k, axis=1)[:, n - k:]
+def _flat_witness(z: np.ndarray, moduli: np.ndarray, j: int) -> np.ndarray:
+    """The flat witness of each row of the (B, N) block z: the phases of its
+    j largest moduli over sqrt(j), zero elsewhere; a zero entry has phase 1.
+    ``moduli`` is np.abs(z), which the caller may already hold."""
+    b, n = z.shape
+    # One flat index into the C-ordered block serves both gathers and the scatter.
+    keep = np.argpartition(moduli, n - j, axis=1)[:, n - j:] + n * np.arange(b)[:, None]
+    mags = moduli.ravel()[keep]
+    phases = np.divide(z.ravel()[keep], mags, out=np.ones(keep.shape, complex), where=mags > 0)
+    x = np.zeros(z.shape, complex)
+    x.ravel()[keep] = phases / math.sqrt(j)
+    return x
 
 
 def project_witness(model: SparsityModel, z) -> np.ndarray:
@@ -155,21 +164,15 @@ def _project_rows(model: SparsityModel, z: np.ndarray) -> np.ndarray:
         raise ValueError("cannot project the zero vector")
 
     if isinstance(model, Canonical):
-        keep = _top_support(z, min(model.k, ambient))
+        k = min(model.k, ambient)
+        keep = np.argpartition(np.abs(z), ambient - k, axis=1)[:, ambient - k:]
         x = np.zeros_like(z)
         np.put_along_axis(x, keep, np.take_along_axis(z, keep, axis=1), axis=1)
         # Row by row: a norm along axis 1 sums in another order than the 1-D norm.
         return np.array([_unit(row) for row in x]).reshape(z.shape)
 
     if isinstance(model, LqCap):
-        j = witness_support_size(model.q, model.s, ambient)
-        keep = _top_support(z, j)
-        kept = np.take_along_axis(z, keep, axis=1)
-        mags = np.abs(kept)
-        phases = np.where(mags > 0, kept / np.where(mags > 0, mags, 1.0), 1.0)
-        x = np.zeros_like(z)
-        np.put_along_axis(x, keep, phases / math.sqrt(j), axis=1)
-        return x
+        return _flat_witness(z, np.abs(z), witness_support_size(model.q, model.s, ambient))
 
     raise TypeError(f"unknown sparsity model {type(model).__name__}")
 

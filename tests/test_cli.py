@@ -254,6 +254,19 @@ class TestDeterminism:
         assert "timestamp" not in text
 
 
+    def test_runs_in_one_process_do_not_share_options(self, tmp_path):
+        # main reuses one parser; a flag or an error of one run must not reach
+        # the next.
+        args = ("rosenthal", "--N", "4", "--d", "2", "--M", "2,4", "--trials", "2")
+        assert run_cli(*args, "--stamp", "--out", str(tmp_path / "a")) == 0
+        with pytest.raises(SystemExit):
+            run_cli(*args, "--bogus")
+        assert run_cli(*args, "--validate-only", "--out", str(tmp_path / "b")) == 0
+        assert not list(tmp_path.glob("b.*"))
+        assert run_cli(*args, "--out", str(tmp_path / "c")) == 0
+        assert "timestamp" not in (tmp_path / "c.csv").read_text()
+
+
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, tmp_path):
         cfg = tmp_path / "scan.cfg"

@@ -1,6 +1,5 @@
 """Tests for the shared numeric primitives."""
 
-import ctypes
 import itertools
 import math
 import os
@@ -404,30 +403,47 @@ class TestErrors:
         assert issubclass(NumericalError, RuntimeError)
 
 
-# Thread-count getters of the OpenBLAS builds numpy wheels bundle; each setter
-# is the same name with "set".  Looked up here without riplab's own lookup.
-_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                 "openblas_get_num_threads")
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.fixture
-def openblas():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, restored
-    afterwards; skips where numpy bundles none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for name in _BLAS_GETTERS:
-            get = getattr(lib, name, None)
-            if get is not None:
-                put = getattr(lib, name.replace("_get_", "_set_"))
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                before = get()
-                yield get, put
-                put(before)
-                return
-    pytest.skip("numpy bundles no OpenBLAS here")
+def _rows_alone(x, m):
+    """Each row of x @ m taken on its own, padded with a zero row: numpy sends
+    a one-row product to zgemv, which rounds differently from zgemm."""
+    return np.stack([(np.stack([row, np.zeros_like(row)]) @ m)[0] for row in x])
+
+
+class TestRowIndependentGemm:
+    # rip's ascent takes one x @ defect.T over its whole block of rows and
+    # relies on each row of that zgemm being computed apart from the others.
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([8, 16, 31, 64, 128]), st.integers(2, 300), st.booleans(),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_row_equals_its_product_alone_and_in_any_block(self, n, rows, transposed, seed,
+                                                           data):
+        rng = np.random.default_rng(seed)
+        x, m = _complex(rng, rows, n), _complex(rng, n, n)
+        m = m.T if transposed else m
+        whole = x @ m
+        assert whole.tobytes() == _rows_alone(x, m).tobytes()
+        lo = data.draw(st.integers(0, rows - 2))
+        hi = data.draw(st.integers(lo + 2, rows))
+        assert (x[lo:hi] @ m).tobytes() == whole[lo:hi].tobytes()
+
+    # 700 x 64 x 64 is large enough for OpenBLAS to split it between threads.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_are_independent_at_one_and_two_threads(self, openblas, threads):
+        get, put = openblas
+        rng = np.random.default_rng(SEED)
+        x, m = _complex(rng, 700, 64), _complex(rng, 64, 64).T
+        put(1)
+        alone = _rows_alone(x, m)
+        put(threads)
+        if get() != threads:
+            pytest.skip(f"OpenBLAS cannot run {threads} threads here")
+        for lo, hi in ((0, 700), (1, 700), (7, 300), (0, 100), (1, 3)):
+            assert (x[lo:hi] @ m).tobytes() == alone[lo:hi].tobytes()
 
 
 class TestBlasPin:

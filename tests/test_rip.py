@@ -309,7 +309,9 @@ def reference_ascent(a, model, trials, ascent_steps, rng):
         for sign in (+1.0, -1.0):
             x, fixed = x0, False
             for _ in range(ascent_steps):
-                y = sign * (defect @ x) + shift * x
+                # A row of a zgemm alone: padded with a zero row, as numpy
+                # sends a one-row product to zgemv, which rounds differently.
+                y = sign * (np.stack([x, np.zeros_like(x)]) @ defect.T)[0] + shift * x
                 if not np.any(y):
                     vanished += 1
                     break
@@ -338,6 +340,21 @@ class TestBlockAscent:
         assert report.delta_hat.hex() == delta.hex()
         assert report.details["ascent_iterations"] == iterations
 
+    # The benchmark's mrip operator: N = 64, m = 256, q = 1, every dyadic cap.
+    @pytest.mark.parametrize("s", [1, 4, 16, 64])
+    def test_matches_reference_at_benchmark_size(self, openblas, s):
+        get, put = openblas
+        a = gaussian_ensemble(64, 256, SeededRng(SEED + 25)).rows
+        model = LqCap(1.0, float(s))
+        for threads in (1, 2):
+            put(threads)
+            if get() != threads:
+                pytest.skip(f"OpenBLAS cannot run {threads} threads here")
+            report = empirical_rip(a, model, 20, 50, rng=SeededRng(SEED + 26))
+            delta, iterations, _ = reference_ascent(a, model, 20, 50, SeededRng(SEED + 26))
+            assert report.delta_hat.hex() == delta.hex()
+            assert report.details["ascent_iterations"] == iterations
+
     def test_vanishing_steps_stop_their_rows_only(self):
         # Columns 8..15 are annihilated, so defect = diag(0, ..., -1, ...) and
         # shift = 1: an upward step from a witness on those columns vanishes.
@@ -346,6 +363,24 @@ class TestBlockAscent:
         report = empirical_rip(a, model, 16, 5, rng=SeededRng(SEED + 20))
         delta, iterations, vanished = reference_ascent(a, model, 16, 5, SeededRng(SEED + 20))
         assert 0 < vanished < 16
+        assert report.delta_hat.hex() == delta.hex()
+        assert report.details["ascent_iterations"] == iterations
+
+    # Columns 8..15 are annihilated and the other block has defect
+    # eigenvalues inside (-1, 1), so shift = 1.  A witness on the annihilated
+    # columns vanishes upward and is fixed downward, and a mixed witness can
+    # leave one row of the block moving alone.  That row must still take its
+    # product inside the whole block, not on its own through zgemv.
+    @pytest.mark.parametrize("s,trials,seed", [(2.0, 1, 1), (3.0, 1, 14), (2.0, 3, 1)])
+    def test_lone_live_row_keeps_the_block_product(self, s, trials, seed):
+        g = np.random.default_rng(0)
+        v, _ = np.linalg.qr(g.standard_normal((8, 8)))
+        a = np.zeros((8, 16))
+        a[:, :8] = np.diag(np.sqrt(g.uniform(0.2, 1.8, 8))) @ v.T
+        assert operator_norm(a.T @ a - np.eye(16)) == 1.0
+        model = LqCap(1.0, s)
+        report = empirical_rip(a, model, trials, 12, rng=SeededRng(seed, 1))
+        delta, iterations, _ = reference_ascent(a, model, trials, 12, SeededRng(seed, 1))
         assert report.delta_hat.hex() == delta.hex()
         assert report.details["ascent_iterations"] == iterations
 
@@ -432,6 +467,20 @@ class TestMripCheck:
         assert all_pass
         shrunk, _ = mrip_check(ens, 1.0, 2.0, delta * 0.98, 10, 20, SeededRng(SEED + 16))
         assert not shrunk
+
+    def test_levels_equal_empirical_rip_on_their_streams(self):
+        # The levels share one defect form; each must still read the estimate
+        # empirical_rip gives at its cap on the i-th stream.
+        ens = gaussian_ensemble(32, 128, SeededRng(SEED + 15))
+        _, levels = mrip_check(ens, 1.0, 2.0, 0.3, 6, 10, SeededRng(SEED + 16))
+        for i, lv in enumerate(levels):
+            report = empirical_rip(ens, LqCap(1.0, lv["sparsity"]), 6, 10,
+                                   rng=SeededRng(SEED + 16).stream(i))
+            assert lv["observed"].hex() == report.delta_hat.hex()
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            mrip_check(np.eye(8), 1.0, 1.0, 0.5, 0, 2, SeededRng(SEED))
 
     def test_invalid_sparsity_rejected(self):
         with pytest.raises(ValueError):
