@@ -498,7 +498,7 @@ def _run_weakdiff(p: dict) -> Iterator[RunResult | None]:
 
 def _run_gordon(p: dict) -> Iterator[RunResult | None]:
     gordon_m(0.0, p["delta"], p["zeta"])
-    # gaussian_width clamps k to N, so no library object rejects k > N.
+    # gaussian_width rejects k > N only once the experiment runs.
     if p["k"] > p["N"]:
         raise ValueError("k cannot exceed N")
     if p["draws"] >= _GORDON_SUPPORT_ROOT:
@@ -563,16 +563,12 @@ def _run_infdim_scan(p: dict) -> Iterator[RunResult | None]:
     if not 0 < p["gamma"] < 0.5:
         raise ValueError(f"gamma must lie in (0, 1/2); got {p['gamma']}")
     yield
-    t_scale = 1.0 / p["gamma"]
-
-    def sampler(stream: SeededRng):
-        # The carrier band is 4N, the least rip_experiment accepts.
-        center = float(stream.uniform())
-        return from_bumps(t_scale, [center], [1.0], 4 * n_cut)
-
+    # One bump at centre 0 on the carrier band 4N, the least rip_experiment
+    # accepts: a bump's centre only shifts the uniform translates.
+    bump = from_bumps(1.0 / p["gamma"], [0.0], [1.0], 4 * n_cut)
     # Every (mode, m) cell shares the trial streams of one root, so one grid
-    # call draws each trial's bump once.
-    grid = rip_experiment(sampler, insts, p["m"], p["trials"], SeededRng(p["seed"]))
+    # call draws each trial's translates once.
+    grid = rip_experiment(bump, insts, p["m"], p["trials"], SeededRng(p["seed"]))
     rows = []
     for mode, inst, scheme_devs in zip(modes, insts, grid.deviations):
         for m, devs in zip(p["m"], scheme_devs):

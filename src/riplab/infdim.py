@@ -7,7 +7,7 @@ coefficients on k in [-N_big, N_big).  The derivative here is the
 time sampling and the dyadic octaves hold exactly: summing coeff_k / k blocks
 of the derivative of g telescopes back to point evaluation of g.
 
-rip_experiment measures every trial's function with a list of
+rip_experiment measures one fixed function with a list of
 BlockInstruments: d contiguous frequency blocks of length L covering [-N, N),
 summed with one +/-1 pattern (all ones for deterministic blocks, Rademacher
 otherwise), and normalized by the window seminorm of [-N, N).
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -420,9 +419,9 @@ def _block_energy(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
 class DeviationGrid:
     """Translation-average deviations of rip_experiment.
 
-    ``deviations[i, j, t]`` is |average energy - 1| of trial t's function
-    under scheme i over the first m_list[j] translates.  ``details`` holds
-    ``trials`` and ``redraws``, the functions redrawn over all trials.
+    ``deviations[i, j, t]`` is |average energy - 1| of the function under
+    scheme i over the first m_list[j] translates of trial t.  ``details``
+    holds ``trials``.
     """
 
     deviations: np.ndarray
@@ -430,7 +429,7 @@ class DeviationGrid:
 
 
 def rip_experiment(
-    sampler: Callable[[SeededRng], FourierFunction],
+    f: FourierFunction,
     schemes: list[BlockInstrument],
     m_list: list[int],
     trials: int,
@@ -439,42 +438,38 @@ def rip_experiment(
     """Translation-average deviations of block instruments over translate
     counts, as an (S, M, trials) grid in the given scheme and m orders.
 
-    Each cell is one random function's deviation under one fresh draw of
-    translates, not a uniform isometry constant (a supremum over the function
-    class for fixed translates), and has no side.
+    Each cell is the deviation of f under one draw of translates, not a
+    uniform isometry constant (a supremum over the function class for fixed
+    translates), and has no side.  Moving f is the same as shifting the
+    uniform translates, so one fixed f stands for all its translates.
 
-    Each trial draws one model function from its own stream and redraws it
-    while any scheme's window seminorm is below 1e-8.  Each scheme normalizes
-    it by that seminorm and averages the measurement energy over the first m
-    of max(m_list) uniform translates, drawn once per trial; the cell records
-    |average - 1|.  Uniform doubles are drawn in sequence, so the first m
-    translates are the m a single-m run would draw, and every cell equals a
-    run of rip_experiment on that scheme and m alone.
+    Each scheme normalizes f by its window seminorm, which must reach 1e-8.
+    Trial t draws ``rng.stream(t).uniform(0.0, 1.0, max(m_list))`` and
+    nothing else; the cell records |average energy - 1| over the first m of
+    those translates.  Uniform doubles are drawn in sequence, so every cell
+    equals a run of rip_experiment on that scheme and m alone.
     """
     schemes, m_list = list(schemes), [int(m) for m in m_list]
     if not schemes or not m_list:
         raise ValueError("need at least one scheme and one m")
     if min(m_list) < 1 or trials < 1:
         raise ValueError("m and trials must be >= 1")
+    if f.n_big < 4 * max(inst.n_cut for inst in schemes):
+        raise ValueError("carrier band must be at least 4x the scheme cutoff")
+    coeffs = []
+    for inst in schemes:
+        norm = weighted_seminorm(f, inst.n_cut)
+        if norm < 1e-8:
+            raise ValueError(f"window seminorm {norm:.3g} is below 1e-8")
+        coeffs.append((_block_coeffs(f, inst) * (1.0 / norm)).T)
     devs = np.empty((len(schemes), len(m_list), trials))
-    redraws = 0
     for trial, stream in enumerate(rng.streams(range(trials))):
-        f, attempts = sampler(stream), 0
-        while min(norms := [weighted_seminorm(f, inst.n_cut) for inst in schemes]) < 1e-8:
-            attempts += 1
-            if attempts > 100:
-                raise ValueError("sampler keeps producing numerically zero functions")
-            f = sampler(stream)
-        redraws += attempts
-        if f.n_big < 4 * max(inst.n_cut for inst in schemes):
-            raise ValueError("carrier band must be at least 4x the scheme cutoff")
         ts = stream.uniform(0.0, 1.0, max(m_list))
         phases = {n: _in_block_phases(n, ts)[1] for n in {s.block_len for s in schemes}}
-        for i, (inst, norm) in enumerate(zip(schemes, norms)):
+        for i, (inst, scheme_coeffs) in enumerate(zip(schemes, coeffs)):
             # One product per cell: a shared max(m) product sliced to m rows
             # would differ in the last bit at m = 1, where BLAS takes gemv.
-            coeffs = (_block_coeffs(f, inst) * (1.0 / norm)).T
             for j, m in enumerate(m_list):
-                energy = _block_energy(coeffs, phases[inst.block_len][:m])
+                energy = _block_energy(scheme_coeffs, phases[inst.block_len][:m])
                 devs[i, j, trial] = abs(float(energy.mean()) - 1.0)
-    return DeviationGrid(devs, {"trials": int(trials), "redraws": redraws})
+    return DeviationGrid(devs, {"trials": int(trials)})

@@ -262,7 +262,7 @@ def _lemire(u32: np.ndarray, span: np.ndarray) -> tuple:
 def _floyd_sorted(words: np.ndarray, n: int, k: int) -> tuple:
     """Sorted Generator.choice(n, k, replace=False) of the PCG64 seeded with
     each row of ``words``, for n <= _FLOYD_MAX_N, and a flag per row: True
-    where a Lemire draw was rejected, which this pass does not redraw.
+    where a Lemire draw was rejected, which this pass does not draw again.
 
     Floyd's algorithm takes j = n - k .. n - 1 and, for j > 0, a draw v in
     [0, j] by _lemire; then it adds v, or j if v is already in the set.  A
@@ -321,9 +321,10 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, stream: int = 0, parent_key: tuple = ()):
-        seed = int(seed)
-        if seed < 0:
+        # Only integer types: int() would truncate 2.7 and replay SeededRng(2).
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer; got {seed}")
+        seed = int(seed)
         self.seed = seed
         self.spawn_key = tuple(_index_words((*parent_key, stream)).tolist())
         seq = np.random.SeedSequence(seed, spawn_key=self.spawn_key)

@@ -494,7 +494,7 @@ def _width_block(model: SparsityModel, xi: np.ndarray) -> np.ndarray:
     """
     n = xi.shape[1]
     if isinstance(model, Canonical):
-        k = min(model.k, n)
+        k = model.k
         top = np.partition(np.abs(xi), n - k, axis=1)[:, n - k:]
         return np.sqrt(np.matmul(top[:, None, :], top[:, :, None])[:, 0, 0])
     if isinstance(model, LqCap):
@@ -517,6 +517,8 @@ def gaussian_width(model: SparsityModel, ambient: int, trials: int, rng: SeededR
     """
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")
+    if isinstance(model, Canonical) and model.k > ambient:
+        raise ValueError(f"k={model.k} exceeds ambient dimension {ambient}")
     streams = rng.streams(range(trials))
     sups = np.empty(trials)
     for lo in range(0, trials, _WIDTH_BLOCK):

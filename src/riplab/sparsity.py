@@ -164,7 +164,9 @@ def _project_rows(model: SparsityModel, z: np.ndarray) -> np.ndarray:
         raise ValueError("cannot project the zero vector")
 
     if isinstance(model, Canonical):
-        k = min(model.k, ambient)
+        k = model.k
+        if k > ambient:
+            raise ValueError(f"k={k} exceeds ambient dimension {ambient}")
         keep = np.argpartition(np.abs(z), ambient - k, axis=1)[:, ambient - k:]
         x = np.zeros_like(z)
         np.put_along_axis(x, keep, np.take_along_axis(z, keep, axis=1), axis=1)

@@ -419,11 +419,9 @@ class TestAcceptance:
                         f"within factor 4: {envelope_ok}")
 
     def test_criterion_15_infinite_dimensional_scan(self):
-        def bump16(stream):
-            c = float(stream.uniform(0.0, 1.0))
-            a = complex(np.exp(2j * np.pi * float(stream.uniform(0.0, 1.0))))
-            return from_bumps(16.0, [c], [a], 256)
-
+        # The energy ignores a bump's centre, which only shifts the uniform
+        # translates, and its global phase, so one fixed bump stands for all.
+        bump16 = from_bumps(16.0, [0.0], [1.0], 256)
         det_inst = make_block_instrument(64, 4)
         medians = []
         for m in (16, 64, 256):

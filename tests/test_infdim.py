@@ -736,37 +736,27 @@ class TestTruncationBudget:
             assert mean_tail[l0] <= 4.0 * envelope, l0
 
 
-def bump_sampler(t_scale, n_big, count=1):
-    def sampler(stream):
-        centers = draw_centers(stream, count, t_scale)
-        moduli = stream.uniform(0.5, 2.0, count)
-        phases = np.exp(2j * np.pi * stream.uniform(0.0, 1.0, count))
-        return from_bumps(t_scale, centers, moduli * phases, n_big)
-
-    return sampler
-
-
 class TestTranslationExperiment:
     def test_dc_mode_unit_blocks_has_zero_deviation(self):
         inst = make_block_instrument(1, 1)
-        grid = rip_experiment(lambda rng: psi(0, 4), [inst], [7], 3, SeededRng(SEED + 26))
+        grid = rip_experiment(psi(0, 4), [inst], [7], 3, SeededRng(SEED + 26))
         assert grid.deviations.shape == (1, 1, 3)
         assert not grid.deviations.any()
-        assert grid.details == {"trials": 3, "redraws": 0}
+        assert grid.details == {"trials": 3}
 
     def test_deterministic_given_seed(self):
-        samp = bump_sampler(8.0, 256, 2)
+        f, _ = random_bumps(SeededRng(SEED + 28, 1), 8.0, 2, 256)
         inst = make_block_instrument(64, 4, "rademacher", SeededRng(SEED + 28, 7))
-        a = rip_experiment(samp, [inst], [16], 4, SeededRng(SEED + 28))
-        b = rip_experiment(samp, [inst], [16], 4, SeededRng(SEED + 28))
+        a = rip_experiment(f, [inst], [16], 4, SeededRng(SEED + 28))
+        b = rip_experiment(f, [inst], [16], 4, SeededRng(SEED + 28))
         np.testing.assert_array_equal(a.deviations, b.deviations)
 
     def test_deviation_median_decreases_with_samples(self):
-        samp = bump_sampler(8.0, 256, 2)
+        f, _ = random_bumps(SeededRng(SEED + 1, 1), 8.0, 2, 256)
         inst = make_block_instrument(64, 4)
         medians = []
         for m in (8, 64, 512):
-            grid = rip_experiment(samp, [inst], [m], 20, SeededRng(SEED + 1))
+            grid = rip_experiment(f, [inst], [m], 20, SeededRng(SEED + 1))
             medians.append(float(np.median(grid.deviations[0, 0])))
         assert medians[0] > medians[1] > medians[2]
 
@@ -774,12 +764,12 @@ class TestTranslationExperiment:
         """With narrow bumps and short blocks, Rademacher signs concentrate the
         translation average faster than unsigned block sums."""
         det_medians, rad_medians = [], []
-        samp = bump_sampler(16.0, 128)
         for seed in range(20):
+            f, _ = random_bumps(SeededRng(SEED + seed, 1), 16.0, 1, 128)
             det_inst = make_block_instrument(32, 4)
             rad_inst = make_block_instrument(32, 4, "rademacher", SeededRng(SEED + seed, 7))
-            det = rip_experiment(samp, [det_inst], [32], 5, SeededRng(SEED + seed))
-            rad = rip_experiment(samp, [rad_inst], [32], 5, SeededRng(SEED + seed))
+            det = rip_experiment(f, [det_inst], [32], 5, SeededRng(SEED + seed))
+            rad = rip_experiment(f, [rad_inst], [32], 5, SeededRng(SEED + seed))
             det_medians.append(np.median(det.deviations[0, 0]))
             rad_medians.append(np.median(rad.deviations[0, 0]))
         assert np.median(rad_medians) <= np.median(det_medians)
@@ -799,50 +789,79 @@ class TestTranslationExperiment:
             "rad2": lambda: make_block_instrument(8, 2, "rademacher", SeededRng(seed, 8)),
         }
         schemes = [build[name]() for name in names]
-        samp = bump_sampler(8.0, 32)
-        grid = rip_experiment(samp, schemes, m_list, trials, SeededRng(seed)).deviations
+        f, _ = random_bumps(SeededRng(seed, 1), 8.0, 2, 32)
+        grid = rip_experiment(f, schemes, m_list, trials, SeededRng(seed)).deviations
         assert grid.shape == (len(schemes), len(m_list), trials)
         for scheme, scheme_devs in zip(schemes, grid):
             for m, cell in zip(m_list, scheme_devs):
-                single = rip_experiment(samp, [scheme], [m], trials, SeededRng(seed))
+                single = rip_experiment(f, [scheme], [m], trials, SeededRng(seed))
                 assert cell.tobytes() == single.deviations[0, 0].tobytes()
 
-    def test_degenerate_draws_are_resampled(self):
-        calls = {"n": 0}
+    @pytest.mark.parametrize("mode", ["deterministic", "rademacher"])
+    def test_draw_layout(self, mode):
+        # Trial t's translates are stream(t).uniform(0, 1, max(m)), and the
+        # stream gives nothing else; each cell is |mean energy - 1| of the
+        # first m of them, from the public block_measure and seminorm.
+        children = []
 
-        def sampler(rng):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return FourierFunction(np.zeros(8), 4)
-            return psi(0, 4)
+        class Recording(SeededRng):
+            def streams(self, indices):
+                for child in super().streams(indices):
+                    children.append(child)
+                    yield child
 
+        seed, m_list, trials = SEED + 32, [5, 17, 3], 4
+        f, _ = random_bumps(SeededRng(seed, 1), 8.0, 2, 64)
+        inst = make_block_instrument(16, 4, mode, SeededRng(seed, 7))
+        grid = rip_experiment(f, [inst], m_list, trials, Recording(seed)).deviations
+        norm = weighted_seminorm(f, 16)
+        for t in range(trials):
+            fresh = SeededRng(seed).stream(t)
+            ts = fresh.uniform(0.0, 1.0, max(m_list))
+            for j, m in enumerate(m_list):
+                energy = np.sum(np.abs(block_measure(f, inst, ts[:m]) / norm) ** 2, axis=1)
+                assert grid[0, j, t] == pytest.approx(abs(energy.mean() - 1.0), rel=0,
+                                                      abs=1e-12)
+            assert children[t].uniform() == fresh.uniform()
+        assert len(children) == trials
+
+    @settings(max_examples=40)
+    @given(t_scale=st.sampled_from([2.5, 4.0, 8.0, 16.0]), n_cut=st.sampled_from([64, 128]),
+           block_len=st.sampled_from([1, 2, 4, 8]),
+           mode=st.sampled_from(["deterministic", "rademacher"]),
+           center=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**16))
+    def test_bump_centre_only_shifts_the_translates(self, t_scale, n_cut, block_len, mode,
+                                                    center, seed):
+        # The centre c of a bump under translates t measures as the bump at 0
+        # under t + c, so rip_experiment needs no centre draw.  The cutoffs
+        # keep from_bumps' quadrature unaliased: at T = 32, N = 64 the gap
+        # grows to 3e-7.
+        stream = SeededRng(seed)
+        inst = make_block_instrument(n_cut, block_len, mode, stream.stream(0))
+        ts = stream.stream(1).uniform(0.0, 1.0, 32)
+        moved = from_bumps(t_scale, [center], [1.0], 4 * n_cut)
+        still = from_bumps(t_scale, [0.0], [1.0], 4 * n_cut)
+        norm = weighted_seminorm(still, n_cut)
+        assert weighted_seminorm(moved, n_cut) == pytest.approx(norm, rel=1e-12, abs=0)
+        energy = np.sum(np.abs(block_measure(moved, inst, ts)) ** 2, axis=1)
+        shifted = np.sum(np.abs(block_measure(still, inst, ts + center)) ** 2, axis=1)
+        # Relative to the window energy, the scale rip_experiment divides by.
+        assert np.max(np.abs(energy - shifted)) <= 1e-10 * norm**2
+
+    def test_zero_function_rejected(self):
         inst = make_block_instrument(1, 1)
-        grid = rip_experiment(sampler, [inst], [3], 1, SeededRng(SEED + 29))
-        assert grid.deviations.tolist() == [[[0.0]]]
-        assert calls["n"] == 2
-        assert grid.details == {"trials": 1, "redraws": 1}
-
-    def test_persistent_zero_sampler_rejected(self):
-        inst = make_block_instrument(1, 1)
-        with pytest.raises(ValueError):
-            rip_experiment(
-                lambda rng: FourierFunction(np.zeros(8), 4),
-                [inst],
-                [3],
-                1,
-                SeededRng(SEED + 30),
-            )
+        with pytest.raises(ValueError, match="below 1e-8"):
+            rip_experiment(FourierFunction(np.zeros(8), 4), [inst], [3], 1,
+                           SeededRng(SEED + 30))
 
     def test_narrow_carrier_rejected(self):
         inst = make_block_instrument(2, 1)
         with pytest.raises(ValueError):
-            rip_experiment(
-                lambda rng: psi(0, 4), [inst], [3], 1, SeededRng(SEED + 31)
-            )
+            rip_experiment(psi(0, 4), [inst], [3], 1, SeededRng(SEED + 31))
 
     def test_parameter_domains(self):
         inst = make_block_instrument(1, 1)
         with pytest.raises(ValueError):
-            rip_experiment(lambda rng: psi(0, 4), [inst], [0], 1, SeededRng(SEED))
+            rip_experiment(psi(0, 4), [inst], [0], 1, SeededRng(SEED))
         with pytest.raises(ValueError):
-            rip_experiment(lambda rng: psi(0, 4), [inst], [1], 0, SeededRng(SEED))
+            rip_experiment(psi(0, 4), [inst], [1], 0, SeededRng(SEED))

@@ -288,6 +288,18 @@ class TestStreamDerivation:
         with pytest.raises(ValueError, match="non-negative"):
             SeededRng(-1)
 
+    @pytest.mark.parametrize("seed", [2.7, 2.0, -0.5])
+    def test_non_integral_seed_raises(self, seed):
+        # int() would truncate 2.7 and silently replay SeededRng(2).
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SeededRng(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(SEED), np.uint32(SEED), np.int8(5)])
+    def test_numpy_integer_seed_accepted(self, seed):
+        rng = SeededRng(seed)
+        assert rng.seed == int(seed) and type(rng.seed) is int
+        assert rng.uniform() == SeededRng(int(seed)).uniform()
+
     def test_parent_key_entries_must_fit_one_word(self):
         with pytest.raises(ValueError, match="stream index"):
             SeededRng(SEED, 0, parent_key=(2**32,))

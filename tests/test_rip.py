@@ -612,6 +612,14 @@ class TestGaussianWidth:
         with pytest.raises(ValueError):
             gaussian_width(Canonical(1), 8, 1, SeededRng(SEED))
 
+    def test_k_above_ambient_rejected_before_any_stream(self):
+        class NoStreams:
+            def streams(self, indices):
+                raise AssertionError("a stream was derived")
+
+        with pytest.raises(ValueError, match="k=9 exceeds ambient dimension 8"):
+            gaussian_width(Canonical(9), 8, 10, NoStreams())
+
     @pytest.mark.parametrize("q,s", [(1.0, 1.0), (1.0, 2.5), (1.25, 2.0), (1.5, 1.5),
                                      (1.5, 8.0), (2.0, 1.0)])
     def test_lqcap_draw_is_the_best_flat_witness(self, q, s):

@@ -126,6 +126,12 @@ class TestSampleSparse:
 
 
 class TestProjectWitness:
+    def test_canonical_k_above_ambient_rejected(self):
+        # The same error as sample_sparse, for one vector and for a block.
+        for z in (np.ones(8, dtype=complex), np.ones((2, 8), dtype=complex)):
+            with pytest.raises(ValueError, match="k=9 exceeds ambient dimension 8"):
+                project_witness(Canonical(9), z)
+
     def test_canonical_keeps_top_entries(self):
         z = np.array([0.1, -3.0, 0.2 + 0.2j, 2.0, 0.05])
         w = project_witness(Canonical(2), z)
@@ -152,7 +158,7 @@ def _reference_flat_projection(model, z: np.ndarray) -> np.ndarray:
     """The single-vector top-support projection, written out for Canonical and LqCap."""
     n = z.size
     if isinstance(model, Canonical):
-        j = min(model.k, n)
+        j = model.k
     else:
         j = witness_support_size(model.q, model.s, n)
     keep = np.argpartition(np.abs(z), n - j)[n - j:]
@@ -177,7 +183,7 @@ _ENTRIES = st.one_of(
 def _model_and_block(draw):
     ambient = draw(st.integers(1, 12))
     if draw(st.booleans()):
-        model = Canonical(draw(st.integers(1, ambient + 2)))
+        model = Canonical(draw(st.integers(1, ambient)))
     else:
         model = LqCap(draw(st.sampled_from([1.0, 1.25, 4.0 / 3.0, 1.7, 1.999, 2.0])),
                       draw(st.floats(1.0, 12.0)))
