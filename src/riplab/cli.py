@@ -481,10 +481,10 @@ def _run_weakdiff(p: dict) -> Iterator[RunResult | None]:
     for i, (x, y) in enumerate(pairs):
         verdict = classify_separation(ens, x, y, delta, alpha=p["alpha"])
         true_sq = float(np.linalg.norm(x - y) ** 2)
-        # A close verdict bounds only the distance, so its lower cell is empty.
+        # Every cell is a squared distance; a close verdict has no lower bound.
         sep = isinstance(verdict, Separated)
-        lower, upper = (verdict.lower, verdict.upper) if sep else (None, verdict.radius)
-        ok = lower <= true_sq <= upper if sep else math.sqrt(true_sq) <= upper
+        lower, upper = (verdict.lower, verdict.upper) if sep else (None, verdict.radius**2)
+        ok = lower <= true_sq <= upper if sep else true_sq <= upper
         rows.append({"pair": i, "verdict": "separated" if sep else "close",
                      "lower": lower, "upper": upper, "true_sq": true_sq, "ok": bool(ok)})
     counts = {v: sum(row["verdict"] == v for row in rows) for v in ("separated", "close")}

@@ -24,8 +24,8 @@ All three are monomial unitaries: a coordinate permutation times
 unit-modulus phases (doubleqft on the row-major flattening of its n x n
 matrices).  ``monomial(variant, n, params)`` turns a parameter batch into
 one ``Monomial`` of (B, dim) index and phase arrays, so sigma(g) x is
-``x[perm] * phase``, and every group action here (ensemble rows, isotropy
-orbits, the moment-deviation scan) is a gather through that one form.
+``x[perm] * phase``.  Ensemble rows and isotropy orbits are gathers through
+that one form, and the moment-deviation scan scatters u's columns by it.
 
 A measurement row for instrument eta and group element g is the functional
 x |-> <sigma(g) eta, x>, scaled by 1/sqrt(m).  ``sample_ensemble`` takes the
@@ -66,9 +66,7 @@ class Monomial:
     """A batch of B monomial unitaries on C^dim.
 
     Element b maps x to ``x[perm[b]] * phase[b]``: a coordinate gather
-    followed by unit-modulus phases.  Its adjoint, which is also its
-    inverse, gathers by the inverse permutation and multiplies by the
-    conjugate phases taken at that inverse.
+    followed by unit-modulus phases.
     """
 
     perm: np.ndarray  # (B, dim) gather indices
@@ -87,11 +85,6 @@ class Monomial:
         if x.shape == self.perm.shape:
             return np.take_along_axis(x, self.perm, axis=1) * self.phase
         raise ValueError(f"expected shape ({self.dim},) or {self.perm.shape}; got {x.shape}")
-
-    def adjoint(self) -> Monomial:
-        inv = np.empty_like(self.perm)
-        np.put_along_axis(inv, self.perm, np.broadcast_to(np.arange(self.dim), inv.shape), axis=1)
-        return Monomial(inv, np.conj(np.take_along_axis(self.phase, inv, axis=1)))
 
 
 def _bounds(variant: str, n: int) -> list:
@@ -259,7 +252,7 @@ def gaussian_ensemble(dim: int, m: int, rng: SeededRng) -> MeasurementEnsemble:
 
 _ISOTROPY_CAPS = {"shiftmod": 16, "doubleqft": 4, "signshift": 8}
 
-# Complex entries of one gathered block of the moment-deviation scan
+# Complex entries of one scattered block of the moment-deviation scan
 # (256 KB); larger blocks only add their temporaries to the peak memory.
 _GRAM_CHUNK_ENTRIES = 1 << 14
 
@@ -301,11 +294,12 @@ def rosenthal_deviation(
     per-trial RNG streams, so results do not depend on execution order.
 
     The sum is the Gram matrix V^* V of the stacked d x N blocks
-    V_j = u sigma(g_j).  Each block is a gather of u's columns times phases,
-    so a trial costs one gather and one matrix product per chunk of
-    elements.  A chunk holds at most 2^14 complex entries of V (one element
-    per chunk when d N exceeds that), and its monomials are built from the
-    trial's drawn parameters chunk by chunk, so memory stays bounded in M.
+    V_j = u sigma(g_j).  Each block is u's columns times phases, scattered
+    to the places the forward monomial sends them, so a trial costs one
+    scatter and one matrix product per chunk of elements.  A chunk holds at
+    most 2^14 complex entries of V (one element per chunk when d N exceeds
+    that), and its monomials are built from the trial's drawn parameters
+    chunk by chunk, so memory stays bounded in M.
     Each trial draws its elements with ``draw_elements``.
     """
     u = np.asarray(u, dtype=complex)
@@ -332,11 +326,11 @@ def rosenthal_deviation(
             params = draw_elements(variant, side, m, stream)
             acc = np.zeros((n, n), dtype=complex)
             for lo in range(0, m, chunk):
-                # Column c of u sigma(g) is u[:, inv[c]] times the conjugate
-                # adjoint phase at c, where inv is the adjoint's gather.
-                adj = monomial(variant, side, params[lo:lo + chunk]).adjoint()
-                v = u[:, adj.perm]
-                v *= np.conj(adj.phase)
+                # Column perm[b, l] of u sigma(g_b) is u[:, l] * phase[b, l], so
+                # one scatter of the forward monomial fills the (d, B, n) blocks.
+                g = monomial(variant, side, params[lo:lo + chunk])
+                v = np.empty((d, len(g.perm), n), dtype=complex)
+                v[:, np.arange(len(g.perm))[:, None], g.perm] = u[:, None, :] * g.phase
                 v = v.reshape(-1, n)
                 acc += v.conj().T @ v
             devs[trial] = operator_norm(acc / m - eye)

@@ -110,12 +110,16 @@ def _mix(x, y):
 
 
 def _index_words(indices) -> np.ndarray:
-    """Spawn-key indices as uint32 words; each must fit one word, so that
-    distinct keys stay distinct once flattened into words."""
-    idx = [int(i) for i in indices]
-    bad = [i for i in idx if not 0 <= i < 2**32]
-    if bad:
-        raise ValueError(f"stream index must lie in [0, 2^32); got {bad[0]}")
+    """Spawn-key indices as uint32 words; each must be an integer that fits
+    one word, so that distinct keys stay distinct once flattened into words."""
+    idx = list(indices)
+    # One check of the types present: int() would truncate 2.7 and replay
+    # index 2, and True would be index 1.
+    ints = all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, idx)))
+    if not ints or idx and not 0 <= min(idx) <= max(idx) < 2**32:
+        bad = next(i for i in idx if type(i) is bool or not isinstance(i, (int, np.integer))
+                   or not 0 <= i < 2**32)
+        raise ValueError(f"stream index must be an integer in [0, 2^32); got {bad!r}")
     return np.array(idx, dtype=np.uint32)
 
 
@@ -320,13 +324,13 @@ class SeededRng:
     equals each child's own ``choice_no_replace`` bit for bit.
     """
 
-    def __init__(self, seed: int, stream: int = 0, parent_key: tuple = ()):
-        # Only integer types: int() would truncate 2.7 and replay SeededRng(2).
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
+    def __init__(self, seed: int, stream: int = 0):
+        # Only integer types, not bool: int() would truncate 2.7 to seed 2.
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer; got {seed}")
         seed = int(seed)
         self.seed = seed
-        self.spawn_key = tuple(_index_words((*parent_key, stream)).tolist())
+        self.spawn_key = tuple(_index_words((stream,)).tolist())
         seq = np.random.SeedSequence(seed, spawn_key=self.spawn_key)
         # Children continue SeedSequence's hash from where the root's entropy
         # left it, 4 steps per entropy word: the seed's words zero-padded to

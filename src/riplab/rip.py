@@ -485,46 +485,39 @@ def classify_separation(a, x, y, delta: float, alpha: float | None = None):
 # -- Gaussian mean width ------------------------------------------------------
 
 
-def _width_block(model: SparsityModel, xi: np.ndarray) -> np.ndarray:
-    """The model's supremum against each row of the (B, n) draws ``xi``.
+def _width_block(k: int, xi: np.ndarray) -> np.ndarray:
+    """The norm of the k largest moduli of each row of the (B, n) draws ``xi``.
 
     Each row takes the arithmetic of a call on that row alone: a row-wise
-    partition or sort, and for Canonical the stacked (1, k) @ (k, 1) product,
-    which runs the dot kernel that np.linalg.norm of the row would.
+    partition and the stacked (1, k) @ (k, 1) product, which runs the dot
+    kernel that np.linalg.norm of the row would.
     """
     n = xi.shape[1]
-    if isinstance(model, Canonical):
-        k = model.k
-        top = np.partition(np.abs(xi), n - k, axis=1)[:, n - k:]
-        return np.sqrt(np.matmul(top[:, None, :], top[:, :, None])[:, 0, 0])
-    if isinstance(model, LqCap):
-        j_max = witness_support_size(model.q, model.s, n)
-        mags = np.sort(np.abs(xi), axis=1)[:, ::-1]
-        cums = np.cumsum(mags[:, :j_max], axis=1)
-        j = np.arange(1, j_max + 1, dtype=float)
-        return np.max(cums / np.sqrt(j), axis=1)
-    raise TypeError(f"unknown sparsity model {type(model).__name__}")
+    top = np.partition(np.abs(xi), n - k, axis=1)[:, n - k:]
+    return np.sqrt(np.matmul(top[:, None, :], top[:, :, None])[:, 0, 0])
 
 
-def gaussian_width(model: SparsityModel, ambient: int, trials: int, rng: SeededRng) -> dict:
-    """Monte Carlo Gaussian mean width of the model's unit-sphere section.
+def gaussian_width(model: Canonical, ambient: int, trials: int, rng: SeededRng) -> dict:
+    """Monte Carlo Gaussian mean width of the unit k-sparse vectors.
 
     The supremum over the model is evaluated in closed form per draw: the
-    norm of the k largest moduli for Canonical(k), the best flat witness for
-    a q-cap.  Draw t is ``rng.stream(t).standard_normal(ambient)``; the
-    suprema are taken over blocks of at most 1024 draws.  Returns the
-    ``mean`` of the per-draw suprema and its ``stderr``.
+    norm of the k largest moduli.  Draw t is
+    ``rng.stream(t).standard_normal(ambient)``; the suprema are taken over
+    blocks of at most 1024 draws.  Returns the ``mean`` of the per-draw
+    suprema and its ``stderr``.
     """
+    if not isinstance(model, Canonical):
+        raise TypeError(f"expected a Canonical model; got {type(model).__name__}")
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")
-    if isinstance(model, Canonical) and model.k > ambient:
+    if model.k > ambient:
         raise ValueError(f"k={model.k} exceeds ambient dimension {ambient}")
     streams = rng.streams(range(trials))
     sups = np.empty(trials)
     for lo in range(0, trials, _WIDTH_BLOCK):
         xi = np.stack([stream.standard_normal(ambient)
                        for stream in islice(streams, _WIDTH_BLOCK)])
-        sups[lo:lo + len(xi)] = _width_block(model, xi)
+        sups[lo:lo + len(xi)] = _width_block(model.k, xi)
     return {
         "mean": float(sups.mean()),
         "stderr": float(sups.std(ddof=1) / math.sqrt(trials)),

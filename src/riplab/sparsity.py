@@ -5,9 +5,10 @@ A model describes a set of unit-norm signals in C^N:
 * ``Canonical(k)`` -- at most k nonzero coordinates.
 * ``LqCap(q, s)``  -- ||x||_q <= sqrt(s) ||x||_2 (1 <= q <= 2).
 
-``sample_sparse`` draws witnesses from either model and ``project_witness``
-maps a vector back onto one; the projected ascent in rip draws with the
-first and projects with the q-cap kernel of the second, ``_flat_witness``.
+Canonical models are measured through their supports, which rip enumerates
+or draws, and q-caps through flat witnesses: ``sample_sparse`` draws one and
+``project_witness`` maps a vector onto the nearest one.  The ascent in rip
+draws with the first and projects with the second's kernel, ``_flat_witness``.
 
 ``optimize_sparsity_parameter`` finds the exact minimum over q' >= 2 of the
 instrument-dependent objective and its gain over the q' = 2 baseline.
@@ -101,31 +102,16 @@ def witness_support_size(q: float, s: float, n: int) -> int:
     return max(1, min(n, int(math.floor(s**expo))))
 
 
-def _unit(x: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(x)
-    if nrm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return x / nrm
-
-
-def sample_sparse(model: SparsityModel, ambient: int, rng: SeededRng) -> np.ndarray:
-    """Random unit-norm member of the model's witness family in C^ambient."""
-    if isinstance(model, Canonical):
-        if model.k > ambient:
-            raise ValueError(f"k={model.k} exceeds ambient dimension {ambient}")
-        support = rng.choice_no_replace(ambient, model.k)
-        x = np.zeros(ambient, dtype=complex)
-        x[support] = rng.complex_normal(model.k)
-        return _unit(x)
-
-    if isinstance(model, LqCap):
-        j = witness_support_size(model.q, model.s, ambient)
-        support = rng.choice_no_replace(ambient, j)
-        x = np.zeros(ambient, dtype=complex)
-        x[support] = rng.unit_phases(j) / math.sqrt(j)
-        return x
-
-    raise TypeError(f"unknown sparsity model {type(model).__name__}")
+def sample_sparse(model: LqCap, ambient: int, rng: SeededRng) -> np.ndarray:
+    """Random flat witness of the q-cap in C^ambient: unit phases over sqrt(j)
+    on j = witness_support_size(q, s, ambient) random coordinates."""
+    if not isinstance(model, LqCap):
+        raise TypeError(f"expected an LqCap model; got {type(model).__name__}")
+    j = witness_support_size(model.q, model.s, ambient)
+    support = rng.choice_no_replace(ambient, j)
+    x = np.zeros(ambient, dtype=complex)
+    x[support] = rng.unit_phases(j) / math.sqrt(j)
+    return x
 
 
 # -- witness projections (used by the ascent refinement in rip) -------------
@@ -145,38 +131,21 @@ def _flat_witness(z: np.ndarray, moduli: np.ndarray, j: int) -> np.ndarray:
     return x
 
 
-def project_witness(model: SparsityModel, z) -> np.ndarray:
-    """Map an arbitrary vector to a nearby unit member of the witness family.
+def project_witness(model: LqCap, z) -> np.ndarray:
+    """The flat witness of the q-cap nearest each row of ``z``.
 
     ``z`` is one vector or a ``(B, N)`` block of rows; the ambient dimension
     N is read off ``z``.  A block returns a ``(B, N)`` block whose row i is
     bit-identical to the projection of ``z[i]`` on its own.
     """
+    if not isinstance(model, LqCap):
+        raise TypeError(f"expected an LqCap model; got {type(model).__name__}")
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 2:
-        return _project_rows(model, z)
-    return _project_rows(model, z.ravel()[None, :])[0]
-
-
-def _project_rows(model: SparsityModel, z: np.ndarray) -> np.ndarray:
-    ambient = z.shape[1]
-    if not np.all(np.any(z, axis=1)):
+    rows = z if z.ndim == 2 else z.ravel()[None, :]
+    if not np.all(np.any(rows, axis=1)):
         raise ValueError("cannot project the zero vector")
-
-    if isinstance(model, Canonical):
-        k = model.k
-        if k > ambient:
-            raise ValueError(f"k={k} exceeds ambient dimension {ambient}")
-        keep = np.argpartition(np.abs(z), ambient - k, axis=1)[:, ambient - k:]
-        x = np.zeros_like(z)
-        np.put_along_axis(x, keep, np.take_along_axis(z, keep, axis=1), axis=1)
-        # Row by row: a norm along axis 1 sums in another order than the 1-D norm.
-        return np.array([_unit(row) for row in x]).reshape(z.shape)
-
-    if isinstance(model, LqCap):
-        return _flat_witness(z, np.abs(z), witness_support_size(model.q, model.s, ambient))
-
-    raise TypeError(f"unknown sparsity model {type(model).__name__}")
+    x = _flat_witness(rows, np.abs(rows), witness_support_size(model.q, model.s, rows.shape[1]))
+    return x if z.ndim == 2 else x[0]
 
 
 # -- the instrument-dependent sparsity parameter -----------------------------

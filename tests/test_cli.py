@@ -140,6 +140,23 @@ class TestReports:
         assert proc.stdout.strip() == "False"
 
 
+    def test_weakdiff_cells_are_squared_distances(self, tmp_path):
+        # m = 64 on seed 1 gives both verdicts, with close radii r delta
+        # between sqrt(true_sq) and true_sq.
+        code = run_cli("weakdiff", "--N", "16", "--m", "64", "--s", "2", "--pairs", "20",
+                       "--trials", "3", "--ascent", "5", "--seed", "1",
+                       "--out", str(tmp_path / "w"))
+        assert code == 0
+        _, _, rows = read_csv(tmp_path / "w.csv")
+        delta = json.loads((tmp_path / "w.json").read_text())["result"]["delta_calibrated"]
+        assert {row["verdict"] for row in rows} == {"separated", "close"}
+        for row in rows:
+            lower, upper, true_sq = float(row["lower"] or 0.0), float(row["upper"]), \
+                float(row["true_sq"])
+            assert (row["ok"] == "true") == (lower <= true_sq <= upper), row
+            if row["verdict"] == "close":
+                assert upper == pytest.approx((8.0 * delta) ** 2, rel=1e-11)
+
     def test_rosenthal_slope_fits_the_medians(self, tmp_path):
         code = run_cli("rosenthal", "--N", "8", "--d", "2", "--M", "4,16,64", "--trials", "5",
                        "--out", str(tmp_path / "r"))

@@ -162,15 +162,26 @@ class TestSeededRng:
         assert root.spawn_key == (4,)
         assert root.stream(2).spawn_key == (4, 2)
         assert root.stream(2).stream(7).spawn_key == (4, 2, 7)
-        np.testing.assert_array_equal(
-            root.stream(2).standard_normal(8),
-            SeededRng(SEED, 2, parent_key=(4,)).standard_normal(8),
-        )
 
     def test_child_index_must_fit_one_word(self):
         for bad in (-1, 2**32):
             with pytest.raises(ValueError, match="stream index"):
                 SeededRng(SEED).stream(bad)
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, np.bool_(False), np.float64(1.0)])
+    def test_index_must_be_an_integer(self, bad):
+        # int() would truncate 2.7 and replay stream(2); True would be stream(1).
+        with pytest.raises(ValueError, match="stream index"):
+            SeededRng(SEED).stream(bad)
+        with pytest.raises(ValueError, match="stream index"):
+            SeededRng(SEED, bad)
+        with pytest.raises(ValueError, match="stream index"):
+            next(SeededRng(SEED).streams([0, bad, 1]))
+
+    @pytest.mark.parametrize("index", [np.int64(3), np.uint32(3), np.int8(3)])
+    def test_numpy_integer_index_accepted(self, index):
+        assert SeededRng(SEED).stream(index).spawn_key == (0, 3)
+        assert SeededRng(SEED, index).uniform() == SeededRng(SEED, 3).uniform()
 
     def test_complex_normal_is_unit_variance(self):
         z = SeededRng(SEED).complex_normal(200000)
@@ -195,6 +206,14 @@ class TestSeededRng:
 def _words(rng: SeededRng) -> np.ndarray:
     """The four uint64 words the source's PCG64 was seeded with."""
     return rng.generator.bit_generator.seed_seq.generate_state(4, np.uint64)
+
+
+def _keyed(seed: int, key: tuple) -> SeededRng:
+    """The source on ``key``: the root on key[0], then one child per entry."""
+    rng = SeededRng(seed, key[0])
+    for index in key[1:]:
+        rng = rng.stream(index)
+    return rng
 
 
 def _oracle_words(seed: int, key: tuple) -> np.ndarray:
@@ -228,7 +247,7 @@ class TestStreamDerivation:
     @example(seed=2**32 - 1, key=(2,), indices=[0, 3], chunk=4)
     @example(seed=2**32 - 1, key=(0, 0, 8), indices=[4, 2**32 - 1, 1], chunk=3)
     def test_words_equal_seed_sequence(self, seed, key, indices, chunk):
-        parent = SeededRng(seed, key[-1], key[:-1])
+        parent = _keyed(seed, key)
         np.testing.assert_array_equal(_words(parent), _oracle_words(seed, key))
         with mock.patch.object(numerics, "_CHUNK", chunk):
             children = list(parent.streams(indices))
@@ -242,7 +261,7 @@ class TestStreamDerivation:
     def test_draws_equal_seed_sequence_generator(self):
         for seed, key in ((SEED, (0,)), (2**70 + 1, (4, 2)), (5, (1, 2, 3))):
             ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-            got = SeededRng(seed, key[-1], key[:-1]).standard_normal(64)
+            got = _keyed(seed, key).standard_normal(64)
             np.testing.assert_array_equal(got, ref.standard_normal(64))
 
     @pytest.mark.parametrize("draw", [
@@ -288,9 +307,10 @@ class TestStreamDerivation:
         with pytest.raises(ValueError, match="non-negative"):
             SeededRng(-1)
 
-    @pytest.mark.parametrize("seed", [2.7, 2.0, -0.5])
+    @pytest.mark.parametrize("seed", [2.7, 2.0, -0.5, True, False])
     def test_non_integral_seed_raises(self, seed):
-        # int() would truncate 2.7 and silently replay SeededRng(2).
+        # int() would truncate 2.7 and silently replay SeededRng(2), and True
+        # would be seed 1.
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SeededRng(seed)
 
@@ -299,10 +319,6 @@ class TestStreamDerivation:
         rng = SeededRng(seed)
         assert rng.seed == int(seed) and type(rng.seed) is int
         assert rng.uniform() == SeededRng(int(seed)).uniform()
-
-    def test_parent_key_entries_must_fit_one_word(self):
-        with pytest.raises(ValueError, match="stream index"):
-            SeededRng(SEED, 0, parent_key=(2**32,))
 
 
 def _per_stream_supports(parent: SeededRng, indices, n: int, k: int) -> np.ndarray:
@@ -332,7 +348,7 @@ class TestSortedSupports:
         # The vectorised pass itself, on every row, whatever the block size;
         # k = N draws nothing for j = 0, which adds 0.
         k = min(k, n)
-        parent = SeededRng(seed, key[-1], key[:-1])
+        parent = _keyed(seed, key)
         *_, words = numerics._child_words(parent._pool, parent._hash, indices)
         got, rejected = numerics._floyd_sorted(words, n, k)
         assert not rejected.any()

@@ -32,7 +32,6 @@ from riplab.sparsity import (
     LqCap,
     project_witness,
     sample_sparse,
-    witness_support_size,
 )
 
 SEED = 31137
@@ -620,22 +619,13 @@ class TestGaussianWidth:
         with pytest.raises(ValueError, match="k=9 exceeds ambient dimension 8"):
             gaussian_width(Canonical(9), 8, 10, NoStreams())
 
-    @pytest.mark.parametrize("q,s", [(1.0, 1.0), (1.0, 2.5), (1.25, 2.0), (1.5, 1.5),
-                                     (1.5, 8.0), (2.0, 1.0)])
-    def test_lqcap_draw_is_the_best_flat_witness(self, q, s):
-        # The q-cap witnesses are flat: unit-modulus phases / sqrt(j) on j <=
-        # j_max coordinates.  Against a real draw the best phases are its signs.
-        n = 7
-        j_max = witness_support_size(q, s, n)
-        for stream in SeededRng(SEED + 24).streams(range(20)):
-            xi = stream.standard_normal(n)
-            best = 0.0
-            for j in range(1, j_max + 1):
-                for support in itertools.combinations(range(n), j):
-                    x = np.zeros(n)
-                    x[list(support)] = np.sign(xi[list(support)]) / math.sqrt(j)
-                    best = max(best, abs(float(x @ xi)))
-            assert abs(rip._width_block(LqCap(q, s), xi[None])[0] - best) <= 1e-12
+    def test_other_models_rejected_before_any_stream(self):
+        class NoStreams:
+            def streams(self, indices):
+                raise AssertionError("a stream was derived")
+
+        with pytest.raises(TypeError, match="Canonical"):
+            gaussian_width(LqCap(1.0, 2.0), 8, 10, NoStreams())
 
 
 class TestPredictM:

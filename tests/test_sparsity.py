@@ -104,40 +104,22 @@ class TestWitnessSupportSize:
 
 
 class TestSampleSparse:
-    def test_canonical_support_and_norm(self):
-        rng = SeededRng(SEED + 1)
-        for trial in range(10):
-            x = sample_sparse(Canonical(5), 20, rng.stream(trial))
-            assert np.count_nonzero(x) == 5
-            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_canonical_full_support_is_dense(self):
-        x = sample_sparse(Canonical(8), 8, SeededRng(SEED + 2))
-        assert np.count_nonzero(x) == 8
-
     def test_lqcap_meets_level_constraint(self):
         x = sample_sparse(LqCap(1.0, 4.0), 32, SeededRng(SEED + 3))
         assert lq_norm(x, 1) <= 2.0 * np.linalg.norm(x) * (1 + 1e-12)
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
-    def test_infeasible_rejected(self):
-        with pytest.raises(ValueError):
-            sample_sparse(Canonical(9), 8, SeededRng(SEED))
+    def test_canonical_model_rejected(self):
+        # Canonical models are measured through their supports, not witnesses.
+        with pytest.raises(TypeError, match="LqCap"):
+            sample_sparse(Canonical(2), 8, SeededRng(SEED))
 
 
 class TestProjectWitness:
-    def test_canonical_k_above_ambient_rejected(self):
-        # The same error as sample_sparse, for one vector and for a block.
+    def test_canonical_model_rejected(self):
         for z in (np.ones(8, dtype=complex), np.ones((2, 8), dtype=complex)):
-            with pytest.raises(ValueError, match="k=9 exceeds ambient dimension 8"):
-                project_witness(Canonical(9), z)
-
-    def test_canonical_keeps_top_entries(self):
-        z = np.array([0.1, -3.0, 0.2 + 0.2j, 2.0, 0.05])
-        w = project_witness(Canonical(2), z)
-        assert np.count_nonzero(w) == 2
-        assert abs(w[1]) > 0 and abs(w[3]) > 0
-        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+            with pytest.raises(TypeError, match="LqCap"):
+                project_witness(Canonical(2), z)
 
     def test_lqcap_flat_modulus_keeps_phases(self):
         z = np.array([3.0 * np.exp(1j * 0.3), -1.0, 0.25j, 2.0 * np.exp(-1j * 1.1)])
@@ -154,18 +136,12 @@ def _bits(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).view(np.uint64)
 
 
-def _reference_flat_projection(model, z: np.ndarray) -> np.ndarray:
-    """The single-vector top-support projection, written out for Canonical and LqCap."""
+def _reference_flat_projection(model: LqCap, z: np.ndarray) -> np.ndarray:
+    """The single-vector flat-witness projection, written out."""
     n = z.size
-    if isinstance(model, Canonical):
-        j = model.k
-    else:
-        j = witness_support_size(model.q, model.s, n)
+    j = witness_support_size(model.q, model.s, n)
     keep = np.argpartition(np.abs(z), n - j)[n - j:]
     x = np.zeros(n, dtype=complex)
-    if isinstance(model, Canonical):
-        x[keep] = z[keep]
-        return x / np.linalg.norm(x)
     mags = np.abs(z[keep])
     x[keep] = np.where(mags > 0, z[keep] / np.where(mags > 0, mags, 1.0), 1.0) / math.sqrt(j)
     return x
@@ -182,11 +158,8 @@ _ENTRIES = st.one_of(
 @st.composite
 def _model_and_block(draw):
     ambient = draw(st.integers(1, 12))
-    if draw(st.booleans()):
-        model = Canonical(draw(st.integers(1, ambient)))
-    else:
-        model = LqCap(draw(st.sampled_from([1.0, 1.25, 4.0 / 3.0, 1.7, 1.999, 2.0])),
-                      draw(st.floats(1.0, 12.0)))
+    model = LqCap(draw(st.sampled_from([1.0, 1.25, 4.0 / 3.0, 1.7, 1.999, 2.0])),
+                  draw(st.floats(1.0, 12.0)))
     rows = draw(st.integers(1, 5))
     z = draw(hnp.arrays(complex, (rows, ambient), elements=_ENTRIES))
     assume(np.all(np.any(z, axis=1)))
