@@ -40,10 +40,11 @@ import numpy as np
 
 from .group_ops import (
     gaussian_ensemble,
+    gaussian_ensembles,
     group_side,
     isotropy_defect,
     rosenthal_deviation,
-    sample_ensemble,
+    sample_ensembles,
 )
 from .infdim import (
     differentiate,
@@ -334,20 +335,24 @@ def _build_instrument(p: dict, rng: SeededRng) -> Instrument:
     return make_schatten_decay(p["n"], p["alpha"] if p["alpha"] is not None else 0.25, rng)
 
 
-def _build_ensemble(p: dict, m: int, rng: SeededRng):
+def _build_ensembles(p: dict, m_list: list, rng: SeededRng):
+    """The config's ensembles for every m of m_list, in order, from one draw
+    at max(m_list); see ``sample_ensembles``."""
     if p["ensemble"] == "gaussian":
         # Gaussian rows never read --eta: the dimension is N, else n^2.
         if not (p["N"] or p["n"]):
             raise ValueError("--N or --n is required for the gaussian ensemble")
         if p["sign"] != "none":
             raise ValueError(f"the gaussian ensemble takes no signs; got --sign {p['sign']}")
-        ens = gaussian_ensemble(p["N"] or p["n"] ** 2, m, rng)
+        dim = p["N"] or p["n"] ** 2
+        ensembles = gaussian_ensembles(dim, m_list, rng)
     else:
         inst = _build_instrument(p, rng)
-        ens = sample_ensemble(inst, p["ensemble"], m, p["sign"], rng)
-    if p["k"] > ens.rows.shape[1]:
-        raise ValueError(f"k={p['k']} exceeds ambient dimension {ens.rows.shape[1]}")
-    return ens
+        dim = inst.ambient_dim
+        ensembles = sample_ensembles(inst, p["ensemble"], m_list, p["sign"], rng)
+    if p["k"] > dim:
+        raise ValueError(f"k={p['k']} exceeds ambient dimension {dim}")
+    return ensembles
 
 
 def _sketch_model(p: dict) -> LqCap:
@@ -405,7 +410,7 @@ def _run_isotropy(p: dict) -> Iterator[RunResult | None]:
 
 
 def _run_rip_exact(p: dict) -> Iterator[RunResult | None]:
-    ens = _build_ensemble(p, p["m"], SeededRng(p["seed"]))
+    ens = next(_build_ensembles(p, [p["m"]], SeededRng(p["seed"])))
     yield
     report = exact_rip_canonical(ens, p["k"])
     doc = {"delta_hat": report.delta_hat, "method": "exact_enumeration",
@@ -414,20 +419,18 @@ def _run_rip_exact(p: dict) -> Iterator[RunResult | None]:
 
 
 def _run_rip_scan(p: dict) -> Iterator[RunResult | None]:
-    _build_ensemble(p, 1, SeededRng(p["seed"]))
+    _build_ensembles(p, [1], SeededRng(p["seed"]))
     yield
-    rows = []
-    for m in p["m"]:
-        for offset in range(p["seeds"]):
-            seed = p["seed"] + offset
-            ens = _build_ensemble(p, m, SeededRng(seed))
-            report = empirical_rip(ens, Canonical(p["k"]), p["trials"], rng=SeededRng(seed, 1))
-            rows.append({
-                "m": m,
-                "delta_hat": report.delta_hat,
-                "model": f"canonical_k{p['k']}",
-                "seed": seed,
-            })
+    # Each seed builds its instrument and draws its rows once: the ensemble
+    # of every m is a prefix of that draw.  Rows go by m in list order, then
+    # by seed.
+    seeds = [p["seed"] + offset for offset in range(p["seeds"])]
+    deltas = [[empirical_rip(ens, Canonical(p["k"]), p["trials"],
+                             rng=SeededRng(seed, 1)).delta_hat
+               for ens in _build_ensembles(p, p["m"], SeededRng(seed))]
+              for seed in seeds]
+    rows = [{"m": m, "delta_hat": seed_deltas[j], "model": f"canonical_k{p['k']}", "seed": seed}
+            for j, m in enumerate(p["m"]) for seed, seed_deltas in zip(seeds, deltas)]
     yield RunResult(rows, None, f"{len(rows)} rows")
 
 

@@ -30,11 +30,15 @@ that one form, and the moment-deviation scan scatters u's columns by it.
 A measurement row for instrument eta and group element g is the functional
 x |-> <sigma(g) eta, x>, scaled by 1/sqrt(m).  ``sample_ensemble`` takes the
 CLI's sign modes by name: none, random (one shared diagonal) or absorbed.
+``sample_ensembles`` and ``gaussian_ensembles`` give the ensembles of several
+m from one draw at the largest: each smaller ensemble is a prefix of its
+unscaled rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +53,9 @@ __all__ = [
     "draw_elements",
     "MeasurementEnsemble",
     "sample_ensemble",
+    "sample_ensembles",
     "gaussian_ensemble",
+    "gaussian_ensembles",
     "isotropy_defect",
     "rosenthal_deviation",
     "group_side",
@@ -83,8 +89,17 @@ class Monomial:
         if x.shape == (self.dim,):
             return x[self.perm] * self.phase
         if x.shape == self.perm.shape:
-            return np.take_along_axis(x, self.perm, axis=1) * self.phase
+            return _gather_rows(x, self.perm) * self.phase
         raise ValueError(f"expected shape ({self.dim},) or {self.perm.shape}; got {x.shape}")
+
+
+def _gather_rows(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    # x[b, perm[b, l]] for every b and l, through one flat index into the
+    # contiguous rows: the same entries as np.take_along_axis(x, perm, 1),
+    # whose two-array fancy index numpy gathers more slowly.
+    x = np.ascontiguousarray(x)
+    rows, width = x.shape
+    return x.reshape(-1)[perm + np.arange(0, rows * width, width)[:, None]]
 
 
 def _bounds(variant: str, n: int) -> list:
@@ -132,7 +147,7 @@ def monomial(variant: str, n: int, params) -> Monomial:
         return Monomial(_cyclic(n, ints[:, 1]), _mod_phases(n, ints[:, 0]))
     if variant == "signshift":
         perm = _cyclic(n, ints[:, n])
-        return Monomial(perm, np.take_along_axis(ints[:, :n], perm, axis=1).astype(complex))
+        return Monomial(perm, _gather_rows(ints[:, :n], perm).astype(complex))
     # Row-major flattening: entry (r, c) of the image of a is
     # a[r - j, c - jp] * mod^k[r] * conj(mod^kp[c]).
     k, j, kp, jp = ints.T
@@ -207,8 +222,34 @@ def sample_ensemble(
       "absorbed" -- a fresh (signs, shift) pair per row, i.e. each row is
                     additionally hit by an independent element of the sign
                     x shift group (vector instruments only).
+
+    This is ``sample_ensembles`` with the one m.
     """
-    if m < 1:
+    return next(sample_ensembles(inst, variant, [m], sign_mode, rng))
+
+
+def sample_ensembles(
+    inst: Instrument,
+    variant: str,
+    m_list,
+    sign_mode: str,
+    rng: SeededRng,
+) -> Iterator[MeasurementEnsemble]:
+    """``sample_ensemble``'s ensemble for every m of ``m_list``, in list
+    order (repeats allowed), from one draw at max(m_list).
+
+    numpy fills a draw in order, one bounded integer after the other, so an
+    m-row draw is the first m rows of a larger one.  The ensemble for m is
+    the first m unscaled, conjugated rows divided by sqrt(m), bit for bit
+    what ``sample_ensemble`` with that m gives from the same rng state.  The
+    checks and the draw happen at the call; each scaled ensemble is built
+    only when the iterator reaches it, so besides the unscaled rows one is
+    alive at a time.
+    """
+    m_list = list(m_list)
+    if not m_list:
+        raise ValueError("m_list needs at least one m")
+    if min(m_list) < 1:
         raise ValueError("m must be >= 1")
     if sign_mode not in _SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {_SIGN_MODES}; got {sign_mode!r}")
@@ -227,7 +268,7 @@ def sample_ensemble(
     width = len(bounds)
     if sign_mode == "absorbed":
         bounds += _bounds("signshift", dim)
-    draws = rng.integers(0, bounds, (m, len(bounds)))
+    draws = rng.integers(0, bounds, (max(m_list), len(bounds)))
     params = _from_draws(variant, n, draws[:, :width])
     rows = monomial(variant, n, params).apply(inst.payload.ravel())
     if sign_mode == "random":
@@ -236,16 +277,24 @@ def sample_ensemble(
         absorbed = _from_draws("signshift", dim, draws[:, width:])
         rows = monomial("signshift", dim, absorbed).apply(rows)
     rows = np.conj(rows)
-    rows /= math.sqrt(m)
-    return MeasurementEnsemble(rows)
+    return (MeasurementEnsemble(rows[:m] / math.sqrt(m)) for m in m_list)
 
 
 def gaussian_ensemble(dim: int, m: int, rng: SeededRng) -> MeasurementEnsemble:
-    """Plain Gaussian comparison ensemble: real N(0, 1/m) rows."""
-    if m < 1 or dim < 1:
+    """Plain Gaussian comparison ensemble: real N(0, 1/m) rows.  This is
+    ``gaussian_ensembles`` with the one m."""
+    return next(gaussian_ensembles(dim, [m], rng))
+
+
+def gaussian_ensembles(dim: int, m_list, rng: SeededRng) -> Iterator[MeasurementEnsemble]:
+    """``gaussian_ensemble``'s ensemble for every m of ``m_list``, in list
+    order, from one draw of max(m_list) unscaled rows: the ensemble for m is
+    their first m rows divided by sqrt(m), as in ``sample_ensembles``."""
+    m_list = list(m_list)
+    if not m_list or min(m_list) < 1 or dim < 1:
         raise ValueError("m and dim must be >= 1")
-    rows = rng.standard_normal((m, dim)) / math.sqrt(m)
-    return MeasurementEnsemble(rows.astype(complex))
+    rows = rng.standard_normal((max(m_list), dim))
+    return (MeasurementEnsemble((rows[:m] / math.sqrt(m)).astype(complex)) for m in m_list)
 
 
 # -- isotropy and moment deviation ------------------------------------------

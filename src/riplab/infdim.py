@@ -48,8 +48,10 @@ __all__ = [
 ]
 
 _DC_TOL = 1e-10
-# Quadrature grids take _OVERSAMPLE * n_big nodes, far beyond aliasing for
-# the smooth profiles here.
+# Quadrature grids take M = _OVERSAMPLE * n_big nodes.  How well they resolve
+# a bump of width 1/T depends on the nodes per width, M / T, not on n_big:
+# from_bumps' coefficients are off by about 3e-4 of the largest one at
+# M / T = 16, 2e-7 at 64 and below 4e-16 from 512 on.
 _OVERSAMPLE = 8
 
 
@@ -115,10 +117,24 @@ def from_bumps(
 
     The dilated bumps have width 1/T, so centers must keep pairwise circular
     distance strictly above 1/T (this also rules out overlap across the wrap).
-    Coefficients come from a quadrature with 8 n_big nodes.
+    T, the centers and the amplitudes must be finite.
+
+    Coefficients come from an FFT of the values at M = 8 n_big uniform
+    nodes.  Each bump is added only on the nodes of its support window,
+    taken mod M and never more than the whole grid once; elsewhere it is an
+    exact 0, so the values equal a sum over the whole grid bit for bit.  The
+    quadrature error is set by the nodes per bump width, M / T (see
+    _OVERSAMPLE), so narrow bumps on a small carrier are aliased.
     """
-    centers = np.atleast_1d(np.asarray(centers, dtype=float)) % 1.0
+    if not math.isfinite(t_scale):
+        raise ValueError(f"the dilation T must be finite; got {t_scale}")
+    centers = np.atleast_1d(np.asarray(centers, dtype=float))
     amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
+    if not np.isfinite(centers).all():
+        raise ValueError("bump centers must be finite")
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("bump amplitudes must be finite")
+    centers = centers % 1.0
     if centers.shape != amplitudes.shape:
         raise ValueError("centers and amplitudes must have matching lengths")
     if centers.size < 1:
@@ -134,11 +150,16 @@ def from_bumps(
                 )
 
     m_quad = _OVERSAMPLE * n_big
-    t = np.arange(m_quad) / m_quad
+    half = 0.5 / t_scale
     vals = np.zeros(m_quad, dtype=complex)
     for c, a in zip(centers, amplitudes):
-        u = (t - c + 0.5) % 1.0 - 0.5
-        vals += a * t_scale * standard_bump(t_scale * u)
+        # The nodes i/M strictly inside (c - 1/(2T), c + 1/(2T)).  Rounding
+        # can move an end by one node only where the profile underflows to 0.
+        lo = math.floor(m_quad * (c - half)) + 1
+        hi = math.ceil(m_quad * (c + half))
+        nodes = np.arange(lo, min(hi, lo + m_quad)) % m_quad
+        u = (nodes / m_quad - c + 0.5) % 1.0 - 0.5
+        vals[nodes] += a * t_scale * standard_bump(t_scale * u)
     spectrum = np.fft.fft(vals) / m_quad
     k = np.arange(-n_big, n_big)
     return FourierFunction(spectrum[k % m_quad], n_big)
@@ -220,7 +241,10 @@ def support_fraction(moduli: np.ndarray) -> float:
 def lq_norm_function(f: FourierFunction, q: float) -> float:
     """L_q(0, 1) norm by uniform-grid quadrature with 8 n_big nodes.
 
-    Documented relative accuracy 1e-6 for carriers up to n_big = 2048.
+    For q = 2, 4 and 6, |f|^q is a trigonometric polynomial the grid
+    integrates exactly, up to rounding.  For other q the error depends on
+    how smooth |f|^q is, not on n_big: q = 1 on cos(2 pi 3 t) at n_big = 4
+    is off by 3e-3.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -446,8 +470,13 @@ def rip_experiment(
     Each scheme normalizes f by its window seminorm, which must reach 1e-8.
     Trial t draws ``rng.stream(t).uniform(0.0, 1.0, max(m_list))`` and
     nothing else; the cell records |average energy - 1| over the first m of
-    those translates.  Uniform doubles are drawn in sequence, so every cell
-    equals a run of rip_experiment on that scheme and m alone.
+    those translates.  Each (trial, scheme) takes one energy product over
+    all max(m_list) translates, and a cell with m >= 2 is the mean of its
+    first m energies: OpenBLAS computes each row of a zgemm apart from the
+    other rows.  Only an m = 1 cell takes a one-row product of its own,
+    because numpy sends that shape to zgemv, which rounds differently.
+    Uniform doubles are drawn in sequence, so every cell equals a run of
+    rip_experiment on that scheme and m alone.
     """
     schemes, m_list = list(schemes), [int(m) for m in m_list]
     if not schemes or not m_list:
@@ -467,9 +496,13 @@ def rip_experiment(
         ts = stream.uniform(0.0, 1.0, max(m_list))
         phases = {n: _in_block_phases(n, ts)[1] for n in {s.block_len for s in schemes}}
         for i, (inst, scheme_coeffs) in enumerate(zip(schemes, coeffs)):
-            # One product per cell: a shared max(m) product sliced to m rows
-            # would differ in the last bit at m = 1, where BLAS takes gemv.
+            # One product per (trial, scheme): its first m rows are the m-row
+            # product for every m >= 2.  numpy sends a one-row product to
+            # zgemv, so an m = 1 cell takes a product of its own.
+            block = phases[inst.block_len]
+            energy = _block_energy(scheme_coeffs, block)
+            single = _block_energy(scheme_coeffs, block[:1]) if 1 in m_list else None
             for j, m in enumerate(m_list):
-                energy = _block_energy(scheme_coeffs, phases[inst.block_len][:m])
-                devs[i, j, trial] = abs(float(energy.mean()) - 1.0)
+                cell = single if m == 1 else energy[:m]
+                devs[i, j, trial] = abs(float(cell.mean()) - 1.0)
     return DeviationGrid(devs, {"trials": int(trials)})

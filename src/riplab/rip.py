@@ -126,8 +126,9 @@ def _max_defect(gram: np.ndarray, supports, k: int) -> tuple[float, int]:
     runs the same LAPACK routine on each matrix as a call on that matrix
     alone, so the result equals a per-support loop bit for bit.
     """
-    n = gram.shape[0]
-    sq = np.abs(gram - np.eye(n)) ** 2
+    # |G - I|^2 is |G|^2 off the diagonal; only the diagonal subtracts 1.
+    sq = np.abs(gram) ** 2
+    np.fill_diagonal(sq, np.abs(np.diagonal(gram) - 1.0) ** 2)
     delta, evaluated = 0.0, 0
     for idx in _support_chunks(supports, _chunk_size(k), k):
         fro2 = sq[idx, idx].sum(axis=1)

@@ -18,8 +18,12 @@ import numpy as np
 import pytest
 
 import riplab
+import riplab.group_ops as go
 from riplab import cli
-from riplab.numerics import NumericalError
+from riplab.instruments import make_decaying_window, make_flat, make_schatten_decay
+from riplab.numerics import NumericalError, SeededRng
+from riplab.rip import empirical_rip
+from riplab.sparsity import Canonical
 
 
 def run_cli(*argv) -> int:
@@ -112,6 +116,44 @@ class TestReports:
         assert ms == [4, 8, 16, 32]
         medians = [float(np.median(by_m[m])) for m in ms]
         assert all(a >= b for a, b in zip(medians, medians[1:]))
+
+    @pytest.mark.parametrize("argv,build", [
+        (("--eta", "decaying", "--alpha", "0.25", "--N", "12", "--Neta", "6",
+          "--sign", "random"),
+         lambda m, rng: go.sample_ensemble(make_decaying_window(12, 6, 0.25), "shiftmod", m,
+                                           "random", rng)),
+        (("--eta", "flat", "--N", "12", "--ensemble", "signshift", "--sign", "absorbed"),
+         lambda m, rng: go.sample_ensemble(make_flat(12), "signshift", m, "absorbed", rng)),
+        (("--eta", "schatten-decay", "--n", "3", "--alpha", "0.25", "--ensemble", "doubleqft"),
+         lambda m, rng: go.sample_ensemble(make_schatten_decay(3, 0.25, rng), "doubleqft", m,
+                                           "none", rng)),
+        (("--ensemble", "gaussian", "--N", "12"),
+         lambda m, rng: go.gaussian_ensemble(12, m, rng)),
+    ], ids=["shiftmod-random", "signshift-absorbed", "doubleqft-schatten", "gaussian"])
+    def test_rip_scan_rows_equal_fresh_single_runs(self, tmp_path, monkeypatch, argv, build):
+        # Each seed draws once for all m; its rows must be those of an
+        # ensemble built afresh for every (m, seed), by m in list order, then
+        # by seed.
+        written = []
+        write = cli.write_outputs
+
+        def record(config, result, *args):
+            written.append(result.csv_rows)
+            return write(config, result, *args)
+
+        monkeypatch.setattr(cli, "write_outputs", record)
+        assert run_cli("rip-scan", *argv, "--k", "2", "--m", "8,3,8,5", "--seeds", "3",
+                       "--trials", "20", "--seed", "40", "--out", str(tmp_path / "scan")) == 0
+        expected = []
+        for m in (8, 3, 8, 5):
+            for seed in (40, 41, 42):
+                report = empirical_rip(build(m, SeededRng(seed)), Canonical(2), 20,
+                                       rng=SeededRng(seed, 1))
+                expected.append((m, seed, "canonical_k2", report.delta_hat.hex()))
+        [rows] = written
+        assert [(r["m"], r["seed"], r["model"], r["delta_hat"].hex()) for r in rows] == expected
+        _, _, csv_rows = read_csv(tmp_path / "scan.csv")
+        assert [(int(r["m"]), int(r["seed"])) for r in csv_rows] == [e[:2] for e in expected]
 
     def test_default_output_prefix(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

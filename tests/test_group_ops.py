@@ -555,6 +555,78 @@ class TestEnsembleRowsBitIdentical:
         np.testing.assert_array_equal(_bits(ens.rows), _bits(expected))
 
 
+_PREFIX_M_LISTS = st.lists(st.integers(1, 24), min_size=1, max_size=5)
+
+
+class TestEnsemblePrefixes:
+    """The ensembles of one many-m draw equal single-m draws from a fresh
+    SeededRng of the same seed, bit for bit, whatever the order of m_list."""
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(("shiftmod", "signshift", "doubleqft")),
+           st.sampled_from(("none", "random", "absorbed")),
+           st.sampled_from(("decaying", "scaled-identity", "schatten-decay")),
+           st.sampled_from((1, 2, 3, 5, 12, 24, 37)), _PREFIX_M_LISTS, st.integers(0, 2**32 - 1))
+    def test_each_ensemble_equals_its_single_m_draw(self, variant, mode, eta, n, m_list, seed):
+        matrix = variant == "doubleqft"
+        if matrix:
+            n = min(n, 6)
+            mode = "none" if mode == "absorbed" else mode
+            eta = "schatten-decay" if eta == "decaying" else eta
+        else:
+            eta = "decaying"
+
+        def build(rng):
+            # schatten-decay draws its frames from the ensemble's stream first.
+            if eta == "schatten-decay":
+                return make_schatten_decay(n, 0.25, rng)
+            if eta == "scaled-identity":
+                return make_scaled_identity(n)
+            return make_decaying_window(n, max(1, n // 2), 0.25)
+
+        rng = SeededRng(seed)
+        ensembles = list(go.sample_ensembles(build(rng), variant, m_list, mode, rng))
+        assert len(ensembles) == len(m_list)
+        for m, ens in zip(m_list, ensembles):
+            fresh = SeededRng(seed)
+            single = sample_ensemble(build(fresh), variant, m, mode, fresh)
+            assert ens.rows.shape == single.rows.shape
+            assert (_bits(ens.rows) == _bits(single.rows)).all()
+
+    @settings(max_examples=60)
+    @given(st.sampled_from((1, 3, 12, 24, 64)), _PREFIX_M_LISTS, st.integers(0, 2**32 - 1))
+    def test_gaussian_ensembles_equal_single_m_draws(self, dim, m_list, seed):
+        ensembles = list(go.gaussian_ensembles(dim, m_list, SeededRng(seed)))
+        assert len(ensembles) == len(m_list)
+        for m, ens in zip(m_list, ensembles):
+            single = go.gaussian_ensemble(dim, m, SeededRng(seed))
+            assert ens.rows.shape == single.rows.shape
+            assert (_bits(ens.rows) == _bits(single.rows)).all()
+
+    # The prefixes rest on numpy drawing per-column bounded integers one after
+    # another.  A bound just above 2^31 rejects about half of its 32-bit
+    # Lemire draws, and each rejection consumes one more word of the stream.
+    @settings(max_examples=60)
+    @given(st.lists(st.sampled_from((2, 3, 12, 24, 2**31 + 1, 2**32 - 5)), min_size=1,
+                    max_size=6),
+           st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_bounded_draws_fill_in_order(self, bounds, m, extra, seed):
+        whole = SeededRng(seed).integers(0, bounds, (m + extra, len(bounds)))
+        part = SeededRng(seed).integers(0, bounds, (m, len(bounds)))
+        assert part.tobytes() == whole[:m].tobytes()
+
+    def test_checks_run_at_the_call(self):
+        inst = make_flat(4)
+        with pytest.raises(ValueError, match="at least one m"):
+            go.sample_ensembles(inst, "shiftmod", [], "none", SeededRng(SEED))
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            go.sample_ensembles(inst, "shiftmod", [3, 0], "none", SeededRng(SEED))
+        with pytest.raises(ValueError, match="sign_mode"):
+            go.sample_ensembles(inst, "shiftmod", [3], "rademacher", SeededRng(SEED))
+        with pytest.raises(ValueError):
+            go.gaussian_ensembles(4, [2, 0], SeededRng(SEED))
+
+
 def _reference_deviations(u, variant, m_list, trials, rng):
     """Moment deviations from an explicit sum of S^* W S over dense unitaries,
     with the scan's draws replayed stream by stream."""

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -221,6 +221,45 @@ class TestBumps:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             from_bumps(8.0, [0.1, 0.5], [1.0], 64)
+
+    @pytest.mark.parametrize("change,match", [
+        ({"t_scale": math.nan}, "T must be finite"),
+        ({"t_scale": math.inf}, "T must be finite"),
+        ({"centers": [math.nan]}, "centers must be finite"),
+        ({"centers": [-math.inf]}, "centers must be finite"),
+        ({"amplitudes": [math.nan]}, "amplitudes must be finite"),
+        ({"amplitudes": [complex(1.0, math.inf)]}, "amplitudes must be finite"),
+    ])
+    def test_non_finite_input_rejected(self, change, match):
+        args = {"t_scale": 8.0, "centers": [0.3], "amplitudes": [1.0], "n_big": 64, **change}
+        with pytest.raises(ValueError, match=match):
+            from_bumps(**args)
+
+    @settings(max_examples=200)
+    @given(t_scale=st.floats(1.0, 40.0, exclude_min=True),
+           n_big=st.sampled_from([1, 2, 3, 4, 8, 16, 64]),
+           centers=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+           amp=st.complex_numbers(max_magnitude=4.0))
+    # T = 2 on 16 nodes puts both window ends exactly on nodes; a T just
+    # above 1 has a window of the whole grid; -0.01 wraps below node 0.
+    @example(t_scale=2.0, centers=[0.25], n_big=2, amp=1.0)
+    @example(t_scale=1.0 + 2**-40, centers=[0.7], n_big=2, amp=1j)
+    @example(t_scale=8.0, centers=[-0.01, 0.5], n_big=1, amp=2.0)
+    def test_windowed_synthesis_equals_the_whole_grid(self, t_scale, n_big, centers, amp):
+        # Each bump is added on its support window only; the coefficients
+        # must equal a sum of every bump over all 8 n_big nodes bit for bit,
+        # down to few nodes per bump width, where every node counts.
+        assume(all(circ_dist(a, b) > 1.0 / t_scale
+                   for i, a in enumerate(centers) for b in centers[i + 1:]))
+        amplitudes = [amp * (j + 1) for j in range(len(centers))]
+        m_quad = 8 * n_big
+        t = np.arange(m_quad) / m_quad
+        vals = np.zeros(m_quad, dtype=complex)
+        for c, a in zip(np.asarray(centers) % 1.0, np.asarray(amplitudes, dtype=complex)):
+            vals += a * t_scale * standard_bump(t_scale * ((t - c + 0.5) % 1.0 - 0.5))
+        expected = (np.fft.fft(vals) / m_quad)[np.arange(-n_big, n_big) % m_quad]
+        got = from_bumps(t_scale, centers, amplitudes, n_big).coeffs
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestShiftAndDerivative:

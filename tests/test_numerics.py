@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riplab
-from riplab import cli, numerics
+from riplab import cli, infdim, numerics
 from riplab.numerics import (
     CapacityError,
     NumericalError,
@@ -472,6 +472,58 @@ class TestRowIndependentGemm:
             pytest.skip(f"OpenBLAS cannot run {threads} threads here")
         for lo, hi in ((0, 700), (1, 700), (7, 300), (0, 100), (1, 3)):
             assert (x[lo:hi] @ m).tobytes() == alone[lo:hi].tobytes()
+
+
+class TestRowIndependentBlockEnergy:
+    # infdim.rip_experiment takes one (m, L) @ (L, d) product of in-block
+    # phases with the transposed _block_coeffs over max(m) translates per trial
+    # and scheme, and reads every m >= 2 cell from its first m rows.
+
+    @staticmethod
+    def _factors(rng, rows, block_len, d):
+        phases = np.exp(-2j * np.pi * rng.uniform(size=(rows, 1)) * np.arange(block_len))
+        return phases, _complex(rng, d, block_len).T
+
+    @settings(max_examples=80)
+    @given(st.sampled_from([1, 2, 4, 8]), st.integers(1, 64), st.integers(2, 1100),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_prefix_rows_equal_their_own_product(self, block_len, d, rows, seed, data):
+        phases, coeffs = self._factors(np.random.default_rng(seed), rows, block_len, d)
+        m = data.draw(st.integers(2, rows))
+        assert (phases[:m] @ coeffs).tobytes() == (phases @ coeffs)[:m].tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_prefix_rows_at_one_and_two_threads(self, openblas, threads):
+        get, put = openblas
+        put(threads)
+        if get() != threads:
+            pytest.skip(f"OpenBLAS cannot run {threads} threads here")
+        rng = np.random.default_rng(SEED)
+        for block_len, d in itertools.product([1, 2, 4, 8], [1, 2, 3, 8, 16, 32, 64]):
+            phases, coeffs = self._factors(rng, 1024, block_len, d)
+            whole = phases @ coeffs
+            for m in (2, 3, 5, 16, 64, 256, 1023):
+                assert (phases[:m] @ coeffs).tobytes() == whole[:m].tobytes(), (block_len, d, m)
+
+    # The two infdim-scan requests of the benchmark: N = 64 with L = 4 and
+    # N = 128 with L = 8, both modes, gamma = 1/16, m = 16, 64, 256, 1024.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n_cut,block_len", [(64, 4), (128, 8)])
+    def test_benchmark_cells_equal_single_m_runs(self, openblas, threads, n_cut, block_len):
+        get, put = openblas
+        put(threads)
+        if get() != threads:
+            pytest.skip(f"OpenBLAS cannot run {threads} threads here")
+        bump = infdim.from_bumps(16.0, [0.0], [1.0], 4 * n_cut)
+        schemes = [infdim.make_block_instrument(n_cut, block_len),
+                   infdim.make_block_instrument(n_cut, block_len, "rademacher",
+                                                SeededRng(SEED, 9999))]
+        m_list = [16, 64, 256, 1024]
+        grid = infdim.rip_experiment(bump, schemes, m_list, 3, SeededRng(SEED)).deviations
+        for scheme, scheme_devs in zip(schemes, grid):
+            for m, cell in zip(m_list, scheme_devs):
+                single = infdim.rip_experiment(bump, [scheme], [m], 3, SeededRng(SEED))
+                assert cell.tobytes() == single.deviations[0, 0].tobytes(), m
 
 
 class TestBlasPin:
