@@ -356,7 +356,7 @@ def rosenthal_deviation(
         raise ValueError("u must be a d x N matrix")
     d, n = u.shape
     tr = float(np.linalg.norm(u) ** 2)
-    if abs(tr - n) > 1e-8 * n:
+    if not abs(tr - n) <= 1e-8 * n:
         raise ValueError(f"u must satisfy tr(u^* u) = N; got {tr:.12g} for N={n}")
     m_list = [int(m) for m in m_list]
     if not m_list:

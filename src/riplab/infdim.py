@@ -246,7 +246,7 @@ def lq_norm_function(f: FourierFunction, q: float) -> float:
     how smooth |f|^q is, not on n_big: q = 1 on cos(2 pi 3 t) at n_big = 4
     is off by 3e-3.
     """
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must be >= 1")
     return grid_lq_norm(quadrature_moduli(f), q)
 
@@ -263,7 +263,7 @@ def smooth_sparse_membership(
     one); measured_gamma is the fraction of quadrature nodes where |f|
     exceeds 1e-8 times its maximum.
     """
-    if rho_max <= 0 or not (0 < gamma_max <= 1):
+    if not (rho_max > 0 and 0 < gamma_max <= 1):
         raise ValueError("need rho_max > 0 and gamma_max in (0, 1]")
     l2 = f.l2_norm()
     if l2 < 1e-14:
@@ -417,7 +417,7 @@ def truncation_level(q: float, s: float, delta: float, c2: float) -> int:
     """
     if not (1.0 < q <= 2.0):
         raise ValueError("q must lie in (1, 2]")
-    if s <= 0 or delta <= 0 or c2 <= 0:
+    if not (s > 0 and delta > 0 and c2 > 0):
         raise ValueError("s, delta, c2 must be positive")
     q_dual = q / (q - 1.0)
     ratio = delta / (2.0 * c2 * s)

@@ -42,7 +42,7 @@ class Instrument:
         if p.size < 1:
             raise ValueError("instrument payload must be non-empty")
         norm, target = float(np.linalg.norm(p)), math.sqrt(p.size)
-        if abs(norm - target) > _TOL * target:
+        if not abs(norm - target) <= _TOL * target:
             raise ValueError(f"instrument must satisfy ||eta||_F = sqrt(size); "
                              f"got {norm:.12g} for size {p.size}")
 

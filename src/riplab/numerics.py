@@ -44,7 +44,7 @@ def lq_norm(x, q: float) -> float:
         raise ValueError("lq_norm expects a vector; use schatten_norm for matrices")
     if x.size == 0:
         raise ValueError("lq_norm of an empty vector is undefined here")
-    if q != math.inf and q < 1:
+    if not q >= 1:
         raise ValueError(f"q must be >= 1 or inf, got {q}")
     mags = np.abs(x)
     top = float(mags.max())

@@ -1,18 +1,20 @@
 """Restricted-isometry estimation and its downstream consequences.
 
-The central quantity for an operator A and a signal model D is
+The central quantity for an operator A and a signal model M is
 
-    delta(A, D) = sup { | ||A x||_2^2 - 1 | : x in D, ||x||_2 = 1 },
+    delta(A, M) = sup { | x^* D x | : x in M, ||x||_2 = 1 },  D = A^* A - I,
 
 estimated exactly (support enumeration for canonical sparsity) or from below
 (sampled supports, or sampled witnesses with ascent refinement); computing it
 is NP-hard, so a sampled value only bounds it, and each RipReport states its
-side.  Each estimator has one kernel: _max_defect, the Frobenius-pruned
-maximum over any stream of canonical supports, enumerated or sampled, and
+side.  Every estimator reads one operator form, D from _defect, and has one
+kernel on it: _max_defect, the Frobenius-pruned maximum over any stream of
+canonical supports, enumerated or sampled, in the one canonical body
+_canonical_rip behind exact_rip_canonical and canonical empirical_rip; and
 _ascend, projected power ascent toward both signed extremes as one block.
-On top of that sit the multilevel check, sketched-distance bounds, a pairwise
-separation classifier, Gaussian mean width and the closed-form counts
-gordon_m, implicit_m, table1_counts.
+On top of that sit the multilevel check, sketched-distance bounds, a
+pairwise separation classifier, Gaussian mean width and the closed-form
+counts gordon_m, implicit_m, table1_counts.
 """
 
 from __future__ import annotations
@@ -92,6 +94,16 @@ def _effective(a) -> np.ndarray:
     return np.asarray(a.rows, dtype=complex)
 
 
+def _defect(a) -> tuple[int, np.ndarray]:
+    """m and D = A^* A - I for a 2-d array or an ensemble's ``rows``, taken
+    as complex.  Subtracting 1 on the diagonal in place equals subtracting a
+    dense identity bit for bit."""
+    eff = _effective(a)
+    defect = eff.conj().T @ eff
+    defect.flat[::len(defect) + 1] -= 1.0
+    return len(eff), defect
+
+
 def _chunk_size(k: int) -> int:
     return max(1, min(_SUPPORT_CHUNK, _SUPPORT_CHUNK * 16 // (k * k)))
 
@@ -107,28 +119,26 @@ def _support_chunks(supports, size: int, k: int):
         yield flat.reshape(-1, k)
 
 
-def _max_defect(gram: np.ndarray, supports, k: int) -> tuple[float, int]:
-    """Largest |eigenvalue| of gram[S, S] - I over k-supports S (k increasing
+def _max_defect(defect: np.ndarray, supports, k: int) -> tuple[float, int]:
+    """Largest |eigenvalue| of defect[S, S] over k-supports S (k increasing
     indices each; a support may recur), given as an iterable or as the rows
     of a (T, k) array, and how many supports reached eigvalsh.  No supports
     give (0.0, 0).
 
-    ||G_S - I||_2 <= ||G_S - I||_F, and
-    ||G_S - I||_F^2 = sum_i |G_ii - 1|^2 + 2 sum_{i<j} |G_ji|^2 is summed
-    from |G - I|^2 (its lower triangle, the one eigvalsh reads) without
-    gathering sub-Gram blocks.  A support reaches eigvalsh only if its bound,
-    widened by a relative rounding margin, reaches the running maximum, so
-    the maximum is taken over a superset of the argmax.  The supports go in
-    chunks, so at most one chunk of an iterable is held at a time; each
-    chunk goes to
-    eigvalsh in descending bound order, in batches of doubling size, so the
-    maximum rises before most of the chunk is tested.  A batched eigvalsh
-    runs the same LAPACK routine on each matrix as a call on that matrix
-    alone, so the result equals a per-support loop bit for bit.
+    ||D_S||_2 <= ||D_S||_F, and ||D_S||_F^2 = sum_i |D_ii|^2 +
+    2 sum_{i>j} |D_ij|^2 over the lower triangle, the one eigvalsh reads,
+    is summed from |D|^2 one index pair at a time, which is faster than
+    gathering (B, k, k) sub-blocks.  A support reaches eigvalsh only if its
+    bound, widened by a relative rounding margin, reaches the running
+    maximum, so the maximum is taken over a superset of the argmax.  The
+    supports go in chunks, so at most one chunk of an iterable is held at a
+    time; each chunk goes to eigvalsh in descending bound order, in batches
+    of doubling size, so the maximum rises before most of the chunk is
+    tested.  A batched eigvalsh runs the same LAPACK routine on each matrix
+    as a call on that matrix alone, so the result equals a per-support loop
+    bit for bit.
     """
-    # |G - I|^2 is |G|^2 off the diagonal; only the diagonal subtracts 1.
-    sq = np.abs(gram) ** 2
-    np.fill_diagonal(sq, np.abs(np.diagonal(gram) - 1.0) ** 2)
+    sq = np.abs(defect) ** 2
     delta, evaluated = 0.0, 0
     for idx in _support_chunks(supports, _chunk_size(k), k):
         fro2 = sq[idx, idx].sum(axis=1)
@@ -141,35 +151,47 @@ def _max_defect(gram: np.ndarray, supports, k: int) -> tuple[float, int]:
         while start < order.size and bound[order[start]] >= delta * delta:
             take = order[start:start + batch]
             rows = idx[take[bound[take] >= delta * delta]]
-            w = np.linalg.eigvalsh(gram[rows[:, :, None], rows[:, None, :]] - np.eye(k))
+            w = np.linalg.eigvalsh(defect[rows[:, :, None], rows[:, None, :]])
             delta = max(delta, float(np.maximum(-w[:, 0], w[:, -1]).max()))
             evaluated += len(rows)
             start, batch = start + batch, 2 * batch
     return delta, evaluated
 
 
-def exact_rip_canonical(a, k: int) -> RipReport:
-    """Exact isometry defect over all k-element supports.
+def _canonical_rip(a, model: Canonical, trials: int, rng: SeededRng | None) -> RipReport:
+    """The isometry defect over the k-supports of ``model``: the one body of
+    exact_rip_canonical (no ``rng``) and canonical empirical_rip.
 
-    Enumerates every support, so C(N, k) must not exceed 10^6, through
-    _max_defect: memory stays at one chunk of at most 8192 supports, and the
-    Frobenius pruning leaves the unpruned maximum bit for bit.  Nothing is
-    drawn, so ``details["trials"]`` is 0.
+    Every support is enumerated when there is no ``rng`` or when
+    C(N, k) <= min(trials, 10^6), and more than 10^6 raise CapacityError.
+    Otherwise ``rng.sorted_supports`` draws one support per trial at once,
+    row t equal to the sorted ``choice_no_replace`` of ``rng.stream(t)`` bit
+    for bit.  Either way the pruned _max_defect returns the unpruned maximum
+    bit for bit.
     """
-    eff = _effective(a)
-    m, n = eff.shape
-    if not (1 <= k <= n):
-        raise ValueError(f"k must lie in [1, N]; got {k}")
+    m, defect = _defect(a)
+    n, k = len(defect), model.k
+    if k > n:
+        raise ValueError(f"k={k} exceeds ambient dimension {n}")
     n_supports = math.comb(n, k)
-    if n_supports > _ENUM_CAP:
+    exhaustive = rng is None or n_supports <= min(trials, _ENUM_CAP)
+    if exhaustive and n_supports > _ENUM_CAP:
         raise CapacityError(
             f"C({n}, {k}) = {n_supports} supports exceed the enumeration cap {_ENUM_CAP}"
         )
-    gram = eff.conj().T @ eff
-    delta, evaluated = _max_defect(gram, combinations(range(n), k), k)
-    return RipReport(delta, "exact", repr(Canonical(k)), m,
-                     {"trials": 0, "supports": n_supports, "evaluated": evaluated,
-                      "ascent_iterations": 0})
+    supports = (combinations(range(n), k) if exhaustive else
+                rng.sorted_supports(range(trials), n, k))
+    delta, evaluated = _max_defect(defect, supports, k)
+    return RipReport(delta, "exact" if exhaustive else "lower", repr(model), m,
+                     {"trials": trials, "supports": n_supports if exhaustive else trials,
+                      "evaluated": evaluated, "ascent_iterations": 0})
+
+
+def exact_rip_canonical(a, k: int) -> RipReport:
+    """Exact isometry defect over all C(N, k) <= 10^6 k-element supports,
+    enumerated by _canonical_rip.  Nothing is drawn, so ``details["trials"]``
+    is 0."""
+    return _canonical_rip(a, Canonical(k), 0, None)
 
 
 def empirical_rip(
@@ -183,17 +205,10 @@ def empirical_rip(
     """Estimate of the isometry defect over a signal model, from below unless
     every support is enumerated.
 
-    Canonical models take the largest per-support extreme eigenvalue over
-    one support per trial.  ``rng.sorted_supports`` draws every trial's
-    support at once, as a (trials, k) array whose row t equals the sorted
-    ``choice_no_replace`` of ``rng.stream(t)`` bit for bit; it falls back
-    to that per-stream call only for a rejected Lemire draw and for
-    N > 10,000.  If the trial budget covers every support the supports
-    are enumerated instead, nothing is drawn (a
-    drawn support would repeat an enumerated one), and the report is
-    exact_rip_canonical's value with side "exact".  Both go through
-    exact_rip_canonical's pruned kernel, so a sampled maximum is the unpruned
-    one bit for bit.
+    Canonical models go through exact_rip_canonical's body, _canonical_rip,
+    with one drawn support per trial.  If the budget covers every support
+    they are enumerated instead, nothing is drawn (a drawn support would
+    repeat an enumerated one), and the report is exact_rip_canonical's.
     ``ascent_steps`` is unused for canonical models.
     q-cap models refine sampled witnesses by projected power ascent on the
     defect quadratic form, both signs of every trial as one block that takes
@@ -208,24 +223,9 @@ def empirical_rip(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    eff = _effective(a)
-    m, n = eff.shape
-    gram = eff.conj().T @ eff
-
     if isinstance(model, Canonical):
-        k = model.k
-        if k > n:
-            raise ValueError(f"k={k} exceeds ambient dimension {n}")
-        n_supports = math.comb(n, k)
-        exhaustive = n_supports <= trials and n_supports <= _ENUM_CAP
-        supports = (combinations(range(n), k) if exhaustive else
-                    rng.sorted_supports(range(trials), n, k))
-        delta, evaluated = _max_defect(gram, supports, k)
-        return RipReport(delta, "exact" if exhaustive else "lower", repr(model), m,
-                         {"trials": trials, "supports": n_supports if exhaustive else trials,
-                          "evaluated": evaluated, "ascent_iterations": 0})
-
-    defect = gram - np.eye(n)
+        return _canonical_rip(a, model, trials, rng)
+    m, defect = _defect(a)
     delta, steps = _ascend(model, defect, operator_norm(defect), trials, ascent_steps, rng)
     return RipReport(delta, "lower", repr(model), m,
                      {"trials": trials, "supports": 0, "evaluated": 0,
@@ -301,12 +301,10 @@ def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: S
     ``rng.stream(i)``, so every caller sees the same estimates for one ``rng``.
     The defect form and its shift are computed once for all levels.
     """
-    eff = _effective(a)
-    n = eff.shape[1]
-    levels = _level_range(q, s, n)
+    _, defect = _defect(a)
+    levels = _level_range(q, s, len(defect))
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    defect = eff.conj().T @ eff - np.eye(n)
     shift = operator_norm(defect)
     # Indexed by position, not by level: levels can be negative.
     for level, stream in zip(levels, rng.streams(range(len(levels)))):
@@ -334,7 +332,7 @@ def mrip_check(
     Per-level estimates are empirical lower bounds of the true suprema; the
     i-th level of the range draws its trials from ``rng.stream(i)``.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     levels = []
     for level, sigma, observed in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
@@ -382,7 +380,7 @@ def distance_bound_check(a, x, y, s: float, delta: float, q: float) -> dict:
     min(||h||_2^2 / 2, sqrt(2) delta (||x||+||y||) ||h||_2) is also
     evaluated.  The factor 2 is the paper's 1 + eps at eps = 1.
     """
-    if delta <= 0 or s <= 0:
+    if not (delta > 0 and s > 0):
         raise ValueError("delta and s must be positive")
     eff = _effective(a)
     x = np.asarray(x, dtype=complex).ravel()
@@ -443,10 +441,10 @@ def separation_constants(alpha: float | None = None) -> tuple:
     if alpha is None:
         return 4.0 * math.sqrt(2.0), 1.0 / math.sqrt(2.0), 8.0
     root8 = 2.0 * math.sqrt(2.0)
-    if alpha <= root8:
+    if not alpha > root8:
         raise ValueError(f"alpha must exceed 2 sqrt(2); got {alpha}")
     gap_product = alpha * (alpha - root8)
-    if gap_product <= 8.0:
+    if not gap_product > 8.0:
         raise ValueError(
             f"alpha={alpha} makes the lower sandwich factor non-positive "
             f"(need alpha (alpha - 2 sqrt(2)) > 8, got {gap_product:.6g})"
@@ -462,13 +460,13 @@ def classify_separation(a, x, y, delta: float, alpha: float | None = None):
     Separated with sandwich factors 1 -+ spread; otherwise Close with radius
     r delta.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     x = np.asarray(x, dtype=complex).ravel()
     y = np.asarray(y, dtype=complex).ravel()
     for name, v in (("x", x), ("y", y)):
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-8:
+        if not abs(nrm - 1.0) <= 1e-8:
             raise ValueError(f"{name} must be unit-norm to 1e-8; got {nrm:.12g}")
     c, spread, r = separation_constants(alpha)
     threshold = c * delta
@@ -530,11 +528,11 @@ def gaussian_width(model: Canonical, ambient: int, trials: int, rng: SeededRng) 
 
 def gordon_m(width: float, delta: float, zeta: float) -> int:
     """Gordon's count ceil(delta^-2 (width + sqrt(2 ln(2/zeta)))^2)."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if not (0.0 < zeta <= 2.0):
         raise ValueError("zeta must lie in (0, 2]")
-    if width < 0:
+    if not width >= 0:
         raise ValueError("width must be non-negative")
     return int(math.ceil((width + math.sqrt(2.0 * math.log(2.0 / zeta))) ** 2 / delta**2))
 
@@ -542,7 +540,7 @@ def gordon_m(width: float, delta: float, zeta: float) -> int:
 def implicit_m(sp: float, delta: float) -> int:
     """Smallest m with m >= delta^-2 (1 + ln m)^3 sp (monotone search,
     capacity-capped at 2^30)."""
-    if sp <= 0 or delta <= 0:
+    if not (sp > 0 and delta > 0):
         raise ValueError("sp and delta must be positive")
     coeff = sp / delta**2
 

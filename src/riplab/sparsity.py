@@ -56,7 +56,7 @@ class LqCap:
     def __post_init__(self):
         if not (1.0 <= self.q <= 2.0):
             raise ValueError(f"q must lie in [1, 2]; got {self.q}")
-        if self.s < 1.0:
+        if not self.s >= 1.0:
             raise ValueError(f"the l_q cap is empty for s < 1; got s={self.s}")
 
 
@@ -91,7 +91,7 @@ def witness_support_size(q: float, s: float, n: int) -> int:
     A flat-modulus vector on j coordinates has sparsity level exactly
     j^(2/q - 1), so this is the extremal flat witness for the q-cap.
     """
-    if s < 1.0:
+    if not s >= 1.0:
         raise ValueError("no witness exists for s < 1")
     if q == 2.0:
         return n
@@ -165,7 +165,7 @@ class SparsityOptimum:
 
 def sparsity_parameter_value(inst: Instrument, r: float, q_prime: float) -> float:
     """Objective (q')^3 r^(1 - 2/q') ||eta||_{q'}^2 at one exponent q' in [2, inf)."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     if not (2.0 <= q_prime < math.inf):
         raise ValueError(f"q' must lie in [2, inf); got {q_prime}")

@@ -1,17 +1,35 @@
 """Package-wide checks: every name a riplab module lists in ``__all__``
-exists in that module, and the frozen classes that hold arrays compare and
-hash without raising."""
+exists in that module, the frozen classes that hold arrays compare and
+hash without raising, and range checks reject NaN."""
 
 import importlib
+import math
 import pkgutil
 
 import numpy as np
 import pytest
 
 import riplab
-from riplab.group_ops import MeasurementEnsemble, monomial
-from riplab.infdim import DeviationGrid, FourierFunction, make_block_instrument
-from riplab.instruments import make_flat
+from riplab.group_ops import MeasurementEnsemble, monomial, rosenthal_deviation
+from riplab.infdim import (
+    DeviationGrid,
+    FourierFunction,
+    lq_norm_function,
+    make_block_instrument,
+    smooth_sparse_membership,
+    truncation_level,
+)
+from riplab.instruments import Instrument, make_flat
+from riplab.numerics import SeededRng, lq_norm, schatten_norm
+from riplab.rip import (
+    classify_separation,
+    distance_bound_check,
+    gordon_m,
+    implicit_m,
+    mrip_check,
+    separation_constants,
+)
+from riplab.sparsity import LqCap, sparsity_parameter_value, witness_support_size
 
 MODULES = ["riplab"] + [f"riplab.{info.name}" for info in pkgutil.iter_modules(riplab.__path__)]
 
@@ -38,3 +56,46 @@ def test_array_holders_compare_by_identity(build):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+NAN = math.nan
+E0, E1 = np.eye(4)[0], np.eye(4)[1]
+
+
+# Each check is the negation of its valid range, so NaN fails it and raises
+# the same ValueError as any other value outside the range.
+@pytest.mark.parametrize("call, message", [
+    (lambda: mrip_check(np.eye(8), 1.0, 1.0, NAN, 2, 2, SeededRng(0)),
+     "delta must be positive"),
+    (lambda: separation_constants(NAN), "alpha must exceed 2 sqrt"),
+    (lambda: classify_separation(np.eye(4), E0, E1, NAN), "delta must be positive"),
+    (lambda: classify_separation(np.eye(4), np.array([NAN, 0, 0, 0]), E1, 0.1),
+     "x must be unit-norm"),
+    (lambda: distance_bound_check(np.eye(4), E0, E1, 1.0, NAN, 1.0),
+     "delta and s must be positive"),
+    (lambda: distance_bound_check(np.eye(4), E0, E1, NAN, 0.5, 1.0),
+     "delta and s must be positive"),
+    (lambda: gordon_m(3.0, NAN, 0.5), "delta must be positive"),
+    (lambda: gordon_m(NAN, 0.5, 0.5), "width must be non-negative"),
+    (lambda: implicit_m(NAN, 0.5), "sp and delta must be positive"),
+    (lambda: lq_norm(np.ones(4), NAN), "q must be >= 1"),
+    (lambda: schatten_norm(np.eye(3), NAN), "q must be >= 1"),
+    (lambda: lq_norm_function(FourierFunction(np.ones(8), 4), NAN), "q must be >= 1"),
+    (lambda: smooth_sparse_membership(FourierFunction(np.ones(8), 4), NAN, 0.5),
+     "need rho_max > 0"),
+    (lambda: truncation_level(1.5, NAN, 0.1, 1.0), "s, delta, c2 must be positive"),
+    (lambda: LqCap(1.0, NAN), "the l_q cap is empty"),
+    (lambda: witness_support_size(1.0, NAN, 8), "no witness exists"),
+    (lambda: sparsity_parameter_value(make_flat(8), NAN, 4.0), "r must be positive"),
+    (lambda: Instrument("x", [NAN, 1]), "instrument must satisfy"),
+    (lambda: rosenthal_deviation(np.full((1, 4), NAN), "shiftmod", [2], 1, SeededRng(0)),
+     "u must satisfy"),
+], ids=["mrip_check-delta", "separation_constants", "classify_separation-delta",
+        "classify_separation-x", "distance_bound_check-delta", "distance_bound_check-s",
+        "gordon_m-delta", "gordon_m-width", "implicit_m", "lq_norm", "schatten_norm",
+        "lq_norm_function", "smooth_sparse_membership", "truncation_level", "LqCap",
+        "witness_support_size", "sparsity_parameter_value", "Instrument",
+        "rosenthal_deviation"])
+def test_nan_fails_range_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

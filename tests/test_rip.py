@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riplab import rip
-from riplab.group_ops import gaussian_ensemble, sample_ensemble
+from riplab.group_ops import MeasurementEnsemble, gaussian_ensemble, sample_ensemble
 from riplab.instruments import make_flat
 from riplab.numerics import CapacityError, SeededRng, operator_norm
 from riplab.rip import (
@@ -93,8 +93,42 @@ def reference_support_defect(gram, supports):
     return delta
 
 
+class TestDefect:
+    """_defect(a) is (m, A^* A - np.eye(N)) bit for bit, A taken as complex.
+
+    Entries are signed zeros or a few finite values, and some columns are
+    zeroed with either sign, so zeros of both signs reach the Gram.
+    """
+
+    @staticmethod
+    def operator(seed, m, n, complex_entries):
+        g = np.random.default_rng(seed)
+        values = [0.0, -0.0, 1.5, -2.0, 0.25]
+        a = np.zeros((m, n), dtype=complex if complex_entries else float)
+        a.real = g.choice(values, size=(m, n))
+        if complex_entries:
+            a.imag = g.choice(values, size=(m, n))
+        a[:, g.random(n) < 0.3] *= g.choice([0.0, -0.0])
+        return a
+
+    @settings(max_examples=100)
+    @given(m=st.integers(1, 8), n=st.integers(1, 9), complex_entries=st.booleans(),
+           ensemble=st.booleans(), seed=st.integers(0, 2**16))
+    @example(m=5, n=6, complex_entries=True, ensemble=False, seed=0)
+    @example(m=2, n=6, complex_entries=False, ensemble=True, seed=1)
+    def test_equals_gram_minus_identity(self, m, n, complex_entries, ensemble, seed):
+        a = self.operator(seed, m, n, complex_entries)
+        eff = a.astype(complex)
+        expected = eff.conj().T @ eff - np.eye(n)
+        got_m, defect = rip._defect(MeasurementEnsemble(eff) if ensemble else a)
+        assert got_m == m
+        assert defect.dtype == expected.dtype and defect.shape == expected.shape
+        assert np.array_equal(defect.view(np.uint64), expected.view(np.uint64))
+
+
 class TestSupportDefects:
-    """The pruned kernel against a per-support loop, bit for bit.
+    """The pruned kernel, given D = G - I, against a per-support loop on the
+    Gram G, bit for bit.
 
     The chunk is shrunk to 7 supports so every run spans several chunks and
     most end on a partial one.
@@ -136,11 +170,11 @@ class TestSupportDefects:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(rip, "_SUPPORT_CHUNK", 7)
                 mp.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-                got, evaluated = rip._max_defect(gram, iter(supports), k)
+                got, evaluated = rip._max_defect(gram - np.eye(n), iter(supports), k)
             assert got == reference_support_defect(gram, supports)
             assert evaluated == sum(calls) and 1 <= evaluated <= len(supports)
             assert max(calls) <= 7
-        assert rip._max_defect(gram, [], k) == (0.0, 0)
+        assert rip._max_defect(gram - np.eye(n), [], k) == (0.0, 0)
 
     @settings(max_examples=30)
     @given(st.integers(3, 9), st.integers(1, 4), st.integers(1, 12), st.booleans(),
@@ -194,7 +228,7 @@ class TestSupportDefects:
                     for stream in SeededRng(seed, 1).streams(range(trials))]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rip, "_SUPPORT_CHUNK", chunk)
-            delta, evaluated = rip._max_defect(self.library_gram(a), supports, k)
+            delta, evaluated = rip._max_defect(self.library_gram(a) - np.eye(n), supports, k)
             report = empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed, 1))
         assert report.delta_hat.hex() == delta.hex()
         assert report.details == {"trials": trials, "supports": trials,
@@ -234,9 +268,37 @@ class TestSupportDefects:
         every = list(itertools.combinations(range(n), k))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rip, "_SUPPORT_CHUNK", 7)
-            got, evaluated = rip._max_defect(gram, every, k)
+            got, evaluated = rip._max_defect(gram - np.eye(n), every, k)
         assert got.hex() == reference_support_defect(gram, every).hex()
         assert 1 <= evaluated <= math.comb(n, k)
+
+
+class TestCanonicalBody:
+    """exact_rip_canonical and empirical_rip with a budget that covers every
+    support are one computation: only ``trials`` differs."""
+
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 9), k=st.integers(1, 9), m=st.integers(1, 12),
+           complex_entries=st.booleans(), extra=st.integers(0, 40),
+           seed=st.integers(0, 2**16))
+    def test_exact_equals_exhaustive_empirical(self, n, k, m, complex_entries, extra, seed):
+        k = min(k, n)
+        a = TestSupportDefects.operator(seed, m, n, complex_entries)
+        trials = math.comb(n, k) + extra
+        exact = exact_rip_canonical(a, k)
+        emp = empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed))
+        assert exact.delta_hat.hex() == emp.delta_hat.hex()
+        assert (exact.side, exact.model, exact.m) == (emp.side, emp.model, emp.m)
+        assert ({**exact.details, "trials": trials} == emp.details
+                and exact.details["trials"] == 0)
+        assert emp.details["supports"] == math.comb(n, k)
+
+    def test_k_above_n_same_message(self):
+        with pytest.raises(ValueError) as exact:
+            exact_rip_canonical(np.eye(4), 5)
+        with pytest.raises(ValueError) as emp:
+            empirical_rip(np.eye(4), Canonical(5), 10, rng=SeededRng(SEED))
+        assert str(exact.value) == str(emp.value) == "k=5 exceeds ambient dimension 4"
 
 
 class TestEmpiricalRip:
