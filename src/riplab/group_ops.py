@@ -24,8 +24,8 @@ All three are monomial unitaries: a coordinate permutation times
 unit-modulus phases (doubleqft on the row-major flattening of its n x n
 matrices).  ``monomial(variant, n, params)`` turns a parameter batch into
 one ``Monomial`` of (B, dim) index and phase arrays, so sigma(g) x is
-``x[perm] * phase``.  Ensemble rows and isotropy orbits are gathers through
-that one form, and the moment-deviation scan scatters u's columns by it.
+``x[perm] * phase``.  Ensemble rows, isotropy orbits and the blocks of the
+moment-deviation scan are all gathers through that one form.
 
 A measurement row for instrument eta and group element g is the functional
 x |-> <sigma(g) eta, x>, scaled by 1/sqrt(m).  ``sample_ensemble`` takes the
@@ -175,12 +175,11 @@ def draw_elements(variant: str, n: int, m: int, rng: SeededRng) -> np.ndarray:
     """The (m, p) parameter array of m independent uniform elements of the
     chosen group over side n.
 
-    The draw order is part of every report: shiftmod draws all m
-    modulations, then all m shifts; doubleqft and signshift draw element by
-    element, signshift each element's signs, then its shift.
+    The draw order is part of every report: element after element, each
+    element's parameters in order (signshift its signs, then its shift).
+    numpy fills the draw one bounded integer after the other, so an m-row
+    draw is the first m rows of a larger one from the same rng state.
     """
-    if variant == "shiftmod":
-        return rng.integers(0, n, (2, m)).T
     bounds = _bounds(variant, n)
     return _from_draws(variant, n, rng.integers(0, bounds, (m, len(bounds))))
 
@@ -301,17 +300,38 @@ def gaussian_ensembles(dim: int, m_list, rng: SeededRng) -> Iterator[Measurement
 
 _ISOTROPY_CAPS = {"shiftmod": 16, "doubleqft": 4, "signshift": 8}
 
-# Complex entries of one scattered block of the moment-deviation scan
+# Complex entries of one gathered block of the moment-deviation scan
 # (256 KB); larger blocks only add their temporaries to the peak memory.
 _GRAM_CHUNK_ENTRIES = 1 << 14
 
 
+def _orbit_gram(w: np.ndarray, variant: str, side: int, params) -> np.ndarray:
+    # sum_g O_g^T conj(O_g), where row i of O_g is sigma(g) w_i: the rows of
+    # the complex (d, dim) array w mapped by every element of params, gathered
+    # as ensemble rows are, so it is sum_g sigma(g) (w^T conj(w)) sigma(g)^*.
+    g = monomial(variant, side, params)
+    orbit = (w[:, g.perm] * g.phase).reshape(-1, g.dim)
+    return orbit.T @ np.conj(orbit)
+
+
+def _deviation(gram: np.ndarray, count: int) -> float:
+    # ||gram / count - I||_2; subtracting 1 on the diagonal in place equals
+    # subtracting a dense identity bit for bit.
+    avg = gram / count
+    avg.flat[::len(avg) + 1] -= 1.0
+    return operator_norm(avg)
+
+
 def isotropy_defect(inst: Instrument, variant: str) -> float:
     """Operator-norm distance between the exact group average
-    (1/|G|) sum_g sigma(g)^* eta eta^* sigma(g) and the identity.
+    (1/|G|) sum_g sigma(g) eta eta^* sigma(g)^* and the identity.  The group
+    is closed under inverses, so this is also the average of
+    sigma(g)^* eta eta^* sigma(g).
 
     The group is enumerated exhaustively, so the dimension caps are hard:
-    N <= 16 for shiftmod, n <= 4 for doubleqft, N <= 8 for signshift.
+    N <= 16 for shiftmod, n <= 4 for doubleqft, N <= 8 for signshift.  The
+    whole orbit, at most 2^14 entries at the caps, is one gather and one
+    Gram product.
     """
     n = group_side(variant, inst.ambient_dim, inst.is_matrix)
     cap = _ISOTROPY_CAPS[variant]
@@ -319,12 +339,9 @@ def isotropy_defect(inst: Instrument, variant: str) -> float:
         raise CapacityError(
             f"isotropy_defect enumerates the full group; {variant} is capped at {cap} (got {n})"
         )
-
-    orbit = monomial(variant, n, enumerate_group(variant, n)).apply(inst.payload.ravel())
-    # (1/|G|) sum_g v_g v_g^*; closure under inverses makes the adjoint
-    # orientation of the definition give the same sum.
-    avg = orbit.T @ np.conj(orbit) / len(orbit)
-    return operator_norm(avg - np.eye(inst.ambient_dim))
+    group = enumerate_group(variant, n)
+    eta = np.asarray(inst.payload, dtype=complex).reshape(1, -1)
+    return _deviation(_orbit_gram(eta, variant, n, group), len(group))
 
 
 def rosenthal_deviation(
@@ -336,20 +353,23 @@ def rosenthal_deviation(
 ) -> list[dict]:
     """Empirical second-moment deviation of a compression u under random
     group conjugation: for each M, the operator norm of
-    (1/M) sum_j sigma(g_j)^* u^* u sigma(g_j) - Id, over independent trials.
+    (1/M) sum_j sigma(g_j) u^* u sigma(g_j)^* - Id, over independent trials.
+    g -> g^-1 preserves the uniform measure, so this has the law of the
+    average of sigma(g_j)^* u^* u sigma(g_j).
 
     u is d x N with tr(u^* u) = N (the isotropic scaling).  Returns one record
-    per M with the raw deviations plus their median and mean.  Trials use
-    per-trial RNG streams, so results do not depend on execution order.
+    per entry of m_list, in list order (repeats allowed), with the raw
+    deviations plus their median and mean.
 
-    The sum is the Gram matrix V^* V of the stacked d x N blocks
-    V_j = u sigma(g_j).  Each block is u's columns times phases, scattered
-    to the places the forward monomial sends them, so a trial costs one
-    scatter and one matrix product per chunk of elements.  A chunk holds at
-    most 2^14 complex entries of V (one element per chunk when d N exceeds
-    that), and its monomials are built from the trial's drawn parameters
-    chunk by chunk, so memory stays bounded in M.
-    Each trial draws its elements with ``draw_elements``.
+    Trial t draws max(m_list) elements once, with ``draw_elements``, from
+    ``rng.stream(t)``, so results do not depend on execution order.  The sum
+    is the isotropy kernel's orbit Gram of the rows of conj(u), taken over
+    fixed blocks of elements, each holding at most 2^14 complex entries of
+    the gathered orbit (one element when d N exceeds that), so memory stays
+    bounded in M.  Whole blocks add into one running Gram; an M that ends
+    inside a block adds that block's first elements to a copy.  A draw of M
+    elements is the first M rows of the larger draw, so every record equals
+    a run with that M alone bit for bit.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
@@ -365,33 +385,23 @@ def rosenthal_deviation(
         raise ValueError("all M and trials must be >= 1")
     side = group_side(variant, n)
 
-    eye = np.eye(n)
+    w = np.conj(u)
     chunk = max(1, _GRAM_CHUNK_ENTRIES // (d * n))
-    results = []
-    for mi, m in enumerate(m_list):
-        devs = np.empty(trials)
-        streams = rng.streams(trial * len(m_list) + mi for trial in range(trials))
-        for trial, stream in enumerate(streams):
-            params = draw_elements(variant, side, m, stream)
-            acc = np.zeros((n, n), dtype=complex)
-            for lo in range(0, m, chunk):
-                # Column perm[b, l] of u sigma(g_b) is u[:, l] * phase[b, l], so
-                # one scatter of the forward monomial fills the (d, B, n) blocks.
-                g = monomial(variant, side, params[lo:lo + chunk])
-                v = np.empty((d, len(g.perm), n), dtype=complex)
-                v[:, np.arange(len(g.perm))[:, None], g.perm] = u[:, None, :] * g.phase
-                v = v.reshape(-1, n)
-                acc += v.conj().T @ v
-            devs[trial] = operator_norm(acc / m - eye)
-        results.append(
-            {
-                "M": m,
-                "median": float(np.median(devs)),
-                "mean": float(devs.mean()),
-                "deviations": devs.tolist(),
-            }
-        )
-    return results
+    devs = {m: np.empty(trials) for m in sorted(set(m_list))}
+    for trial, stream in enumerate(rng.streams(range(trials))):
+        params = draw_elements(variant, side, max(m_list), stream)
+        acc = np.zeros((n, n), dtype=complex)
+        done = 0
+        for m, cell in devs.items():
+            # Whole blocks go into the running Gram, a block that m ends in
+            # only into a copy.
+            for lo in range(done, m - m % chunk, chunk):
+                acc += _orbit_gram(w, variant, side, params[lo:lo + chunk])
+            done = m - m % chunk
+            gram = acc + _orbit_gram(w, variant, side, params[done:m]) if m > done else acc
+            cell[trial] = _deviation(gram, m)
+    return [{"M": m, "median": float(np.median(devs[m])), "mean": float(devs[m].mean()),
+             "deviations": devs[m].tolist()} for m in m_list]
 
 
 def group_side(variant: str, dim: int, matrix: bool | None = None) -> int:

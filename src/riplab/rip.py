@@ -436,7 +436,8 @@ def separation_constants(alpha: float | None = None) -> tuple:
     Default: c = 4 sqrt(2), spread = 1/sqrt(2), r = 8.  A custom
     alpha > 2 sqrt(2) gives c = alpha and spread
     2 sqrt(2)/sqrt(alpha (alpha - 2 sqrt(2))); alpha values for which the
-    lower sandwich factor 1 - spread is not positive are rejected.
+    lower sandwich factor 1 - spread is not positive, or r is out of double
+    range, are rejected.
     """
     if alpha is None:
         return 4.0 * math.sqrt(2.0), 1.0 / math.sqrt(2.0), 8.0
@@ -450,7 +451,9 @@ def separation_constants(alpha: float | None = None) -> tuple:
             f"(need alpha (alpha - 2 sqrt(2)) > 8, got {gap_product:.6g})"
         )
     # r is the smallest beta with alpha^2 <= beta (beta - 2 sqrt(2)).
-    return alpha, root8 / math.sqrt(gap_product), math.sqrt(2.0) + math.sqrt(2.0 + alpha**2)
+    r = _finite(lambda: math.sqrt(2.0) + math.sqrt(2.0 + alpha**2),
+                f"r = sqrt(2) + sqrt(2 + alpha^2) at alpha={alpha:g}")
+    return alpha, root8 / math.sqrt(gap_product), r
 
 
 def classify_separation(a, x, y, delta: float, alpha: float | None = None):
@@ -527,14 +530,29 @@ def gaussian_width(model: Canonical, ambient: int, trials: int, rng: SeededRng) 
 
 
 def gordon_m(width: float, delta: float, zeta: float) -> int:
-    """Gordon's count ceil(delta^-2 (width + sqrt(2 ln(2/zeta)))^2)."""
+    """Gordon's count ceil(delta^-2 (width + sqrt(2 ln(2/zeta)))^2).  A count
+    out of double range (a tiny delta or zeta) raises ValueError."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     if not (0.0 < zeta <= 2.0):
         raise ValueError("zeta must lie in (0, 2]")
     if not width >= 0:
         raise ValueError("width must be non-negative")
-    return int(math.ceil((width + math.sqrt(2.0 * math.log(2.0 / zeta))) ** 2 / delta**2))
+    count = _finite(lambda: (width + math.sqrt(2.0 * math.log(2.0 / zeta))) ** 2 / delta**2,
+                    f"Gordon's count at width={width:g}, delta={delta:g}, zeta={zeta:g}")
+    return int(math.ceil(count))
+
+
+def _finite(compute, what: str) -> float:
+    # compute(), or a ValueError naming what when it overflows, divides by a
+    # value that underflowed to 0, or comes out infinite.
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is out of double range")
+    return value
 
 
 def implicit_m(sp: float, delta: float) -> int:

@@ -44,8 +44,12 @@ class Canonical:
     k: int
 
     def __post_init__(self):
+        # Only integer types, not bool: 2.5 or nan would fail deep in math.comb.
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer; got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        object.__setattr__(self, "k", int(self.k))
 
 
 @dataclass(frozen=True)

@@ -658,6 +658,23 @@ class TestValidation:
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
         assert list(tmp_path.iterdir()) == []
 
+    # Finite flags whose count or constant leaves the double range: delta^2
+    # underflows to 0 or to a subnormal, 2 / zeta overflows, alpha^2 overflows.
+    @pytest.mark.parametrize("argv", [
+        ("gordon", "--N", "4", "--k", "2", "--delta", "1e-300"),
+        ("gordon", "--N", "4", "--k", "2", "--delta", "1e-160"),
+        ("gordon", "--N", "4", "--k", "2", "--zeta", "1e-320", "--validate-only"),
+        ("weakdiff", "--N", "8", "--m", "4", "--s", "2", "--alpha", "1e200"),
+    ], ids=["gordon-delta-1e-300", "gordon-delta-1e-160", "gordon-zeta-1e-320",
+            "weakdiff-alpha-1e200"])
+    def test_float_range_overflow_is_a_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"config error: [^\n]* is out of double range\n", captured.err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", _VALID.values(), ids=list(_VALID))
     def test_report_cells_and_config_echo(self, tmp_path, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0

@@ -24,12 +24,13 @@ from riplab.numerics import SeededRng, lq_norm, schatten_norm
 from riplab.rip import (
     classify_separation,
     distance_bound_check,
+    exact_rip_canonical,
     gordon_m,
     implicit_m,
     mrip_check,
     separation_constants,
 )
-from riplab.sparsity import LqCap, sparsity_parameter_value, witness_support_size
+from riplab.sparsity import Canonical, LqCap, sparsity_parameter_value, witness_support_size
 
 MODULES = ["riplab"] + [f"riplab.{info.name}" for info in pkgutil.iter_modules(riplab.__path__)]
 
@@ -90,12 +91,29 @@ E0, E1 = np.eye(4)[0], np.eye(4)[1]
     (lambda: Instrument("x", [NAN, 1]), "instrument must satisfy"),
     (lambda: rosenthal_deviation(np.full((1, 4), NAN), "shiftmod", [2], 1, SeededRng(0)),
      "u must satisfy"),
+    (lambda: Canonical(NAN), "k must be an integer; got nan"),
+    (lambda: exact_rip_canonical(np.eye(4), NAN), "k must be an integer; got nan"),
 ], ids=["mrip_check-delta", "separation_constants", "classify_separation-delta",
         "classify_separation-x", "distance_bound_check-delta", "distance_bound_check-s",
         "gordon_m-delta", "gordon_m-width", "implicit_m", "lq_norm", "schatten_norm",
         "lq_norm_function", "smooth_sparse_membership", "truncation_level", "LqCap",
         "witness_support_size", "sparsity_parameter_value", "Instrument",
-        "rosenthal_deviation"])
+        "rosenthal_deviation", "Canonical", "exact_rip_canonical"])
 def test_nan_fails_range_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Canonical takes integer types only, as SeededRng does for seeds, and keeps
+# k as a Python int.
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"], ids=["2.5", "2.0", "True", "str"])
+def test_canonical_rejects_non_integer_k(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        Canonical(k)
+
+
+def test_canonical_stores_a_python_int():
+    model = Canonical(np.int64(2))
+    assert type(model.k) is int
+    assert repr(model) == "Canonical(k=2)"
+    assert model == Canonical(2)

@@ -24,7 +24,7 @@ from riplab.instruments import (
     make_scaled_identity,
     make_schatten_decay,
 )
-from riplab.numerics import CapacityError, SeededRng
+from riplab.numerics import CapacityError, SeededRng, operator_norm
 
 SEED = 90210
 
@@ -265,6 +265,25 @@ class TestIsotropyDefect:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             isotropy_defect(make_flat(32), "shiftmod")
+
+    @pytest.mark.parametrize("variant", ["shiftmod", "doubleqft", "signshift"])
+    def test_equals_the_explicit_orbit_formula(self, variant):
+        # The orbit Gram over the whole group, divided by |G|, minus a dense
+        # identity, for a real and a complex instrument at every side up to
+        # the cap.
+        for n in range(1, go._ISOTROPY_CAPS[variant] + 1):
+            if variant == "doubleqft":
+                insts = [make_scaled_identity(n), make_schatten_decay(n, 0.25, SeededRng(n))]
+            else:
+                z = SeededRng(SEED + 26, n).complex_normal(n)
+                insts = [make_decaying_window(n, max(1, n // 2), 0.25),
+                         Instrument("random", z * math.sqrt(n) / np.linalg.norm(z))]
+            for inst in insts:
+                group = enumerate_group(variant, n)
+                orbit = monomial(variant, n, group).apply(inst.payload.ravel())
+                avg = orbit.T @ np.conj(orbit) / len(group)
+                expected = operator_norm(avg - np.eye(inst.ambient_dim))
+                assert isotropy_defect(inst, variant).hex() == expected.hex()
 
 
 class TestRosenthalDeviation:
@@ -628,27 +647,20 @@ class TestEnsemblePrefixes:
 
 
 def _reference_deviations(u, variant, m_list, trials, rng):
-    """Moment deviations from an explicit sum of S^* W S over dense unitaries,
-    with the scan's draws replayed stream by stream."""
+    """Moment deviations from an explicit sum of S W S^* over dense unitaries,
+    W = u^* u.  Trial t replays its one draw of max(m_list) elements from
+    stream t, element by element, and M averages the first M of them."""
     n = u.shape[1]
     side = math.isqrt(n) if variant == "doubleqft" else n
     w = u.conj().T @ u
-    out = []
-    for mi, m in enumerate(m_list):
-        devs = []
-        for trial in range(trials):
-            stream = rng.stream(trial * len(m_list) + mi)
-            if variant == "shiftmod":
-                ts, ks = stream.integers(0, side, m), stream.integers(0, side, m)
-                rows = list(zip(ts, ks))
-            elif variant == "signshift":
-                rows = [[*stream.rademacher(side), stream.integers(0, side)] for _ in range(m)]
-            else:
-                rows = [stream.integers(0, side, 4) for _ in range(m)]
-            dense = [_dense(variant, side, row) for row in rows]
-            total = sum(s.conj().T @ w @ s for s in dense)
+    out = [[] for _ in m_list]
+    for trial in range(trials):
+        stream = rng.stream(trial)
+        rows = [_per_row_elements(variant, side, stream) for _ in range(max(m_list))]
+        dense = [_dense(variant, side, row) for row in rows]
+        for devs, m in zip(out, m_list):
+            total = sum(s @ w @ s.conj().T for s in dense[:m])
             devs.append(np.linalg.norm(total / m - np.eye(n), 2))
-        out.append(devs)
     return out
 
 
@@ -658,11 +670,43 @@ class TestRosenthalDenseReference:
     def test_matches_explicit_conjugation_sum(self, variant, n, chunk_entries, monkeypatch):
         if chunk_entries is not None:
             monkeypatch.setattr(go, "_GRAM_CHUNK_ENTRIES", chunk_entries)
-        m_list = [1, 3, 17]
+        m_list = [3, 17, 1, 3]
         for d in range(1, n + 1):
             u = SeededRng(SEED + 30, d).complex_normal((d, n))
             u *= math.sqrt(n) / np.linalg.norm(u)
             records = rosenthal_deviation(u, variant, m_list, 2, SeededRng(SEED + 31, d))
             expected = _reference_deviations(u, variant, m_list, 2, SeededRng(SEED + 31, d))
+            assert [rec["M"] for rec in records] == m_list
             for rec, devs in zip(records, expected):
                 np.testing.assert_allclose(rec["deviations"], devs, rtol=0, atol=1e-12)
+
+
+class TestRosenthalPrefixes:
+    """Every M of one scan reads a prefix of each trial's one draw, bit for
+    bit what a scan of that M alone gives."""
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(("shiftmod", "signshift", "doubleqft")), st.integers(1, 12),
+           st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_draws_are_prefixes_of_larger_draws(self, variant, n, m, extra, seed):
+        whole = draw_elements(variant, n, m + extra, SeededRng(seed))
+        part = draw_elements(variant, n, m, SeededRng(seed))
+        assert part.tobytes() == whole[:m].tobytes()
+
+    @pytest.mark.parametrize("chunk_entries", [None, 1, 40])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("variant,n", [("shiftmod", 6), ("signshift", 5), ("doubleqft", 9)])
+    def test_records_equal_single_m_runs(self, variant, n, d, chunk_entries, monkeypatch):
+        # 40 entries put block boundaries inside and at the ends of the M.
+        if chunk_entries is not None:
+            monkeypatch.setattr(go, "_GRAM_CHUNK_ENTRIES", chunk_entries)
+        u = SeededRng(SEED + 32, d).complex_normal((d, n))
+        u *= math.sqrt(n) / np.linalg.norm(u)
+        m_list = [17, 1, 3, 17, 40]
+        records = rosenthal_deviation(u, variant, m_list, 3, SeededRng(SEED + 33))
+        assert [rec["M"] for rec in records] == m_list
+        for rec in records:
+            (single,) = rosenthal_deviation(u, variant, [rec["M"]], 3, SeededRng(SEED + 33))
+            hexes = [[v.hex() for v in r["deviations"]] + [r["median"].hex(), r["mean"].hex()]
+                     for r in (rec, single)]
+            assert hexes[0] == hexes[1]
