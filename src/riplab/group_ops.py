@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import Instrument
-from .numerics import CapacityError, SeededRng, operator_norm
+from .numerics import CapacityError, SeededRng, as_int, operator_norm
 
 __all__ = [
     "Monomial",
@@ -81,6 +81,10 @@ class Monomial:
     @property
     def dim(self) -> int:
         return int(self.perm.shape[1])
+
+    def __getitem__(self, rows: slice) -> Monomial:
+        """The elements of a slice of the batch, as views."""
+        return Monomial(self.perm[rows], self.phase[rows])
 
     def apply(self, x) -> np.ndarray:
         """A (dim,) vector gives its (B, dim) orbit; a (B, dim) block is
@@ -303,14 +307,20 @@ _ISOTROPY_CAPS = {"shiftmod": 16, "doubleqft": 4, "signshift": 8}
 # Complex entries of one gathered block of the moment-deviation scan
 # (256 KB); larger blocks only add their temporaries to the peak memory.
 _GRAM_CHUNK_ENTRIES = 1 << 14
+# Permutation entries of one monomial the scan builds for a run of blocks
+# (1.5 MB with its phases).
+_MONOMIAL_RUN_ENTRIES = 1 << 16
 
 
-def _orbit_gram(w: np.ndarray, variant: str, side: int, params) -> np.ndarray:
+def _orbit_gram(w: np.ndarray, g: Monomial) -> np.ndarray:
     # sum_g O_g^T conj(O_g), where row i of O_g is sigma(g) w_i: the rows of
-    # the complex (d, dim) array w mapped by every element of params, gathered
-    # as ensemble rows are, so it is sum_g sigma(g) (w^T conj(w)) sigma(g)^*.
-    g = monomial(variant, side, params)
-    orbit = (w[:, g.perm] * g.phase).reshape(-1, g.dim)
+    # the complex (d, dim) array w mapped by every element of g, so it is
+    # sum_g sigma(g) (w^T conj(w)) sigma(g)^*.  np.take gathers the orbit as
+    # a C-ordered (d, B, dim) array, so the phases multiply in place and the
+    # reshape to d B rows is a view; the orbit holds d B dim entries.
+    orbit = np.take(w, g.perm, axis=1)
+    orbit *= g.phase
+    orbit = orbit.reshape(-1, g.dim)
     return orbit.T @ np.conj(orbit)
 
 
@@ -341,7 +351,7 @@ def isotropy_defect(inst: Instrument, variant: str) -> float:
         )
     group = enumerate_group(variant, n)
     eta = np.asarray(inst.payload, dtype=complex).reshape(1, -1)
-    return _deviation(_orbit_gram(eta, variant, n, group), len(group))
+    return _deviation(_orbit_gram(eta, monomial(variant, n, group)), len(group))
 
 
 def rosenthal_deviation(
@@ -365,11 +375,15 @@ def rosenthal_deviation(
     ``rng.stream(t)``, so results do not depend on execution order.  The sum
     is the isotropy kernel's orbit Gram of the rows of conj(u), taken over
     fixed blocks of elements, each holding at most 2^14 complex entries of
-    the gathered orbit (one element when d N exceeds that), so memory stays
-    bounded in M.  Whole blocks add into one running Gram; an M that ends
-    inside a block adds that block's first elements to a copy.  A draw of M
-    elements is the first M rows of the larger draw, so every record equals
-    a run with that M alone bit for bit.
+    the gathered orbit (one element when d N exceeds that).  The monomial of
+    the elements is built once per run of whole blocks, at most 2^16
+    permutation entries (one block when a block exceeds that), and each block
+    gathers through a view of it, so memory stays bounded in M.  Whole
+    blocks add into one running Gram; an M that ends inside a block adds
+    that block's first elements to a copy.  A draw of M elements is the
+    first M rows of the larger draw, and a monomial's rows do not depend on
+    the batch they are built in, so every record equals a run with that M
+    alone bit for bit.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
@@ -378,7 +392,7 @@ def rosenthal_deviation(
     tr = float(np.linalg.norm(u) ** 2)
     if not abs(tr - n) <= 1e-8 * n:
         raise ValueError(f"u must satisfy tr(u^* u) = N; got {tr:.12g} for N={n}")
-    m_list = [int(m) for m in m_list]
+    m_list, trials = [as_int(m, "M") for m in m_list], as_int(trials, "trials")
     if not m_list:
         raise ValueError("m_list needs at least one M")
     if any(m < 1 for m in m_list) or trials < 1:
@@ -387,19 +401,29 @@ def rosenthal_deviation(
 
     w = np.conj(u)
     chunk = max(1, _GRAM_CHUNK_ENTRIES // (d * n))
+    run = chunk * max(1, _MONOMIAL_RUN_ENTRIES // (chunk * n))
     devs = {m: np.empty(trials) for m in sorted(set(m_list))}
+    top = max(devs)
     for trial, stream in enumerate(rng.streams(range(trials))):
-        params = draw_elements(variant, side, max(m_list), stream)
+        params = draw_elements(variant, side, top, stream)
         acc = np.zeros((n, n), dtype=complex)
-        done = 0
-        for m, cell in devs.items():
-            # Whole blocks go into the running Gram, a block that m ends in
-            # only into a copy.
-            for lo in range(done, m - m % chunk, chunk):
-                acc += _orbit_gram(w, variant, side, params[lo:lo + chunk])
-            done = m - m % chunk
-            gram = acc + _orbit_gram(w, variant, side, params[done:m]) if m > done else acc
-            cell[trial] = _deviation(gram, m)
+        ends = iter(devs.items())
+        m, cell = next(ends)
+        for lo in range(0, top, chunk):
+            if lo % run == 0:
+                g = monomial(variant, side, params[lo:lo + run])
+            block = g[lo % run:lo % run + chunk]
+            # An M that ends at the block's start reads the running Gram, one
+            # that ends inside it a copy plus the block's first elements.
+            while m is not None and m < lo + chunk:
+                cell[trial] = _deviation(acc + _orbit_gram(w, block[:m - lo]) if m > lo else acc,
+                                         m)
+                m, cell = next(ends, (None, None))
+            if m is None:
+                break
+            acc += _orbit_gram(w, block)
+        if m is not None:
+            cell[trial] = _deviation(acc, m)
     return [{"M": m, "median": float(np.median(devs[m])), "mean": float(devs[m].mean()),
              "deviations": devs[m].tolist()} for m in m_list]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng
+from .numerics import SeededRng, as_int
 
 __all__ = [
     "FourierFunction",
@@ -478,7 +478,8 @@ def rip_experiment(
     Uniform doubles are drawn in sequence, so every cell equals a run of
     rip_experiment on that scheme and m alone.
     """
-    schemes, m_list = list(schemes), [int(m) for m in m_list]
+    schemes, m_list = list(schemes), [as_int(m, "m") for m in m_list]
+    trials = as_int(trials, "trials")
     if not schemes or not m_list:
         raise ValueError("need at least one scheme and one m")
     if min(m_list) < 1 or trials < 1:
@@ -505,4 +506,4 @@ def rip_experiment(
             for j, m in enumerate(m_list):
                 cell = single if m == 1 else energy[:m]
                 devs[i, j, trial] = abs(float(cell.mean()) - 1.0)
-    return DeviationGrid(devs, {"trials": int(trials)})
+    return DeviationGrid(devs, {"trials": trials})

@@ -19,6 +19,7 @@ __all__ = [
     "lq_norm",
     "schatten_norm",
     "operator_norm",
+    "as_int",
     "SeededRng",
     "pin_blas_threads",
 ]
@@ -68,6 +69,15 @@ def operator_norm(a) -> float:
     if a.ndim != 2:
         raise ValueError("operator_norm expects a matrix")
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def as_int(value, name: str) -> int:
+    """value as a Python int.  Only integer types are counts, not bool:
+    int() would truncate 2.7 to 2 and read True as 1.  Anything else raises
+    a ValueError that names ``name`` and the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    return int(value)
 
 
 # Child streams are derived this many indices at a time, so a derivation holds

@@ -212,10 +212,10 @@ def empirical_rip(
     ``ascent_steps`` is unused for canonical models.
     q-cap models refine sampled witnesses by projected power ascent on the
     defect quadratic form, both signs of every trial as one block that takes
-    one complex matrix product per step; each row is bit-identical to an
-    ascent run on that row alone.  A row stops early when its iterate
-    vanishes under the step (as every row does when the defect is 0) or
-    repeats bit for bit, which changes no result.
+    one complex matrix product of its live rows per step; each row is
+    bit-identical to an ascent run on that row alone.  A row stops early
+    when its iterate vanishes under the step (as every row does when the
+    defect is 0) or repeats bit for bit, which changes no result.
 
     Each trial draws its witness from its own RNG stream, so the estimate is
     a running maximum over per-trial streams and is non-decreasing in
@@ -243,34 +243,39 @@ def _ascend(model: LqCap, defect: np.ndarray, shift: float, trials: int, steps: 
     Returns the largest |form| over the drawn and the final rows, and the
     number of row-steps run.
 
-    Each step is one product x @ defect.T over the whole block, whichever
-    rows are still live.  OpenBLAS computes each row of a zgemm apart from
-    the other rows, so a row of the block equals that row's product padded
-    with a zero row, and a product with +-1 is exact: every row is
-    bit-identical to an ascent run on that row alone.  The product must
-    always cover the whole block, since numpy sends a one-row product to
-    zgemv, which rounds differently.
+    Each step is one product of the live rows with defect.T, then the
+    descending rows are negated and shift x is added in place; a row stops
+    once its step vanishes or it repeats bit for bit.  OpenBLAS computes each
+    row of a zgemm apart from the other rows, whatever their number, and the
+    rest is elementwise, so every row is bit-identical to an ascent run on
+    that row alone.  numpy sends a one-row product to zgemv, which rounds
+    differently, so a lone live row is padded to two.
     """
     n = defect.shape[0]
     j = witness_support_size(model.q, model.s, n)
     x0 = np.stack([sample_sparse(model, n, stream) for stream in rng.streams(range(trials))])
-    signs = np.repeat([1.0, -1.0], trials)[:, None]
     x = np.concatenate([x0, x0])
-    live = np.ones(len(x), dtype=bool)
+    rows = np.arange(len(x))  # the live rows, in order
     run = 0
     for _ in range(steps):
-        y = signs * (x @ defect.T) + shift * x
+        xl = x[rows]
+        y = (np.concatenate([xl, xl]) if len(rows) == 1 else xl) @ defect.T
+        y = y[:len(rows)]
+        down = y[np.searchsorted(rows, trials):]
+        np.negative(down, out=down)
+        y += shift * xl
         moduli = np.abs(y)
-        live &= moduli.any(axis=1)
-        if not live.any():
-            break
+        stepped = moduli.any(axis=1)
+        if not stepped.all():
+            rows, xl, y, moduli = rows[stepped], xl[stepped], y[stepped], moduli[stepped]
         nxt = _flat_witness(y, moduli, j)
-        run += np.count_nonzero(live)
+        run += len(rows)
+        x[rows] = nxt
         # A row that repeats bit for bit is at a fixed point: every later step
         # would reproduce it.
-        moved = live & (nxt.view(np.uint64) != x.view(np.uint64)).any(axis=1)
-        np.copyto(x, nxt, where=live[:, None])
-        live = moved
+        rows = rows[(nxt.view(np.uint64) != xl.view(np.uint64)).any(axis=1)]
+        if not len(rows):
+            break
     return max(abs(float(np.real(np.vdot(v, defect @ v)))) for v in chain(x0, x)), run
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import Instrument, instrument_norm
-from .numerics import NumericalError, SeededRng, lq_norm, schatten_norm
+from .numerics import NumericalError, SeededRng, as_int, lq_norm, schatten_norm
 
 __all__ = [
     "Canonical",
@@ -44,12 +44,11 @@ class Canonical:
     k: int
 
     def __post_init__(self):
-        # Only integer types, not bool: 2.5 or nan would fail deep in math.comb.
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ValueError(f"k must be an integer; got {self.k!r}")
-        if self.k < 1:
+        # 2.5 or nan would fail deep in math.comb.
+        k = as_int(self.k, "k")
+        if k < 1:
             raise ValueError("k must be >= 1")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,13 @@ def sample_sparse(model: LqCap, ambient: int, rng: SeededRng) -> np.ndarray:
 def _flat_witness(z: np.ndarray, moduli: np.ndarray, j: int) -> np.ndarray:
     """The flat witness of each row of the (B, N) block z: the phases of its
     j largest moduli over sqrt(j), zero elsewhere; a zero entry has phase 1.
-    ``moduli`` is np.abs(z), which the caller may already hold."""
+    ``moduli`` is np.abs(z), which the caller may already hold.  At j = N
+    every coordinate is kept, so there is nothing to partition or gather."""
     b, n = z.shape
+    if j == n:
+        phases = np.divide(z, moduli, out=np.ones(z.shape, complex), where=moduli > 0)
+        phases /= math.sqrt(j)
+        return phases
     # One flat index into the C-ordered block serves both gathers and the scatter.
     keep = np.argpartition(moduli, n - j, axis=1)[:, n - j:] + n * np.arange(b)[:, None]
     mags = moduli.ravel()[keep]

@@ -16,6 +16,7 @@ from riplab.infdim import (
     FourierFunction,
     lq_norm_function,
     make_block_instrument,
+    rip_experiment,
     smooth_sparse_membership,
     truncation_level,
 )
@@ -110,6 +111,33 @@ def test_nan_fails_range_checks(call, message):
 def test_canonical_rejects_non_integer_k(k):
     with pytest.raises(ValueError, match="k must be an integer"):
         Canonical(k)
+
+
+# Counts of group elements, translates and trials take integer types only
+# too: int() would run M = 2.7 as 2 and True as 1.
+_EYE = np.eye(8, dtype=complex)
+_F = FourierFunction(np.ones(8), 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: rosenthal_deviation(_EYE, "shiftmod", [bad, 3], 2, SeededRng(0)), "M"),
+    (lambda bad: rosenthal_deviation(_EYE, "shiftmod", [3], bad, SeededRng(0)), "trials"),
+    (lambda bad: rip_experiment(_F, [make_block_instrument(8, 4)], [3, bad], 2, SeededRng(0)),
+     "m"),
+    (lambda bad: rip_experiment(_F, [make_block_instrument(8, 4)], [3], bad, SeededRng(0)),
+     "trials"),
+], ids=["rosenthal_deviation-M", "rosenthal_deviation-trials", "rip_experiment-m",
+        "rip_experiment-trials"])
+@pytest.mark.parametrize("bad", [2.7, 3.0, True, NAN, "3"],
+                         ids=["2.7", "3.0", "True", "nan", "str"])
+def test_counts_reject_non_integers(call, message, bad):
+    with pytest.raises(ValueError, match=f"^{message} must be an integer; got {bad!r}$"):
+        call(bad)
+
+
+def test_integer_counts_of_numpy_types_run():
+    (record,) = rosenthal_deviation(_EYE, "shiftmod", [np.int64(3)], np.int32(2), SeededRng(0))
+    assert type(record["M"]) is int and len(record["deviations"]) == 2
 
 
 def test_canonical_stores_a_python_int():

@@ -664,12 +664,29 @@ def _reference_deviations(u, variant, m_list, trials, rng):
     return out
 
 
+# Scan budgets: None keeps the defaults, an int sets the Gram block's
+# entries, and a (block, run) pair also sets the entries of the monomial built
+# for a run of blocks.  (1, 20) gives runs of 3 elements at N = 6, 4 at N = 5
+# and 2 at N = 9, and (40, 120) runs of 12 to 24 elements: run boundaries fall
+# inside the M and, for (1, 20), at the end of M = 3 or M = 40.
+_BUDGETS = [None, 1, 40, pytest.param((1, 20), id="1-run20"),
+            pytest.param((40, 120), id="40-run120")]
+
+
+def _set_budgets(monkeypatch, budgets):
+    if budgets is None:
+        return
+    block, run = budgets if isinstance(budgets, tuple) else (budgets, None)
+    monkeypatch.setattr(go, "_GRAM_CHUNK_ENTRIES", block)
+    if run is not None:
+        monkeypatch.setattr(go, "_MONOMIAL_RUN_ENTRIES", run)
+
+
 class TestRosenthalDenseReference:
-    @pytest.mark.parametrize("chunk_entries", [None, 1, 40])
+    @pytest.mark.parametrize("chunk_entries", _BUDGETS)
     @pytest.mark.parametrize("variant,n", [("shiftmod", 6), ("signshift", 5), ("doubleqft", 9)])
     def test_matches_explicit_conjugation_sum(self, variant, n, chunk_entries, monkeypatch):
-        if chunk_entries is not None:
-            monkeypatch.setattr(go, "_GRAM_CHUNK_ENTRIES", chunk_entries)
+        _set_budgets(monkeypatch, chunk_entries)
         m_list = [3, 17, 1, 3]
         for d in range(1, n + 1):
             u = SeededRng(SEED + 30, d).complex_normal((d, n))
@@ -693,13 +710,12 @@ class TestRosenthalPrefixes:
         part = draw_elements(variant, n, m, SeededRng(seed))
         assert part.tobytes() == whole[:m].tobytes()
 
-    @pytest.mark.parametrize("chunk_entries", [None, 1, 40])
+    @pytest.mark.parametrize("chunk_entries", _BUDGETS)
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("variant,n", [("shiftmod", 6), ("signshift", 5), ("doubleqft", 9)])
     def test_records_equal_single_m_runs(self, variant, n, d, chunk_entries, monkeypatch):
         # 40 entries put block boundaries inside and at the ends of the M.
-        if chunk_entries is not None:
-            monkeypatch.setattr(go, "_GRAM_CHUNK_ENTRIES", chunk_entries)
+        _set_budgets(monkeypatch, chunk_entries)
         u = SeededRng(SEED + 32, d).complex_normal((d, n))
         u *= math.sqrt(n) / np.linalg.norm(u)
         m_list = [17, 1, 3, 17, 40]
@@ -710,3 +726,23 @@ class TestRosenthalPrefixes:
             hexes = [[v.hex() for v in r["deviations"]] + [r["median"].hex(), r["mean"].hex()]
                      for r in (rec, single)]
             assert hexes[0] == hexes[1]
+
+    @pytest.mark.parametrize("variant,n,d", [("shiftmod", 32, 4), ("signshift", 32, 4),
+                                             ("doubleqft", 16, 4), ("shiftmod", 8, 1)])
+    def test_monomials_stay_within_the_run_budget(self, variant, n, d, monkeypatch):
+        built = []
+
+        def recording(*args):
+            g = monomial(*args)
+            built.append(g.perm.size)
+            return g
+
+        monkeypatch.setattr(go, "monomial", recording)
+        u = np.zeros((d, n), dtype=complex)
+        u[np.arange(d), np.arange(d)] = math.sqrt(n / d)
+        m_list = [1, 700, 5000]
+        records = rosenthal_deviation(u, variant, m_list, 2, SeededRng(SEED + 34))
+        assert [rec["M"] for rec in records] == m_list
+        assert max(built) <= go._MONOMIAL_RUN_ENTRIES
+        # Every element of each trial's draw is built once.
+        assert sum(built) == 2 * max(m_list) * n

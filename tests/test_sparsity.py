@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,6 +19,7 @@ from riplab.numerics import SeededRng, lq_norm
 from riplab.sparsity import (
     Canonical,
     LqCap,
+    _flat_witness,
     max_sparsity_level,
     optimize_sparsity_parameter,
     project_witness,
@@ -178,6 +179,27 @@ class TestProjectWitnessBlocks:
             np.testing.assert_array_equal(_bits(row), _bits(single))
             reference = _reference_flat_projection(model, expected_input)
             np.testing.assert_array_equal(_bits(row), _bits(reference))
+
+    # At j = N the kernel keeps every coordinate without a partition, so it
+    # is checked against the keep-everything construction directly: the
+    # ascent's reference projects through the same kernel and cannot see a
+    # drift there.  _ENTRIES makes exact zeros, which take phase 1.
+    @settings(max_examples=200)
+    @given(st.integers(1, 12).flatmap(
+        lambda n: hnp.arrays(complex, st.tuples(st.integers(1, 5), st.just(n)),
+                             elements=_ENTRIES)))
+    @example(np.array([[0, 2j, 0, -2], [0, 0, 0, 0], [1j, -1j, 0, 0.25]], dtype=complex))
+    def test_keeping_every_coordinate_is_the_explicit_construction(self, z):
+        n = z.shape[1]
+        mags = np.abs(z)
+        expected = np.where(mags > 0, z / np.where(mags > 0, mags, 1.0), 1.0) / math.sqrt(n)
+        np.testing.assert_array_equal(_bits(_flat_witness(z, mags, n)), _bits(expected))
+        live = np.any(z, axis=1)
+        if live.any():
+            # Every q = 2 cap has j = N.
+            for s in (1.0, 3.5):
+                np.testing.assert_array_equal(_bits(project_witness(LqCap(2.0, s), z[live])),
+                                              _bits(expected[live]))
 
     def test_block_with_a_zero_row_rejected(self):
         z = np.ones((3, 4), dtype=complex)
