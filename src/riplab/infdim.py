@@ -10,7 +10,10 @@ of the derivative of g telescopes back to point evaluation of g.
 rip_experiment measures one fixed function with a list of
 BlockInstruments: d contiguous frequency blocks of length L covering [-N, N),
 summed with one +/-1 pattern (all ones for deterministic blocks, Rademacher
-otherwise), and normalized by the window seminorm of [-N, N).
+otherwise), and normalized by the window seminorm of [-N, N).  Its mean
+energy over m translates t is a trigonometric polynomial of degree L - 1,
+g(0) + 2 Re sum_{D=1}^{L-1} g(D) S_m(D): the lags g(D) of the signed block
+coefficients against the exponential sums S_m(D) = (1/m) sum_t exp(-2 pi i D t).
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ class FourierFunction:
             raise ValueError("n_big must be >= 1")
         if c.shape != (2 * self.n_big,):
             raise ValueError(f"expected {2 * self.n_big} coefficients, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
     def coeff(self, k: int) -> complex:
@@ -340,8 +345,7 @@ def _block_coeffs(f: FourierFunction, inst: BlockInstrument) -> np.ndarray:
 
 def _in_block_phases(block_len: int, t_arr: np.ndarray):
     # The (m, 1) turns -2 pi i (t mod 1) of the 1-D translates t_arr and the
-    # (m, L) in-block phases exp(-2 pi i j t).  Both are elementwise in t, so
-    # the first m rows for t_arr equal the phases of t_arr[:m] bit for bit.
+    # (m, L) in-block phases exp(-2 pi i j t).
     turns = -2j * np.pi * (t_arr[:, None] % 1.0)
     return turns, np.exp(turns * np.arange(block_len))
 
@@ -432,11 +436,29 @@ def truncation_level(q: float, s: float, delta: float, c2: float) -> int:
 # -- the sampling experiment -----------------------------------------------------
 
 
-def _block_energy(coeffs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    # Energy at each translate from its (m, L) in-block phases and the (L, d)
-    # transposed _block_coeffs: block_measure's block-start phase has modulus
-    # 1, so only the in-block product carries energy.
-    return np.sum(np.abs(phases @ coeffs) ** 2, axis=1)
+def _lags(coeffs: np.ndarray) -> np.ndarray:
+    # g(D) = sum_{l, j} c_{l, j + D} conj(c_{l, j}) of the (d, L) coefficients
+    # c for D = 0, ..., L - 1: the sums of the subdiagonals of c^T conj(c).
+    block_len = coeffs.shape[1]
+    return np.array([np.vdot(coeffs[:, :block_len - lag], coeffs[:, lag:])
+                     for lag in range(block_len)])
+
+
+def _prefix_sums(ts: np.ndarray, n_lags: int) -> np.ndarray:
+    # The (2, n_lags, len(ts)) sequential prefix sums over ts of cos(2 pi D t)
+    # and sin(2 pi D t), row D - 1 for lag D.  One complex exp per translate
+    # gives lag 1, and lag D is the real rotation of lag D - 1 by lag 1.  Every
+    # step is elementwise in t and cumsum adds in order, so the first m
+    # columns equal the sums over ts[:m] bit for bit.
+    unit = np.exp(2j * np.pi * ts)
+    waves = np.empty((2, n_lags, ts.size))
+    cos, sin = waves
+    if n_lags:
+        cos[0], sin[0] = unit.real, unit.imag
+    for row in range(1, n_lags):
+        cos[row] = cos[row - 1] * cos[0] - sin[row - 1] * sin[0]
+        sin[row] = sin[row - 1] * cos[0] + cos[row - 1] * sin[0]
+    return np.cumsum(waves, axis=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,13 +492,12 @@ def rip_experiment(
     Each scheme normalizes f by its window seminorm, which must reach 1e-8.
     Trial t draws ``rng.stream(t).uniform(0.0, 1.0, max(m_list))`` and
     nothing else; the cell records |average energy - 1| over the first m of
-    those translates.  Each (trial, scheme) takes one energy product over
-    all max(m_list) translates, and a cell with m >= 2 is the mean of its
-    first m energies: OpenBLAS computes each row of a zgemm apart from the
-    other rows.  Only an m = 1 cell takes a one-row product of its own,
-    because numpy sends that shape to zgemv, which rounds differently.
-    Uniform doubles are drawn in sequence, so every cell equals a run of
-    rip_experiment on that scheme and m alone.
+    those translates, in the lag form of the module docstring: the lags of
+    the scheme's normalized signed coefficients, which take no draw, against
+    the exponential sums of the first m translates.  Each trial takes its
+    sums once, as sequential prefix sums over all max(m_list) translates, and
+    a cell reads its m - 1 column with real elementwise arithmetic, so every
+    cell equals a run of rip_experiment on that scheme and m alone.
     """
     schemes, m_list = list(schemes), [as_int(m, "m") for m in m_list]
     trials = as_int(trials, "trials")
@@ -486,24 +507,25 @@ def rip_experiment(
         raise ValueError("m and trials must be >= 1")
     if f.n_big < 4 * max(inst.n_cut for inst in schemes):
         raise ValueError("carrier band must be at least 4x the scheme cutoff")
-    coeffs = []
+    lags = []
     for inst in schemes:
         norm = weighted_seminorm(f, inst.n_cut)
-        if norm < 1e-8:
+        if not norm >= 1e-8:
             raise ValueError(f"window seminorm {norm:.3g} is below 1e-8")
-        coeffs.append((_block_coeffs(f, inst) * (1.0 / norm)).T)
-    devs = np.empty((len(schemes), len(m_list), trials))
+        lags.append(_lags(_block_coeffs(f, inst) * (1.0 / norm)))
+    n_lags = max(inst.block_len for inst in schemes) - 1
+    cols, counts = np.array(m_list) - 1, np.array(m_list, dtype=float)[:, None]
+    sums = np.empty((2, n_lags, len(m_list), trials))
     for trial, stream in enumerate(rng.streams(range(trials))):
-        ts = stream.uniform(0.0, 1.0, max(m_list))
-        phases = {n: _in_block_phases(n, ts)[1] for n in {s.block_len for s in schemes}}
-        for i, (inst, scheme_coeffs) in enumerate(zip(schemes, coeffs)):
-            # One product per (trial, scheme): its first m rows are the m-row
-            # product for every m >= 2.  numpy sends a one-row product to
-            # zgemv, so an m = 1 cell takes a product of its own.
-            block = phases[inst.block_len]
-            energy = _block_energy(scheme_coeffs, block)
-            single = _block_energy(scheme_coeffs, block[:1]) if 1 in m_list else None
-            for j, m in enumerate(m_list):
-                cell = single if m == 1 else energy[:m]
-                devs[i, j, trial] = abs(float(cell.mean()) - 1.0)
+        sums[..., trial] = _prefix_sums(stream.uniform(0.0, 1.0, max(m_list)), n_lags)[..., cols]
+    means = sums / counts
+    devs = np.empty((len(schemes), len(m_list), trials))
+    for i, g in enumerate(lags):
+        # Row 0 is g(0) - 1 and row D is 2 Re g(D) S_m(D); cumsum adds the rows
+        # in order, so a cell rounds as a grid of that one cell does.
+        lag, n = g[1:, None, None], g.size - 1
+        terms = np.empty((g.size, len(m_list), trials))
+        terms[0] = g[0].real - 1.0
+        terms[1:] = 2.0 * (lag.real * means[0, :n] + lag.imag * means[1, :n])
+        devs[i] = np.abs(np.cumsum(terms, axis=0)[-1])
     return DeviationGrid(devs, {"trials": trials})

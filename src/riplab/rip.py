@@ -521,9 +521,11 @@ def gaussian_width(model: Canonical, ambient: int, trials: int, rng: SeededRng) 
         raise ValueError(f"k={model.k} exceeds ambient dimension {ambient}")
     streams = rng.streams(range(trials))
     sups = np.empty(trials)
+    draws = np.empty((min(trials, _WIDTH_BLOCK), ambient))
     for lo in range(0, trials, _WIDTH_BLOCK):
-        xi = np.stack([stream.standard_normal(ambient)
-                       for stream in islice(streams, _WIDTH_BLOCK)])
+        xi = draws[:trials - lo]
+        for row, stream in zip(xi, streams):
+            stream.generator.standard_normal(out=row)
         sups[lo:lo + len(xi)] = _width_block(model.k, xi)
     return {
         "mean": float(sups.mean()),

@@ -64,6 +64,14 @@ NAN = math.nan
 E0, E1 = np.eye(4)[0], np.eye(4)[1]
 
 
+def _scan_with(value):
+    # One coefficient of a 32-band function set to value, under an L = 2 scan.
+    coeffs = np.ones(64, dtype=complex)
+    coeffs[30] = value
+    return rip_experiment(FourierFunction(coeffs, 32), [make_block_instrument(8, 2)], [2], 1,
+                          SeededRng(0))
+
+
 # Each check is the negation of its valid range, so NaN fails it and raises
 # the same ValueError as any other value outside the range.
 @pytest.mark.parametrize("call, message", [
@@ -94,12 +102,15 @@ E0, E1 = np.eye(4)[0], np.eye(4)[1]
      "u must satisfy"),
     (lambda: Canonical(NAN), "k must be an integer; got nan"),
     (lambda: exact_rip_canonical(np.eye(4), NAN), "k must be an integer; got nan"),
+    (lambda: _scan_with(NAN), "coefficients must be finite"),
+    (lambda: _scan_with(math.inf), "coefficients must be finite"),
 ], ids=["mrip_check-delta", "separation_constants", "classify_separation-delta",
         "classify_separation-x", "distance_bound_check-delta", "distance_bound_check-s",
         "gordon_m-delta", "gordon_m-width", "implicit_m", "lq_norm", "schatten_norm",
         "lq_norm_function", "smooth_sparse_membership", "truncation_level", "LqCap",
         "witness_support_size", "sparsity_parameter_value", "Instrument",
-        "rosenthal_deviation", "Canonical", "exact_rip_canonical"])
+        "rosenthal_deviation", "Canonical", "exact_rip_canonical", "FourierFunction-nan",
+        "FourierFunction-inf"])
 def test_nan_fails_range_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -503,14 +503,16 @@ class TestBlockMeasurements:
 
     @pytest.mark.parametrize("mode", ["deterministic", "rademacher"])
     def test_scheme_energy_drops_only_the_unit_phase(self, mode):
-        # The block energy skips block_measure's unit-modulus block-start
-        # phase, so it equals the energy of block_measure up to rounding.
+        # The energy at t is g(0) + 2 Re sum_D g(D) exp(-2 pi i D t) in the
+        # lags g of the block coefficients: block_measure's block-start phase
+        # has modulus 1, so it drops out of the energy.
         rng = SeededRng(SEED + 18)
         f = random_poly(rng, 64)
         inst = make_block_instrument(32, 4, mode, rng.stream(1))
         ts = np.concatenate([rng.uniform(-3.0, 4.0, 200), [0.0, 0.5, 1.0]])
-        energy = infdim._block_energy(infdim._block_coeffs(f, inst).T,
-                                      infdim._in_block_phases(4, ts)[1])
+        g = infdim._lags(infdim._block_coeffs(f, inst))
+        waves = np.exp(-2j * np.pi * np.outer(ts % 1.0, np.arange(1, 4)))
+        energy = g[0].real + 2.0 * np.real(waves @ g[1:])
         expected = np.sum(np.abs(block_measure(f, inst, ts)) ** 2, axis=1)
         np.testing.assert_allclose(energy, expected, rtol=1e-13, atol=0)
 
@@ -835,6 +837,26 @@ class TestTranslationExperiment:
             for m, cell in zip(m_list, scheme_devs):
                 single = rip_experiment(f, [scheme], [m], trials, SeededRng(seed))
                 assert cell.tobytes() == single.deviations[0, 0].tobytes()
+
+    @settings(max_examples=40)
+    @given(block_len=st.sampled_from([1, 2, 4, 8]),
+           mode=st.sampled_from(["deterministic", "rademacher"]),
+           ms=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+           trials=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_cells_equal_block_measure_energies(self, block_len, mode, ms, trials, seed):
+        # The lag form against the written-out mean of block_measure energies,
+        # with m = 1 and a repeated m in every list.
+        m_list = [ms[0], 1, *ms]
+        f, _ = random_bumps(SeededRng(seed, 1), 8.0, 2, 64)
+        inst = make_block_instrument(16, block_len, mode, SeededRng(seed, 7))
+        grid = rip_experiment(f, [inst], m_list, trials, SeededRng(seed)).deviations
+        norm_sq = weighted_seminorm(f, 16) ** 2
+        for t in range(trials):
+            ts = SeededRng(seed).stream(t).uniform(0.0, 1.0, max(m_list))
+            energy = np.sum(np.abs(block_measure(f, inst, ts)) ** 2, axis=1)
+            for j, m in enumerate(m_list):
+                expected = abs(energy[:m].mean() / norm_sq - 1.0)
+                assert abs(grid[0, j, t] - expected) <= 1e-12, (m, t)
 
     @pytest.mark.parametrize("mode", ["deterministic", "rademacher"])
     def test_draw_layout(self, mode):
