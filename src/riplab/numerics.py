@@ -410,7 +410,7 @@ class SeededRng:
             shuffle.
         """
         indices = list(indices)
-        n, k = int(n), int(k)
+        n, k = as_int(n, "n"), as_int(k, "k")
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, n]; got k={k}, n={n}")
         out = np.empty((len(indices), k), dtype=np.intp)

@@ -6,15 +6,19 @@ The central quantity for an operator A and a signal model M is
 
 estimated exactly (support enumeration for canonical sparsity) or from below
 (sampled supports, or sampled witnesses with ascent refinement); computing it
-is NP-hard, so a sampled value only bounds it, and each RipReport states its
-side.  Every estimator reads one operator form, D from _defect, and has one
-kernel on it: _max_defect, the Frobenius-pruned maximum over any stream of
-canonical supports, enumerated or sampled, in the one canonical body
-_canonical_rip behind exact_rip_canonical and canonical empirical_rip; and
-_ascend, projected power ascent toward both signed extremes as one block.
-On top of that sit the multilevel check, sketched-distance bounds, a
-pairwise separation classifier, Gaussian mean width and the closed-form
-counts gordon_m, implicit_m, table1_counts.
+is NP-hard, so a sampled value only bounds it.  Every estimator reads one
+operator form, D from _defect, and has one body with one kernel on it:
+
+* canonical models: _canonical_rip, behind exact_rip_canonical and
+  empirical_rip, with _max_defect, the Frobenius-pruned maximum over any
+  stream of supports, enumerated or sampled;
+* q-caps: _dyadic_levels, behind the multilevel check and its calibration,
+  with _ascend, projected power ascent toward both signed extremes as one
+  block, each step projected by _flat_witness.
+
+Beside them sit sketched-distance bounds, a pairwise separation classifier,
+Gaussian mean width and the closed-form counts gordon_m, implicit_m,
+table1_counts.
 """
 
 from __future__ import annotations
@@ -25,16 +29,8 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .numerics import CapacityError, SeededRng, lq_norm, operator_norm
-from .sparsity import (
-    Canonical,
-    LqCap,
-    SparsityModel,
-    _flat_witness,
-    max_sparsity_level,
-    sample_sparse,
-    witness_support_size,
-)
+from .numerics import CapacityError, SeededRng, as_int, lq_norm, operator_norm
+from .sparsity import Canonical, LqCap, max_sparsity_level, sample_sparse, witness_support_size
 
 __all__ = [
     "RipReport",
@@ -72,11 +68,11 @@ class RipReport:
     """A sided isometry-defect estimate and its cost.
 
     ``side`` is "exact" when every support was enumerated and "lower" when
-    the value is a maximum over drawn supports or witnesses.  ``details``
-    holds the same four counts on every report: ``trials``; ``supports``,
-    C(N, k) when supports are enumerated, ``trials`` when they are drawn and
-    0 for ascent; ``evaluated``, the supports that reached eigvalsh; and
-    ``ascent_iterations``, the ascent row-steps run.
+    the value is a maximum over drawn supports.  ``details`` holds the same
+    four counts on every report: ``trials``; ``supports``, C(N, k) when
+    supports are enumerated and ``trials`` when they are drawn;
+    ``evaluated``, the supports that reached eigvalsh; and
+    ``ascent_iterations``, which canonical models leave at 0.
     """
 
     delta_hat: float
@@ -196,40 +192,49 @@ def exact_rip_canonical(a, k: int) -> RipReport:
 
 def empirical_rip(
     a,
-    model: SparsityModel,
+    model: Canonical,
     trials: int,
     ascent_steps: int = 50,
     *,
     rng: SeededRng,
 ) -> RipReport:
-    """Estimate of the isometry defect over a signal model, from below unless
-    every support is enumerated.
+    """Estimate of the isometry defect over a canonical model, from below
+    unless every support is enumerated.
 
-    Canonical models go through exact_rip_canonical's body, _canonical_rip,
-    with one drawn support per trial.  If the budget covers every support
-    they are enumerated instead, nothing is drawn (a drawn support would
-    repeat an enumerated one), and the report is exact_rip_canonical's.
-    ``ascent_steps`` is unused for canonical models.
-    q-cap models refine sampled witnesses by projected power ascent on the
-    defect quadratic form, both signs of every trial as one block that takes
-    one complex matrix product of its live rows per step; each row is
-    bit-identical to an ascent run on that row alone.  A row stops early
-    when its iterate vanishes under the step (as every row does when the
-    defect is 0) or repeats bit for bit, which changes no result.
-
-    Each trial draws its witness from its own RNG stream, so the estimate is
-    a running maximum over per-trial streams and is non-decreasing in
-    ``trials`` for a fixed seed.
+    It runs exact_rip_canonical's body, _canonical_rip, with one drawn
+    support per trial.  If the budget covers every support they are
+    enumerated instead, nothing is drawn (a drawn support would repeat an
+    enumerated one), and the report is exact_rip_canonical's.  Each trial
+    draws its support from its own RNG stream, so the estimate is a running
+    maximum over per-trial streams and is non-decreasing in ``trials`` for a
+    fixed seed.  ``ascent_steps`` is unused.  q-caps are measured through
+    their dyadic levels (mrip_check); any other model raises TypeError.
     """
+    if not isinstance(model, Canonical):
+        raise TypeError(f"expected a Canonical model; got {type(model).__name__}")
+    trials = as_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(model, Canonical):
-        return _canonical_rip(a, model, trials, rng)
-    m, defect = _defect(a)
-    delta, steps = _ascend(model, defect, operator_norm(defect), trials, ascent_steps, rng)
-    return RipReport(delta, "lower", repr(model), m,
-                     {"trials": trials, "supports": 0, "evaluated": 0,
-                      "ascent_iterations": steps})
+    return _canonical_rip(a, model, trials, rng)
+
+
+def _flat_witness(z: np.ndarray, moduli: np.ndarray, j: int) -> np.ndarray:
+    """The flat witness of each row of the (B, N) block z: the phases of its
+    j largest moduli over sqrt(j), zero elsewhere; a zero entry has phase 1.
+    ``moduli`` is np.abs(z), which the caller may already hold.  At j = N
+    every coordinate is kept, so there is nothing to partition or gather."""
+    b, n = z.shape
+    if j == n:
+        phases = np.divide(z, moduli, out=np.ones(z.shape, complex), where=moduli > 0)
+        phases /= math.sqrt(j)
+        return phases
+    # One flat index into the C-ordered block serves both gathers and the scatter.
+    keep = np.argpartition(moduli, n - j, axis=1)[:, n - j:] + n * np.arange(b)[:, None]
+    mags = moduli.ravel()[keep]
+    phases = np.divide(z.ravel()[keep], mags, out=np.ones(keep.shape, complex), where=mags > 0)
+    x = np.zeros(z.shape, complex)
+    x.ravel()[keep] = phases / math.sqrt(j)
+    return x
 
 
 def _ascend(model: LqCap, defect: np.ndarray, shift: float, trials: int, steps: int,
@@ -239,9 +244,9 @@ def _ascend(model: LqCap, defect: np.ndarray, shift: float, trials: int, steps: 
 
     Both signs of every trial run as one block of 2 * trials rows: the first
     copy climbs and the second descends, by up to ``steps`` iterations
-    x <- P(sign defect x + shift x), with P the flat-witness projection.
-    Returns the largest |form| over the drawn and the final rows, and the
-    number of row-steps run.
+    x <- P(sign defect x + shift x), with P the _flat_witness of the cap's
+    witness support size.  Returns the largest |form| over the drawn and the
+    final rows, and the number of row-steps run.
 
     Each step is one product of the live rows with defect.T, then the
     descending rows are negated and shift x is added in place; a row stops
@@ -301,15 +306,18 @@ def _level_threshold(level: int, delta: float, extra_level_factor: bool) -> floa
 
 def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: SeededRng):
     """Yield (level, sparsity, observed) for each dyadic level of the q-cap
-    model: sparsity is 2^l s and observed the empirical_rip lower bound of
-    level l.  The i-th level of the range draws its trials from
+    model: sparsity is 2^l s and observed the _ascend lower bound at the cap
+    LqCap(q, 2^l s).  The i-th level of the range draws its trials from
     ``rng.stream(i)``, so every caller sees the same estimates for one ``rng``.
     The defect form and its shift are computed once for all levels.
     """
-    _, defect = _defect(a)
-    levels = _level_range(q, s, len(defect))
+    trials, ascent_steps = as_int(trials, "trials"), as_int(ascent_steps, "ascent_steps")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if ascent_steps < 0:
+        raise ValueError("ascent_steps must be >= 0")
+    _, defect = _defect(a)
+    levels = _level_range(q, s, len(defect))
     shift = operator_norm(defect)
     # Indexed by position, not by level: levels can be negative.
     for level, stream in zip(levels, rng.streams(range(len(levels)))):
@@ -515,6 +523,7 @@ def gaussian_width(model: Canonical, ambient: int, trials: int, rng: SeededRng) 
     """
     if not isinstance(model, Canonical):
         raise TypeError(f"expected a Canonical model; got {type(model).__name__}")
+    trials, ambient = as_int(trials, "trials"), as_int(ambient, "ambient")
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")
     if model.k > ambient:

@@ -6,9 +6,8 @@ A model describes a set of unit-norm signals in C^N:
 * ``LqCap(q, s)``  -- ||x||_q <= sqrt(s) ||x||_2 (1 <= q <= 2).
 
 Canonical models are measured through their supports, which rip enumerates
-or draws, and q-caps through flat witnesses: ``sample_sparse`` draws one and
-``project_witness`` maps a vector onto the nearest one.  The ascent in rip
-draws with the first and projects with the second's kernel, ``_flat_witness``.
+or draws, and q-caps through flat witnesses: ``sample_sparse`` draws the
+witness each ascent in rip starts from.
 
 ``optimize_sparsity_parameter`` finds the exact minimum over q' >= 2 of the
 instrument-dependent objective and its gain over the q' = 2 baseline.
@@ -32,7 +31,6 @@ __all__ = [
     "max_sparsity_level",
     "witness_support_size",
     "sample_sparse",
-    "project_witness",
     "SparsityOptimum",
     "sparsity_parameter_value",
     "optimize_sparsity_parameter",
@@ -115,45 +113,6 @@ def sample_sparse(model: LqCap, ambient: int, rng: SeededRng) -> np.ndarray:
     x = np.zeros(ambient, dtype=complex)
     x[support] = rng.unit_phases(j) / math.sqrt(j)
     return x
-
-
-# -- witness projections (used by the ascent refinement in rip) -------------
-
-
-def _flat_witness(z: np.ndarray, moduli: np.ndarray, j: int) -> np.ndarray:
-    """The flat witness of each row of the (B, N) block z: the phases of its
-    j largest moduli over sqrt(j), zero elsewhere; a zero entry has phase 1.
-    ``moduli`` is np.abs(z), which the caller may already hold.  At j = N
-    every coordinate is kept, so there is nothing to partition or gather."""
-    b, n = z.shape
-    if j == n:
-        phases = np.divide(z, moduli, out=np.ones(z.shape, complex), where=moduli > 0)
-        phases /= math.sqrt(j)
-        return phases
-    # One flat index into the C-ordered block serves both gathers and the scatter.
-    keep = np.argpartition(moduli, n - j, axis=1)[:, n - j:] + n * np.arange(b)[:, None]
-    mags = moduli.ravel()[keep]
-    phases = np.divide(z.ravel()[keep], mags, out=np.ones(keep.shape, complex), where=mags > 0)
-    x = np.zeros(z.shape, complex)
-    x.ravel()[keep] = phases / math.sqrt(j)
-    return x
-
-
-def project_witness(model: LqCap, z) -> np.ndarray:
-    """The flat witness of the q-cap nearest each row of ``z``.
-
-    ``z`` is one vector or a ``(B, N)`` block of rows; the ambient dimension
-    N is read off ``z``.  A block returns a ``(B, N)`` block whose row i is
-    bit-identical to the projection of ``z[i]`` on its own.
-    """
-    if not isinstance(model, LqCap):
-        raise TypeError(f"expected an LqCap model; got {type(model).__name__}")
-    z = np.asarray(z, dtype=complex)
-    rows = z if z.ndim == 2 else z.ravel()[None, :]
-    if not np.all(np.any(rows, axis=1)):
-        raise ValueError("cannot project the zero vector")
-    x = _flat_witness(rows, np.abs(rows), witness_support_size(model.q, model.s, rows.shape[1]))
-    return x if z.ndim == 2 else x[0]
 
 
 # -- the instrument-dependent sparsity parameter -----------------------------

@@ -25,7 +25,9 @@ from riplab.numerics import SeededRng, lq_norm, schatten_norm
 from riplab.rip import (
     classify_separation,
     distance_bound_check,
+    empirical_rip,
     exact_rip_canonical,
+    gaussian_width,
     gordon_m,
     implicit_m,
     mrip_check,
@@ -124,8 +126,9 @@ def test_canonical_rejects_non_integer_k(k):
         Canonical(k)
 
 
-# Counts of group elements, translates and trials take integer types only
-# too: int() would run M = 2.7 as 2 and True as 1.
+# Counts of group elements, translates, trials, ascent steps and support
+# sizes take integer types only too: int() would run M = 2.7 as 2 and True
+# as 1.
 _EYE = np.eye(8, dtype=complex)
 _F = FourierFunction(np.ones(8), 4)
 
@@ -137,8 +140,17 @@ _F = FourierFunction(np.ones(8), 4)
      "m"),
     (lambda bad: rip_experiment(_F, [make_block_instrument(8, 4)], [3], bad, SeededRng(0)),
      "trials"),
+    (lambda bad: empirical_rip(_EYE, Canonical(2), bad, rng=SeededRng(0)), "trials"),
+    (lambda bad: mrip_check(_EYE, 1.0, 1.0, 0.5, bad, 2, SeededRng(0)), "trials"),
+    (lambda bad: mrip_check(_EYE, 1.0, 1.0, 0.5, 2, bad, SeededRng(0)), "ascent_steps"),
+    (lambda bad: gaussian_width(Canonical(2), 8, bad, SeededRng(0)), "trials"),
+    (lambda bad: gaussian_width(Canonical(2), bad, 4, SeededRng(0)), "ambient"),
+    (lambda bad: SeededRng(0).sorted_supports(range(3), bad, 2), "n"),
+    (lambda bad: SeededRng(0).sorted_supports(range(3), 8, bad), "k"),
 ], ids=["rosenthal_deviation-M", "rosenthal_deviation-trials", "rip_experiment-m",
-        "rip_experiment-trials"])
+        "rip_experiment-trials", "empirical_rip-trials", "mrip_check-trials",
+        "mrip_check-ascent_steps", "gaussian_width-trials", "gaussian_width-ambient",
+        "sorted_supports-n", "sorted_supports-k"])
 @pytest.mark.parametrize("bad", [2.7, 3.0, True, NAN, "3"],
                          ids=["2.7", "3.0", "True", "nan", "str"])
 def test_counts_reject_non_integers(call, message, bad):

@@ -819,8 +819,8 @@ class TestTranslationExperiment:
     @given(names=st.lists(st.sampled_from(["det", "rad", "rad2"]), min_size=1, max_size=3),
            m_list=st.lists(st.integers(1, 40), min_size=1, max_size=4),
            trials=st.integers(1, 3), seed=st.integers(0, 2**16))
-    # A one-row product goes through gemv, not gemm: slicing one max(m) product
-    # gives m = 1 cells that differ from a single m = 1 run in the last bit.
+    # m = 1 reads the first column of each trial's prefix sums and the
+    # repeated m reads one column twice; the two schemes take 3 and 1 lags.
     @example(names=["det", "rad2"], m_list=[1, 40, 1], trials=3, seed=0)
     def test_grid_equals_single_cells(self, names, m_list, trials, seed):
         # Unsorted and repeated m, and block schemes that share or differ in L.

@@ -474,7 +474,7 @@ class TestRowIndependentGemm:
             assert (x[lo:hi] @ m).tobytes() == alone[lo:hi].tobytes()
 
 
-class TestRowIndependentBlockEnergy:
+class TestPrefixSumCells:
     # infdim.rip_experiment takes each trial's exponential sums once, as
     # sequential prefix sums over max(m) translates, and reads every cell from
     # its m - 1 column with real elementwise arithmetic.

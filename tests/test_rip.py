@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from riplab import rip
+from riplab import numerics, rip
 from riplab.group_ops import MeasurementEnsemble, gaussian_ensemble, sample_ensemble
 from riplab.instruments import make_flat
 from riplab.numerics import CapacityError, SeededRng, operator_norm
@@ -27,12 +28,7 @@ from riplab.rip import (
     mrip_check,
     table1_counts,
 )
-from riplab.sparsity import (
-    Canonical,
-    LqCap,
-    project_witness,
-    sample_sparse,
-)
+from riplab.sparsity import Canonical, LqCap, sample_sparse, witness_support_size
 
 SEED = 31137
 
@@ -301,13 +297,36 @@ class TestCanonicalBody:
         assert str(exact.value) == str(emp.value) == "k=5 exceeds ambient dimension 4"
 
 
+def ascend(a, model, trials, steps, rng):
+    """rip._ascend on the defect form of ``a`` and its operator norm, as the
+    dyadic levels run it: (estimate, row-steps run)."""
+    _, defect = rip._defect(a)
+    return rip._ascend(model, defect, operator_norm(defect), trials, steps, rng)
+
+
 class TestEmpiricalRip:
     def test_identity_all_models(self):
         a = np.eye(16)
         rng = SeededRng(SEED + 3)
-        for model in (Canonical(3), LqCap(1.0, 4.0), LqCap(1.5, 2.0), LqCap(2.0, 1.0)):
-            report = empirical_rip(a, model, 10, 20, rng=rng)
-            assert report.delta_hat <= 1e-10
+        assert empirical_rip(a, Canonical(3), 10, 20, rng=rng).delta_hat <= 1e-10
+        for model in (LqCap(1.0, 4.0), LqCap(1.5, 2.0), LqCap(2.0, 1.0)):
+            assert ascend(a, model, 10, 20, rng)[0] <= 1e-10
+
+    def test_q_caps_rejected_before_any_stream(self, monkeypatch):
+        # Every stream derivation, batched or per child, goes through
+        # _child_words; the Canonical call shows that the probe sees one.
+        calls = []
+        words = numerics._child_words
+        monkeypatch.setattr(numerics, "_child_words",
+                            lambda *args: calls.append(args) or words(*args))
+        ens = gaussian_ensemble(8, 4, SeededRng(SEED))
+        rng = SeededRng(SEED, 1)
+        with pytest.raises(TypeError, match="expected a Canonical model; got LqCap"):
+            empirical_rip(ens, LqCap(1.0, 2.0), 3, rng=rng)
+        assert calls == []
+        # C(8, 2) = 28 supports, so 3 trials draw.
+        assert empirical_rip(ens, Canonical(2), 3, rng=rng).side == "lower"
+        assert calls
 
     def test_exhaustive_branch_draws_nothing(self, monkeypatch):
         calls = []
@@ -337,20 +356,103 @@ class TestEmpiricalRip:
     def test_non_decreasing_in_trials(self):
         ens = gaussian_ensemble(16, 8, SeededRng(SEED + 6))
         model = LqCap(1.0, 3.0)
-        d_small = empirical_rip(ens, model, 5, 25, rng=SeededRng(SEED + 7)).delta_hat
-        d_large = empirical_rip(ens, model, 40, 25, rng=SeededRng(SEED + 7)).delta_hat
+        d_small, _ = ascend(ens, model, 5, 25, SeededRng(SEED + 7))
+        d_large, _ = ascend(ens, model, 40, 25, SeededRng(SEED + 7))
         assert d_large >= d_small - 1e-12
 
     def test_ascent_improves_or_matches_raw_sampling(self):
         ens = gaussian_ensemble(16, 8, SeededRng(SEED + 8))
         model = LqCap(1.25, 2.0)
-        d_raw = empirical_rip(ens, model, 20, 0, rng=SeededRng(SEED + 9)).delta_hat
-        d_ref = empirical_rip(ens, model, 20, 40, rng=SeededRng(SEED + 9)).delta_hat
+        d_raw, _ = ascend(ens, model, 20, 0, SeededRng(SEED + 9))
+        d_ref, _ = ascend(ens, model, 20, 40, SeededRng(SEED + 9))
         assert d_ref >= d_raw - 1e-12
 
 
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _flat(model: LqCap, z: np.ndarray) -> np.ndarray:
+    """rip._flat_witness of the (B, N) block z at the cap's support size."""
+    return rip._flat_witness(z, np.abs(z), witness_support_size(model.q, model.s, z.shape[1]))
+
+
+def _reference_flat_projection(model: LqCap, z: np.ndarray) -> np.ndarray:
+    """The single-vector flat-witness projection, written out."""
+    n = z.size
+    j = witness_support_size(model.q, model.s, n)
+    keep = np.argpartition(np.abs(z), n - j)[n - j:]
+    x = np.zeros(n, dtype=complex)
+    mags = np.abs(z[keep])
+    x[keep] = np.where(mags > 0, z[keep] / np.where(mags > 0, mags, 1.0), 1.0) / math.sqrt(j)
+    return x
+
+
+# Small integers give zero moduli and ties (1, -1, 1j, -1j share a modulus).
+_ENTRIES = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, -1 - 1j, 2 + 0j]),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
+                       allow_infinity=False),
+)
+
+
+@st.composite
+def _model_and_block(draw):
+    ambient = draw(st.integers(1, 12))
+    model = LqCap(draw(st.sampled_from([1.0, 1.25, 4.0 / 3.0, 1.7, 1.999, 2.0])),
+                  draw(st.floats(1.0, 12.0)))
+    rows = draw(st.integers(1, 5))
+    return model, draw(hnp.arrays(complex, (rows, ambient), elements=_ENTRIES))
+
+
+class TestFlatWitness:
+    def test_lqcap_flat_modulus_keeps_phases(self):
+        z = np.array([3.0 * np.exp(1j * 0.3), -1.0, 0.25j, 2.0 * np.exp(-1j * 1.1)])
+        (w,) = _flat(LqCap(1.0, 2.0), z[None, :])
+        nz = w[np.abs(w) > 0]
+        assert nz.size == 2
+        np.testing.assert_allclose(np.abs(nz), np.abs(nz[0]), rtol=1e-12)
+        # phases of the two largest entries survive
+        assert np.angle(w[0]) == pytest.approx(0.3, abs=1e-12)
+        assert np.angle(w[3]) == pytest.approx(-1.1, abs=1e-12)
+
+
+class TestFlatWitnessBlocks:
+    # Zero rows included: the ascent drops a row whose step vanishes, but the
+    # kernel gives every zero entry phase 1.
+    @settings(max_examples=300)
+    @given(_model_and_block())
+    def test_block_rows_equal_single_vector_calls(self, case):
+        model, z = case
+        block = _flat(model, z)
+        assert block.shape == z.shape
+        for row, expected_input in zip(block, z):
+            (single,) = _flat(model, expected_input[None, :])
+            np.testing.assert_array_equal(_bits(row), _bits(single))
+            reference = _reference_flat_projection(model, expected_input)
+            np.testing.assert_array_equal(_bits(row), _bits(reference))
+
+    # At j = N the kernel keeps every coordinate without a partition, so it
+    # is checked against the keep-everything construction directly.
+    # _ENTRIES makes exact zeros, which take phase 1.
+    @settings(max_examples=200)
+    @given(st.integers(1, 12).flatmap(
+        lambda n: hnp.arrays(complex, st.tuples(st.integers(1, 5), st.just(n)),
+                             elements=_ENTRIES)))
+    @example(np.array([[0, 2j, 0, -2], [0, 0, 0, 0], [1j, -1j, 0, 0.25]], dtype=complex))
+    def test_keeping_every_coordinate_is_the_explicit_construction(self, z):
+        n = z.shape[1]
+        mags = np.abs(z)
+        expected = np.where(mags > 0, z / np.where(mags > 0, mags, 1.0), 1.0) / math.sqrt(n)
+        np.testing.assert_array_equal(_bits(rip._flat_witness(z, mags, n)), _bits(expected))
+        # Every q = 2 cap has j = N.
+        for s in (1.0, 3.5):
+            np.testing.assert_array_equal(_bits(_flat(LqCap(2.0, s), z)), _bits(expected))
+
+
 def reference_ascent(a, model, trials, ascent_steps, rng):
-    """Per-trial, per-sign, per-vector projected power ascent.
+    """Per-trial, per-sign, per-vector projected power ascent, projected by
+    the written-out _reference_flat_projection rather than rip's kernel.
 
     Returns the estimate, the row-steps up to each ascent's first exact fixed
     point, and how many ascents stopped on a vanishing step.
@@ -376,7 +478,7 @@ def reference_ascent(a, model, trials, ascent_steps, rng):
                 if not np.any(y):
                     vanished += 1
                     break
-                nxt = project_witness(model, y)
+                nxt = _reference_flat_projection(model, y)
                 steps += 0 if fixed else 1
                 fixed = fixed or np.array_equal(nxt.view(np.uint64), x.view(np.uint64))
                 x = nxt
@@ -396,10 +498,10 @@ class TestBlockAscent:
     )
     def test_matches_per_trial_reference(self, model, trials, steps, seed):
         a = gaussian_ensemble(16, 12, SeededRng(seed)).rows
-        report = empirical_rip(a, model, trials, steps, rng=SeededRng(seed, 1))
+        got, run = ascend(a, model, trials, steps, SeededRng(seed, 1))
         delta, iterations, _ = reference_ascent(a, model, trials, steps, SeededRng(seed, 1))
-        assert report.delta_hat.hex() == delta.hex()
-        assert report.details["ascent_iterations"] == iterations
+        assert got.hex() == delta.hex()
+        assert run == iterations
 
     # The benchmark's mrip operator: N = 64, m = 256, q = 1, every dyadic cap.
     @pytest.mark.parametrize("s", [1, 4, 16, 64])
@@ -411,21 +513,21 @@ class TestBlockAscent:
             put(threads)
             if get() != threads:
                 pytest.skip(f"OpenBLAS cannot run {threads} threads here")
-            report = empirical_rip(a, model, 20, 50, rng=SeededRng(SEED + 26))
+            got, run = ascend(a, model, 20, 50, SeededRng(SEED + 26))
             delta, iterations, _ = reference_ascent(a, model, 20, 50, SeededRng(SEED + 26))
-            assert report.delta_hat.hex() == delta.hex()
-            assert report.details["ascent_iterations"] == iterations
+            assert got.hex() == delta.hex()
+            assert run == iterations
 
     def test_vanishing_steps_stop_their_rows_only(self):
         # Columns 8..15 are annihilated, so defect = diag(0, ..., -1, ...) and
         # shift = 1: an upward step from a witness on those columns vanishes.
         a = np.diag(np.r_[np.ones(8), np.zeros(8)])
         model = LqCap(1.0, 1.0)
-        report = empirical_rip(a, model, 16, 5, rng=SeededRng(SEED + 20))
+        got, run = ascend(a, model, 16, 5, SeededRng(SEED + 20))
         delta, iterations, vanished = reference_ascent(a, model, 16, 5, SeededRng(SEED + 20))
         assert 0 < vanished < 16
-        assert report.delta_hat.hex() == delta.hex()
-        assert report.details["ascent_iterations"] == iterations
+        assert got.hex() == delta.hex()
+        assert run == iterations
 
     # Columns 8..15 are annihilated and the other block has defect
     # eigenvalues inside (-1, 1), so shift = 1.  A witness on the annihilated
@@ -440,10 +542,10 @@ class TestBlockAscent:
         a[:, :8] = np.diag(np.sqrt(g.uniform(0.2, 1.8, 8))) @ v.T
         assert operator_norm(a.T @ a - np.eye(16)) == 1.0
         model = LqCap(1.0, s)
-        report = empirical_rip(a, model, trials, 12, rng=SeededRng(seed, 1))
+        got, run = ascend(a, model, trials, 12, SeededRng(seed, 1))
         delta, iterations, _ = reference_ascent(a, model, trials, 12, SeededRng(seed, 1))
-        assert report.delta_hat.hex() == delta.hex()
-        assert report.details["ascent_iterations"] == iterations
+        assert got.hex() == delta.hex()
+        assert run == iterations
 
     def test_canonical_reports_no_ascent(self):
         ens = gaussian_ensemble(10, 6, SeededRng(SEED + 21))
@@ -453,9 +555,8 @@ class TestBlockAscent:
 
     def test_fixed_points_stop_early(self):
         ens = gaussian_ensemble(64, 256, SeededRng(SEED + 23))
-        report = empirical_rip(ens, LqCap(1.0, 1.0), 20, 50, rng=SeededRng(SEED + 24))
-        assert 0 < report.details["ascent_iterations"] < 2 * 20 * 50
-        assert report.details["trials"] == 20
+        _, run = ascend(ens, LqCap(1.0, 1.0), 20, 50, SeededRng(SEED + 24))
+        assert 0 < run < 2 * 20 * 50
 
 
 class TestReportContract:
@@ -465,18 +566,15 @@ class TestReportContract:
         (lambda a: exact_rip_canonical(a, 2), "exact", 0, 15),
         (lambda a: empirical_rip(a, Canonical(2), 10, rng=SeededRng(SEED, 1)), "lower", 10, 10),
         (lambda a: empirical_rip(a, Canonical(2), 40, rng=SeededRng(SEED, 1)), "exact", 40, 15),
-        (lambda a: empirical_rip(a, LqCap(1.0, 2.0), 10, 5, rng=SeededRng(SEED, 1)),
-         "lower", 10, 0),
-    ], ids=["exact", "drawn", "enumerated", "ascent"])
+    ], ids=["exact", "drawn", "enumerated"])
     def test_side_and_cost_keys(self, estimate, side, trials, supports):
         a = gaussian_ensemble(6, 4, SeededRng(SEED + 40)).rows
         report = estimate(a)
         assert report.side == side
         assert report.details.keys() == {"trials", "supports", "evaluated", "ascent_iterations"}
         assert (report.details["trials"], report.details["supports"]) == (trials, supports)
-        assert 0 <= report.details["evaluated"] <= supports
-        # Only ascent, which evaluates no supports, runs ascent steps.
-        assert (report.details["ascent_iterations"] > 0) == (supports == 0)
+        assert 1 <= report.details["evaluated"] <= supports
+        assert report.details["ascent_iterations"] == 0
         if side == "exact":
             assert report.delta_hat.hex() == exact_rip_canonical(a, 2).delta_hat.hex()
 
@@ -530,18 +628,24 @@ class TestMripCheck:
         assert not shrunk
 
     def test_levels_equal_empirical_rip_on_their_streams(self):
-        # The levels share one defect form; each must still read the estimate
-        # empirical_rip gives at its cap on the i-th stream.
+        # The levels share one defect form; each must still read the
+        # empirical estimate that an ascent at its cap gives on the i-th
+        # stream from a form of its own.
         ens = gaussian_ensemble(32, 128, SeededRng(SEED + 15))
         _, levels = mrip_check(ens, 1.0, 2.0, 0.3, 6, 10, SeededRng(SEED + 16))
         for i, lv in enumerate(levels):
-            report = empirical_rip(ens, LqCap(1.0, lv["sparsity"]), 6, 10,
-                                   rng=SeededRng(SEED + 16).stream(i))
-            assert lv["observed"].hex() == report.delta_hat.hex()
+            delta, _ = ascend(ens, LqCap(1.0, lv["sparsity"]), 6, 10, SeededRng(SEED + 16).stream(i))
+            assert lv["observed"].hex() == delta.hex()
 
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             mrip_check(np.eye(8), 1.0, 1.0, 0.5, 0, 2, SeededRng(SEED))
+
+    def test_negative_ascent_steps_rejected(self):
+        with pytest.raises(ValueError, match="ascent_steps must be >= 0"):
+            mrip_check(np.eye(8), 1.0, 1.0, 0.5, 2, -4, SeededRng(SEED))
+        with pytest.raises(ValueError, match="ascent_steps must be >= 0"):
+            calibrate_mrip_distortion(np.eye(8), 1.0, 1.0, 2, -4, SeededRng(SEED))
 
     def test_invalid_sparsity_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,12 @@
-"""Tests for sparsity models, witnesses, and the sparsity-parameter optimizer."""
+"""Tests for sparsity models, witness draws, and the sparsity-parameter optimizer."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from riplab.instruments import (
     make_decaying_window,
@@ -19,10 +18,8 @@ from riplab.numerics import SeededRng, lq_norm
 from riplab.sparsity import (
     Canonical,
     LqCap,
-    _flat_witness,
     max_sparsity_level,
     optimize_sparsity_parameter,
-    project_witness,
     sample_sparse,
     sparsity_level,
     sparsity_parameter_value,
@@ -114,98 +111,6 @@ class TestSampleSparse:
         # Canonical models are measured through their supports, not witnesses.
         with pytest.raises(TypeError, match="LqCap"):
             sample_sparse(Canonical(2), 8, SeededRng(SEED))
-
-
-class TestProjectWitness:
-    def test_canonical_model_rejected(self):
-        for z in (np.ones(8, dtype=complex), np.ones((2, 8), dtype=complex)):
-            with pytest.raises(TypeError, match="LqCap"):
-                project_witness(Canonical(2), z)
-
-    def test_lqcap_flat_modulus_keeps_phases(self):
-        z = np.array([3.0 * np.exp(1j * 0.3), -1.0, 0.25j, 2.0 * np.exp(-1j * 1.1)])
-        w = project_witness(LqCap(1.0, 2.0), z)
-        nz = w[np.abs(w) > 0]
-        assert nz.size == 2
-        np.testing.assert_allclose(np.abs(nz), np.abs(nz[0]), rtol=1e-12)
-        # phases of the two largest entries survive
-        assert np.angle(w[0]) == pytest.approx(0.3, abs=1e-12)
-        assert np.angle(w[3]) == pytest.approx(-1.1, abs=1e-12)
-
-
-def _bits(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x).view(np.uint64)
-
-
-def _reference_flat_projection(model: LqCap, z: np.ndarray) -> np.ndarray:
-    """The single-vector flat-witness projection, written out."""
-    n = z.size
-    j = witness_support_size(model.q, model.s, n)
-    keep = np.argpartition(np.abs(z), n - j)[n - j:]
-    x = np.zeros(n, dtype=complex)
-    mags = np.abs(z[keep])
-    x[keep] = np.where(mags > 0, z[keep] / np.where(mags > 0, mags, 1.0), 1.0) / math.sqrt(j)
-    return x
-
-
-# Small integers give zero moduli and ties (1, -1, 1j, -1j share a modulus).
-_ENTRIES = st.one_of(
-    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, -1 - 1j, 2 + 0j]),
-    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
-                       allow_infinity=False),
-)
-
-
-@st.composite
-def _model_and_block(draw):
-    ambient = draw(st.integers(1, 12))
-    model = LqCap(draw(st.sampled_from([1.0, 1.25, 4.0 / 3.0, 1.7, 1.999, 2.0])),
-                  draw(st.floats(1.0, 12.0)))
-    rows = draw(st.integers(1, 5))
-    z = draw(hnp.arrays(complex, (rows, ambient), elements=_ENTRIES))
-    assume(np.all(np.any(z, axis=1)))
-    return model, z
-
-
-class TestProjectWitnessBlocks:
-    @settings(max_examples=300, suppress_health_check=[HealthCheck.filter_too_much])
-    @given(_model_and_block())
-    def test_block_rows_equal_single_vector_calls(self, case):
-        model, z = case
-        block = project_witness(model, z)
-        assert block.shape == z.shape
-        for row, expected_input in zip(block, z):
-            single = project_witness(model, expected_input)
-            np.testing.assert_array_equal(_bits(row), _bits(single))
-            reference = _reference_flat_projection(model, expected_input)
-            np.testing.assert_array_equal(_bits(row), _bits(reference))
-
-    # At j = N the kernel keeps every coordinate without a partition, so it
-    # is checked against the keep-everything construction directly: the
-    # ascent's reference projects through the same kernel and cannot see a
-    # drift there.  _ENTRIES makes exact zeros, which take phase 1.
-    @settings(max_examples=200)
-    @given(st.integers(1, 12).flatmap(
-        lambda n: hnp.arrays(complex, st.tuples(st.integers(1, 5), st.just(n)),
-                             elements=_ENTRIES)))
-    @example(np.array([[0, 2j, 0, -2], [0, 0, 0, 0], [1j, -1j, 0, 0.25]], dtype=complex))
-    def test_keeping_every_coordinate_is_the_explicit_construction(self, z):
-        n = z.shape[1]
-        mags = np.abs(z)
-        expected = np.where(mags > 0, z / np.where(mags > 0, mags, 1.0), 1.0) / math.sqrt(n)
-        np.testing.assert_array_equal(_bits(_flat_witness(z, mags, n)), _bits(expected))
-        live = np.any(z, axis=1)
-        if live.any():
-            # Every q = 2 cap has j = N.
-            for s in (1.0, 3.5):
-                np.testing.assert_array_equal(_bits(project_witness(LqCap(2.0, s), z[live])),
-                                              _bits(expected[live]))
-
-    def test_block_with_a_zero_row_rejected(self):
-        z = np.ones((3, 4), dtype=complex)
-        z[1] = 0
-        with pytest.raises(ValueError, match="zero vector"):
-            project_witness(LqCap(1.0, 2.0), z)
 
 
 class TestSparsityParameter:
