@@ -449,15 +449,15 @@ def _run_mrip(p: dict) -> Iterator[RunResult | None]:
 
 def _calibrated_pairs(p: dict, model: LqCap):
     """The Gaussian sketch of distance and weakdiff, its calibrated distortion,
-    and a lazy sequence of the ``pairs`` random pairs (x, y) of ``model``;
-    pair i is drawn from stream i of the pair RNG."""
+    and the ``pairs`` random pairs (x, y) of ``model``: pair i is rows 2i and
+    2i + 1 of one sample_sparse block from the pair RNG, so fewer pairs are
+    a prefix of more."""
     ens = gaussian_ensemble(p["N"], p["m"], SeededRng(p["seed"]))
     delta, _ = calibrate_mrip_distortion(
         ens, p["q"], p["s"], p["trials"], p["ascent"], SeededRng(p["seed"], 1)
     )
-    pairs = ((sample_sparse(model, p["N"], stream), sample_sparse(model, p["N"], stream))
-             for stream in SeededRng(p["seed"], 2).streams(range(p["pairs"])))
-    return ens, delta, pairs
+    block = sample_sparse(model, p["N"], 2 * p["pairs"], SeededRng(p["seed"], 2))
+    return ens, delta, zip(block[0::2], block[1::2])
 
 
 def _run_distance(p: dict) -> Iterator[RunResult | None]:

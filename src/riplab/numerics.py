@@ -386,9 +386,6 @@ class SeededRng:
     def rademacher(self, size):
         return 2 * self._gen.integers(0, 2, size) - 1
 
-    def unit_phases(self, size):
-        return np.exp(2j * np.pi * self._gen.uniform(0.0, 1.0, size))
-
     def choice_no_replace(self, n: int, k: int):
         return self._gen.choice(n, size=k, replace=False)
 

@@ -14,7 +14,8 @@ operator form, D from _defect, and has one body with one kernel on it:
   stream of supports, enumerated or sampled;
 * q-caps: _dyadic_levels, behind the multilevel check and its calibration,
   with _ascend, projected power ascent toward both signed extremes as one
-  block, each step projected by _flat_witness.
+  block, from one block of sample_sparse starts, each step projected by the
+  same flat-witness kernel, sparsity._flat_witness.
 
 Beside them sit sketched-distance bounds, a pairwise separation classifier,
 Gaussian mean width and the closed-form counts gordon_m, implicit_m,
@@ -30,7 +31,8 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .numerics import CapacityError, SeededRng, as_int, lq_norm, operator_norm
-from .sparsity import Canonical, LqCap, max_sparsity_level, sample_sparse, witness_support_size
+from .sparsity import (Canonical, LqCap, _flat_witness, max_sparsity_level, sample_sparse,
+                       witness_support_size)
 
 __all__ = [
     "RipReport",
@@ -69,10 +71,9 @@ class RipReport:
 
     ``side`` is "exact" when every support was enumerated and "lower" when
     the value is a maximum over drawn supports.  ``details`` holds the same
-    four counts on every report: ``trials``; ``supports``, C(N, k) when
-    supports are enumerated and ``trials`` when they are drawn;
-    ``evaluated``, the supports that reached eigvalsh; and
-    ``ascent_iterations``, which canonical models leave at 0.
+    three counts on every report: ``trials``; ``supports``, C(N, k) when
+    supports are enumerated and ``trials`` when they are drawn; and
+    ``evaluated``, the supports that reached eigvalsh.
     """
 
     delta_hat: float
@@ -180,7 +181,7 @@ def _canonical_rip(a, model: Canonical, trials: int, rng: SeededRng | None) -> R
     delta, evaluated = _max_defect(defect, supports, k)
     return RipReport(delta, "exact" if exhaustive else "lower", repr(model), m,
                      {"trials": trials, "supports": n_supports if exhaustive else trials,
-                      "evaluated": evaluated, "ascent_iterations": 0})
+                      "evaluated": evaluated})
 
 
 def exact_rip_canonical(a, k: int) -> RipReport:
@@ -190,14 +191,7 @@ def exact_rip_canonical(a, k: int) -> RipReport:
     return _canonical_rip(a, Canonical(k), 0, None)
 
 
-def empirical_rip(
-    a,
-    model: Canonical,
-    trials: int,
-    ascent_steps: int = 50,
-    *,
-    rng: SeededRng,
-) -> RipReport:
+def empirical_rip(a, model: Canonical, trials: int, *, rng: SeededRng) -> RipReport:
     """Estimate of the isometry defect over a canonical model, from below
     unless every support is enumerated.
 
@@ -207,8 +201,8 @@ def empirical_rip(
     enumerated one), and the report is exact_rip_canonical's.  Each trial
     draws its support from its own RNG stream, so the estimate is a running
     maximum over per-trial streams and is non-decreasing in ``trials`` for a
-    fixed seed.  ``ascent_steps`` is unused.  q-caps are measured through
-    their dyadic levels (mrip_check); any other model raises TypeError.
+    fixed seed.  q-caps are measured through their dyadic levels
+    (mrip_check); any other model raises TypeError.
     """
     if not isinstance(model, Canonical):
         raise TypeError(f"expected a Canonical model; got {type(model).__name__}")
@@ -218,35 +212,17 @@ def empirical_rip(
     return _canonical_rip(a, model, trials, rng)
 
 
-def _flat_witness(z: np.ndarray, moduli: np.ndarray, j: int) -> np.ndarray:
-    """The flat witness of each row of the (B, N) block z: the phases of its
-    j largest moduli over sqrt(j), zero elsewhere; a zero entry has phase 1.
-    ``moduli`` is np.abs(z), which the caller may already hold.  At j = N
-    every coordinate is kept, so there is nothing to partition or gather."""
-    b, n = z.shape
-    if j == n:
-        phases = np.divide(z, moduli, out=np.ones(z.shape, complex), where=moduli > 0)
-        phases /= math.sqrt(j)
-        return phases
-    # One flat index into the C-ordered block serves both gathers and the scatter.
-    keep = np.argpartition(moduli, n - j, axis=1)[:, n - j:] + n * np.arange(b)[:, None]
-    mags = moduli.ravel()[keep]
-    phases = np.divide(z.ravel()[keep], mags, out=np.ones(keep.shape, complex), where=mags > 0)
-    x = np.zeros(z.shape, complex)
-    x.ravel()[keep] = phases / math.sqrt(j)
-    return x
-
-
 def _ascend(model: LqCap, defect: np.ndarray, shift: float, trials: int, steps: int,
             rng: SeededRng) -> tuple[float, int]:
     """Projected power ascent on the form x^* defect x from one witness per
-    trial, drawn from ``rng.stream(t)``.
+    trial: row t of one ``sample_sparse(model, N, trials, rng)`` block.
 
     Both signs of every trial run as one block of 2 * trials rows: the first
     copy climbs and the second descends, by up to ``steps`` iterations
     x <- P(sign defect x + shift x), with P the _flat_witness of the cap's
     witness support size.  Returns the largest |form| over the drawn and the
-    final rows, and the number of row-steps run.
+    final rows, and the number of row-steps run.  The forms of both come
+    from one product of the stacked block, taken row by row.
 
     Each step is one product of the live rows with defect.T, then the
     descending rows are negated and shift x is added in place; a row stops
@@ -258,7 +234,7 @@ def _ascend(model: LqCap, defect: np.ndarray, shift: float, trials: int, steps: 
     """
     n = defect.shape[0]
     j = witness_support_size(model.q, model.s, n)
-    x0 = np.stack([sample_sparse(model, n, stream) for stream in rng.streams(range(trials))])
+    x0 = sample_sparse(model, n, trials, rng)
     x = np.concatenate([x0, x0])
     rows = np.arange(len(x))  # the live rows, in order
     run = 0
@@ -281,7 +257,10 @@ def _ascend(model: LqCap, defect: np.ndarray, shift: float, trials: int, steps: 
         rows = rows[(nxt.view(np.uint64) != xl.view(np.uint64)).any(axis=1)]
         if not len(rows):
             break
-    return max(abs(float(np.real(np.vdot(v, defect @ v)))) for v in chain(x0, x)), run
+    # At least three rows, so the product never goes through zgemv.
+    ends = np.concatenate([x0, x])
+    forms = (ends.conj() * (ends @ defect.T)).sum(axis=1).real
+    return float(np.abs(forms).max()), run
 
 
 # -- multilevel check ---------------------------------------------------------

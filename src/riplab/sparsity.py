@@ -6,8 +6,10 @@ A model describes a set of unit-norm signals in C^N:
 * ``LqCap(q, s)``  -- ||x||_q <= sqrt(s) ||x||_2 (1 <= q <= 2).
 
 Canonical models are measured through their supports, which rip enumerates
-or draws, and q-caps through flat witnesses: ``sample_sparse`` draws the
-witness each ascent in rip starts from.
+or draws, and q-caps through flat witnesses, all made by one kernel,
+``_flat_witness``: ``sample_sparse`` applies it to Gaussian rows for the
+starts of rip's ascent and for the sketched pairs, and rip applies it at
+every ascent step.
 
 ``optimize_sparsity_parameter`` finds the exact minimum over q' >= 2 of the
 instrument-dependent objective and its gain over the q' = 2 baseline.
@@ -26,7 +28,6 @@ from .numerics import NumericalError, SeededRng, as_int, lq_norm, schatten_norm
 __all__ = [
     "Canonical",
     "LqCap",
-    "SparsityModel",
     "sparsity_level",
     "max_sparsity_level",
     "witness_support_size",
@@ -59,9 +60,6 @@ class LqCap:
             raise ValueError(f"q must lie in [1, 2]; got {self.q}")
         if not self.s >= 1.0:
             raise ValueError(f"the l_q cap is empty for s < 1; got s={self.s}")
-
-
-SparsityModel = Canonical | LqCap
 
 
 def sparsity_level(x, q: float) -> float:
@@ -103,16 +101,42 @@ def witness_support_size(q: float, s: float, n: int) -> int:
     return max(1, min(n, int(math.floor(s**expo))))
 
 
-def sample_sparse(model: LqCap, ambient: int, rng: SeededRng) -> np.ndarray:
-    """Random flat witness of the q-cap in C^ambient: unit phases over sqrt(j)
-    on j = witness_support_size(q, s, ambient) random coordinates."""
+def _flat_witness(z: np.ndarray, moduli: np.ndarray, j: int) -> np.ndarray:
+    """The flat witness of each row of the (B, N) block z: the phases of its
+    j largest moduli over sqrt(j), zero elsewhere; a zero entry has phase 1.
+    ``moduli`` is np.abs(z), which the caller may already hold.  At j = N
+    every coordinate is kept, so there is nothing to partition or gather."""
+    b, n = z.shape
+    if j == n:
+        phases = np.divide(z, moduli, out=np.ones(z.shape, complex), where=moduli > 0)
+        phases /= math.sqrt(j)
+        return phases
+    # One flat index into the C-ordered block serves both gathers and the scatter.
+    keep = np.argpartition(moduli, n - j, axis=1)[:, n - j:] + n * np.arange(b)[:, None]
+    mags = moduli.ravel()[keep]
+    phases = np.divide(z.ravel()[keep], mags, out=np.ones(keep.shape, complex), where=mags > 0)
+    x = np.zeros(z.shape, complex)
+    x.ravel()[keep] = phases / math.sqrt(j)
+    return x
+
+
+def sample_sparse(model: LqCap, ambient: int, count: int, rng: SeededRng) -> np.ndarray:
+    """A (count, ambient) block of random flat witnesses of the q-cap: the
+    _flat_witness of a block of i.i.d. complex Gaussian rows, on
+    j = witness_support_size(q, s, ambient) coordinates.
+
+    The j largest moduli of such a row are a uniform j-subset and their
+    phases are independent and uniform.  Row t holds the real parts, then
+    the imaginary parts, of normals 2 t N to 2 (t + 1) N of ``rng``, so a
+    draw of r rows is the first r rows of a larger one.
+    """
     if not isinstance(model, LqCap):
         raise TypeError(f"expected an LqCap model; got {type(model).__name__}")
-    j = witness_support_size(model.q, model.s, ambient)
-    support = rng.choice_no_replace(ambient, j)
-    x = np.zeros(ambient, dtype=complex)
-    x[support] = rng.unit_phases(j) / math.sqrt(j)
-    return x
+    # Not rng.complex_normal: it draws every real part before any imaginary
+    # part, so its rows would depend on count.
+    parts = rng.standard_normal((count, 2, ambient))
+    z = parts[:, 0] + 1j * parts[:, 1]
+    return _flat_witness(z, np.abs(z), witness_support_size(model.q, model.s, ambient))
 
 
 # -- the instrument-dependent sparsity parameter -----------------------------

@@ -132,7 +132,7 @@ class TestAcceptance:
         exhaustive = True
         for seed in range(10):
             ens = go.gaussian_ensemble(12, 6, SeededRng(seed))
-            emp = rip.empirical_rip(ens, sp.Canonical(2), 66, 50, rng=SeededRng(seed, 1))
+            emp = rip.empirical_rip(ens, sp.Canonical(2), 66, rng=SeededRng(seed, 1))
             ex = rip.exact_rip_canonical(ens, 2)
             exhaustive = exhaustive and emp.side == "exact"
             worst = max(worst, abs(emp.delta_hat - ex.delta_hat))
@@ -149,7 +149,7 @@ class TestAcceptance:
                 for seed in range(20):
                     ens = go.sample_ensemble(inst, "shiftmod", m, "none",
                                              SeededRng(seed))
-                    rep = rip.empirical_rip(ens, sp.Canonical(k), 200, 50,
+                    rep = rip.empirical_rip(ens, sp.Canonical(k), 200,
                                             rng=SeededRng(seed, 1))
                     vals.append(rep.delta_hat)
                 med[(k, m)] = float(np.median(vals))
@@ -206,8 +206,7 @@ class TestAcceptance:
         fails = 0
         for i in range(1000):
             stream = pair_rng.stream(i)
-            x = sp.sample_sparse(sp.LqCap(1.0, 2.0), 64, stream)
-            y = sp.sample_sparse(sp.LqCap(1.0, 2.0), 64, stream)
+            x, y = sp.sample_sparse(sp.LqCap(1.0, 2.0), 64, 2, stream)
             rep = rip.distance_bound_check(ens, x, y, 2.0, delta, 1.0)
             if not rep["passed"] or (rep["refined_applies"]
                                      and not rep["refined_passed"]):
@@ -224,10 +223,9 @@ class TestAcceptance:
         separated = close = violations = 0
         for i in range(1000):
             stream = pair_rng.stream(10_000 + i)
-            x = sp.sample_sparse(sp.LqCap(1.0, 2.0), 64, stream)
+            x, y = sp.sample_sparse(sp.LqCap(1.0, 2.0), 64, 2, stream)
             x = x / np.linalg.norm(x)
             if i % 2 == 0:
-                y = sp.sample_sparse(sp.LqCap(1.0, 2.0), 64, stream)
                 y = y / np.linalg.norm(y)
             else:
                 y = -x
@@ -277,7 +275,7 @@ class TestAcceptance:
         successes = 0
         for draw in range(100):
             ens = go.gaussian_ensemble(64, m, SeededRng(seed, 9000 + draw))
-            rep = rip.empirical_rip(ens, sp.Canonical(4), 200, 50,
+            rep = rip.empirical_rip(ens, sp.Canonical(4), 200,
                                     rng=SeededRng(seed, 9500 + draw))
             successes += rep.delta_hat <= 0.5
         assert _verdict(9, successes >= 85,

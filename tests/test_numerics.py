@@ -191,10 +191,6 @@ class TestSeededRng:
         r = SeededRng(SEED).rademacher(1000)
         assert set(np.unique(r)) == {-1, 1}
 
-    def test_unit_phases_modulus(self):
-        p = SeededRng(SEED).unit_phases(500)
-        np.testing.assert_allclose(np.abs(p), 1.0, atol=1e-12)
-
     def test_choice_no_replace(self):
         idx = SeededRng(SEED).choice_no_replace(20, 8)
         assert len(set(idx.tolist())) == 8
@@ -270,7 +266,7 @@ class TestStreamDerivation:
         lambda r: r.uniform(-1.0, 2.0, 6),
         lambda r: r.integers(0, 100, 9),
         lambda r: r.rademacher(8),
-        lambda r: r.unit_phases(4),
+        lambda r: r.standard_normal((3, 2, 4)),  # a block of sample_sparse's shape
         lambda r: r.choice_no_replace(20, 5),
         lambda r: r.generator.choice([8.0, 16.0, 32.0], 3),
         lambda r: r.generator.permutation(12),

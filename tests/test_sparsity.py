@@ -101,16 +101,57 @@ class TestWitnessSupportSize:
         assert witness_support_size(1.999, 2.0, 64) == 64
 
 
+_CAPS = st.sampled_from([LqCap(1.0, 1.0), LqCap(1.0, 2.5), LqCap(1.25, 2.0),
+                         LqCap(4.0 / 3.0, 3.0), LqCap(1.7, 1.5), LqCap(2.0, 1.0)])
+
+
 class TestSampleSparse:
     def test_lqcap_meets_level_constraint(self):
-        x = sample_sparse(LqCap(1.0, 4.0), 32, SeededRng(SEED + 3))
-        assert lq_norm(x, 1) <= 2.0 * np.linalg.norm(x) * (1 + 1e-12)
-        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        for x in sample_sparse(LqCap(1.0, 4.0), 32, 10, SeededRng(SEED + 3)):
+            assert lq_norm(x, 1) <= 2.0 * np.linalg.norm(x) * (1 + 1e-12)
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60)
+    @given(_CAPS, st.integers(1, 40), st.integers(0, 12), st.integers(0, 2**16))
+    def test_rows_are_flat_unit_witnesses(self, model, ambient, count, seed):
+        block = sample_sparse(model, ambient, count, SeededRng(seed))
+        assert block.shape == (count, ambient)
+        j = witness_support_size(model.q, model.s, ambient)
+        for x in block:
+            moduli = np.abs(x[x != 0])
+            assert moduli.size == j
+            np.testing.assert_allclose(moduli, 1.0 / math.sqrt(j), rtol=1e-15)
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60)
+    @given(_CAPS, st.integers(1, 40), st.integers(0, 12), st.integers(0, 12),
+           st.integers(0, 2**16))
+    def test_fewer_rows_are_a_prefix(self, model, ambient, fewer, extra, seed):
+        head = sample_sparse(model, ambient, fewer, SeededRng(seed))
+        block = sample_sparse(model, ambient, fewer + extra, SeededRng(seed))
+        assert [v.hex() for v in head.view(float).ravel()] == \
+            [v.hex() for v in block[:fewer].view(float).ravel()]
+
+    def test_supports_and_phases_are_uniform(self):
+        # 28,000 witnesses on j = 2 of N = 8 coordinates: each of the C(8, 2)
+        # = 28 supports expects 1,000 hits, sigma = sqrt(28000 p (1 - p)) at
+        # p = 1/28.  The 56,000 phases average to 0 within 5 / sqrt(56000).
+        block = sample_sparse(LqCap(1.0, 2.0), 8, 28_000, SeededRng(SEED + 4))
+        rows, cols = np.nonzero(block)
+        supports = cols.reshape(-1, 2)
+        counts = np.zeros((8, 8), dtype=int)
+        np.add.at(counts, (supports[:, 0], supports[:, 1]), 1)
+        hits = counts[np.triu_indices(8, 1)]
+        sigma = math.sqrt(28_000 * (1 / 28) * (27 / 28))
+        assert hits.sum() == 28_000
+        assert np.all(np.abs(hits - 1_000) <= 5 * sigma), hits
+        phases = block[rows, cols] * math.sqrt(2)
+        assert abs(phases.mean()) <= 5 / math.sqrt(phases.size)
 
     def test_canonical_model_rejected(self):
         # Canonical models are measured through their supports, not witnesses.
         with pytest.raises(TypeError, match="LqCap"):
-            sample_sparse(Canonical(2), 8, SeededRng(SEED))
+            sample_sparse(Canonical(2), 8, 1, SeededRng(SEED))
 
 
 class TestSparsityParameter:
