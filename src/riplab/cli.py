@@ -136,7 +136,7 @@ _SKETCH_OPTS = (
     Opt("m", "int", required=True, above=0),
     Opt("q", "float", default=1.0),
     Opt("s", "float", required=True),
-    Opt("trials", "int", default=50, above=0, help="trials per dyadic level"),
+    Opt("trials", "int", default=50, above=0, help="ascent starts per dyadic level between the closed-form end levels"),
     Opt("ascent", "int", default=50, above=-1),
 )
 

@@ -4,18 +4,22 @@ The central quantity for an operator A and a signal model M is
 
     delta(A, M) = sup { | x^* D x | : x in M, ||x||_2 = 1 },  D = A^* A - I,
 
-estimated exactly (support enumeration for canonical sparsity) or from below
-(sampled supports, or sampled witnesses with ascent refinement); computing it
-is NP-hard, so a sampled value only bounds it.  Every estimator reads one
-operator form, D from _defect, and has one body with one kernel on it:
+estimated exactly (support enumeration for canonical sparsity, closed forms
+at the end levels of a q-cap) or from below (sampled supports, or sampled
+witnesses with ascent refinement); computing it is NP-hard, so a sampled
+value only bounds it.  Every estimator reads one operator form, D from
+_defect, and has one body with one kernel on it:
 
 * canonical models: _canonical_rip, behind exact_rip_canonical and
   empirical_rip, with _max_defect, the Frobenius-pruned maximum over any
   stream of supports, enumerated or sampled;
-* q-caps: _dyadic_levels, behind the multilevel check and its calibration,
-  with _ascend, projected power ascent toward both signed extremes as one
-  block, from one block of sample_sparse starts, each step projected by the
-  same flat-witness kernel, sparsity._flat_witness.
+* q-caps: _dyadic_levels, behind the multilevel check and its calibration.
+  Its two end levels are exact in closed form (||D||_2 for the whole
+  sphere, max |D_ii| for 1-sparse witnesses); the levels between run
+  _ascend, projected power ascent toward both signed extremes as one block,
+  from one block of sample_sparse starts, each step projected by the same
+  flat-witness kernel, sparsity._flat_witness, and each level reading the
+  running maximum of its forms.
 
 Beside them sit sketched-distance bounds, a pairwise separation classifier,
 Gaussian mean width and the closed-form counts gordon_m, implicit_m,
@@ -212,55 +216,38 @@ def empirical_rip(a, model: Canonical, trials: int, *, rng: SeededRng) -> RipRep
     return _canonical_rip(a, model, trials, rng)
 
 
-def _ascend(model: LqCap, defect: np.ndarray, shift: float, trials: int, steps: int,
-            rng: SeededRng) -> tuple[float, int]:
+def _ascend(model: LqCap, defect: np.ndarray, trials: int, steps: int,
+            rng: SeededRng) -> float:
     """Projected power ascent on the form x^* defect x from one witness per
     trial: row t of one ``sample_sparse(model, N, trials, rng)`` block.
 
     Both signs of every trial run as one block of 2 * trials rows: the first
-    copy climbs and the second descends, by up to ``steps`` iterations
-    x <- P(sign defect x + shift x), with P the _flat_witness of the cap's
-    witness support size.  Returns the largest |form| over the drawn and the
-    final rows, and the number of row-steps run.  The forms of both come
-    from one product of the stacked block, taken row by row.
+    copy climbs and the second descends, by ``steps`` iterations
+    x <- P(sign defect x), with P the _flat_witness of the cap's witness
+    support size (the truncated power method).  Returns the running maximum
+    of |form| over every iterate, x_0 through x_steps, so the value is
+    non-decreasing in ``steps``.
 
-    Each step is one product of the live rows with defect.T, then the
-    descending rows are negated and shift x is added in place; a row stops
-    once its step vanishes or it repeats bit for bit.  OpenBLAS computes each
-    row of a zgemm apart from the other rows, whatever their number, and the
-    rest is elementwise, so every row is bit-identical to an ascent run on
-    that row alone.  numpy sends a one-row product to zgemv, which rounds
-    differently, so a lone live row is padded to two.
+    Each of the steps + 1 products of the whole block with defect.T gives
+    every row's form; between products the descending half is negated and
+    the block projected.  The block has at least two rows, and OpenBLAS
+    computes each row of a zgemm apart from the other rows, so every row is
+    bit-identical to an ascent run on that row alone.  A fixed point repeats
+    its form, and a row whose step vanishes still projects to a feasible
+    witness, so neither needs a stop.
     """
     n = defect.shape[0]
     j = witness_support_size(model.q, model.s, n)
     x0 = sample_sparse(model, n, trials, rng)
     x = np.concatenate([x0, x0])
-    rows = np.arange(len(x))  # the live rows, in order
-    run = 0
-    for _ in range(steps):
-        xl = x[rows]
-        y = (np.concatenate([xl, xl]) if len(rows) == 1 else xl) @ defect.T
-        y = y[:len(rows)]
-        down = y[np.searchsorted(rows, trials):]
-        np.negative(down, out=down)
-        y += shift * xl
-        moduli = np.abs(y)
-        stepped = moduli.any(axis=1)
-        if not stepped.all():
-            rows, xl, y, moduli = rows[stepped], xl[stepped], y[stepped], moduli[stepped]
-        nxt = _flat_witness(y, moduli, j)
-        run += len(rows)
-        x[rows] = nxt
-        # A row that repeats bit for bit is at a fixed point: every later step
-        # would reproduce it.
-        rows = rows[(nxt.view(np.uint64) != xl.view(np.uint64)).any(axis=1)]
-        if not len(rows):
-            break
-    # At least three rows, so the product never goes through zgemv.
-    ends = np.concatenate([x0, x])
-    forms = (ends.conj() * (ends @ defect.T)).sum(axis=1).real
-    return float(np.abs(forms).max()), run
+    best = 0.0
+    for step in range(steps + 1):
+        y = x @ defect.T
+        best = max(best, float(np.abs((x.conj() * y).sum(axis=1).real).max()))
+        if step < steps:
+            np.negative(y[trials:], out=y[trials:])
+            x = _flat_witness(y, np.abs(y), j)
+    return best
 
 
 # -- multilevel check ---------------------------------------------------------
@@ -284,11 +271,19 @@ def _level_threshold(level: int, delta: float, extra_level_factor: bool) -> floa
 
 
 def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: SeededRng):
-    """Yield (level, sparsity, observed) for each dyadic level of the q-cap
-    model: sparsity is 2^l s and observed the _ascend lower bound at the cap
-    LqCap(q, 2^l s).  The i-th level of the range draws its trials from
-    ``rng.stream(i)``, so every caller sees the same estimates for one ``rng``.
-    The defect form and its shift are computed once for all levels.
+    """Yield (level, sparsity, observed, side) for each dyadic level of the
+    q-cap model, where sparsity is 2^l s and observed the defect at the cap
+    LqCap(q, 2^l s).
+
+    The two end levels have closed forms.  A cap with 2^l s >=
+    max_sparsity_level(q, N) is the whole sphere, so it reads ||D||_2,
+    exactly.  A cap whose witness support size is 1 reads max_i |D_ii|, the
+    exact maximum over 1-sparse witnesses; it is exact when 2^l s = 1, where
+    the cap holds only 1-sparse vectors, and a lower bound otherwise.  Every
+    other level reads the _ascend lower bound.  The i-th level of the range
+    draws its trials from ``rng.stream(i)``, so every caller sees the same
+    estimates for one ``rng``.  The defect form is computed once for all
+    levels.
     """
     trials, ascent_steps = as_int(trials, "trials"), as_int(ascent_steps, "ascent_steps")
     if trials < 1:
@@ -296,13 +291,22 @@ def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: S
     if ascent_steps < 0:
         raise ValueError("ascent_steps must be >= 0")
     _, defect = _defect(a)
-    levels = _level_range(q, s, len(defect))
-    shift = operator_norm(defect)
+    n = len(defect)
+    levels = _level_range(q, s, n)
+    smax = max_sparsity_level(q, n)
+    norm = operator_norm(defect)
+    # D is Hermitian, so the form of a 1-sparse witness is the real D_ii.
+    diag = float(np.abs(defect.diagonal().real).max())
     # Indexed by position, not by level: levels can be negative.
     for level, stream in zip(levels, rng.streams(range(len(levels)))):
         sigma = 2.0**level * s
-        yield level, sigma, _ascend(LqCap(q, sigma), defect, shift, trials, ascent_steps,
-                                    stream)[0]
+        if sigma >= smax:
+            yield level, sigma, norm, "exact"
+        elif witness_support_size(q, sigma, n) == 1:
+            yield level, sigma, diag, "exact" if sigma == 1.0 else "lower"
+        else:
+            yield level, sigma, _ascend(LqCap(q, sigma), defect, trials, ascent_steps,
+                                        stream), "lower"
 
 
 def mrip_check(
@@ -321,15 +325,16 @@ def mrip_check(
     Level l carries the q-cap model at sparsity 2^l s and must stay below
     max(2^(l/2) delta, 2^l delta^2); ``extra_level_factor`` multiplies the
     threshold by another 2^(l/2) for the looser definitional variant.
-    Per-level estimates are empirical lower bounds of the true suprema; the
+    Each level's ``side`` says whether its estimate is the exact supremum
+    (the two closed-form end levels of _dyadic_levels) or a lower bound; the
     i-th level of the range draws its trials from ``rng.stream(i)``.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     levels = []
-    for level, sigma, observed in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
+    for level, sigma, observed, side in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
         threshold = _level_threshold(level, delta, extra_level_factor)
-        levels.append({"level": level, "sparsity": sigma, "observed": observed,
+        levels.append({"level": level, "sparsity": sigma, "observed": observed, "side": side,
                        "threshold": threshold, "passed": bool(observed <= threshold)})
     return all(lv["passed"] for lv in levels), levels
 
@@ -343,18 +348,19 @@ def calibrate_mrip_distortion(
     rng: SeededRng,
 ):
     """Smallest delta for which every dyadic level meets its threshold,
-    given the empirical per-level suprema.  Returns (delta, level records).
+    given the per-level estimates.  Returns (delta, level records).
 
     Level l passes iff delta >= 2^(-l/2) min(o_l, sqrt(o_l)) for observed o_l.
     Levels come from the same _dyadic_levels as mrip_check, so both see the
-    same per-level estimates for the same ``rng``.
+    same per-level estimates, with the same ``side``, for the same ``rng``.
     """
     records = []
     delta = 0.0
-    for level, sigma, o in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
+    for level, sigma, o, side in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
         need = 2.0 ** (-level / 2.0) * min(o, math.sqrt(o)) if o > 0 else 0.0
         delta = max(delta, need)
-        records.append({"level": level, "sparsity": sigma, "observed": o, "delta_needed": need})
+        records.append({"level": level, "sparsity": sigma, "observed": o, "side": side,
+                        "delta_needed": need})
     return delta, records
 
 

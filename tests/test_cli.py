@@ -197,10 +197,10 @@ class TestReports:
         assert few == many[:6]
 
     def test_weakdiff_cells_are_squared_distances(self, tmp_path):
-        # m = 64 on seed 4, the first seed from 0 that gives both verdicts,
+        # m = 256 on seed 0, the first seed from 0 that gives both verdicts,
         # with close radii r delta between sqrt(true_sq) and true_sq.
-        code = run_cli("weakdiff", "--N", "16", "--m", "64", "--s", "2", "--pairs", "20",
-                       "--trials", "3", "--ascent", "5", "--seed", "4",
+        code = run_cli("weakdiff", "--N", "16", "--m", "256", "--s", "2", "--pairs", "20",
+                       "--trials", "3", "--ascent", "5", "--seed", "0",
                        "--out", str(tmp_path / "w"))
         assert code == 0
         _, _, rows = read_csv(tmp_path / "w.csv")
@@ -693,7 +693,8 @@ class TestValidation:
     def test_report_cells_and_config_echo(self, tmp_path, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
         labels = {c for opts in cli.SCHEMAS.values() for o in opts for c in o.choices}
-        labels |= {"separated", "close", f"canonical_k{dict(zip(argv, argv[1:])).get('--k')}"}
+        labels |= {"separated", "close", "exact", "lower",
+                   f"canonical_k{dict(zip(argv, argv[1:])).get('--k')}"}
 
         def rendered(cell):
             if re.fullmatch(r"-?\d+", cell) or cell in {"true", "false", ""} | labels:
