@@ -22,19 +22,21 @@ _defect, and has one body with one kernel on it:
   running maximum of its forms.
 
 Beside them sit sketched-distance bounds, a pairwise separation classifier,
-Gaussian mean width and the closed-form counts gordon_m, implicit_m,
-table1_counts.
+the Gaussian mean width of a canonical model (a deterministic quadrature over
+the k-th largest modulus and a Laplace variable, with no draw), and the
+closed-form counts gordon_m, implicit_m, table1_counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .numerics import CapacityError, SeededRng, as_int, lq_norm, operator_norm
+from .numerics import CapacityError, NumericalError, SeededRng, as_int, lq_norm, operator_norm
 from .sparsity import (Canonical, LqCap, _flat_witness, max_sparsity_level, sample_sparse,
                        witness_support_size)
 
@@ -65,8 +67,15 @@ _SUPPORT_CHUNK = 8192
 # the rounding of the bound's sum and of eigvalsh (a few k^2 ulps) many times
 # over, and costs a negligible share of the pruning.
 _PRUNE_MARGIN = 1e-6
-# Draws per block of gaussian_width: a block holds 1024 x ambient floats.
-_WIDTH_BLOCK = 1024
+# gaussian_width's quadrature: panels on the logit and log-t axes, the fall of
+# the Beta log-density where the logit axis stops, the span of t E X that the
+# log-t axis covers, and the relative error above which it raises.
+_WIDTH_PANELS = (12, 20)
+_WIDTH_DROP = 40.0
+_WIDTH_T_SPAN = (1e-6, 1e10)
+_WIDTH_TOL = 1e-6
+_SQRT_HALF = math.sqrt(0.5)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -485,46 +494,116 @@ def classify_separation(a, x, y, delta: float, alpha: float | None = None):
 # -- Gaussian mean width ------------------------------------------------------
 
 
-def _width_block(k: int, xi: np.ndarray) -> np.ndarray:
-    """The norm of the k largest moduli of each row of the (B, n) draws ``xi``.
-
-    Each row takes the arithmetic of a call on that row alone: a row-wise
-    partition and the stacked (1, k) @ (k, 1) product, which runs the dot
-    kernel that np.linalg.norm of the row would.
-    """
-    n = xi.shape[1]
-    top = np.partition(np.abs(xi), n - k, axis=1)[:, n - k:]
-    return np.sqrt(np.matmul(top[:, None, :], top[:, :, None])[:, 0, 0])
+@functools.cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1],
+    from the eigenvectors of the Legendre Jacobi matrix (Golub-Welsch)."""
+    j = np.arange(1.0, order)
+    off = j / np.sqrt(4.0 * j * j - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vecs[0] ** 2
 
 
-def gaussian_width(model: Canonical, ambient: int, trials: int, rng: SeededRng) -> dict:
-    """Monte Carlo Gaussian mean width of the unit k-sparse vectors.
+def _panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Nodes and weights of the 8-point rule on each panel between edges.
+    nodes, weights = _gauss_legendre(8)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * (1.0 + nodes)).ravel(), (half * weights).ravel()
 
-    The supremum over the model is evaluated in closed form per draw: the
-    norm of the k largest moduli.  Draw t is
-    ``rng.stream(t).standard_normal(ambient)``; the suprema are taken over
-    blocks of at most 1024 draws.  Returns the ``mean`` of the per-draw
-    suprema and its ``stderr``.
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _bisect(below, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # Per entry, the point in [lo, hi] where the monotone predicate below(x)
+    # turns false; 60 halvings bring any bracket here to a few ulps.
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = below(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _logit_beta(y, k: int, n: int):
+    # Log-density of y = logit(p) for p ~ Beta(k, n - k + 1).
+    log_b = math.lgamma(k) + math.lgamma(n - k + 1) - math.lgamma(n + 1)
+    return -k * np.logaddexp(0.0, -y) - (n - k + 1) * np.logaddexp(0.0, y) - log_b
+
+
+def _width_rule(k: int, n: int, panels_y: int, panels_t: int) -> float:
+    # E sqrt(X) on panels_y panels of the logit axis, graded toward the mode
+    # of its Beta density and ending where that log-density has fallen by
+    # _WIDTH_DROP, and panels_t panels of log t, with the two tails of the
+    # t integral added in closed form.
+    mode = math.log(k / (n - k + 1))
+    # Bisection brackets: bounding each side of the concave log-density by its
+    # asymptote (log-slope k on the left, n - k + 1 on the right) shows the
+    # drop exceeds _WIDTH_DROP this far from the mode.
+    reach = np.array([1.0 + _WIDTH_DROP / k + math.log((n + 1) / (n - k + 1)),
+                      1.0 + _WIDTH_DROP / (n - k + 1) + math.log((n + 1) / k)])
+    side = np.array([-1.0, 1.0])
+    top = _logit_beta(mode, k, n)
+    reach = _bisect(lambda d: top - _logit_beta(mode + side * d, k, n) < _WIDTH_DROP,
+                    np.zeros(2), reach)
+    grade = np.linspace(0.0, 1.0, panels_y // 2 + 1) ** 2
+    y, wy = _panels(np.concatenate([mode - reach[0] * grade[::-1], mode + reach[1] * grade[1:]]))
+    log_p = -np.logaddexp(0.0, -y)
+    p = np.exp(log_p)
+    # u = Q^{-1}(p); Q(38) is still a positive subnormal, so [0, 38] brackets every p.
+    u = _bisect(lambda v: _erfc(v * _SQRT_HALF) > p, np.zeros_like(y), np.full_like(y, 38.0))
+    wy = wy * np.exp(_logit_beta(y, k, n))
+    # E[X | u] = u^2 + (k - 1) E[g^2 | |g| > u], and E[g^2 | |g| > u] = 1 + 2 u phi(u) / Q(u).
+    mean_x = wy @ (u * u + (k - 1) * (1.0 + u * math.sqrt(2.0 / math.pi)
+                                      * np.exp(-0.5 * u * u - log_p)))
+    lo, hi = _WIDTH_T_SPAN
+    tau, wt = _panels(np.linspace(math.log(lo / mean_x), math.log(hi / mean_x), panels_t + 1))
+    t = np.exp(tau)
+    s = np.sqrt(1.0 + 2.0 * t)
+    # log of E[e^{-t g^2} | |g| > u] = Q(u s) / (s Q(u)).  An erfc that
+    # underflows is floored at the smallest normal double: k = 1 then
+    # multiplies a finite log by 0, and k >= 2 still gets a factor of 0.
+    log_r = (np.log(np.maximum(_erfc(np.multiply.outer(u, s) * _SQRT_HALF), _TINY))
+             - np.log(s) - log_p[:, None])
+    one_minus = -np.expm1(-np.multiply.outer(u * u, t) + (k - 1) * log_r)
+    body = wy @ one_minus @ (wt / np.sqrt(t))
+    # The t integral's tails in closed form: below t = lo / E X its 1 - L(t)
+    # is t E X up to O(t^2), and above hi / E X it is 1 up to
+    # L(t) <= E e^{-t g_1^2} = (1 + 2t)^(-1/2).
+    tails = 2.0 * math.sqrt(mean_x) * (math.sqrt(lo) + 1.0 / math.sqrt(hi))
+    return float((body + tails) / (2.0 * math.sqrt(math.pi)))
+
+
+def gaussian_width(model: Canonical, ambient: int) -> dict:
+    """Gaussian mean width E sup <g, x> of the unit k-sparse vectors, by quadrature.
+
+    The supremum is the norm of the k largest moduli of g ~ N(0, I_N), so the
+    width is E sqrt(X), X the sum of their squares.  With
+    sqrt(x) = (1 / (2 sqrt(pi))) int_0^inf (1 - e^{-tx}) t^{-3/2} dt it needs
+    L(t) = E e^{-tX}.  Given the k-th largest modulus u, the k - 1 above it
+    are half-normals conditioned to exceed u, so with Q(u) = erfc(u / sqrt 2)
+
+        L(t) = E_u e^{-t u^2} [Q(u sqrt(1 + 2t)) / (sqrt(1 + 2t) Q(u))]^(k-1),
+
+    and p = Q(u) is Beta(k, N - k + 1).  The double integral runs over
+    logit(p) and log t, on composite 8-point Gauss-Legendre panels
+    (12 x 20); u(p) comes from bisection on math.erfc, and no draw is made.
+    Returns the width ``mean`` and its ``error``, the distance to the same
+    rule on half the panels per axis; an error above 1e-6 of the width
+    raises NumericalError.
     """
     if not isinstance(model, Canonical):
         raise TypeError(f"expected a Canonical model; got {type(model).__name__}")
-    trials, ambient = as_int(trials, "trials"), as_int(ambient, "ambient")
-    if trials < 2:
-        raise ValueError("trials must be >= 2 for a standard error")
+    ambient = as_int(ambient, "ambient")
     if model.k > ambient:
         raise ValueError(f"k={model.k} exceeds ambient dimension {ambient}")
-    streams = rng.streams(range(trials))
-    sups = np.empty(trials)
-    draws = np.empty((min(trials, _WIDTH_BLOCK), ambient))
-    for lo in range(0, trials, _WIDTH_BLOCK):
-        xi = draws[:trials - lo]
-        for row, stream in zip(xi, streams):
-            stream.generator.standard_normal(out=row)
-        sups[lo:lo + len(xi)] = _width_block(model.k, xi)
-    return {
-        "mean": float(sups.mean()),
-        "stderr": float(sups.std(ddof=1) / math.sqrt(trials)),
-    }
+    panels_y, panels_t = _WIDTH_PANELS
+    mean = _width_rule(model.k, ambient, panels_y, panels_t)
+    error = abs(mean - _width_rule(model.k, ambient, panels_y // 2, panels_t // 2))
+    if error > _WIDTH_TOL * mean:
+        raise NumericalError(f"the Gaussian width at k={model.k}, N={ambient} is only "
+                             f"resolved to {error:.3g}")
+    return {"mean": mean, "error": error}
 
 
 # -- measurement-count predictions --------------------------------------------

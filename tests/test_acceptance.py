@@ -268,9 +268,10 @@ class TestAcceptance:
         value (draws 0 and 1: 0.47 and 0.46 against 0.59 and 0.62); that
         underestimate keeps the observed rate near 84/100 against the 85
         gate. The norm-deviation reading passes with the same data (implied
-        norm deviations 0.24-0.35, all below 0.5)."""
+        norm deviations 0.24-0.35, all below 0.5). The width, 4.446319, is a
+        quadrature and draws nothing."""
         seed = 20260816
-        width = rip.gaussian_width(sp.Canonical(4), 64, 10_000, SeededRng(seed, 90))
+        width = rip.gaussian_width(sp.Canonical(4), 64)
         m = rip.gordon_m(width["mean"], 0.5, 0.1)
         successes = 0
         for draw in range(100):
@@ -279,7 +280,7 @@ class TestAcceptance:
                                     rng=SeededRng(seed, 9500 + draw))
             successes += rep.delta_hat <= 0.5
         assert _verdict(9, successes >= 85,
-                        f"width {width['mean']:.4f}, m={m}, delta_hat <= 0.5 "
+                        f"width {width['mean']:.6f}, m={m}, delta_hat <= 0.5 "
                         f"in {successes}/100 draws (gate 85)")
 
     def test_criterion_10_tensor_count_ratios(self):

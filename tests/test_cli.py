@@ -76,6 +76,20 @@ class TestReports:
         assert result["value"] == pytest.approx(2048.0, rel=1e-9)
         assert "q_opt=2 value=2048 gain=1 ->" in capsys.readouterr().out
 
+    def test_gordon_report_and_seed_free_width(self, tmp_path):
+        # The width is a quadrature: seeds 4 and 1004 move only the draws.
+        results = []
+        for seed in ("4", "1004"):
+            out = tmp_path / f"g{seed}"
+            assert run_cli("gordon", "--N", "64", "--k", "4", "--draws", "1", "--trials", "5",
+                           "--seed", seed, "--out", str(out)) == 0
+            results.append(json.loads((tmp_path / f"g{seed}.json").read_text())["result"])
+        assert set(results[0]) == {"width_mean", "width_error", "predicted_m", "draws",
+                                   "achieving", "fraction"}
+        assert results[0]["width_mean"] == results[1]["width_mean"]
+        assert results[0]["width_error"] <= 1e-6 * results[0]["width_mean"]
+        assert results[0]["predicted_m"] == results[1]["predicted_m"] == 191
+
     def test_sp_opt_interior_optimum(self, tmp_path):
         # Flat N = 16 at r = 1e-300: q' = (2/3) ln(N / r) = 462.365 and f(2) = 128.
         code = run_cli("sp-opt", "--eta", "flat", "--N", "16", "--r", "1e-300",
@@ -175,11 +189,13 @@ class TestReports:
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
         # numpy.random costs about 15 ms to import; only a run that draws
-        # should pay it, not building the parser.
+        # should pay it, not building the parser.  numpy.polynomial (about
+        # 3.5 ms) is not needed at all: the width rule builds its own nodes.
         proc = run_python("-c", "import sys, riplab.cli; riplab.cli.build_parser(); "
-                                "print('numpy.random' in sys.modules)")
+                                "print([name in sys.modules "
+                                "for name in ('numpy.random', 'numpy.polynomial')])")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[False, False]"
 
 
     def test_distance_pairs_are_a_prefix(self, tmp_path):
@@ -429,8 +445,7 @@ _VALID = {
                  "--trials", "2", "--ascent", "2"),
     "weakdiff": ("weakdiff", "--N", "8", "--m", "4", "--s", "2", "--pairs", "2",
                  "--trials", "2", "--ascent", "2", "--alpha", "6"),
-    "gordon": ("gordon", "--N", "8", "--k", "1", "--width-trials", "4", "--draws", "1",
-               "--trials", "2"),
+    "gordon": ("gordon", "--N", "8", "--k", "1", "--draws", "1", "--trials", "2"),
     "rosenthal": ("rosenthal", "--N", "8", "--d", "2", "--M", "4", "--trials", "2"),
     "table1": ("table1", "--s", "1", "--n", "2", "--d", "2"),
     "infdim-scan": ("infdim-scan", "--N", "16", "--L", "4", "--gamma", "0.0625", "--m", "16",
@@ -748,8 +763,7 @@ class TestFailureExitCodes:
 
     # Each config asks for exabytes, which the allocator refuses at once.
     @pytest.mark.parametrize("argv", [
-        ("gordon", "--N", "4", "--k", "2", "--delta", "1e-8", "--draws", "1", "--trials", "1",
-         "--width-trials", "2"),
+        ("gordon", "--N", "4", "--k", "2", "--delta", "1e-8", "--draws", "1", "--trials", "1"),
         ("rip-exact", "--ensemble", "gaussian", "--N", "4", "--k", "2",
          "--m", "100000000000000000", "--validate-only"),
     ], ids=["gordon", "rip-exact-validate-only"])

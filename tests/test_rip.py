@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from riplab import numerics, rip, sparsity
 from riplab.group_ops import MeasurementEnsemble, gaussian_ensemble, sample_ensemble
 from riplab.instruments import make_flat
-from riplab.numerics import CapacityError, SeededRng, operator_norm
+from riplab.numerics import CapacityError, NumericalError, SeededRng, operator_norm
 from riplab.rip import (
     Close,
     Separated,
@@ -739,47 +739,59 @@ class TestClassifySeparation:
 
 class TestGaussianWidth:
     def test_full_support_matches_chi_mean(self):
-        n = 16
-        stats = gaussian_width(Canonical(n), n, 4000, SeededRng(SEED + 20))
-        exact = math.sqrt(2) * math.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2))
-        assert abs(stats["mean"] - exact) <= 3 * stats["stderr"]
+        # At k = N the width is E ||g||_2 = sqrt(2) Gamma((N + 1) / 2) / Gamma(N / 2).
+        for n in (1, 2, 16, 64, 256, 1024):
+            exact = math.sqrt(2) * math.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2))
+            assert gaussian_width(Canonical(n), n)["mean"] == pytest.approx(exact, rel=1e-6)
+
+    # Monte Carlo oracle: 10^5 draws from one generator, in blocks of 10^4.
+    @pytest.mark.parametrize("n, k", [(64, 4), (256, 8), (64, 1)])
+    def test_matches_monte_carlo(self, n, k):
+        rng = np.random.default_rng(SEED)
+        sups = np.concatenate([
+            np.linalg.norm(np.partition(np.abs(rng.standard_normal((10_000, n))), n - k,
+                                        axis=1)[:, n - k:], axis=1)
+            for _ in range(10)])
+        stderr = sups.std(ddof=1) / math.sqrt(sups.size)
+        assert abs(gaussian_width(Canonical(k), n)["mean"] - sups.mean()) <= 4 * stderr
 
     def test_one_sparse_matches_brute_force(self):
-        stats = gaussian_width(Canonical(1), 16, 4000, SeededRng(SEED + 21))
-        rng = np.random.default_rng(SEED)
-        acc = 0.0
-        draws = 0
-        for _ in range(10):
-            block = rng.standard_normal((100000, 16))
-            acc += np.abs(block).max(axis=1).sum()
-            draws += 100000
-        brute = acc / draws
-        assert abs(stats["mean"] - brute) <= 3 * stats["stderr"] + 0.01
+        # E max_i |g_i| = int_0^inf 1 - (1 - Q(x))^N dx, on a fine midpoint grid.
+        n = 16
+        x = (np.arange(200_000) + 0.5) * 1e-4
+        q = np.array([math.erfc(v / math.sqrt(2)) for v in x])
+        brute = float(-np.expm1(n * np.log1p(-q)).sum() * 1e-4)
+        assert gaussian_width(Canonical(1), n)["mean"] == pytest.approx(brute, rel=1e-7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 1024).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+    @example((1, 1))
+    @example((1024, 1024))
+    @example((1024, 1))
+    def test_resolved_and_non_decreasing(self, nk):
+        n, k = nk
+        width = gaussian_width(Canonical(k), n)
+        assert width["error"] <= 1e-6 * width["mean"]
+        if k < n:
+            assert gaussian_width(Canonical(k + 1), n)["mean"] >= width["mean"]
+        assert gaussian_width(Canonical(k), n + 1)["mean"] >= width["mean"]
 
     def test_deterministic(self):
-        a = gaussian_width(Canonical(2), 12, 50, SeededRng(SEED + 22))
-        b = gaussian_width(Canonical(2), 12, 50, SeededRng(SEED + 22))
-        assert a["mean"] == b["mean"]
+        assert gaussian_width(Canonical(2), 12) == gaussian_width(Canonical(2), 12)
 
-    def test_trials_floor(self):
-        with pytest.raises(ValueError):
-            gaussian_width(Canonical(1), 8, 1, SeededRng(SEED))
+    def test_unresolved_width_raises(self, monkeypatch):
+        # The half-panel rule is 6e-9 of the width away at N = 64, k = 4.
+        monkeypatch.setattr(rip, "_WIDTH_TOL", 1e-12)
+        with pytest.raises(NumericalError, match="Gaussian width at k=4, N=64"):
+            gaussian_width(Canonical(4), 64)
 
     def test_k_above_ambient_rejected_before_any_stream(self):
-        class NoStreams:
-            def streams(self, indices):
-                raise AssertionError("a stream was derived")
-
         with pytest.raises(ValueError, match="k=9 exceeds ambient dimension 8"):
-            gaussian_width(Canonical(9), 8, 10, NoStreams())
+            gaussian_width(Canonical(9), 8)
 
     def test_other_models_rejected_before_any_stream(self):
-        class NoStreams:
-            def streams(self, indices):
-                raise AssertionError("a stream was derived")
-
         with pytest.raises(TypeError, match="Canonical"):
-            gaussian_width(LqCap(1.0, 2.0), 8, 10, NoStreams())
+            gaussian_width(LqCap(1.0, 2.0), 8)
 
 
 class TestPredictM:
