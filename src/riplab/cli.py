@@ -66,7 +66,6 @@ from .instruments import (
 )
 from .numerics import CapacityError, NumericalError, SeededRng, pin_blas_threads
 from .rip import (
-    _level_range,
     calibrate_mrip_distortion,
     classify_separation,
     distance_bound_check,
@@ -352,8 +351,7 @@ def _build_ensembles(p: dict, m_list: list, rng: SeededRng):
         inst = _build_instrument(p, rng)
         dim = inst.ambient_dim
         ensembles = sample_ensembles(inst, p["ensemble"], m_list, p["sign"], rng)
-    if p["k"] > dim:
-        raise ValueError(f"k={p['k']} exceeds ambient dimension {dim}")
+    Canonical(p["k"]).check_ambient(dim)
     return ensembles
 
 
@@ -361,7 +359,7 @@ def _sketch_model(p: dict) -> LqCap:
     """The q-cap model of mrip, distance and weakdiff, once s is known to lie
     in [1, s_max] for the sketch dimension N."""
     model = LqCap(p["q"], p["s"])
-    _level_range(p["q"], p["s"], p["N"])
+    model.check_ambient(p["N"])
     return model
 
 
@@ -503,9 +501,8 @@ def _run_weakdiff(p: dict) -> Iterator[RunResult | None]:
 
 def _run_gordon(p: dict) -> Iterator[RunResult | None]:
     gordon_m(0.0, p["delta"], p["zeta"])
-    # gaussian_width's own k > N check would run inside the experiment.
-    if p["k"] > p["N"]:
-        raise ValueError("k cannot exceed N")
+    # gaussian_width makes this check too, but only inside the experiment.
+    Canonical(p["k"]).check_ambient(p["N"])
     if p["draws"] >= _GORDON_SUPPORT_ROOT:
         raise ValueError(f"draws cannot exceed {_GORDON_SUPPORT_ROOT - 1}")
     yield

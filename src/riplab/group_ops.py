@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import Instrument
-from .numerics import CapacityError, SeededRng, as_int, operator_norm
+from .numerics import CapacityError, SeededRng, as_count, as_counts, operator_norm
 
 __all__ = [
     "Monomial",
@@ -106,12 +106,18 @@ def _gather_rows(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return x.reshape(-1)[perm + np.arange(0, rows * width, width)[:, None]]
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown group variant {variant!r}")
+
+
 def _bounds(variant: str, n: int) -> list:
     # The one per-variant parameter table: the exclusive upper bound of each
     # parameter as drawn, per column, so an element has len(_bounds) of them.
-    # signshift draws its signs as 0/1 bits.
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown group variant {variant!r}")
+    # signshift draws its signs as 0/1 bits.  Every function that takes a
+    # variant and a group side n checks both here.
+    _check_variant(variant)
+    as_count(n, "n")
     return [2] * n + [n] if variant == "signshift" else [n] * (2 if variant == "shiftmod" else 4)
 
 
@@ -132,8 +138,6 @@ def monomial(variant: str, n: int, params) -> Monomial:
     of ``params``, a non-empty (B, p) integer array, in the chosen group
     over side n.  doubleqft acts on row-major flattenings of n x n matrices.
     """
-    if n < 1:
-        raise ValueError("group side must be >= 1")
     width = len(_bounds(variant, n))
     params = np.asarray(params)
     if params.ndim != 2 or params.shape[1] != width or not len(params):
@@ -185,6 +189,7 @@ def draw_elements(variant: str, n: int, m: int, rng: SeededRng) -> np.ndarray:
     draw is the first m rows of a larger one from the same rng state.
     """
     bounds = _bounds(variant, n)
+    m = as_count(m, "m", least=0)
     return _from_draws(variant, n, rng.integers(0, bounds, (m, len(bounds))))
 
 
@@ -249,11 +254,7 @@ def sample_ensembles(
     only when the iterator reaches it, so besides the unscaled rows one is
     alive at a time.
     """
-    m_list = list(m_list)
-    if not m_list:
-        raise ValueError("m_list needs at least one m")
-    if min(m_list) < 1:
-        raise ValueError("m must be >= 1")
+    m_list = as_counts(m_list, "m")
     if sign_mode not in _SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {_SIGN_MODES}; got {sign_mode!r}")
 
@@ -293,9 +294,7 @@ def gaussian_ensembles(dim: int, m_list, rng: SeededRng) -> Iterator[Measurement
     """``gaussian_ensemble``'s ensemble for every m of ``m_list``, in list
     order, from one draw of max(m_list) unscaled rows: the ensemble for m is
     their first m rows divided by sqrt(m), as in ``sample_ensembles``."""
-    m_list = list(m_list)
-    if not m_list or min(m_list) < 1 or dim < 1:
-        raise ValueError("m and dim must be >= 1")
+    m_list, dim = as_counts(m_list, "m"), as_count(dim, "dim")
     rows = rng.standard_normal((max(m_list), dim))
     return (MeasurementEnsemble((rows[:m] / math.sqrt(m)).astype(complex)) for m in m_list)
 
@@ -392,11 +391,7 @@ def rosenthal_deviation(
     tr = float(np.linalg.norm(u) ** 2)
     if not abs(tr - n) <= 1e-8 * n:
         raise ValueError(f"u must satisfy tr(u^* u) = N; got {tr:.12g} for N={n}")
-    m_list, trials = [as_int(m, "M") for m in m_list], as_int(trials, "trials")
-    if not m_list:
-        raise ValueError("m_list needs at least one M")
-    if any(m < 1 for m in m_list) or trials < 1:
-        raise ValueError("all M and trials must be >= 1")
+    m_list, trials = as_counts(m_list, "M"), as_count(trials, "trials")
     side = group_side(variant, n)
 
     w = np.conj(u)
@@ -435,11 +430,11 @@ def group_side(variant: str, dim: int, matrix: bool | None = None) -> int:
     is known (an instrument's ``is_matrix``).  Raises ValueError for an
     unknown variant, one that does not fit the inputs, or a doubleqft dim
     that is not a perfect square."""
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown group variant {variant!r}")
+    _check_variant(variant)
     if matrix is not None and matrix != (variant == "doubleqft"):
         raise ValueError("doubleqft requires a matrix instrument" if variant == "doubleqft"
                          else f"variant {variant!r} requires a vector instrument")
+    dim = as_count(dim, "dim")
     if variant != "doubleqft":
         return dim
     side = math.isqrt(dim)

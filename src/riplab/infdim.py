@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng, as_int
+from .numerics import SeededRng, as_count, as_counts
 
 __all__ = [
     "FourierFunction",
@@ -69,14 +69,13 @@ class FourierFunction:
     n_big: int
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if self.n_big < 1:
-            raise ValueError("n_big must be >= 1")
-        if c.shape != (2 * self.n_big,):
-            raise ValueError(f"expected {2 * self.n_big} coefficients, got {c.shape}")
+        c, n_big = np.asarray(self.coeffs, dtype=complex), as_count(self.n_big, "n_big")
+        if c.shape != (2 * n_big,):
+            raise ValueError(f"expected {2 * n_big} coefficients, got {c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "n_big", n_big)
 
     def coeff(self, k: int) -> complex:
         if not (-self.n_big <= k < self.n_big):
@@ -133,6 +132,7 @@ def from_bumps(
     """
     if not math.isfinite(t_scale):
         raise ValueError(f"the dilation T must be finite; got {t_scale}")
+    n_big = as_count(n_big, "n_big")
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
     if not np.isfinite(centers).all():
@@ -183,8 +183,8 @@ def evaluate(f: FourierFunction, t):
 
 def values_on_grid(f: FourierFunction, m_grid: int) -> np.ndarray:
     """Values at t = i/m_grid via zero-padded FFT synthesis."""
-    if m_grid < 2 * f.n_big:
-        raise ValueError("grid must be at least the coefficient band to avoid aliasing")
+    # A grid below the coefficient band 2 n_big would alias.
+    m_grid = as_count(m_grid, "m_grid", least=2 * f.n_big)
     spectrum = np.zeros(m_grid, dtype=complex)
     k = f.frequencies
     spectrum[k % m_grid] = f.coeffs
@@ -219,7 +219,7 @@ def _require_dc_free(f: FourierFunction, message: str) -> None:
 def weighted_seminorm(f: FourierFunction, n_cut: int) -> float:
     """Window seminorm sqrt(sum_k w_k |c_k|^2), w the 0/1 mask of the frequency
     window [-n_cut, n_cut) over the carrier band [-n_big, n_big)."""
-    if n_cut > f.n_big:
+    if as_count(n_cut, "n_cut", least=0) > f.n_big:
         raise ValueError(f"cutoff {n_cut} exceeds the carrier band {f.n_big}")
     k = f.frequencies
     w = ((k >= -n_cut) & (k < n_cut)).astype(float)
@@ -298,14 +298,13 @@ class BlockInstrument:
     signs: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.signs, dtype=float)
-        if s.ndim != 1 or not np.all(np.abs(s) == 1):
-            raise ValueError("block signs must be a +/-1 vector")
-        if self.n_cut < 1 or s.size < 1:
-            raise ValueError("cutoff and block length must be >= 1")
-        if (2 * self.n_cut) % s.size != 0:
-            raise ValueError(f"block length {s.size} must divide 2 N = {2 * self.n_cut}")
+        s, n_cut = np.asarray(self.signs, dtype=float), as_count(self.n_cut, "n_cut")
+        if s.ndim != 1 or not s.size or not np.all(np.abs(s) == 1):
+            raise ValueError("block signs must be a non-empty +/-1 vector")
+        if (2 * n_cut) % s.size != 0:
+            raise ValueError(f"block length {s.size} must divide 2 N = {2 * n_cut}")
         object.__setattr__(self, "signs", s)
+        object.__setattr__(self, "n_cut", n_cut)
 
     @property
     def block_len(self) -> int:
@@ -327,6 +326,7 @@ def make_block_instrument(
     rng: SeededRng | None = None,
 ) -> BlockInstrument:
     """Unit signs for deterministic blocks; one Rademacher pattern from ``rng`` otherwise."""
+    block_len = as_count(block_len, "block_len")
     if mode == "deterministic":
         return BlockInstrument(n_cut, np.ones(block_len))
     if mode != "rademacher":
@@ -381,8 +381,7 @@ def dyadic_block_frequencies(level: int, n_big: int) -> np.ndarray:
     Level 1 is exactly {-1, +1}.  Frequencies outside the carrier band are
     dropped.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    level = as_count(level, "level", least=0)
     if level == 0:
         return np.array([0])
     lo = 2.0 ** (level - 2)
@@ -499,12 +498,10 @@ def rip_experiment(
     a cell reads its m - 1 column with real elementwise arithmetic, so every
     cell equals a run of rip_experiment on that scheme and m alone.
     """
-    schemes, m_list = list(schemes), [as_int(m, "m") for m in m_list]
-    trials = as_int(trials, "trials")
-    if not schemes or not m_list:
-        raise ValueError("need at least one scheme and one m")
-    if min(m_list) < 1 or trials < 1:
-        raise ValueError("m and trials must be >= 1")
+    schemes, m_list = list(schemes), as_counts(m_list, "m")
+    trials = as_count(trials, "trials")
+    if not schemes:
+        raise ValueError("at least one scheme")
     if f.n_big < 4 * max(inst.n_cut for inst in schemes):
         raise ValueError("carrier band must be at least 4x the scheme cutoff")
     lags = []

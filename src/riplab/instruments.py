@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng, lq_norm, schatten_norm
+from .numerics import SeededRng, as_count, lq_norm, schatten_norm
 
 __all__ = [
     "Instrument",
@@ -58,9 +58,7 @@ class Instrument:
 
 def make_flat(n: int) -> Instrument:
     """All-ones vector of length N; the maximally spread instrument."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    return Instrument("flat", np.ones(n, dtype=complex))
+    return Instrument("flat", np.ones(as_count(n, "N"), dtype=complex))
 
 
 def make_decaying_window(n: int, n_window: int, alpha: float) -> Instrument:
@@ -69,9 +67,8 @@ def make_decaying_window(n: int, n_window: int, alpha: float) -> Instrument:
 
     Requires 0 < alpha < 1/2 and 1 <= n_window <= N.
     """
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    if not (1 <= n_window <= n):
+    n, n_window = as_count(n, "N"), as_count(n_window, "window length")
+    if n_window > n:
         raise ValueError(f"window length must lie in [1, N]; got {n_window} for N={n}")
     if not (0.0 < alpha < 0.5):
         raise ValueError(f"decay exponent must lie in (0, 1/2); got {alpha}")
@@ -85,8 +82,7 @@ def make_decaying_window(n: int, n_window: int, alpha: float) -> Instrument:
 
 def make_scaled_identity(n: int) -> Instrument:
     """sqrt(n) * Id_n, the flat matrix instrument (all singular values equal)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, "n")
     return Instrument("scaled_identity", math.sqrt(n) * np.eye(n, dtype=complex))
 
 
@@ -102,8 +98,7 @@ def make_schatten_decay(n: int, alpha: float, rng: SeededRng) -> Instrument:
     """Random matrix with singular values c * j^(-alpha), j = 1..n, scaled so
     ||eta||_S2 = n.  Singular vector frames are Haar unitaries.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, "n")
     if not (0.0 < alpha < 0.5):
         raise ValueError(f"decay exponent must lie in (0, 1/2); got {alpha}")
     j = np.arange(1, n + 1, dtype=float)

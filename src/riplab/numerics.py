@@ -19,7 +19,8 @@ __all__ = [
     "lq_norm",
     "schatten_norm",
     "operator_norm",
-    "as_int",
+    "as_count",
+    "as_counts",
     "SeededRng",
     "pin_blas_threads",
 ]
@@ -71,13 +72,23 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def as_int(value, name: str) -> int:
-    """value as a Python int.  Only integer types are counts, not bool:
-    int() would truncate 2.7 to 2 and read True as 1.  Anything else raises
-    a ValueError that names ``name`` and the value."""
+def as_count(value, name: str, least: int = 1) -> int:
+    """value as a Python int, once it is of an integer type, not bool, and at
+    least ``least``: int() would truncate 2.7 to 2 and read True as 1.
+    Anything else raises a ValueError that names ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer; got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
     return int(value)
+
+
+def as_counts(values, name: str) -> list:
+    """A non-empty list of counts, each at least 1, as Python ints."""
+    counts = [as_count(value, name) for value in values]
+    if not counts:
+        raise ValueError(f"at least one {name}")
+    return counts
 
 
 # Child streams are derived this many indices at a time, so a derivation holds
@@ -407,7 +418,7 @@ class SeededRng:
             shuffle.
         """
         indices = list(indices)
-        n, k = as_int(n, "n"), as_int(k, "k")
+        n, k = as_count(n, "n", least=0), as_count(k, "k", least=0)
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, n]; got k={k}, n={n}")
         out = np.empty((len(indices), k), dtype=np.intp)

@@ -36,7 +36,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .numerics import CapacityError, NumericalError, SeededRng, as_int, lq_norm, operator_norm
+from .numerics import CapacityError, NumericalError, SeededRng, as_count, lq_norm, operator_norm
 from .sparsity import (Canonical, LqCap, _flat_witness, max_sparsity_level, sample_sparse,
                        witness_support_size)
 
@@ -180,9 +180,7 @@ def _canonical_rip(a, model: Canonical, trials: int, rng: SeededRng | None) -> R
     bit for bit.
     """
     m, defect = _defect(a)
-    n, k = len(defect), model.k
-    if k > n:
-        raise ValueError(f"k={k} exceeds ambient dimension {n}")
+    n, k = model.check_ambient(len(defect)), model.k
     n_supports = math.comb(n, k)
     exhaustive = rng is None or n_supports <= min(trials, _ENUM_CAP)
     if exhaustive and n_supports > _ENUM_CAP:
@@ -219,10 +217,7 @@ def empirical_rip(a, model: Canonical, trials: int, *, rng: SeededRng) -> RipRep
     """
     if not isinstance(model, Canonical):
         raise TypeError(f"expected a Canonical model; got {type(model).__name__}")
-    trials = as_int(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return _canonical_rip(a, model, trials, rng)
+    return _canonical_rip(a, model, as_count(trials, "trials"), rng)
 
 
 def _ascend(model: LqCap, defect: np.ndarray, trials: int, steps: int,
@@ -262,16 +257,6 @@ def _ascend(model: LqCap, defect: np.ndarray, trials: int, steps: int,
 # -- multilevel check ---------------------------------------------------------
 
 
-def _level_range(q: float, s: float, n: int) -> range:
-    smax = max_sparsity_level(q, n)
-    if not (1.0 <= s <= smax * (1 + 1e-12)):
-        raise ValueError(f"s must lie in [1, s_max={smax:.6g}]; got {s}")
-    # The lowest level is the first with sparsity 2^l s >= 1; it holds every 1-sparse vector.
-    lo = math.ceil(round(-math.log2(s), 12))
-    hi = math.ceil(round(math.log2(smax / s), 12))
-    return range(lo, hi + 1)
-
-
 def _level_threshold(level: int, delta: float, extra_level_factor: bool) -> float:
     base = max(2.0 ** (level / 2.0) * delta, 2.0**level * delta**2)
     if extra_level_factor:
@@ -294,15 +279,14 @@ def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: S
     estimates for one ``rng``.  The defect form is computed once for all
     levels.
     """
-    trials, ascent_steps = as_int(trials, "trials"), as_int(ascent_steps, "ascent_steps")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if ascent_steps < 0:
-        raise ValueError("ascent_steps must be >= 0")
+    trials = as_count(trials, "trials")
+    ascent_steps = as_count(ascent_steps, "ascent_steps", least=0)
     _, defect = _defect(a)
-    n = len(defect)
-    levels = _level_range(q, s, n)
+    n = LqCap(q, s).check_ambient(len(defect))
     smax = max_sparsity_level(q, n)
+    # The lowest level is the first with sparsity 2^l s >= 1; it holds every 1-sparse vector.
+    lowest = math.ceil(round(-math.log2(s), 12))
+    levels = range(lowest, math.ceil(round(math.log2(smax / s), 12)) + 1)
     norm = operator_norm(defect)
     # D is Hermitian, so the form of a 1-sparse witness is the real D_ii.
     diag = float(np.abs(defect.diagonal().real).max())
@@ -594,9 +578,7 @@ def gaussian_width(model: Canonical, ambient: int) -> dict:
     """
     if not isinstance(model, Canonical):
         raise TypeError(f"expected a Canonical model; got {type(model).__name__}")
-    ambient = as_int(ambient, "ambient")
-    if model.k > ambient:
-        raise ValueError(f"k={model.k} exceeds ambient dimension {ambient}")
+    ambient = model.check_ambient(ambient)
     panels_y, panels_t = _WIDTH_PANELS
     mean = _width_rule(model.k, ambient, panels_y, panels_t)
     error = abs(mean - _width_rule(model.k, ambient, panels_y // 2, panels_t // 2))
@@ -663,8 +645,7 @@ def implicit_m(sp: float, delta: float) -> int:
 def table1_counts(s: int, n: int, d: int) -> dict:
     """Counts for rank-s order-d tensors over C^n under plain Gaussian, group,
     and sign-augmented group measurements."""
-    if min(s, n, d) < 1:
-        raise ValueError("s, n, d must all be >= 1")
+    s, n, d = map(as_count, (s, n, d), ("s", "n", "d"))
     return {
         "gauss": s * n * d,
         "group": s * n**2 * d**2,

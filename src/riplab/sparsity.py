@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import Instrument, instrument_norm
-from .numerics import NumericalError, SeededRng, as_int, lq_norm, schatten_norm
+from .numerics import NumericalError, SeededRng, as_count, lq_norm, schatten_norm
 
 __all__ = [
     "Canonical",
@@ -44,10 +44,22 @@ class Canonical:
 
     def __post_init__(self):
         # 2.5 or nan would fail deep in math.comb.
-        k = as_int(self.k, "k")
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", as_count(self.k, "k"))
+
+    def check_ambient(self, n: int) -> int:
+        """n as an int, once C^n holds a k-support."""
+        n = as_count(n, "ambient")
+        if self.k > n:
+            raise ValueError(f"k={self.k} exceeds ambient dimension {n}")
+        return n
+
+
+def _check_cap(q: float, s: float | None = None) -> None:
+    # The ranges of an l_q cap: 1 <= q <= 2 and, when s is given, s >= 1.
+    if not 1.0 <= q <= 2.0:
+        raise ValueError(f"q must lie in [1, 2]; got {q}")
+    if s is not None and not s >= 1.0:
+        raise ValueError(f"the l_q cap is empty for s < 1, so no witness exists; got s={s}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +68,16 @@ class LqCap:
     s: float
 
     def __post_init__(self):
-        if not (1.0 <= self.q <= 2.0):
-            raise ValueError(f"q must lie in [1, 2]; got {self.q}")
-        if not self.s >= 1.0:
-            raise ValueError(f"the l_q cap is empty for s < 1; got s={self.s}")
+        _check_cap(self.q, self.s)
+
+    def check_ambient(self, n: int) -> int:
+        """n as an int, once the cap's s is at most max_sparsity_level(q, n):
+        a larger s would cap nothing."""
+        n = as_count(n, "ambient")
+        smax = max_sparsity_level(self.q, n)
+        if not self.s <= smax * (1 + 1e-12):
+            raise ValueError(f"s must lie in [1, s_max={smax:.6g}]; got {self.s}")
+        return n
 
 
 def sparsity_level(x, q: float) -> float:
@@ -77,11 +95,8 @@ def sparsity_level(x, q: float) -> float:
 
 def max_sparsity_level(q: float, n: int) -> float:
     """Largest attainable level in ambient dimension N: N^(2/q - 1)."""
-    if not (1.0 <= q <= 2.0):
-        raise ValueError(f"q must lie in [1, 2]; got {q}")
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    return float(n) ** (2.0 / q - 1.0)
+    _check_cap(q)
+    return float(as_count(n, "N")) ** (2.0 / q - 1.0)
 
 
 def witness_support_size(q: float, s: float, n: int) -> int:
@@ -90,8 +105,8 @@ def witness_support_size(q: float, s: float, n: int) -> int:
     A flat-modulus vector on j coordinates has sparsity level exactly
     j^(2/q - 1), so this is the extremal flat witness for the q-cap.
     """
-    if not s >= 1.0:
-        raise ValueError("no witness exists for s < 1")
+    _check_cap(q, s)
+    n = as_count(n, "N")
     if q == 2.0:
         return n
     expo = 1.0 / (2.0 / q - 1.0)
@@ -104,13 +119,8 @@ def witness_support_size(q: float, s: float, n: int) -> int:
 def _flat_witness(z: np.ndarray, moduli: np.ndarray, j: int) -> np.ndarray:
     """The flat witness of each row of the (B, N) block z: the phases of its
     j largest moduli over sqrt(j), zero elsewhere; a zero entry has phase 1.
-    ``moduli`` is np.abs(z), which the caller may already hold.  At j = N
-    every coordinate is kept, so there is nothing to partition or gather."""
+    ``moduli`` is np.abs(z), which the caller may already hold."""
     b, n = z.shape
-    if j == n:
-        phases = np.divide(z, moduli, out=np.ones(z.shape, complex), where=moduli > 0)
-        phases /= math.sqrt(j)
-        return phases
     # One flat index into the C-ordered block serves both gathers and the scatter.
     keep = np.argpartition(moduli, n - j, axis=1)[:, n - j:] + n * np.arange(b)[:, None]
     mags = moduli.ravel()[keep]
@@ -132,6 +142,7 @@ def sample_sparse(model: LqCap, ambient: int, count: int, rng: SeededRng) -> np.
     """
     if not isinstance(model, LqCap):
         raise TypeError(f"expected an LqCap model; got {type(model).__name__}")
+    ambient, count = as_count(ambient, "ambient"), as_count(count, "count", least=0)
     # Not rng.complex_normal: it draws every real part before any imaginary
     # part, so its rows would depend on count.
     parts = rng.standard_normal((count, 2, ambient))

@@ -502,7 +502,7 @@ _INVALID = [
     (34, (*_VALID["gordon"], "--trials", "0"), "trials: must exceed 0"),
     (35, (*_VALID["gordon"], "--width-trials", "1"), "width-trials: must exceed 1"),
     (36, (*_VALID["gordon"], "--zeta", "3"), "zeta must lie in (0, 2]"),
-    (37, (*_VALID["gordon"], "--k", "9"), "k cannot exceed N"),
+    (37, (*_VALID["gordon"], "--k", "9"), "k=9 exceeds ambient dimension 8"),
     (38, (*_VALID["rosenthal"], "--N", "0"), "N: must exceed 0"),
     (39, (*_VALID["rosenthal"], "--d", "0"), "d: must exceed 0"),
     (40, (*_VALID["rosenthal"], "--trials", "0"), "trials: must exceed 0"),

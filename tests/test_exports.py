@@ -1,6 +1,7 @@
 """Package-wide checks: every name a riplab module lists in ``__all__``
 exists in that module, the frozen classes that hold arrays compare and
-hash without raising, and range checks reject NaN."""
+hash without raising, range checks reject NaN, and every count rejects a
+non-integer and a value below its least."""
 
 import importlib
 import math
@@ -10,19 +11,42 @@ import numpy as np
 import pytest
 
 import riplab
-from riplab.group_ops import MeasurementEnsemble, monomial, rosenthal_deviation
+from riplab.group_ops import (
+    MeasurementEnsemble,
+    draw_elements,
+    enumerate_group,
+    gaussian_ensemble,
+    gaussian_ensembles,
+    group_side,
+    monomial,
+    rosenthal_deviation,
+    sample_ensemble,
+    sample_ensembles,
+)
 from riplab.infdim import (
+    BlockInstrument,
     DeviationGrid,
     FourierFunction,
+    dyadic_block_frequencies,
+    from_bumps,
     lq_norm_function,
     make_block_instrument,
     rip_experiment,
     smooth_sparse_membership,
     truncation_level,
+    values_on_grid,
+    weighted_seminorm,
 )
-from riplab.instruments import Instrument, make_flat
+from riplab.instruments import (
+    Instrument,
+    make_decaying_window,
+    make_flat,
+    make_scaled_identity,
+    make_schatten_decay,
+)
 from riplab.numerics import SeededRng, lq_norm, schatten_norm
 from riplab.rip import (
+    calibrate_mrip_distortion,
     classify_separation,
     distance_bound_check,
     empirical_rip,
@@ -32,8 +56,16 @@ from riplab.rip import (
     implicit_m,
     mrip_check,
     separation_constants,
+    table1_counts,
 )
-from riplab.sparsity import Canonical, LqCap, sparsity_parameter_value, witness_support_size
+from riplab.sparsity import (
+    Canonical,
+    LqCap,
+    max_sparsity_level,
+    sample_sparse,
+    sparsity_parameter_value,
+    witness_support_size,
+)
 
 MODULES = ["riplab"] + [f"riplab.{info.name}" for info in pkgutil.iter_modules(riplab.__path__)]
 
@@ -126,35 +158,94 @@ def test_canonical_rejects_non_integer_k(k):
         Canonical(k)
 
 
-# Counts of group elements, translates, trials, ascent steps and support
-# sizes take integer types only too: int() would run M = 2.7 as 2 and True
-# as 1.
+# Every public count takes integer types only and has a least value:
+# int() would run M = 2.7 as 2 and True as 1.  One row per count, as
+# (id, call taking the count, its name, its least value).
 _EYE = np.eye(8, dtype=complex)
 _F = FourierFunction(np.ones(8), 4)
+_COUNTS = [
+    ("rosenthal_deviation-M",
+     lambda v: rosenthal_deviation(_EYE, "shiftmod", [v, 3], 2, SeededRng(0)), "M", 1),
+    ("rosenthal_deviation-trials",
+     lambda v: rosenthal_deviation(_EYE, "shiftmod", [3], v, SeededRng(0)), "trials", 1),
+    ("rip_experiment-m",
+     lambda v: rip_experiment(_F, [make_block_instrument(8, 4)], [3, v], 2, SeededRng(0)),
+     "m", 1),
+    ("rip_experiment-trials",
+     lambda v: rip_experiment(_F, [make_block_instrument(8, 4)], [3], v, SeededRng(0)),
+     "trials", 1),
+    ("empirical_rip-trials", lambda v: empirical_rip(_EYE, Canonical(2), v, rng=SeededRng(0)),
+     "trials", 1),
+    ("mrip_check-trials", lambda v: mrip_check(_EYE, 1.0, 1.0, 0.5, v, 2, SeededRng(0)),
+     "trials", 1),
+    ("mrip_check-ascent_steps", lambda v: mrip_check(_EYE, 1.0, 1.0, 0.5, 2, v, SeededRng(0)),
+     "ascent_steps", 0),
+    ("gaussian_width-ambient", lambda v: gaussian_width(Canonical(2), v), "ambient", 1),
+    ("sorted_supports-n", lambda v: SeededRng(0).sorted_supports(range(3), v, 2), "n", 0),
+    ("sorted_supports-k", lambda v: SeededRng(0).sorted_supports(range(3), 8, v), "k", 0),
+    ("calibrate_mrip_distortion-trials",
+     lambda v: calibrate_mrip_distortion(_EYE, 1.0, 1.0, v, 2, SeededRng(0)), "trials", 1),
+    ("calibrate_mrip_distortion-ascent_steps",
+     lambda v: calibrate_mrip_distortion(_EYE, 1.0, 1.0, 2, v, SeededRng(0)),
+     "ascent_steps", 0),
+    ("Canonical", Canonical, "k", 1),
+    ("Canonical.check_ambient", lambda v: Canonical(2).check_ambient(v), "ambient", 1),
+    ("exact_rip_canonical-k", lambda v: exact_rip_canonical(_EYE, v), "k", 1),
+    ("table1_counts-s", lambda v: table1_counts(v, 3, 4), "s", 1),
+    ("table1_counts-n", lambda v: table1_counts(2, v, 4), "n", 1),
+    ("table1_counts-d", lambda v: table1_counts(2, 3, v), "d", 1),
+    ("LqCap.check_ambient", lambda v: LqCap(1.0, 2.0).check_ambient(v), "ambient", 1),
+    ("max_sparsity_level-N", lambda v: max_sparsity_level(1.0, v), "N", 1),
+    ("witness_support_size-N", lambda v: witness_support_size(1.0, 2.0, v), "N", 1),
+    ("sample_sparse-ambient", lambda v: sample_sparse(LqCap(1.0, 2.0), v, 2, SeededRng(0)),
+     "ambient", 1),
+    ("sample_sparse-count", lambda v: sample_sparse(LqCap(1.0, 2.0), 8, v, SeededRng(0)),
+     "count", 0),
+    ("make_flat-N", make_flat, "N", 1),
+    ("make_decaying_window-N", lambda v: make_decaying_window(v, 1, 0.25), "N", 1),
+    ("make_decaying_window-window", lambda v: make_decaying_window(8, v, 0.25),
+     "window length", 1),
+    ("make_scaled_identity-n", make_scaled_identity, "n", 1),
+    ("make_schatten_decay-n", lambda v: make_schatten_decay(v, 0.25, SeededRng(0)), "n", 1),
+    ("monomial-n", lambda v: monomial("shiftmod", v, [[0, 0]]), "n", 1),
+    ("enumerate_group-n", lambda v: enumerate_group("shiftmod", v), "n", 1),
+    ("draw_elements-n", lambda v: draw_elements("shiftmod", v, 2, SeededRng(0)), "n", 1),
+    ("draw_elements-m", lambda v: draw_elements("shiftmod", 4, v, SeededRng(0)), "m", 0),
+    ("group_side-dim", lambda v: group_side("shiftmod", v), "dim", 1),
+    ("sample_ensemble-m",
+     lambda v: sample_ensemble(make_flat(4), "shiftmod", v, "none", SeededRng(0)), "m", 1),
+    ("sample_ensembles-m",
+     lambda v: sample_ensembles(make_flat(4), "shiftmod", [3, v], "none", SeededRng(0)),
+     "m", 1),
+    ("gaussian_ensemble-dim", lambda v: gaussian_ensemble(v, 2, SeededRng(0)), "dim", 1),
+    ("gaussian_ensemble-m", lambda v: gaussian_ensemble(4, v, SeededRng(0)), "m", 1),
+    ("gaussian_ensembles-dim", lambda v: gaussian_ensembles(v, [2], SeededRng(0)), "dim", 1),
+    ("gaussian_ensembles-m", lambda v: gaussian_ensembles(4, [3, v], SeededRng(0)), "m", 1),
+    ("FourierFunction-n_big", lambda v: FourierFunction(np.ones(8), v), "n_big", 1),
+    ("from_bumps-n_big", lambda v: from_bumps(16.0, [0.5], [1.0], v), "n_big", 1),
+    # A grid below the coefficient band, 2 n_big = 8 for _F, would alias.
+    ("values_on_grid-m_grid", lambda v: values_on_grid(_F, v), "m_grid", 8),
+    ("weighted_seminorm-n_cut", lambda v: weighted_seminorm(_F, v), "n_cut", 0),
+    ("BlockInstrument-n_cut", lambda v: BlockInstrument(v, np.ones(2)), "n_cut", 1),
+    ("make_block_instrument-n_cut", lambda v: make_block_instrument(v, 2), "n_cut", 1),
+    ("make_block_instrument-block_len", lambda v: make_block_instrument(8, v), "block_len", 1),
+    ("dyadic_block_frequencies-level", lambda v: dyadic_block_frequencies(v, 8), "level", 0),
+]
+_COUNT_IDS = [row[0] for row in _COUNTS]
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda bad: rosenthal_deviation(_EYE, "shiftmod", [bad, 3], 2, SeededRng(0)), "M"),
-    (lambda bad: rosenthal_deviation(_EYE, "shiftmod", [3], bad, SeededRng(0)), "trials"),
-    (lambda bad: rip_experiment(_F, [make_block_instrument(8, 4)], [3, bad], 2, SeededRng(0)),
-     "m"),
-    (lambda bad: rip_experiment(_F, [make_block_instrument(8, 4)], [3], bad, SeededRng(0)),
-     "trials"),
-    (lambda bad: empirical_rip(_EYE, Canonical(2), bad, rng=SeededRng(0)), "trials"),
-    (lambda bad: mrip_check(_EYE, 1.0, 1.0, 0.5, bad, 2, SeededRng(0)), "trials"),
-    (lambda bad: mrip_check(_EYE, 1.0, 1.0, 0.5, 2, bad, SeededRng(0)), "ascent_steps"),
-    (lambda bad: gaussian_width(Canonical(2), bad), "ambient"),
-    (lambda bad: SeededRng(0).sorted_supports(range(3), bad, 2), "n"),
-    (lambda bad: SeededRng(0).sorted_supports(range(3), 8, bad), "k"),
-], ids=["rosenthal_deviation-M", "rosenthal_deviation-trials", "rip_experiment-m",
-        "rip_experiment-trials", "empirical_rip-trials", "mrip_check-trials",
-        "mrip_check-ascent_steps", "gaussian_width-ambient",
-        "sorted_supports-n", "sorted_supports-k"])
+@pytest.mark.parametrize("call, message", [row[1:3] for row in _COUNTS], ids=_COUNT_IDS)
 @pytest.mark.parametrize("bad", [2.7, 3.0, True, NAN, "3"],
                          ids=["2.7", "3.0", "True", "nan", "str"])
 def test_counts_reject_non_integers(call, message, bad):
     with pytest.raises(ValueError, match=f"^{message} must be an integer; got {bad!r}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("call, name, least", [row[1:] for row in _COUNTS], ids=_COUNT_IDS)
+def test_counts_below_their_least_value_are_rejected(call, name, least):
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}$"):
+        call(least - 1)
 
 
 def test_integer_counts_of_numpy_types_run():

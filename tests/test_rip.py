@@ -432,8 +432,8 @@ class TestFlatWitnessBlocks:
             reference = _reference_flat_projection(model, expected_input)
             np.testing.assert_array_equal(_bits(row), _bits(reference))
 
-    # At j = N the kernel keeps every coordinate without a partition, so it
-    # is checked against the keep-everything construction directly.
+    # At j = N the kernel keeps every coordinate, so it is checked against
+    # the keep-everything construction directly.
     # _ENTRIES makes exact zeros, which take phase 1.
     @settings(max_examples=200)
     @given(st.integers(1, 12).flatmap(
