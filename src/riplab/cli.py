@@ -67,6 +67,7 @@ from .instruments import (
 from .numerics import CapacityError, NumericalError, SeededRng, pin_blas_threads
 from .rip import (
     calibrate_mrip_distortion,
+    calibrated_side,
     classify_separation,
     distance_bound_check,
     empirical_rip,
@@ -413,8 +414,7 @@ def _run_rip_exact(p: dict) -> Iterator[RunResult | None]:
     ens = next(_build_ensembles(p, [p["m"]], SeededRng(p["seed"])))
     yield
     report = exact_rip_canonical(ens, p["k"])
-    doc = {"delta_hat": report.delta_hat, "method": "exact_enumeration",
-           "model": report.model, "m": report.m}
+    doc = {"delta_hat": report.delta_hat, "side": report.side}
     yield RunResult(None, doc, f"delta_hat={_fmt(report.delta_hat)}")
 
 
@@ -425,12 +425,12 @@ def _run_rip_scan(p: dict) -> Iterator[RunResult | None]:
     # of every m is a prefix of that draw.  Rows go by m in list order, then
     # by seed.
     seeds = [p["seed"] + offset for offset in range(p["seeds"])]
-    deltas = [[empirical_rip(ens, Canonical(p["k"]), p["trials"],
-                             rng=SeededRng(seed, 1)).delta_hat
-               for ens in _build_ensembles(p, p["m"], SeededRng(seed))]
-              for seed in seeds]
-    rows = [{"m": m, "delta_hat": seed_deltas[j], "model": f"canonical_k{p['k']}", "seed": seed}
-            for j, m in enumerate(p["m"]) for seed, seed_deltas in zip(seeds, deltas)]
+    reports = [[empirical_rip(ens, Canonical(p["k"]), p["trials"], rng=SeededRng(seed, 1))
+                for ens in _build_ensembles(p, p["m"], SeededRng(seed))]
+               for seed in seeds]
+    rows = [{"m": m, "delta_hat": seed_reports[j].delta_hat, "side": seed_reports[j].side,
+             "seed": seed}
+            for j, m in enumerate(p["m"]) for seed, seed_reports in zip(seeds, reports)]
     yield RunResult(rows, None, f"{len(rows)} rows")
 
 
@@ -448,29 +448,29 @@ def _run_mrip(p: dict) -> Iterator[RunResult | None]:
 
 
 def _calibrated_pairs(p: dict, model: LqCap):
-    """The Gaussian sketch of distance and weakdiff, its calibrated distortion,
-    and the ``pairs`` random pairs (x, y) of ``model``: pair i is rows 2i and
-    2i + 1 of one sample_sparse block from the pair RNG, so fewer pairs are
-    a prefix of more."""
+    """The Gaussian sketch of distance and weakdiff, its calibrated distortion
+    and that value's side, and the ``pairs`` random pairs (x, y) of
+    ``model``: pair i is rows 2i and 2i + 1 of one sample_sparse block from
+    the pair RNG, so fewer pairs are a prefix of more."""
     ens = gaussian_ensemble(p["N"], p["m"], SeededRng(p["seed"]))
-    delta, _ = calibrate_mrip_distortion(
+    delta, levels = calibrate_mrip_distortion(
         ens, p["q"], p["s"], p["trials"], p["ascent"], SeededRng(p["seed"], 1)
     )
     block = sample_sparse(model, p["N"], 2 * p["pairs"], SeededRng(p["seed"], 2))
-    return ens, delta, zip(block[0::2], block[1::2])
+    return ens, delta, calibrated_side(levels), zip(block[0::2], block[1::2])
 
 
 def _run_distance(p: dict) -> Iterator[RunResult | None]:
     model = _sketch_model(p)
     yield
-    ens, delta, pairs = _calibrated_pairs(p, model)
+    ens, delta, side, pairs = _calibrated_pairs(p, model)
     rows = []
     for i, (x, y) in enumerate(pairs):
         res = distance_bound_check(ens, x, y, p["s"], delta, p["q"])
         rows.append({"pair": i, **{k: res[k] for k in ("observed", "bound", "passed")}})
     violations = sum(not row["passed"] for row in rows)
-    doc = {"delta_calibrated": delta, "pairs": p["pairs"], "violations": violations,
-           "pass_rate": 1.0 - violations / p["pairs"]}
+    doc = {"delta_calibrated": delta, "side": side, "pairs": p["pairs"],
+           "violations": violations, "pass_rate": 1.0 - violations / p["pairs"]}
     yield RunResult(rows, doc, f"violations={violations}/{p['pairs']} delta={_fmt(delta)}")
 
 
@@ -479,7 +479,7 @@ def _run_weakdiff(p: dict) -> Iterator[RunResult | None]:
     if p["alpha"] is not None:
         separation_constants(p["alpha"])
     yield
-    ens, delta, pairs = _calibrated_pairs(p, model)
+    ens, delta, side, pairs = _calibrated_pairs(p, model)
     rows = []
     for i, (x, y) in enumerate(pairs):
         verdict = classify_separation(ens, x, y, delta, alpha=p["alpha"])
@@ -492,8 +492,8 @@ def _run_weakdiff(p: dict) -> Iterator[RunResult | None]:
                      "lower": lower, "upper": upper, "true_sq": true_sq, "ok": bool(ok)})
     counts = {v: sum(row["verdict"] == v for row in rows) for v in ("separated", "close")}
     violations = sum(not row["ok"] for row in rows)
-    doc = {"delta_calibrated": delta, "pairs": p["pairs"], "violations": violations,
-           **counts}
+    doc = {"delta_calibrated": delta, "side": side, "pairs": p["pairs"],
+           "violations": violations, **counts}
     yield RunResult(rows, doc,
                     f"separated={counts['separated']} close={counts['close']} "
                     f"violations={violations}")
@@ -508,15 +508,15 @@ def _run_gordon(p: dict) -> Iterator[RunResult | None]:
     yield
     width = gaussian_width(Canonical(p["k"]), p["N"])
     m = gordon_m(width["mean"], p["delta"], p["zeta"])
-    hits = 0
-    for draw in range(p["draws"]):
-        ens = gaussian_ensemble(p["N"], m, SeededRng(p["seed"], 1 + draw))
-        rep = empirical_rip(ens, Canonical(p["k"]), p["trials"],
-                            rng=SeededRng(p["seed"], _GORDON_SUPPORT_ROOT + draw))
-        hits += 1 if rep.delta_hat <= p["delta"] else 0
+    reports = [empirical_rip(gaussian_ensemble(p["N"], m, SeededRng(p["seed"], 1 + draw)),
+                             Canonical(p["k"]), p["trials"],
+                             rng=SeededRng(p["seed"], _GORDON_SUPPORT_ROOT + draw))
+               for draw in range(p["draws"])]
+    hits = sum(rep.delta_hat <= p["delta"] for rep in reports)
+    # Every draw has the same N, k and trials, so its estimate has the same side.
     doc = {"width_mean": width["mean"], "width_error": width["error"],
            "predicted_m": m, "draws": p["draws"], "achieving": hits,
-           "fraction": hits / p["draws"]}
+           "side": reports[0].side, "fraction": hits / p["draws"]}
     yield RunResult(None, doc, f"m={m} achieving={hits}/{p['draws']}")
 
 

@@ -7,8 +7,11 @@ The central quantity for an operator A and a signal model M is
 estimated exactly (support enumeration for canonical sparsity, closed forms
 at the end levels of a q-cap) or from below (sampled supports, or sampled
 witnesses with ascent refinement); computing it is NP-hard, so a sampled
-value only bounds it.  Every estimator reads one operator form, D from
-_defect, and has one body with one kernel on it:
+value only bounds it.  Each estimate keeps the proven upper bound behind it,
+its own value where nothing was left unsearched and None otherwise, and one
+rule, _side, turns that into its side: exact or lower.  Every estimator
+reads one operator form, D from _defect, and has one body with one kernel
+on it:
 
 * canonical models: _canonical_rip, behind exact_rip_canonical and
   empirical_rip, with _max_defect, the Frobenius-pruned maximum over any
@@ -48,6 +51,7 @@ __all__ = [
     "empirical_rip",
     "mrip_check",
     "calibrate_mrip_distortion",
+    "calibrated_side",
     "distance_bound_check",
     "classify_separation",
     "separation_constants",
@@ -78,22 +82,34 @@ _SQRT_HALF = math.sqrt(0.5)
 _TINY = np.finfo(float).tiny
 
 
+def _side(*uppers) -> str:
+    """The one side rule: the side of an estimate, from the proven upper
+    bounds of the parts it is built from.  It is exact when every part has
+    one and a lower bound while any part has none (None).  Each upper bound
+    so far is its part's own value, proven because nothing was left
+    unsearched, and every estimate grows with its parts."""
+    return "lower" if any(upper is None for upper in uppers) else "exact"
+
+
 @dataclass(frozen=True)
 class RipReport:
     """A sided isometry-defect estimate and its cost.
 
-    ``side`` is "exact" when every support was enumerated and "lower" when
-    the value is a maximum over drawn supports.  ``details`` holds the same
-    three counts on every report: ``trials``; ``supports``, C(N, k) when
-    supports are enumerated and ``trials`` when they are drawn; and
-    ``evaluated``, the supports that reached eigvalsh.
+    ``upper`` is a proven upper bound on the defect: ``delta_hat`` itself
+    when every support was enumerated, and None when the value is a maximum
+    over drawn supports.  ``side`` follows from it by _side: exact or lower.
+    ``details`` holds the same three counts on every report: ``trials``;
+    ``supports``, C(N, k) when supports are enumerated and ``trials`` when
+    they are drawn; and ``evaluated``, the supports that reached eigvalsh.
     """
 
     delta_hat: float
-    side: str
-    model: str
-    m: int
+    upper: float | None
     details: dict
+
+    @property
+    def side(self) -> str:
+        return _side(self.upper)
 
 
 def _effective(a) -> np.ndarray:
@@ -104,14 +120,14 @@ def _effective(a) -> np.ndarray:
     return np.asarray(a.rows, dtype=complex)
 
 
-def _defect(a) -> tuple[int, np.ndarray]:
-    """m and D = A^* A - I for a 2-d array or an ensemble's ``rows``, taken
-    as complex.  Subtracting 1 on the diagonal in place equals subtracting a
+def _defect(a) -> np.ndarray:
+    """D = A^* A - I for a 2-d array or an ensemble's ``rows``, taken as
+    complex.  Subtracting 1 on the diagonal in place equals subtracting a
     dense identity bit for bit."""
     eff = _effective(a)
     defect = eff.conj().T @ eff
     defect.flat[::len(defect) + 1] -= 1.0
-    return len(eff), defect
+    return defect
 
 
 def _chunk_size(k: int) -> int:
@@ -177,9 +193,10 @@ def _canonical_rip(a, model: Canonical, trials: int, rng: SeededRng | None) -> R
     Otherwise ``rng.sorted_supports`` draws one support per trial at once,
     row t equal to the sorted ``choice_no_replace`` of ``rng.stream(t)`` bit
     for bit.  Either way the pruned _max_defect returns the unpruned maximum
-    bit for bit.
+    bit for bit.  An enumeration proves its maximum, so the report's
+    ``upper`` is the value itself; drawn supports leave it None.
     """
-    m, defect = _defect(a)
+    defect = _defect(a)
     n, k = model.check_ambient(len(defect)), model.k
     n_supports = math.comb(n, k)
     exhaustive = rng is None or n_supports <= min(trials, _ENUM_CAP)
@@ -190,7 +207,7 @@ def _canonical_rip(a, model: Canonical, trials: int, rng: SeededRng | None) -> R
     supports = (combinations(range(n), k) if exhaustive else
                 rng.sorted_supports(range(trials), n, k))
     delta, evaluated = _max_defect(defect, supports, k)
-    return RipReport(delta, "exact" if exhaustive else "lower", repr(model), m,
+    return RipReport(delta, delta if exhaustive else None,
                      {"trials": trials, "supports": n_supports if exhaustive else trials,
                       "evaluated": evaluated})
 
@@ -265,9 +282,10 @@ def _level_threshold(level: int, delta: float, extra_level_factor: bool) -> floa
 
 
 def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: SeededRng):
-    """Yield (level, sparsity, observed, side) for each dyadic level of the
-    q-cap model, where sparsity is 2^l s and observed the defect at the cap
-    LqCap(q, 2^l s).
+    """Yield (record, upper) for each dyadic level of the q-cap model: the
+    record holds ``level``, ``sparsity`` 2^l s, ``observed``, the defect at
+    the cap LqCap(q, 2^l s), and its ``side``; upper is the proven upper
+    bound behind that side, or None.
 
     The two end levels have closed forms.  A cap with 2^l s >=
     max_sparsity_level(q, N) is the whole sphere, so it reads ||D||_2,
@@ -281,7 +299,7 @@ def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: S
     """
     trials = as_count(trials, "trials")
     ascent_steps = as_count(ascent_steps, "ascent_steps", least=0)
-    _, defect = _defect(a)
+    defect = _defect(a)
     n = LqCap(q, s).check_ambient(len(defect))
     smax = max_sparsity_level(q, n)
     # The lowest level is the first with sparsity 2^l s >= 1; it holds every 1-sparse vector.
@@ -294,12 +312,14 @@ def _dyadic_levels(a, q: float, s: float, trials: int, ascent_steps: int, rng: S
     for level, stream in zip(levels, rng.streams(range(len(levels)))):
         sigma = 2.0**level * s
         if sigma >= smax:
-            yield level, sigma, norm, "exact"
+            observed = upper = norm
         elif witness_support_size(q, sigma, n) == 1:
-            yield level, sigma, diag, "exact" if sigma == 1.0 else "lower"
+            observed, upper = diag, diag if sigma == 1.0 else None
         else:
-            yield level, sigma, _ascend(LqCap(q, sigma), defect, trials, ascent_steps,
-                                        stream), "lower"
+            observed = _ascend(LqCap(q, sigma), defect, trials, ascent_steps, stream)
+            upper = None
+        record = {"level": level, "sparsity": sigma, "observed": observed, "side": _side(upper)}
+        yield record, upper
 
 
 def mrip_check(
@@ -318,17 +338,18 @@ def mrip_check(
     Level l carries the q-cap model at sparsity 2^l s and must stay below
     max(2^(l/2) delta, 2^l delta^2); ``extra_level_factor`` multiplies the
     threshold by another 2^(l/2) for the looser definitional variant.
-    Each level's ``side`` says whether its estimate is the exact supremum
-    (the two closed-form end levels of _dyadic_levels) or a lower bound; the
-    i-th level of the range draws its trials from ``rng.stream(i)``.
+    Each level is the record of _dyadic_levels, whose ``side`` says whether
+    its estimate is the exact supremum (the two closed-form end levels) or a
+    lower bound, with ``threshold`` and ``passed`` added; the i-th level of
+    the range draws its trials from ``rng.stream(i)``.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     levels = []
-    for level, sigma, observed, side in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
-        threshold = _level_threshold(level, delta, extra_level_factor)
-        levels.append({"level": level, "sparsity": sigma, "observed": observed, "side": side,
-                       "threshold": threshold, "passed": bool(observed <= threshold)})
+    for record, _ in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
+        threshold = _level_threshold(record["level"], delta, extra_level_factor)
+        record.update(threshold=threshold, passed=bool(record["observed"] <= threshold))
+        levels.append(record)
     return all(lv["passed"] for lv in levels), levels
 
 
@@ -345,16 +366,26 @@ def calibrate_mrip_distortion(
 
     Level l passes iff delta >= 2^(-l/2) min(o_l, sqrt(o_l)) for observed o_l.
     Levels come from the same _dyadic_levels as mrip_check, so both see the
-    same per-level estimates, with the same ``side``, for the same ``rng``.
+    same per-level estimates, with the same ``side``, for the same ``rng``;
+    each record adds the level's ``upper`` bound (None when it has none) and
+    its ``delta_needed``.  delta grows with every o_l, so calibrated_side
+    of the records is its side.
     """
     records = []
     delta = 0.0
-    for level, sigma, o, side in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
-        need = 2.0 ** (-level / 2.0) * min(o, math.sqrt(o)) if o > 0 else 0.0
+    for record, upper in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
+        o = record["observed"]
+        need = 2.0 ** (-record["level"] / 2.0) * min(o, math.sqrt(o)) if o > 0 else 0.0
         delta = max(delta, need)
-        records.append({"level": level, "sparsity": sigma, "observed": o, "side": side,
-                        "delta_needed": need})
+        record.update(upper=upper, delta_needed=need)
+        records.append(record)
     return delta, records
+
+
+def calibrated_side(records) -> str:
+    """The side of calibrate_mrip_distortion's delta, given its level
+    records: exact only when every level is."""
+    return _side(*(record["upper"] for record in records))
 
 
 # -- distance preservation and pair classification ---------------------------

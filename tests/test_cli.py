@@ -85,7 +85,9 @@ class TestReports:
                            "--seed", seed, "--out", str(out)) == 0
             results.append(json.loads((tmp_path / f"g{seed}.json").read_text())["result"])
         assert set(results[0]) == {"width_mean", "width_error", "predicted_m", "draws",
-                                   "achieving", "fraction"}
+                                   "achieving", "side", "fraction"}
+        # 5 drawn supports of C(64, 4): each draw's estimate is a lower bound.
+        assert results[0]["side"] == "lower"
         assert results[0]["width_mean"] == results[1]["width_mean"]
         assert results[0]["width_error"] <= 1e-6 * results[0]["width_mean"]
         assert results[0]["predicted_m"] == results[1]["predicted_m"] == 191
@@ -122,7 +124,7 @@ class TestReports:
                        "--trials", "200", "--seed", "7", "--out", str(out))
         assert code == 0
         comments, fields, rows = read_csv(tmp_path / "scan.csv")
-        assert fields == ["m", "delta_hat", "model", "seed"]
+        assert fields == ["m", "delta_hat", "side", "seed"]
         by_m = {}
         for row in rows:
             by_m.setdefault(int(row["m"]), []).append(float(row["delta_hat"]))
@@ -163,9 +165,9 @@ class TestReports:
             for seed in (40, 41, 42):
                 report = empirical_rip(build(m, SeededRng(seed)), Canonical(2), 20,
                                        rng=SeededRng(seed, 1))
-                expected.append((m, seed, "canonical_k2", report.delta_hat.hex()))
+                expected.append((m, seed, report.side, report.delta_hat.hex()))
         [rows] = written
-        assert [(r["m"], r["seed"], r["model"], r["delta_hat"].hex()) for r in rows] == expected
+        assert [(r["m"], r["seed"], r["side"], r["delta_hat"].hex()) for r in rows] == expected
         _, _, csv_rows = read_csv(tmp_path / "scan.csv")
         assert [(int(r["m"]), int(r["seed"])) for r in csv_rows] == [e[:2] for e in expected]
 
@@ -211,6 +213,18 @@ class TestReports:
         few, many = data_lines("5"), data_lines("20")
         assert len(few) == 6 and len(many) == 21  # a header and one row per pair
         assert few == many[:6]
+
+    @pytest.mark.parametrize("command", ["distance", "weakdiff"])
+    def test_calibrated_side_is_exact_only_when_no_level_ascends(self, tmp_path, command):
+        # At N = 2, q = 1 and s = 1 both levels have closed forms; at N = 8
+        # the levels between ascend, so the calibrated delta is a lower bound.
+        sides = []
+        for n in ("2", "8"):
+            out = tmp_path / f"{command}{n}"
+            assert run_cli(command, "--N", n, "--m", "4", "--s", "1", "--pairs", "2",
+                           "--trials", "2", "--ascent", "2", "--out", str(out)) == 0
+            sides.append(json.loads(out.with_suffix(".json").read_text())["result"]["side"])
+        assert sides == ["exact", "lower"]
 
     def test_weakdiff_cells_are_squared_distances(self, tmp_path):
         # m = 256 on seed 0, the first seed from 0 that gives both verdicts,
@@ -708,8 +722,7 @@ class TestValidation:
     def test_report_cells_and_config_echo(self, tmp_path, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 0
         labels = {c for opts in cli.SCHEMAS.values() for o in opts for c in o.choices}
-        labels |= {"separated", "close", "exact", "lower",
-                   f"canonical_k{dict(zip(argv, argv[1:])).get('--k')}"}
+        labels |= {"separated", "close", "exact", "lower"}
 
         def rendered(cell):
             if re.fullmatch(r"-?\d+", cell) or cell in {"true", "false", ""} | labels:

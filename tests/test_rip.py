@@ -90,7 +90,7 @@ def reference_support_defect(gram, supports):
 
 
 class TestDefect:
-    """_defect(a) is (m, A^* A - np.eye(N)) bit for bit, A taken as complex.
+    """_defect(a) is A^* A - np.eye(N) bit for bit, A taken as complex.
 
     Entries are signed zeros or a few finite values, and some columns are
     zeroed with either sign, so zeros of both signs reach the Gram.
@@ -116,8 +116,7 @@ class TestDefect:
         a = self.operator(seed, m, n, complex_entries)
         eff = a.astype(complex)
         expected = eff.conj().T @ eff - np.eye(n)
-        got_m, defect = rip._defect(MeasurementEnsemble(eff) if ensemble else a)
-        assert got_m == m
+        defect = rip._defect(MeasurementEnsemble(eff) if ensemble else a)
         assert defect.dtype == expected.dtype and defect.shape == expected.shape
         assert np.array_equal(defect.view(np.uint64), expected.view(np.uint64))
 
@@ -284,7 +283,8 @@ class TestCanonicalBody:
         exact = exact_rip_canonical(a, k)
         emp = empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed))
         assert exact.delta_hat.hex() == emp.delta_hat.hex()
-        assert (exact.side, exact.model, exact.m) == (emp.side, emp.model, emp.m)
+        assert exact.side == emp.side == "exact"
+        assert exact.upper.hex() == emp.upper.hex() == emp.delta_hat.hex()
         assert ({**exact.details, "trials": trials} == emp.details
                 and exact.details["trials"] == 0)
         assert emp.details["supports"] == math.comb(n, k)
@@ -299,8 +299,7 @@ class TestCanonicalBody:
 
 def ascend(a, model, trials, steps, rng):
     """rip._ascend on the defect form of ``a``, as the dyadic levels run it."""
-    _, defect = rip._defect(a)
-    return rip._ascend(model, defect, trials, steps, rng)
+    return rip._ascend(model, rip._defect(a), trials, steps, rng)
 
 
 class TestEmpiricalRip:
@@ -543,6 +542,64 @@ class TestReportContract:
         assert 1 <= report.details["evaluated"] <= supports
         if side == "exact":
             assert report.delta_hat.hex() == exact_rip_canonical(a, 2).delta_hat.hex()
+            assert report.upper.hex() == report.delta_hat.hex()
+        else:
+            assert report.upper is None
+
+    # Every side claim against the truth at N <= 10.  An exact report equals
+    # enumeration to the bit and is its own upper bound; a lower one never
+    # exceeds enumeration and has none.  The budgets fall short of C(N, k),
+    # unless one support is all there is, and cover it.
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 10), k=st.integers(1, 10), m=st.integers(1, 12),
+           complex_entries=st.booleans(), short=st.integers(1, 40), extra=st.integers(0, 40),
+           seed=st.integers(0, 2**16))
+    def test_canonical_sides_are_honest(self, n, k, m, complex_entries, short, extra, seed):
+        k = 1 + (k - 1) % n
+        a = TestSupportDefects.operator(seed, m, n, complex_entries)
+        truth = reference_support_defect(TestSupportDefects.library_gram(a),
+                                         itertools.combinations(range(n), k))
+        n_supports = math.comb(n, k)
+        reports = [exact_rip_canonical(a, k)] + [
+            empirical_rip(a, Canonical(k), trials, rng=SeededRng(seed, 1))
+            for trials in (max(1, n_supports - short), n_supports + extra)]
+        for report in reports:
+            if report.side == "exact":
+                assert report.delta_hat.hex() == report.upper.hex() == truth.hex()
+            else:
+                assert report.side == "lower" and report.upper is None
+                assert report.delta_hat <= truth
+
+    # Every level's claim at N <= 10: an exact level equals the closed form
+    # of a cap that is the sphere (||D||_2) or holds only 1-sparse vectors
+    # (max |D_ii|); a lower one never exceeds ||D||_2.  The calibrated delta
+    # is exact only when every level is.
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 10), m=st.integers(1, 16),
+           q=st.sampled_from([1.0, 1.25, 1.5, 2.0]), s_frac=st.floats(0.0, 1.0),
+           trials=st.integers(1, 3), steps=st.integers(0, 4), seed=st.integers(0, 2**16))
+    def test_level_sides_are_honest(self, n, m, q, s_frac, trials, steps, seed):
+        smax = sparsity.max_sparsity_level(q, n)
+        s = 1.0 + s_frac * (smax - 1.0)
+        a = gaussian_ensemble(n, m, SeededRng(seed)).rows
+        defect = a.conj().T @ a - np.eye(n)
+        norm = operator_norm(defect)
+        _, levels = mrip_check(a, q, s, 0.5, trials, steps, SeededRng(seed, 1))
+        for lv in levels:
+            if lv["side"] == "exact":
+                if lv["sparsity"] >= smax:
+                    closed = norm
+                else:
+                    assert lv["sparsity"] == 1.0
+                    closed = float(np.abs(defect.diagonal().real).max())
+                assert lv["observed"].hex() == closed.hex()
+            else:
+                assert lv["side"] == "lower"
+                assert lv["observed"] <= norm
+        _, records = calibrate_mrip_distortion(a, q, s, trials, steps, SeededRng(seed, 1))
+        assert [r["side"] for r in records] == [lv["side"] for lv in levels]
+        every_exact = all(lv["side"] == "exact" for lv in levels)
+        assert rip.calibrated_side(records) == ("exact" if every_exact else "lower")
 
 
 class TestMripCheck:
