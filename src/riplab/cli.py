@@ -428,9 +428,8 @@ def _run_rip_scan(p: dict) -> Iterator[RunResult | None]:
     reports = [[empirical_rip(ens, Canonical(p["k"]), p["trials"], rng=SeededRng(seed, 1))
                 for ens in _build_ensembles(p, p["m"], SeededRng(seed))]
                for seed in seeds]
-    rows = [{"m": m, "delta_hat": seed_reports[j].delta_hat, "side": seed_reports[j].side,
-             "seed": seed}
-            for j, m in enumerate(p["m"]) for seed, seed_reports in zip(seeds, reports)]
+    rows = [{"m": m, "delta_hat": rep.delta_hat, "side": rep.side, "seed": seed}
+            for m, by_seed in zip(p["m"], zip(*reports)) for seed, rep in zip(seeds, by_seed)]
     yield RunResult(rows, None, f"{len(rows)} rows")
 
 
@@ -617,8 +616,8 @@ def _run_bump_check(p: dict) -> Iterator[RunResult | None]:
 
     rows = []
     for cfg, stream in enumerate(SeededRng(p["seed"]).streams(range(p["configs"]))):
-        t_scale = float(stream.generator.choice([8.0, 16.0, 32.0]))
-        count = int(stream.generator.choice([1, 2, 4]))
+        t_scale = float(stream.choice([8.0, 16.0, 32.0]))
+        count = int(stream.choice([1, 2, 4]))
         centers = []
         guard = 0
         while len(centers) < count:

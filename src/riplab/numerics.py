@@ -304,9 +304,14 @@ class SeededRng:
     conventionally indexed by trial, so that serial and parallel execution
     orders agree.
 
-    ``sorted_supports(indices, n, k)`` draws the sorted k-subsets of many
-    children at once with no child generator, and equals each child's own
-    ``choice_no_replace`` bit for bit.
+    Draws are the Generator's own methods (``standard_normal``,
+    ``uniform``, ``integers``, ``choice(n, k, replace=False)`` and the
+    rest), reached through the source.  It is not a Generator subclass:
+    defining one imports numpy.random, which importing riplab, and building
+    the command line's parser, should not pay for.  ``complex_normal`` and
+    ``rademacher`` are its own draws, and ``sorted_supports(indices, n, k)``
+    draws the sorted k-subsets of many children at once with no child
+    generator, equal to each child's own ``choice`` bit for bit.
     """
 
     def __init__(self, seed: int, stream: int = 0, *indices: int):
@@ -330,14 +335,14 @@ class SeededRng:
         """
         return (self.stream(index) for index in indices)
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
+    def __getattr__(self, name: str):
+        # Reached only for names the source lacks.  A copy under construction
+        # has no Generator yet, so it has none of the Generator's names.
+        if name == "_gen":
+            raise AttributeError(name)
+        return getattr(self._gen, name)
 
     # -- draw helpers ------------------------------------------------------
-
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
 
     def complex_normal(self, size=None):
         """Standard complex Gaussian: E|z|^2 = 1."""
@@ -345,24 +350,15 @@ class SeededRng:
         im = self._gen.standard_normal(size)
         return (re + 1j * im) / math.sqrt(2.0)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
     def rademacher(self, size):
         return 2 * self._gen.integers(0, 2, size) - 1
-
-    def choice_no_replace(self, n: int, k: int):
-        return self._gen.choice(n, size=k, replace=False)
 
     # -- batched draws -----------------------------------------------------
 
     def sorted_supports(self, indices, n: int, k: int) -> np.ndarray:
         """A (len(indices), k) int array whose row r equals
-        ``np.sort(self.stream(indices[r]).choice_no_replace(n, k))`` bit for
-        bit, for 1 <= k <= n.
+        ``np.sort(self.stream(indices[r]).choice(n, k, replace=False))`` bit
+        for bit, for 1 <= k <= n.
 
         No child generator is built: one vectorised pass per block of up to
         256 rows, however few, derives the children's seeding words from this
@@ -389,7 +385,7 @@ class SeededRng:
             out[rows], rejected = _floyd_sorted(words, n, k)
             redo.extend(rows[rejected])
         for r, stream in zip(redo, self.streams(indices[r] for r in redo)):
-            out[r] = np.sort(stream.choice_no_replace(n, k))
+            out[r] = np.sort(stream.choice(n, k, replace=False))
         return out
 
 

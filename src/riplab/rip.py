@@ -191,10 +191,11 @@ def _canonical_rip(a, model: Canonical, trials: int, rng: SeededRng | None) -> R
     Every support is enumerated when there is no ``rng`` or when
     C(N, k) <= min(trials, 10^6), and more than 10^6 raise CapacityError.
     Otherwise ``rng.sorted_supports`` draws one support per trial at once,
-    row t equal to the sorted ``choice_no_replace`` of ``rng.stream(t)`` bit
-    for bit.  Either way the pruned _max_defect returns the unpruned maximum
-    bit for bit.  An enumeration proves its maximum, so the report's
-    ``upper`` is the value itself; drawn supports leave it None.
+    row t equal to the sorted ``choice(n, k, replace=False)`` of
+    ``rng.stream(t)`` bit for bit.  Either way the pruned _max_defect
+    returns the unpruned maximum bit for bit.  An enumeration proves its
+    maximum, so the report's ``upper`` is the value itself; drawn supports
+    leave it None.
     """
     defect = _defect(a)
     n, k = model.check_ambient(len(defect)), model.k
@@ -348,8 +349,7 @@ def mrip_check(
     levels = []
     for record, _ in _dyadic_levels(a, q, s, trials, ascent_steps, rng):
         threshold = _level_threshold(record["level"], delta, extra_level_factor)
-        record.update(threshold=threshold, passed=bool(record["observed"] <= threshold))
-        levels.append(record)
+        levels.append(record | {"threshold": threshold, "passed": record["observed"] <= threshold})
     return all(lv["passed"] for lv in levels), levels
 
 
@@ -377,8 +377,7 @@ def calibrate_mrip_distortion(
         o = record["observed"]
         need = 2.0 ** (-record["level"] / 2.0) * min(o, math.sqrt(o)) if o > 0 else 0.0
         delta = max(delta, need)
-        record.update(upper=upper, delta_needed=need)
-        records.append(record)
+        records.append(record | {"upper": upper, "delta_needed": need})
     return delta, records
 
 

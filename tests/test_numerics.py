@@ -193,7 +193,7 @@ class TestSeededRng:
         assert set(np.unique(r)) == {-1, 1}
 
     def test_choice_no_replace(self):
-        idx = SeededRng(SEED).choice_no_replace(20, 8)
+        idx = SeededRng(SEED).choice(20, 8, replace=False)
         assert len(set(idx.tolist())) == 8
         assert idx.min() >= 0 and idx.max() < 20
 
@@ -202,7 +202,7 @@ class TestSeededRng:
 
 def _state(rng: SeededRng) -> dict:
     """The state of the source's PCG64, which its four seeding words fix."""
-    return rng.generator.bit_generator.state
+    return rng.bit_generator.state
 
 
 def _keyed(seed: int, key: tuple) -> SeededRng:
@@ -277,9 +277,9 @@ class TestStreamDerivation:
         lambda r: r.integers(0, 100, 9),
         lambda r: r.rademacher(8),
         lambda r: r.standard_normal((3, 2, 4)),  # a block of sample_sparse's shape
-        lambda r: r.choice_no_replace(20, 5),
-        lambda r: r.generator.choice([8.0, 16.0, 32.0], 3),
-        lambda r: r.generator.permutation(12),
+        lambda r: r.choice(20, 5, replace=False),
+        lambda r: r.choice([8.0, 16.0, 32.0], 3),
+        lambda r: r.permutation(12),
     ])
     def test_batched_children_draw_like_single_children(self, draw):
         parent = SeededRng(SEED, 3).stream(1)
@@ -336,7 +336,7 @@ class TestStreamDerivation:
 
 def _per_stream_supports(parent: SeededRng, indices, n: int, k: int) -> np.ndarray:
     """The oracle of sorted_supports: each child's own choice, sorted."""
-    rows = [np.sort(child.choice_no_replace(n, k)) for child in parent.streams(indices)]
+    rows = [np.sort(child.choice(n, k, replace=False)) for child in parent.streams(indices)]
     return np.array(rows, dtype=np.intp).reshape(len(rows), k)
 
 
@@ -391,7 +391,7 @@ class TestSortedSupports:
     @pytest.mark.parametrize("k,rows", [(4, 1), (4, 23), (8, 1), (8, 31)])
     def test_small_blocks_take_the_vectorised_pass(self, k, rows):
         parent = SeededRng(SEED, 7)
-        with mock.patch.object(SeededRng, "choice_no_replace", side_effect=AssertionError):
+        with mock.patch.object(SeededRng, "choice", side_effect=AssertionError, create=True):
             got = parent.sorted_supports(range(rows), 256, k)
         np.testing.assert_array_equal(got, _per_stream_supports(parent, range(rows), 256, k))
 

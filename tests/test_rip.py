@@ -199,7 +199,7 @@ class TestSupportDefects:
             exhaustive = trials >= n_supports
             listed = list(itertools.combinations(range(n), k)) if exhaustive else []
             drawn = range(n_supports, trials) if exhaustive else range(trials)
-            listed += [np.sort(SeededRng(seed, 1).stream(trial).choice_no_replace(n, k))
+            listed += [np.sort(SeededRng(seed, 1).stream(trial).choice(n, k, replace=False))
                        for trial in drawn]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(rip, "_SUPPORT_CHUNK", 7)
@@ -219,7 +219,7 @@ class TestSupportDefects:
         # and the same supports sent to eigvalsh.
         trials = min(trials, math.comb(n, k) - 1)
         a = self.operator(seed, m, n, complex_entries)
-        supports = [np.sort(stream.choice_no_replace(n, k)).tolist()
+        supports = [np.sort(stream.choice(n, k, replace=False)).tolist()
                     for stream in SeededRng(seed, 1).streams(range(trials))]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rip, "_SUPPORT_CHUNK", chunk)
